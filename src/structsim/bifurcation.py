@@ -3,15 +3,18 @@
 When no human rate depends on chronological age, an endemic equilibrium is
 parameterized by a single infection intensity K > 0: the normalized
 infected density is K times the infection-survival profile c1(tau), and
-existence reduces to a scalar condition f(R0, K) = 1 with
+existence reduces to a scalar condition f(R0, K) = 1.  f is exactly linear
+in R0, f(R0, K) = R0 * h(K), with the R0-free factor
 
-    f(R0, K) = R0 * (1 + K * int(nu_h c1)/mu_h)
-               * (damped mosquito kernel mass at damping c2*K, normalized)
-               * (1 - K * [int c1 + int(gamma_h c1) * immunity integral])
+    h(K) = (1 + K * int(nu_h c1)/mu_h)
+           * (damped mosquito kernel mass at damping c2*K, normalized)
+           * (1 - K * [int c1 + int(gamma_h c1) * immunity integral])
 
-f(R0, 0) = R0 holds identically and f vanishes at the admissible upper
-bound K_bar, so roots are found by a dense scan plus bisection (robust
-through the fold where two roots merge).  dk_f is the exact analytic
+h(0) = 1 holds identically and h vanishes at the admissible upper bound
+K_bar.  Each kernel build tabulates h once on a uniform scan of
+[0, K_bar]; the roots for any R0 are the sign changes of R0 * h - 1 on
+that table, each bisected on f (the scan is dense enough to separate the
+two roots near the fold).  dk_f = R0 * h' is the exact analytic
 K-derivative of that same expression.
 
 ``bifurcation_constant`` evaluates the three-term threshold constant whose
@@ -24,7 +27,7 @@ are exposed; the sweep classifier follows the constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +67,13 @@ class ReducedKernels:
     mosq_row_mass: np.ndarray       # per-xi mass of the mosquito kernel (x delta^2)
     mosquito_kernel_mass: float
     age_lag_mass: float             # iint (a - tau) * mosquito kernel
+    k_scan: np.ndarray = field(init=False, repr=False)  # SCAN_POINTS + 1 points of [0, K_bar]
+    h_scan: np.ndarray = field(init=False, repr=False)  # h on k_scan
+
+    def __post_init__(self) -> None:
+        k_scan = np.linspace(0.0, k_bar(self), SCAN_POINTS + 1)
+        object.__setattr__(self, "k_scan", k_scan)
+        object.__setattr__(self, "h_scan", h_value(k_scan, self))
 
 
 def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
@@ -111,33 +121,48 @@ def k_bar(kernels: ReducedKernels) -> float:
     return 1.0 / kernels.recovered_weight
 
 
-def f_value(r0: float, k: float, kernels: ReducedKernels) -> float:
-    """The scalar existence function; endemic equilibria solve f(r0, K) = 1."""
+def _admissible(k, kernels: ReducedKernels) -> np.ndarray:
+    """K as an array, after checking that every value lies in [0, K_bar]."""
+    k = np.asarray(k, dtype=float)
     kb = k_bar(kernels)
-    if not (-1e-12 <= k <= kb * (1 + 1e-12)):
-        raise ValueError(f"K = {k:g} outside the admissible range [0, {kb:g}]")
+    outside = ~((k >= -1e-12) & (k <= kb * (1 + 1e-12)))
+    if np.any(outside):
+        raise ValueError(f"K = {k[outside].flat[0]:g} outside the admissible range [0, {kb:g}]")
+    return k
+
+
+def h_value(k, kernels: ReducedKernels):
+    """R0-free factor of the existence function, f(R0, K) = R0 * h(K).
+
+    Vectorized over K; h(0) = 1 exactly and h(K_bar) = 0.
+    """
+    k = _admissible(k, kernels)
     growth = 1.0 + k * kernels.int_nu_c1 / kernels.mu_h
-    damped = float(np.sum(kernels.mosq_row_mass * np.exp(-kernels.c2 * k * kernels.xis_m)))
+    w = np.exp(np.multiply.outer(-kernels.c2 * k, kernels.xis_m))  # (len(K), n_xi)
+    damped = np.sum(np.multiply(w, kernels.mosq_row_mass, out=w), axis=-1)
     depletion = 1.0 - k * kernels.recovered_weight
-    return r0 * growth * (damped / kernels.mosquito_kernel_mass) * depletion
+    return growth * (damped / kernels.mosquito_kernel_mass) * depletion
 
 
-def dk_f(r0: float, k: float, kernels: ReducedKernels) -> float:
-    """Exact partial derivative of f with respect to K."""
-    kb = k_bar(kernels)
-    if not (-1e-12 <= k <= kb * (1 + 1e-12)):
-        raise ValueError(f"K = {k:g} outside the admissible range [0, {kb:g}]")
-    w = np.exp(-kernels.c2 * k * kernels.xis_m)
-    damped = float(np.sum(kernels.mosq_row_mass * w))
-    lag_damped = float(np.sum(kernels.mosq_row_mass * kernels.xis_m * w))
+def f_value(r0: float, k, kernels: ReducedKernels):
+    """The existence function; endemic equilibria solve f(r0, K) = 1."""
+    return r0 * h_value(k, kernels)
+
+
+def dk_f(r0: float, k, kernels: ReducedKernels):
+    """Exact partial derivative of f with respect to K: r0 * h'(K)."""
+    k = _admissible(k, kernels)
+    w = np.exp(np.multiply.outer(-kernels.c2 * k, kernels.xis_m)) * kernels.mosq_row_mass
+    damped = np.sum(w, axis=-1)
+    lag_damped = np.sum(w * kernels.xis_m, axis=-1)
     mass = kernels.mosquito_kernel_mass
     vm = kernels.int_nu_c1 / kernels.mu_h
     g = kernels.int_gamma_c1 * kernels.immunity_integral
-    part1 = (r0 * damped / mass) * (vm * (1.0 - 2.0 * k * kernels.int_c1 - 2.0 * k * g)
-                                    - (kernels.int_c1 + g))
-    part2 = (1.0 + k * vm) * (kernels.c2 * r0 * lag_damped / mass) \
+    part1 = (damped / mass) * (vm * (1.0 - 2.0 * k * kernels.int_c1 - 2.0 * k * g)
+                               - (kernels.int_c1 + g))
+    part2 = (1.0 + k * vm) * (kernels.c2 * lag_damped / mass) \
         * (1.0 - k * kernels.int_c1 - k * g)
-    return part1 - part2
+    return r0 * (part1 - part2)
 
 
 def bifurcation_constant(kernels: ReducedKernels) -> float:
@@ -158,38 +183,31 @@ def c_bif(params: ModelParams, grid: Grid) -> float:
     return bifurcation_constant(build_reduced_kernels(params, grid))
 
 
-def solve_endemic(r0: float, kernels: ReducedKernels,
-                  scan_points: int = SCAN_POINTS) -> list[float]:
+def solve_endemic(r0: float, kernels: ReducedKernels) -> list[float]:
     """All strictly positive roots of f(r0, K) = 1 on [0, K_bar].
 
-    Dense uniform scan followed by bisection of every sign-change bracket;
-    robust near the fold where two roots approach each other.
+    The sign changes of r0 * h - 1 on the kernels' scan table bracket the
+    roots, and each bracket is bisected on f to 1e-12 K_bar; the scan is
+    dense enough to separate the two roots near the fold.
     """
     if r0 < 0:
         raise ValueError("r0 must be >= 0")
     kb = k_bar(kernels)
-    ks = np.linspace(0.0, kb, scan_points + 1)
-    vals = np.array([f_value(r0, k, kernels) - 1.0 for k in ks])
-    roots: list[float] = []
-    for i in range(scan_points):
-        a, b = ks[i], ks[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0 and a > 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0.0:
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = f_value(r0, m, kernels) - 1.0
-                if fm == 0.0 or (b - a) < 1e-12 * kb:
-                    break
-                if fa * fm < 0.0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            roots.append(float(0.5 * (a + b)))
-    if vals[-1] == 0.0:
-        roots.append(float(ks[-1]))
+    ks = kernels.k_scan
+    vals = r0 * kernels.h_scan - 1.0
+    roots = [float(k) for k in ks[vals == 0.0]]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        a, b, fa = ks[i], ks[i + 1], vals[i]
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = f_value(r0, m, kernels) - 1.0
+            if fm == 0.0 or (b - a) < 1e-12 * kb:
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(float(0.5 * (a + b)))
     return sorted(r for r in roots if r > 1e-12 * kb)
 
 
@@ -213,16 +231,15 @@ class BifurcationBranch:
 
 
 def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
-                 lambda_m_max: float, n_points: int = 200,
-                 refine_levels: int = 3, threads: int = 1) -> BifurcationBranch:
+                 lambda_m_max: float, n_points: int = 200) -> BifurcationBranch:
     """Endemic roots across a mosquito-recruitment sweep.
 
-    The threshold value is exactly linear in the recruitment rate, so the
-    sweep reuses one kernel build.  Sweep points are independent and may be
-    evaluated by a thread pool; results are assembled in recruitment order
-    either way.  For a backward branch the fold is the smallest threshold
-    value still carrying a root, located by refining the first bracket that
-    gains a root.
+    The threshold value is exactly linear in the recruitment rate, so every
+    sweep point solves on the one scan table of h built with the kernels.
+    For a backward branch the fold is the smallest threshold value still
+    carrying a root: the first sweep bracket that gains a root is refined
+    three times on 17 sub-points, which puts the fold within 1/16**3 of a
+    sweep step above 1/max h.
     """
     if not (0 < lambda_m_min < lambda_m_max):
         raise ValueError("need 0 < lambda_m_min < lambda_m_max")
@@ -230,17 +247,8 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     slope = lambda_m_slope(params, grid)
     cbif = bifurcation_constant(kernels)
     lams = np.linspace(lambda_m_min, lambda_m_max, n_points)
-
-    def point(lm: float) -> BranchPoint:
-        return BranchPoint(float(lm), float(slope * lm),
-                           tuple(solve_endemic(slope * lm, kernels)))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(point, lams))
-    else:
-        points = [point(lm) for lm in lams]
+    points = [BranchPoint(float(lm), float(slope * lm),
+                          tuple(solve_endemic(slope * lm, kernels))) for lm in lams]
     classification = "backward" if cbif > 0 else "forward"
 
     fold = None
@@ -249,7 +257,7 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
             first = next(i for i, p in enumerate(points) if p.roots)
             lo = lams[first - 1] if first > 0 else lambda_m_min
             hi = lams[first]
-            for _ in range(refine_levels):
+            for _ in range(3):
                 sub = np.linspace(lo, hi, 17)
                 idx = next((i for i, lm in enumerate(sub)
                             if solve_endemic(slope * lm, kernels)), None)
@@ -298,6 +306,24 @@ def reconstruct_equilibrium(k_root: float, params: ModelParams,
     state = StateFields("reduced", 0.0, s_norm * n_star, i_norm * n_star,
                         r_norm * n_star, s_m, i_m)
     return state, n_star
+
+
+def endemic_seed(equilibrium: StateFields, grid: Grid) -> StateFields:
+    """A 25%-deflated copy of an upper endemic equilibrium, inside its basin.
+
+    A quarter of the infected and recovered humans return to the
+    susceptibles and the infected mosquitoes shrink by a quarter.  In the
+    bistable window a disease-free-adjacent seed cannot reach the endemic
+    attractor: its population is an order of magnitude above the endemic
+    level, diluting the bites.
+    """
+    seed = equilibrium.copy()
+    moved = 0.25 * float(np.sum(seed.i_h) + np.sum(seed.r_h)) * grid.delta
+    seed.i_h *= 0.75
+    seed.r_h *= 0.75
+    seed.i_m *= 0.75
+    seed.s_h = seed.s_h + moved
+    return seed
 
 
 # ---------------------------------------------------------------------------

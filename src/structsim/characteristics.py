@@ -164,32 +164,6 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
 # linearized growth at the disease-free state
 
 
-@dataclass(frozen=True)
-class LinearizedKernels:
-    """Net reproduction kernels of the linearization at the disease-free state."""
-
-    g_h_kernel: np.ndarray    # theta * beta_m * removal survival, (xi, tau) grid
-    g_m_kernel: np.ndarray    # theta * beta_h * removal survival, (xi, tau) grid
-    prefactor_h: np.ndarray   # pi_h(a) / int pi_h on the grid ages
-    prefactor_m: np.ndarray   # lambda_m pi_m(a) / (lambda_h int pi_h)
-
-
-def linearized_kernels(params: ModelParams, grid: Grid) -> LinearizedKernels:
-    sk = spectral_kernels(params, grid)
-    g_h = params.theta * sk.mosq_kernel / sk.pi_m[:, None]
-    if sk.eligible:
-        g_m = params.theta * np.broadcast_to((sk.beta_h_tau * sk.c1)[None, :],
-                                             (grid.n_ah, grid.n_th)).copy()
-    else:
-        g_m = params.theta * sk.human_kernel_nopi
-    sur = build_survival(params, grid)
-    return LinearizedKernels(
-        g_h_kernel=g_h, g_m_kernel=g_m,
-        prefactor_h=sur.pi_h / sk.int_pi_h,
-        prefactor_m=params.lambda_m * sur.pi_m / (params.lambda_h * sk.int_pi_h),
-    )
-
-
 def g_of_lambda(params: ModelParams, grid: Grid, lam: float) -> float:
     """Characteristic function of the linearization; g(0) equals lambda0."""
     mu0 = estimate_mu0(params, grid)

@@ -10,14 +10,15 @@ manifest beside it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bifurcation import (bifurcation_constant, build_reduced_kernels, k_bar,
-                          solve_endemic, trace_branch)
+from .bifurcation import (bifurcation_constant, build_reduced_kernels, endemic_seed,
+                          k_bar, reconstruct_equilibrium, solve_endemic, trace_branch)
 from .characteristics import dominant_growth_rate, g_of_lambda
 from .config import ConfigError, load_config
 from .grids import Grid, default_grid
@@ -35,17 +36,29 @@ SEED_LARGE = 0.25
 SEED_SMALL = 1e-4
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_NAMES, help="built-in parameter set")
     p.add_argument("--config", metavar="PATH", help="configuration file")
-    p.add_argument("--lambda-m", type=float, default=None,
+    p.add_argument("--lambda-m", type=_positive_float, default=None,
                    help="override the mosquito recruitment rate")
-    p.add_argument("--delta", type=float, default=None, help="grid step override")
+    p.add_argument("--delta", type=_positive_float, default=None, help="grid step override")
     for name in ("a-max-h", "a-max-m", "tau-max-h", "tau-max-m", "eta-max"):
         p.add_argument(f"--{name}", type=float, default=None,
                        help=f"grid extent override: {name.replace('-', '_')}")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent sweep points")
     p.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
@@ -53,8 +66,8 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
     if bool(args.preset) == bool(args.config):
         raise SystemExit2("exactly one of --preset or --config is required")
     if args.preset:
-        params = preset(args.preset, args.lambda_m if args.lambda_m else 1e7)
-        grid = preset_grid(args.preset, args.delta if args.delta else 0.005)
+        params = preset(args.preset, 1e7 if args.lambda_m is None else args.lambda_m)
+        grid = preset_grid(args.preset, 0.005 if args.delta is None else args.delta)
         name = args.preset
     else:
         try:
@@ -66,12 +79,12 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
             params, grid = load_config(text, base_dir=os.path.dirname(args.config) or ".")
         except ConfigError as exc:
             raise SystemExit2(f"config error: {exc}")
-        if args.lambda_m:
+        if args.lambda_m is not None:
             params = params.with_lambda_m(args.lambda_m)
         if grid is None:
             mu0 = float(np.min(np.asarray(
                 params.mu_h(np.linspace(0.0, 10.0, 64)), dtype=float)))
-            grid = default_grid(max(mu0, 1e-6), args.delta if args.delta else 0.005)
+            grid = default_grid(max(mu0, 1e-6), 0.005 if args.delta is None else args.delta)
         name = None
     overrides = {"delta": args.delta, "a_max_h": args.a_max_h, "a_max_m": args.a_max_m,
                  "tau_max_h": args.tau_max_h, "tau_max_m": args.tau_max_m,
@@ -171,8 +184,7 @@ def cmd_simulate(args) -> int:
 def cmd_bifurcate(args) -> int:
     params, grid, name = _resolve(args)
     manifest = RunManifest(sys.argv[1:], name, params, grid)
-    branch = trace_branch(params, grid, args.lambda_m_min, args.lambda_m_max,
-                          args.points, threads=max(1, args.threads))
+    branch = trace_branch(params, grid, args.lambda_m_min, args.lambda_m_max, args.points)
     with open(args.out, "w") as fh:
         fh.write(f"# classification={branch.classification}\n")
         fh.write(f"# c_bif={branch.c_bif!r}\n")
@@ -264,21 +276,13 @@ def cmd_reproduce(args) -> int:
     ns.preset, ns.lambda_m = name, lam
     ns.t_end = args.t_end
     if seed == "endemic":
-        # bistable window: a disease-free-adjacent seed cannot reach the
-        # endemic attractor (the start population is an order of magnitude
-        # above the endemic level, diluting the bites), so this run starts
-        # from a 25%-deflated copy of the reconstructed upper equilibrium
+        # bistable window: start inside the basin of the upper equilibrium
         params, grid, pname = _resolve(ns)
         kern = build_reduced_kernels(params, grid)
         r0_sq = r0_closed_form(params, grid).r0_squared_closed_form
         roots = solve_endemic(r0_sq, kern)
-        from .bifurcation import reconstruct_equilibrium
-        state, _ = reconstruct_equilibrium(roots[-1], params, grid)
-        dm = 0.25 * (float(np.sum(state.i_h)) + float(np.sum(state.r_h))) * grid.delta
-        state.i_h *= 0.75
-        state.r_h *= 0.75
-        state.i_m *= 0.75
-        state.s_h = state.s_h + dm
+        upper, _ = reconstruct_equilibrium(roots[-1], params, grid)
+        state = endemic_seed(upper, grid)
         manifest = RunManifest(sys.argv[1:], pname, params, grid)
         rows = simulate(params, grid, state, ns.t_end, output_every=ns.output_every)
         _write_rows_csv(ns.out, rows)
@@ -336,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--lambda-m-min", type=float, required=True)
     p.add_argument("--lambda-m-max", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--svg")
     p.set_defaults(func=cmd_bifurcate)

@@ -70,9 +70,9 @@ class ModelParams:
         taus, etas, ages = grid.taus_h, grid.etas, grid.ages_h
         return {
             "mu_h": float(np.max(eval_rate(self.mu_h, ages, 0.0))),
-            "nu_h": _blocked_max(self.nu_h, ages, taus),
-            "gamma_h": _blocked_max(self.gamma_h, ages, taus),
-            "k_h": _blocked_max(self.k_h, ages, etas),
+            "nu_h": _blocked_range(self.nu_h, ages, taus)[1],
+            "gamma_h": _blocked_range(self.gamma_h, ages, taus)[1],
+            "k_h": _blocked_range(self.k_h, ages, etas)[1],
         }
 
     def epsilon_floor(self, grid: Grid) -> float:
@@ -84,32 +84,18 @@ class ModelParams:
 _BLOCK_ROWS = 65536    # caps transient memory when age axes are very long
 
 
-def _blocked_max(spec: RateSpec, ages: np.ndarray, seconds: np.ndarray) -> float:
-    worst = -np.inf
-    for lo in range(0, len(ages), _BLOCK_ROWS):
-        block = ages[lo:lo + _BLOCK_ROWS, None]
-        worst = max(worst, float(np.max(eval_rate(spec, block, seconds[None, :]))))
-    return worst
-
-
-def _blocked_all_finite_nonneg(spec: RateSpec, ages: np.ndarray,
-                               seconds: np.ndarray) -> bool:
-    for lo in range(0, len(ages), _BLOCK_ROWS):
-        vals = np.asarray(eval_rate(spec, ages[lo:lo + _BLOCK_ROWS, None],
-                                    seconds[None, :]))
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            return False
-    return True
-
-
-def _blocked_range(spec: RateSpec, ages: np.ndarray, seconds: np.ndarray):
+def _blocked_range(spec: RateSpec, ages: np.ndarray,
+                   seconds: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a rate on the (ages x seconds) grid; a NaN anywhere
+    makes both NaN.  Evaluated one block of age rows at a time."""
     lo_v, hi_v = np.inf, -np.inf
     for lo in range(0, len(ages), _BLOCK_ROWS):
         vals = np.asarray(eval_rate(spec, ages[lo:lo + _BLOCK_ROWS, None],
                                     seconds[None, :]))
-        lo_v = min(lo_v, float(np.min(vals)))
-        hi_v = max(hi_v, float(np.max(vals)))
-    return lo_v, hi_v
+        lo_v = np.minimum(lo_v, np.min(vals))
+        hi_v = np.maximum(hi_v, np.max(vals))
+        del vals                   # free this block before the next is evaluated
+    return float(lo_v), float(hi_v)
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:
@@ -183,24 +169,21 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
         params.lambda_h > 0 and params.lambda_m > 0 and params.theta > 0,
         f"lambda_h={params.lambda_h:g} lambda_m={params.lambda_m:g} theta={params.theta:g}")
 
-    mu_h_grid = np.asarray(eval_rate(params.mu_h, grid.ages_h, 0.0))
-    mu_m_grid = np.asarray(eval_rate(params.mu_m, grid.ages_m, 0.0))
-    mu0 = float(min(mu_h_grid.min(), mu_m_grid.min()))
+    mu0 = estimate_mu0(params, grid)
     add("mortality_floor", mu0 > 0.0, f"mu_0 = {mu0:g}")
 
     bounded = True
     worst = ""
-    checks_2d = [
-        ("nu_h", params.nu_h, grid.ages_h, grid.taus_h),
-        ("nu_m", params.nu_m, grid.ages_m, grid.taus_m),
-        ("gamma_h", params.gamma_h, grid.ages_h, grid.taus_h),
-        ("k_h", params.k_h, grid.ages_h, grid.etas),
-    ]
-    for name, vals in (("mu_h", mu_h_grid), ("mu_m", mu_m_grid)):
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            bounded, worst = False, name
-    for name, spec, ages, seconds in checks_2d:
-        if not _blocked_all_finite_nonneg(spec, ages, seconds):
+    no_second = np.zeros(1)
+    for name, spec, ages, seconds in (
+            ("mu_h", params.mu_h, grid.ages_h, no_second),
+            ("mu_m", params.mu_m, grid.ages_m, no_second),
+            ("nu_h", params.nu_h, grid.ages_h, grid.taus_h),
+            ("nu_m", params.nu_m, grid.ages_m, grid.taus_m),
+            ("gamma_h", params.gamma_h, grid.ages_h, grid.taus_h),
+            ("k_h", params.k_h, grid.ages_h, grid.etas)):
+        lo_v, hi_v = _blocked_range(spec, ages, seconds)
+        if not (lo_v >= 0 and np.isfinite(hi_v)):
             bounded, worst = False, name
     add("rates_bounded", bounded, "all rates finite and >= 0 on the grid" if bounded
         else f"{worst} is unbounded or negative on the grid")
@@ -210,7 +193,7 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
                              ("beta_m", params.beta_m, grid.taus_m)):
         ages = grid.ages_h if name == "beta_h" else grid.ages_m
         lo_v, hi_v = _blocked_range(spec, ages, taus)
-        if lo_v < 0 or hi_v > 1:
+        if not (0 <= lo_v and hi_v <= 1):
             in_unit = False
             worst = name
     add("beta_in_unit_interval", in_unit, "beta_h, beta_m within [0, 1]" if in_unit

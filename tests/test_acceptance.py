@@ -15,7 +15,7 @@ import pytest
 
 import structsim as ss
 from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
-                                   dk_f, f_value, reconstruct_equilibrium,
+                                   dk_f, endemic_seed, f_value, reconstruct_equilibrium,
                                    solve_endemic, trace_branch)
 from structsim.characteristics import dominant_growth_rate, g_of_lambda, \
     volterra_decoupled
@@ -215,15 +215,7 @@ def test_criterion_08_backward_bistability(backward):
     upper, _ = reconstruct_equilibrium(roots[-1], tuned, grid)
     eq = observe(upper, tuned, grid)
 
-    # large seed: a 25%-deflated copy of the upper equilibrium (a
-    # disease-free-adjacent seed cannot reach the endemic basin: the start
-    # population is an order of magnitude above the endemic level)
-    big = upper.copy()
-    moved = 0.25 * float(np.sum(big.i_h) + np.sum(big.r_h)) * grid.delta
-    big.i_h *= 0.75
-    big.r_h *= 0.75
-    big.i_m *= 0.75
-    big.s_h = big.s_h + moved
+    big = endemic_seed(upper, grid)               # large seed
     t0 = time.time()
     rows_big = ss.simulate(tuned, grid, big, t_end=150.0, output_every=5000)
     dt1 = time.time() - t0

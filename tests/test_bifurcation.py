@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
-                                   dk_f, f_value, general_endemic_residual, k_bar,
-                                   lift_reduced_equilibrium, reconstruct_equilibrium,
-                                   solve_endemic, trace_branch)
-from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0
+                                   dk_f, f_value, general_endemic_residual, h_value,
+                                   k_bar, lift_reduced_equilibrium,
+                                   reconstruct_equilibrium, solve_endemic, trace_branch)
+from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0, lambda_m_slope
 from structsim.rates import Arity, RateSpec
 from structsim.solver import observe
 
@@ -146,6 +146,21 @@ def test_at_least_one_root_above_threshold(r0):
     assert len(solve_endemic(r0, _backward_kernels())) >= 1
 
 
+@given(r0=st.floats(0.05, 6.0),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+@settings(max_examples=40, deadline=None)
+def test_h_table_factors_f(r0, fractions):
+    kern = _backward_kernels()
+    ks = np.array(fractions) * k_bar(kern)
+    hs = h_value(ks, kern)
+    assert hs.shape == ks.shape
+    for k, h in zip(ks, hs):
+        assert h == pytest.approx(f_value(r0, k, kern) / r0, rel=1e-15, abs=0.0)
+    assert f_value(r0, 0.0, kern) == r0                  # bit-exact
+    for root in solve_endemic(r0, kern):
+        assert abs(f_value(r0, root, kern) - 1.0) <= 1e-9
+
+
 def test_trace_branch_forward(forward):
     params, grid = forward
     br = trace_branch(params, grid, 5e6, 1e7, 40)
@@ -160,6 +175,11 @@ def test_trace_branch_backward_fold(backward):
     br = trace_branch(params, grid, 5e6, 1e8, 120)
     assert br.classification == "backward"
     assert br.fold_r0_star == pytest.approx(EXACT["backward"]["fold"], abs=2e-3)
+    # the fold is the first refined sub-point carrying a root: within three
+    # 16-fold refinements of a sweep step above the table's 1/max h
+    step = br.points[1].lambda_m - br.points[0].lambda_m
+    gap = br.fold_r0_star - 1.0 / np.max(build_reduced_kernels(params, grid).h_scan)
+    assert 0.0 <= gap <= lambda_m_slope(params, grid) * step / 16 ** 3
     below = [pt for pt in br.points if pt.r0 < br.fold_r0_star - 0.01]
     assert all(not pt.roots for pt in below)
 

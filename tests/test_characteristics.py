@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import structsim as ss
-from structsim.characteristics import (dominant_growth_rate, g_of_lambda,
-                                       linearized_kernels, volterra_decoupled)
+from structsim.characteristics import dominant_growth_rate, g_of_lambda, volterra_decoupled
 from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0
 from structsim.rates import Arity, RateSpec
 
@@ -112,14 +111,3 @@ def test_growth_rate_below_threshold(forward):
     assert res.g0 < 1.0
     if res.lambda_star is not None:            # root only if bracketable above -mu_0
         assert -0.022 < res.lambda_star < 0.0
-
-
-def test_linearized_kernels_bounds(forward):
-    params, grid = forward
-    lk = linearized_kernels(params, grid)
-    beta_m_sup = 0.05 / np.sqrt(2 * np.pi)
-    beta_h_sup = 0.1 / np.sqrt(2 * np.pi)
-    assert np.all(lk.g_h_kernel >= 0) and np.all(lk.g_m_kernel >= 0)
-    assert np.max(lk.g_h_kernel) <= params.theta * beta_m_sup * (1 + 1e-12)
-    assert np.max(lk.g_m_kernel) <= params.theta * beta_h_sup * (1 + 1e-12)
-    assert np.all(lk.prefactor_h >= 0) and np.all(lk.prefactor_m >= 0)

@@ -51,6 +51,26 @@ def test_parse_error_exits_2(tmp_path):
     assert main(["validate", "--preset", "forward", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--lambda-m", "--delta"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_nonpositive_overrides_exit_2(tmp_path, capsys, flag, value):
+    path = tmp_path / "good.cfg"
+    path.write_text(GOOD_CONFIG)
+    for source in (["--preset", "forward"], ["--config", str(path)]):
+        assert main(["r0", *source, flag, value, "--method", "closed"]) == 2
+        assert "must be a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--points", "0"], ["--points", "-3"],
+                                   ["--threads", "2"]])
+def test_bifurcate_rejects_bad_arguments(tmp_path, extra):
+    out = tmp_path / "branch.csv"
+    assert main(["bifurcate", "--preset", "forward", "--lambda-m-min", "5e6",
+                 "--lambda-m-max", "1e7", "--delta", "0.01", "--out", str(out),
+                 "--quiet", *extra]) == 2
+    assert not out.exists()
+
+
 def test_r0_and_growth_rate_run(capsys):
     assert main(["r0", "--preset", "backward", "--lambda-m", "7.4e7",
                  "--method", "all", "--delta", "0.01"]) == 0
