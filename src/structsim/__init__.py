@@ -9,7 +9,7 @@ from .bifurcation import (BifurcationBranch, ReducedKernels, bifurcation_constan
                           solve_endemic, trace_branch)
 from .characteristics import (GrowthRateResult, dominant_growth_rate, g_of_lambda,
                               volterra_decoupled)
-from .config import ConfigError, load_config, parse_config
+from .config import ConfigError, load_config
 from .grids import Grid, SurvivalTable, build_survival, default_grid, integrate_1d, \
     integrate_triangular
 from .params import ModelParams, ValidationReport, preset, preset_grid, validate

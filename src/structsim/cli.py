@@ -36,18 +36,22 @@ SEED_LARGE = 0.25
 SEED_SMALL = 1e-4
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    check.__name__ = convert.__name__      # argparse names it in "invalid ... value"
+    return check
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                              "a finite number >= 0")
+_fraction = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -94,7 +98,10 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
         fields = {k: getattr(grid, k) for k in
                   ("delta", "a_max_h", "a_max_m", "tau_max_h", "tau_max_m", "eta_max")}
         fields.update(changed)
-        grid = Grid(**fields)
+        try:
+            grid = Grid(**fields)
+        except ValueError as exc:
+            raise SystemExit2(f"grid override: {exc}")
     return params, grid, name
 
 
@@ -326,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="time-step the transmission system")
     _add_model_args(p)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--seed-fraction", type=float, default=0.01)
+    p.add_argument("--t-end", type=_nonnegative_float, required=True)
+    p.add_argument("--seed-fraction", type=_fraction, default=0.01)
     p.add_argument("--mode", choices=("reduced", "full"), default="reduced")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--output-every", type=int, default=10)
+    p.add_argument("--output-every", type=_positive_int, default=10)
     p.add_argument("--snapshot", help="optional binary snapshot of the final state")
     p.add_argument("--svg", help="optional log-log SVG of the infected series")
     p.set_defaults(func=cmd_simulate)
@@ -349,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--figure", choices=FIGURES, required=True)
     p.add_argument("--out-dir", default="reproduction")
-    p.add_argument("--t-end", type=float, default=50.0)
-    p.add_argument("--seed-fraction", type=float, default=0.01)
+    p.add_argument("--t-end", type=_nonnegative_float, default=50.0)
+    p.add_argument("--seed-fraction", type=_fraction, default=0.01)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("report", help="aggregate threshold and bifurcation report")

@@ -190,7 +190,3 @@ def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | Non
             raise ConfigError(str(exc)) from None
     return params, grid
 
-
-def parse_config(text: str, base_dir: str = ".") -> ModelParams:
-    """Parse a config document; the [grid] section, if present, is validated too."""
-    return load_config(text, base_dir)[0]

@@ -13,10 +13,10 @@ all reduce to sums over identical arrays (cross-method agreement is then
 limited only by floating-point rounding).
 
 When every human rate is age-independent, the human kernel factorizes into
-(integral of pi_h) x (infection-age profile); the human age axis used for
-that integral is extended well past the working grid (survival < 1e-17 at
-the far end) so the factorized path agrees with the analytic value of
-int pi_h for constant mortality to ~1e-10 relative.
+(integral of pi_h) x (infection-age profile) and never reads the human age
+axis: with constant mortality mu the midpoint sum over all cell centers is
+the geometric series delta * exp(-mu delta/2) / (1 - exp(-mu delta)), which
+differs from the analytic 1/mu by a relative (mu delta)^2 / 24.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .grids import Grid, characteristic_cumulative, cumulative_to_centers
 from .params import ModelParams
 from .rates import eval_rate
 
-# survival tail kept below exp(-40) on the spectral human-age axis
-_SPECTRAL_FOLDS = 40.0
-_SPECTRAL_MAX_CELLS = 8_000_000
-
 
 @dataclass(frozen=True)
 class SpectralKernels:
@@ -42,9 +38,9 @@ class SpectralKernels:
     delta: float
     eligible: bool
     # human side
-    ages_h: np.ndarray            # spectral age axis (factorized path) or grid axis
-    pi_h: np.ndarray
-    int_pi_h: float
+    ages_h: np.ndarray            # grid human-age axis
+    pi_h: np.ndarray | None       # survival on ages_h; general path only
+    int_pi_h: float               # closed-form geometric sum on the eligible path
     taus_h: np.ndarray
     c1: np.ndarray | None         # exp(-int (mu_h+nu_h+gamma_h)) on taus_h, eligible only
     beta_h_tau: np.ndarray | None
@@ -93,21 +89,21 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
 
     # --- human side
     eligible = params.reduced_mode_eligible
+    ages_h = grid.ages_h
     if eligible:
         mu = params.mu_h_value()
-        extent_cells = min(int(np.ceil(_SPECTRAL_FOLDS / max(mu, 1e-12) / d)),
-                           _SPECTRAL_MAX_CELLS)
-        extent_cells = max(extent_cells, grid.n_ah)
-        ages_h = (np.arange(extent_cells) + 0.5) * d
-        pi_h = np.exp(-mu * ages_h)
+        if mu <= 0:
+            raise ValueError("the human survival integral needs mu_h > 0")
+        pi_h = None
+        int_pi_h = float(d * np.exp(-0.5 * mu * d) / -np.expm1(-mu * d))
         c1_rate = mu + np.asarray(eval_rate(params.nu_h, 0.0, taus_h)) \
             + np.asarray(eval_rate(params.gamma_h, 0.0, taus_h))
         c1 = np.exp(-cumulative_to_centers(np.broadcast_to(c1_rate, taus_h.shape), d))
         beta_h_tau = np.asarray(eval_rate(params.beta_h, 0.0, taus_h))
         human_kernel = human_kernel_nopi = None
     else:
-        ages_h = grid.ages_h
         pi_h = _survival_on(params.mu_h, ages_h, d)
+        int_pi_h = float(np.sum(pi_h)) * d
         c1 = beta_h_tau = None
         cum = characteristic_cumulative(
             lambda a, t: (eval_rate(params.mu_h, a, t) + eval_rate(params.nu_h, a, t)
@@ -118,7 +114,6 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
                                                   (len(ages_h), len(taus_h)))))
         human_kernel_nopi = bh * np.exp(-cum)
         human_kernel = human_kernel_nopi * pi_h[:, None]
-    int_pi_h = float(np.sum(pi_h)) * d
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m

@@ -65,37 +65,36 @@ class ModelParams:
             raise ValueError("mu_h is not constant")
         return self.mu_h.params[0]
 
-    def sup_norms(self, grid: Grid) -> dict[str, float]:
-        """Grid sup-norms of the human removal rates (used for the N_h floor)."""
-        taus, etas, ages = grid.taus_h, grid.etas, grid.ages_h
-        return {
-            "mu_h": float(np.max(eval_rate(self.mu_h, ages, 0.0))),
-            "nu_h": _blocked_range(self.nu_h, ages, taus)[1],
-            "gamma_h": _blocked_range(self.gamma_h, ages, taus)[1],
-            "k_h": _blocked_range(self.k_h, ages, etas)[1],
-        }
-
     def epsilon_floor(self, grid: Grid) -> float:
-        """Lower bound on the human population preserved by the dynamics."""
-        s = self.sup_norms(grid)
-        return self.lambda_h / (s["mu_h"] + s["nu_h"] + s["gamma_h"] + s["k_h"])
+        """Lower bound on the human population preserved by the dynamics:
+        lambda_h over the summed grid sup-norms of the human removal rates."""
+        sup = sum(_rate_range(spec, grid.ages_h, seconds)[1] for spec, seconds in (
+            (self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
+            (self.gamma_h, grid.taus_h), (self.k_h, grid.etas)))
+        return self.lambda_h / sup
 
 
-_BLOCK_ROWS = 65536    # caps transient memory when age axes are very long
-
-
-def _blocked_range(spec: RateSpec, ages: np.ndarray,
-                   seconds: np.ndarray) -> tuple[float, float]:
+def _rate_range(spec: RateSpec, ages: np.ndarray,
+                seconds: np.ndarray) -> tuple[float, float]:
     """(min, max) of a rate on the (ages x seconds) grid; a NaN anywhere
-    makes both NaN.  Evaluated one block of age rows at a time."""
-    lo_v, hi_v = np.inf, -np.inf
-    for lo in range(0, len(ages), _BLOCK_ROWS):
-        vals = np.asarray(eval_rate(spec, ages[lo:lo + _BLOCK_ROWS, None],
-                                    seconds[None, :]))
-        lo_v = np.minimum(lo_v, np.min(vals))
-        hi_v = np.maximum(hi_v, np.max(vals))
-        del vals                   # free this block before the next is evaluated
-    return float(lo_v), float(hi_v)
+    makes both NaN.  An axis the rate does not read is cut to its first
+    point, so only the axes it reads are scanned."""
+    reads_age, reads_second = spec.reads
+    vals = np.asarray(eval_rate(spec, ages[:, None] if reads_age else ages[:1, None],
+                                seconds[None, :] if reads_second else seconds[None, :1]))
+    return float(np.min(vals)), float(np.max(vals))
+
+
+def _reachable_mass(spec: RateSpec, ages: np.ndarray, taus: np.ndarray,
+                    delta: float) -> float:
+    """Grid sum of a transmission probability over the reachable set
+    {(offset + tau, tau)}, offsets on ``ages``, times delta^2.  A rate that
+    does not read age takes the same value at every offset."""
+    if not spec.reads[0]:
+        return len(ages) * float(np.sum(eval_rate(spec, 0.0, taus))) * delta ** 2
+    vals = np.asarray(eval_rate(spec, ages[:, None] + taus[None, :],
+                                np.broadcast_to(taus[None, :], (len(ages), len(taus)))))
+    return float(np.sum(vals)) * delta ** 2
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:
@@ -182,34 +181,25 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
             ("nu_m", params.nu_m, grid.ages_m, grid.taus_m),
             ("gamma_h", params.gamma_h, grid.ages_h, grid.taus_h),
             ("k_h", params.k_h, grid.ages_h, grid.etas)):
-        lo_v, hi_v = _blocked_range(spec, ages, seconds)
+        lo_v, hi_v = _rate_range(spec, ages, seconds)
         if not (lo_v >= 0 and np.isfinite(hi_v)):
             bounded, worst = False, name
     add("rates_bounded", bounded, "all rates finite and >= 0 on the grid" if bounded
         else f"{worst} is unbounded or negative on the grid")
 
+    betas = (("beta_h", params.beta_h, grid.ages_h, grid.taus_h),
+             ("beta_m", params.beta_m, grid.ages_m, grid.taus_m))
     in_unit = True
-    for name, spec, taus in (("beta_h", params.beta_h, grid.taus_h),
-                             ("beta_m", params.beta_m, grid.taus_m)):
-        ages = grid.ages_h if name == "beta_h" else grid.ages_m
-        lo_v, hi_v = _blocked_range(spec, ages, taus)
+    for name, spec, ages, taus in betas:
+        lo_v, hi_v = _rate_range(spec, ages, taus)
         if not (0 <= lo_v and hi_v <= 1):
-            in_unit = False
-            worst = name
+            in_unit, worst = False, name
     add("beta_in_unit_interval", in_unit, "beta_h, beta_m within [0, 1]" if in_unit
         else f"{worst} leaves [0, 1] on the grid")
 
     # transmissibility on the reachable set {(s + tau, tau)}
-    for name, spec, taus, ages in (("beta_h", params.beta_h, grid.taus_h, grid.ages_h),
-                                   ("beta_m", params.beta_m, grid.taus_m, grid.ages_m)):
-        mass = 0.0
-        for lo in range(0, len(ages), _BLOCK_ROWS):
-            offs = ages[lo:lo + _BLOCK_ROWS, None]
-            block = np.asarray(eval_rate(
-                spec, offs + taus[None, :],
-                np.broadcast_to(taus[None, :], (len(offs), len(taus)))))
-            mass += float(np.sum(block))
-        mass *= grid.delta ** 2
+    for name, spec, ages, taus in betas:
+        mass = _reachable_mass(spec, ages, taus, grid.delta)
         add(f"{name}_not_identically_zero", mass > 0.0,
             f"triangular grid sum = {mass:g}")
 
@@ -232,6 +222,6 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
 
 
 def estimate_mu0(params: ModelParams, grid: Grid) -> float:
-    mu_h_grid = np.asarray(eval_rate(params.mu_h, grid.ages_h, 0.0))
-    mu_m_grid = np.asarray(eval_rate(params.mu_m, grid.ages_m, 0.0))
-    return float(min(mu_h_grid.min(), mu_m_grid.min()))
+    no_second = np.zeros(1)
+    return min(_rate_range(params.mu_h, grid.ages_h, no_second)[0],
+               _rate_range(params.mu_m, grid.ages_m, no_second)[0])

@@ -31,6 +31,10 @@ from .grids import Grid
 from .kernels import SpectralKernels, spectral_kernels
 from .params import ModelParams
 
+# survival tail kept below exp(-40) on the power-iteration age lattice
+_LATTICE_FOLDS = 40.0
+_LATTICE_MAX_CELLS = 8_000_000
+
 
 @dataclass(frozen=True)
 class R0Report:
@@ -89,6 +93,18 @@ def r0_reduced(params: ModelParams, grid: Grid) -> float:
             * sk.mosquito_factor(0.0) * human_tau)
 
 
+def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
+    """Human survival profile the power iteration runs on: pi_h on the grid,
+    or with constant mu_h, exp(-mu_h a) on cell centers extended past the
+    grid to 40 e-folds, so its sum matches the closed-form int pi_h."""
+    sk = spectral_kernels(params, grid)
+    if not sk.eligible:
+        return sk.pi_h
+    mu, d = params.mu_h_value(), sk.delta
+    cells = max(int(min(np.ceil(_LATTICE_FOLDS / mu / d), _LATTICE_MAX_CELLS)), grid.n_ah)
+    return np.exp(-mu * ((np.arange(cells) + 0.5) * d))
+
+
 def power_iteration_r0(params: ModelParams, grid: Grid, tol: float = 1e-12,
                        max_iter: int = 64, dense: bool = False) -> R0Report:
     """Spectral radius of the discretized human next-generation block.
@@ -99,12 +115,13 @@ def power_iteration_r0(params: ModelParams, grid: Grid, tol: float = 1e-12,
     generic iteration (quadratic cost; for cross-checking on small grids).
     """
     sk = spectral_kernels(params, grid)
+    pi_h = survival_profile(params, grid)
     coef = _prefactor(params, sk) * sk.mosquito_factor(0.0)
 
     def apply_h(b: np.ndarray) -> np.ndarray:
-        return sk.pi_h * (coef * sk.human_kernel_action(b))
+        return pi_h * (coef * sk.human_kernel_action(b))
 
-    n = len(sk.ages_h)
+    n = len(pi_h)
     if dense:
         if n > 20000:
             raise ValueError("dense power iteration is for small grids")
@@ -112,7 +129,7 @@ def power_iteration_r0(params: ModelParams, grid: Grid, tol: float = 1e-12,
             rows = np.full(n, float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta)
         else:
             rows = np.sum(sk.human_kernel_nopi, axis=1) * sk.delta
-        mat = coef * np.outer(sk.pi_h, rows) * sk.delta
+        mat = coef * np.outer(pi_h, rows) * sk.delta
         b = np.ones(n)
         lam_prev = 0.0
         for it in range(1, max_iter + 1):

@@ -14,10 +14,11 @@ Keeping the family closed (instead of parsing arbitrary expressions) keeps
 evaluation allocation-free inside solver loops; ``table`` is the escape
 hatch for anything else.
 
-Arity records which structural variables a rate reads: chronological age
-``a``, infection age ``tau``, recovery age ``eta``, or a pair.  For the
-scalar forms the active variable is ``a`` for AGE arity and the second
-variable otherwise; ``gauss_exp`` is the one genuinely two-variable form.
+Arity names the variables a rate is declared on: chronological age ``a``,
+infection age ``tau``, recovery age ``eta``, or a pair.  ``RateSpec.reads``
+is the one rule for which of ``(a, second)`` it actually reads: neither for
+``constant``, both for ``gauss_exp``, otherwise ``a`` under AGE arity and the
+second variable under every other arity, the pairs included.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class Arity(enum.Enum):
     AGE_ETA = "age_eta"     # f(a, eta)
     TAU_ONLY = "tau"        # f(tau)
     ETA_ONLY = "eta"        # f(eta)
-
-
-_SECOND_VAR_ARITIES = (Arity.AGE_TAU, Arity.AGE_ETA, Arity.TAU_ONLY, Arity.ETA_ONLY)
 
 
 @dataclass(frozen=True)
@@ -129,15 +127,19 @@ class RateSpec:
     # -- queries -----------------------------------------------------------
 
     @property
+    def reads(self) -> tuple[bool, bool]:
+        """Whether the value can vary with (age ``a``, the second variable)."""
+        if self.kind is RateKind.CONSTANT:
+            return False, False
+        if self.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
+            return True, True
+        age = self.arity is Arity.AGE
+        return age, not age
+
+    @property
     def depends_on_age(self) -> bool:
         """True if the value can vary with chronological age ``a``."""
-        if self.kind is RateKind.CONSTANT:
-            return False
-        if self.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
-            return True
-        if self.arity in (Arity.TAU_ONLY, Arity.ETA_ONLY):
-            return False
-        return True
+        return self.reads[0]
 
     def __call__(self, a, second=0.0):
         return eval_rate(self, a, second)
@@ -155,21 +157,17 @@ def eval_rate(spec: RateSpec, a, second=0.0):
         (c,) = spec.params
         return np.broadcast_to(np.float64(c), np.broadcast_shapes(a.shape, s.shape)).copy() \
             if a.shape or s.shape else float(c)
-    x = a if spec.arity is Arity.AGE else s
+    x = a if spec.reads[0] else s
     if spec.kind is RateKind.PIECEWISE_CONSTANT:
         threshold, low, high = spec.params
         out = np.where(x <= threshold, low, high)
-        return out if out.shape else float(out)
-    if spec.kind is RateKind.GAUSSIAN_BUMP:
+    elif spec.kind is RateKind.GAUSSIAN_BUMP:
         amp, center, width = spec.params
         out = amp / SQRT_2PI * np.exp(-0.5 * ((x - center) / width) ** 2)
-        return out if out.shape else float(out)
-    if spec.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
+    elif spec.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
         amp, center, width, decay = spec.params
-        tau = s
-        bump = amp / SQRT_2PI * np.exp(-0.5 * ((tau - center) / width) ** 2)
-        out = np.where(a <= tau, 0.0, bump * np.exp(-decay * np.maximum(a - tau, 0.0)))
-        return out if out.shape else float(out)
-    # TABLE: linear interpolation, clamped at the ends
-    out = np.interp(x, spec.table_x, spec.table_y)
-    return out if np.asarray(out).shape else float(out)
+        bump = amp / SQRT_2PI * np.exp(-0.5 * ((s - center) / width) ** 2)
+        out = np.where(a <= s, 0.0, bump * np.exp(-decay * np.maximum(a - s, 0.0)))
+    else:  # TABLE: linear interpolation, clamped at the ends
+        out = np.interp(x, spec.table_x, spec.table_y)
+    return out if np.ndim(out) else float(out)

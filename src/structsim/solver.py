@@ -80,14 +80,9 @@ class Observables:
 # precomputed step kernel
 
 
-def _triangle_decays(rate_fn, ages: np.ndarray, taus: np.ndarray, delta: float):
+def _triangle_decays(r: np.ndarray, delta: float):
     """Entry factor (axis origin -> first center) and diagonal step factors
-    for a triangular [age, structure] field."""
-    a2 = ages[:, None]
-    t2 = np.broadcast_to(taus[None, :], (len(ages), len(taus)))
-    r = np.asarray(rate_fn(a2, t2), dtype=float)
-    if r.ndim == 0:
-        r = np.full((len(ages), len(taus)), float(r))
+    for a triangular [age, structure] field with removal-rate table ``r``."""
     entry = np.exp(-0.5 * delta * r[:, 0])
     step = np.ones_like(r)
     step[1:, 1:] = np.exp(-0.5 * delta * (r[:-1, :-1] + r[1:, 1:]))
@@ -115,12 +110,12 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
     # Transmission probabilities are sampled half a cell up in age: the
     # unit-CFL dynamics pins (age - infection age) to whole cells, so the
     # representative age lag of a diagonal cell is its midpoint.
+    am2 = ages_m[:, None]
+    tm2 = np.broadcast_to(taus_m[None, :], (grid.n_am, grid.n_tm))
     k["im_entry"], k["im_step"] = _triangle_decays(
-        lambda a, t: eval_rate(params.mu_m, a, t) + eval_rate(params.nu_m, a, t),
-        ages_m, taus_m, delta)
-    k["beta_m_grid"] = np.asarray(eval_rate(
-        params.beta_m, ages_m[:, None] + 0.5 * delta,
-        np.broadcast_to(taus_m[None, :], (grid.n_am, grid.n_tm))))
+        np.asarray(eval_rate(params.mu_m, am2, tm2) + eval_rate(params.nu_m, am2, tm2))
+        + np.zeros_like(tm2), delta)
+    k["beta_m_grid"] = np.asarray(eval_rate(params.beta_m, am2 + 0.5 * delta, tm2))
 
     if mode == "full":
         a2 = ages_h[:, None]
@@ -131,13 +126,8 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
                 + np.asarray(eval_rate(params.nu_h, a2, t2)) + gam) + np.zeros_like(t2)
         kh = np.asarray(eval_rate(params.k_h, a2, e2)) + np.zeros_like(e2)
         r_rh = (np.asarray(eval_rate(params.mu_h, a2, e2)) + kh) + np.zeros_like(e2)
-        k["ih_entry"], k["ih_step"] = _triangle_decays(
-            lambda a, t: (eval_rate(params.mu_h, a, t) + eval_rate(params.nu_h, a, t)
-                          + eval_rate(params.gamma_h, a, t)),
-            ages_h, taus_h, delta)
-        k["rh_entry"], k["rh_step"] = _triangle_decays(
-            lambda a, e: eval_rate(params.mu_h, a, e) + eval_rate(params.k_h, a, e),
-            ages_h, etas, delta)
+        k["ih_entry"], k["ih_step"] = _triangle_decays(r_ih, delta)
+        k["rh_entry"], k["rh_step"] = _triangle_decays(r_rh, delta)
         # removal-channel shares matching the decay trapezoids
         k["gamma_share"] = np.zeros_like(gam)
         k["gamma_share"][1:, 1:] = _share(gam[:-1, :-1], gam[1:, 1:],

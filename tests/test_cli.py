@@ -71,6 +71,20 @@ def test_bifurcate_rejects_bad_arguments(tmp_path, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["--output-every", "0"], ["--output-every", "-2"],
+                                   ["--t-end", "nan"], ["--t-end", "inf"],
+                                   ["--t-end", "-1"], ["--seed-fraction", "1.5"],
+                                   ["--seed-fraction", "-0.1"], ["--a-max-h", "-5"],
+                                   ["--tau-max-h", "0.0123"]])
+def test_simulate_usage_errors_exit_2(tmp_path, capsys, extra):
+    out = tmp_path / "run.csv"
+    args = ["simulate", "--preset", "forward", "--t-end", "0.1", "--delta", "0.01",
+            "--out", str(out), "--quiet"]
+    assert main(args + extra) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_r0_and_growth_rate_run(capsys):
     assert main(["r0", "--preset", "backward", "--lambda-m", "7.4e7",
                  "--method", "all", "--delta", "0.01"]) == 0

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import structsim as ss
-from structsim.config import ConfigError, load_config, parse_config
+from structsim.config import ConfigError, load_config
 from structsim.params import preset, preset_grid, validate
 from structsim.rates import Arity, RateKind, RateSpec
 
@@ -67,17 +69,17 @@ def test_preset_values():
 def test_negative_parameter_is_an_error():
     bad = GOOD.replace("theta    = 3.65e4", "theta    = -1")
     with pytest.raises(ConfigError, match="negative parameter"):
-        parse_config(bad)
+        load_config(bad)[0]
 
 
 def test_unknown_key_and_kind_and_syntax():
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(GOOD + "\n[population]\nbites = 3\n")
+        load_config(GOOD + "\n[population]\nbites = 3\n")[0]
     with pytest.raises(ConfigError, match="unknown rate kind"):
-        parse_config(GOOD.replace("constant(20)", "lorentzian(20)"))
+        load_config(GOOD.replace("constant(20)", "lorentzian(20)"))[0]
     err = None
     try:
-        parse_config(GOOD.replace("mu_m    = constant(20)", "mu_m  constant(20)"))
+        load_config(GOOD.replace("mu_m    = constant(20)", "mu_m  constant(20)"))[0]
     except ConfigError as exc:
         err = exc
     assert err is not None and err.line is not None  # position-annotated
@@ -86,7 +88,7 @@ def test_unknown_key_and_kind_and_syntax():
 def test_missing_rate_is_an_error():
     lines = [ln for ln in GOOD.splitlines() if not ln.startswith("k_h")]
     with pytest.raises(ConfigError, match="missing .rates. key 'k_h'"):
-        parse_config("\n".join(lines))
+        load_config("\n".join(lines))[0]
 
 
 def test_table_rate_roundtrip(tmp_path):
@@ -117,6 +119,30 @@ def test_validate_flags_zero_kernel_and_zero_mortality():
     no_mortality = make_params(mu_h=RateSpec.constant(0.0, Arity.AGE))
     rep = validate(no_mortality, g)
     assert "mortality_floor" in {c.name for c in rep.failed()}
+
+
+def test_validate_accepts_scalar_rates_on_a_pair():
+    # piecewise on (a, tau) / (a, eta) reads only the second variable, so the
+    # model stays reduced-mode eligible and the grid probe agrees
+    params = make_params(gamma_h=RateSpec.piecewise(0.1, 0.0, 50.0, Arity.AGE_TAU),
+                         k_h=RateSpec.piecewise(0.1, 0.0, 40.0, Arity.AGE_ETA))
+    assert params.reduced_mode_eligible
+    rep = validate(params, preset_grid("forward", 0.01))
+    assert rep.all_passed, str(rep)
+
+
+def test_validate_and_floor_memory_on_backward_preset():
+    # age-free rates are scanned on the axes they read, never on the
+    # 500 000-cell human age axis crossed with infection age
+    params, grid = preset("backward"), preset_grid("backward")
+    tracemalloc.start()
+    try:
+        validate(params, grid)
+        params.epsilon_floor(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_epsilon_floor_positive(forward):

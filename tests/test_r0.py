@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import structsim as ss
 from structsim.characteristics import g_of_lambda
 from structsim.kernels import spectral_kernels
 from structsim.r0 import (lambda0_closed_form, lambda_m_for_target_r0,
                           lambda_m_slope, power_iteration_r0, r0_closed_form,
-                          r0_reduced)
+                          r0_reduced, survival_profile)
 from structsim.rates import Arity, RateSpec
 
 from conftest import fast_grid, fast_params
@@ -61,12 +63,30 @@ def test_power_iteration_survival_start_is_eigenvector(forward):
     # the human block maps the survival profile to lambda0 times itself
     params, grid = forward
     sk = spectral_kernels(params, grid)
+    pi_h = survival_profile(params, grid)
     lam0 = lambda0_closed_form(params, grid)
     coef = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2) \
         * sk.mosquito_factor(0.0)
-    image = sk.pi_h * (coef * sk.human_kernel_action(sk.pi_h))
-    resid = np.sum(np.abs(image - lam0 * sk.pi_h)) / np.sum(np.abs(sk.pi_h))
+    image = pi_h * (coef * sk.human_kernel_action(pi_h))
+    resid = np.sum(np.abs(image - lam0 * pi_h)) / np.sum(np.abs(pi_h))
     assert resid < 1e-10
+
+
+@given(mu=st.floats(0.01, 2.0), delta=st.floats(0.002, 0.05))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_survival_integral_matches_lattice_sum(mu, delta):
+    # the geometric series against the lattice sum power iteration runs on
+    params = fast_params(mu_h=RateSpec.constant(mu, Arity.AGE))
+    grid = ss.Grid(delta=delta, a_max_h=delta, a_max_m=delta, tau_max_h=delta,
+                   tau_max_m=delta, eta_max=delta)
+    lattice = float(np.sum(survival_profile(params, grid))) * delta
+    assert spectral_kernels(params, grid).int_pi_h == pytest.approx(lattice, rel=1e-12)
+
+
+def test_survival_integral_needs_positive_mortality():
+    params = fast_params(mu_h=RateSpec.constant(0.0, Arity.AGE))
+    with pytest.raises(ValueError, match="mu_h > 0"):
+        r0_closed_form(params, fast_grid(0.05))
 
 
 def test_dense_power_iteration_cross_check_age_dependent():

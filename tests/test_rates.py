@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structsim.params import _rate_range, _reachable_mass
 from structsim.rates import Arity, RateKind, RateSpec, eval_rate
 
 SQ2PI = math.sqrt(2 * math.pi)
@@ -71,6 +72,45 @@ def test_age_dependence_flags():
     assert not RateSpec.piecewise(0.1, 0, 50, Arity.TAU_ONLY).depends_on_age
     assert RateSpec.gauss_exp(0.05, 0.2, 0.2, 1.0).depends_on_age
     assert RateSpec.gauss(0.1, 0.3, 0.1, Arity.AGE).depends_on_age
+    # scalar forms on a pair read the second variable only, as eval_rate does
+    for arity in (Arity.AGE_TAU, Arity.AGE_ETA):
+        spec = RateSpec.piecewise(0.1, 0, 50, arity)
+        assert not spec.depends_on_age
+        assert eval_rate(spec, 0.0, 0.2) == eval_rate(spec, 7.0, 0.2) == 50.0
+
+
+_SCALAR_KINDS = ("constant", "piecewise", "gauss", "table")
+
+
+def _spec(kind, arity, p):
+    x, y, z, w = p
+    if kind == "constant":
+        return RateSpec.constant(x, arity)
+    if kind == "piecewise":
+        return RateSpec.piecewise(x, y, z, arity)
+    if kind == "gauss":
+        return RateSpec.gauss(x, y, z + 0.05, arity)
+    if kind == "table":
+        return RateSpec.table([0.0, x + 0.01, x + z + 0.02], [y, z, w], arity)
+    return RateSpec.gauss_exp(x, y, z + 0.05, w)
+
+
+@given(kind_arity=st.sampled_from([(k, a) for k in _SCALAR_KINDS for a in Arity]
+                                  + [("gauss_exp", Arity.AGE_TAU)]),
+       p=st.tuples(*[st.floats(0.0, 3.0)] * 4),
+       n_a=st.integers(1, 40), n_s=st.integers(1, 30), delta=st.floats(0.01, 0.5))
+@settings(max_examples=300, deadline=None)
+def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta):
+    spec = _spec(*kind_arity, p)
+    ages = (np.arange(n_a) + 0.5) * delta
+    seconds = (np.arange(n_s) + 0.5) * delta
+    full = np.broadcast_to(eval_rate(spec, ages[:, None], seconds[None, :]), (n_a, n_s))
+    assert _rate_range(spec, ages, seconds) == (full.min(), full.max())
+    reach = np.broadcast_to(eval_rate(spec, ages[:, None] + seconds[None, :],
+                                      np.broadcast_to(seconds[None, :], (n_a, n_s))),
+                            (n_a, n_s))
+    assert _reachable_mass(spec, ages, seconds, delta) == pytest.approx(
+        float(np.sum(reach)) * delta ** 2, rel=1e-12)
 
 
 @given(a=st.floats(0, 50), second=st.floats(0, 50),
