@@ -87,9 +87,7 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     beta_h_tau = sk.beta_h_tau
     gamma_tau = np.asarray(eval_rate(params.gamma_h, 0.0, taus))
     nu_tau = np.asarray(eval_rate(params.nu_h, 0.0, taus))
-    k_eta = np.asarray(eval_rate(params.k_h, 0.0, etas))
-    immunity_decay = np.exp(-cumulative_to_centers(
-        np.broadcast_to(mu_h + k_eta, etas.shape), d))
+    immunity_decay = np.exp(-cumulative_to_centers(params.removal_rate("r_h")(0.0, etas), d))
     immunity_integral = float(np.sum(immunity_decay)) * d
 
     int_c1 = float(np.sum(c1)) * d
@@ -98,9 +96,8 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     c2 = params.theta * float(np.sum(beta_h_tau * c1)) * d
     recovered_weight = int_c1 + int_gamma_c1 * immunity_integral
     # recovery outflow against the immunity survival, sampled in infection age
-    k_on_tau = np.asarray(eval_rate(params.k_h, 0.0, taus))
     int_gamma_imm = float(np.sum(gamma_tau * np.exp(-cumulative_to_centers(
-        np.broadcast_to(mu_h + k_on_tau, taus.shape), d)))) * d
+        params.removal_rate("r_h")(0.0, taus), d)))) * d
 
     row_mass = np.sum(sk.mosq_kernel, axis=1) * d * d
     mass = float(np.sum(row_mass))
@@ -353,7 +350,7 @@ def lift_reduced_equilibrium(k_root: float, params: ModelParams,
     rh_surv = np.exp(-d_rh)
     s = np.zeros(n_a)
     rb = np.zeros(n_a)                                 # recovery inflow at each age
-    s[0] = (params.lambda_h / n_star) * sur.decay_h_entry[0] * np.exp(-0.5 * d * lam_rate)
+    s[0] = (params.lambda_h / n_star) * sur.decay_h_entry * np.exp(-0.5 * d * lam_rate)
     for i in range(n_a):
         if i > 0:
             js = np.arange(min(i, n_t))
@@ -421,9 +418,8 @@ def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
     cum_loss = np.concatenate(([0.0], np.cumsum(nh_loss * np.exp(mh_c)) * d))
     b2 = np.exp(-mh_edge) * cum_loss                          # int nh_loss e^{-int mu}
 
-    d_rh_centers = characteristic_cumulative(
-        lambda a, e: eval_rate(params.mu_h, a, e) + eval_rate(params.k_h, a, e),
-        ages, etas, d)                                        # center offsets
+    d_rh_centers = characteristic_cumulative(        # center offsets
+        params.removal_rate("r_h"), ages, etas, d)
     rh_surv_c = np.exp(-d_rh_centers)
     b3 = np.zeros(n_a + 1)
     n_e = grid.n_eta

@@ -36,22 +36,12 @@ from .solver import StateFields
 def offset_cumulative(params: ModelParams, grid: Grid, which: str) -> np.ndarray:
     """D[x, j] = int_0^{tau_j} rate(x*delta + s, s) ds, offsets on cell edges.
 
-    ``which`` selects the removal rate: "i_h" (mortality + disease mortality
-    + recovery), "r_h" (mortality + immunity loss), "i_m" (mosquito
-    mortality + disease mortality).
+    ``which`` names the pool whose removal rate is integrated (see
+    :meth:`ModelParams.removal_rate`).
     """
-    if which == "i_h":
-        rate = lambda a, t: (eval_rate(params.mu_h, a, t) + eval_rate(params.nu_h, a, t)
-                             + eval_rate(params.gamma_h, a, t))
-        n_off, taus = grid.n_ah, grid.taus_h
-    elif which == "r_h":
-        rate = lambda a, e: eval_rate(params.mu_h, a, e) + eval_rate(params.k_h, a, e)
-        n_off, taus = grid.n_ah, grid.etas
-    elif which == "i_m":
-        rate = lambda a, t: eval_rate(params.mu_m, a, t) + eval_rate(params.nu_m, a, t)
-        n_off, taus = grid.n_am, grid.taus_m
-    else:
-        raise ValueError(f"unknown field {which!r}")
+    rate = params.removal_rate(which)
+    n_off, taus = {"i_h": (grid.n_ah, grid.taus_h), "r_h": (grid.n_ah, grid.etas),
+                   "i_m": (grid.n_am, grid.taus_m)}[which]
     offsets = np.arange(n_off) * grid.delta
     return characteristic_cumulative(rate, offsets, taus, grid.delta)
 
@@ -111,8 +101,7 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     # transmission probabilities zero there is no fresh-infection term
     def recovery_inflow(field: np.ndarray) -> np.ndarray:
         out = np.zeros(grid.n_ah)
-        out[1:] = np.sum(sk["gamma_share"][1:, 1:] * (1.0 - sk["ih_step"][1:, 1:])
-                         * field[:-1, :-1], axis=1)
+        out[1:] = np.sum(sk["ih_out"][1:, 1:] * field[:-1, :-1], axis=1)
         return out
 
     q_hist = [recovery_inflow(i_h_at(m)) for m in range(n)]
@@ -128,9 +117,8 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     def source_inflow(m: int) -> np.ndarray:
         field = r_h_at(m)
         out = np.zeros(grid.n_ah)
-        out[1:] = np.sum(sk["k_share"][1:, 1:] * (1.0 - sk["rh_step"][1:, 1:])
-                         * field[:-1, :-1], axis=1)
-        out += sk["k_share0"] * q_hist[m] * (1.0 - sk["rh_entry"])
+        out[1:] = np.sum(sk["rh_out"][1:, 1:] * field[:-1, :-1], axis=1)
+        out += sk["rh_out0"] * q_hist[m]
         return out
 
     i_m_t = _shift_decay(init.i_m, d_im, n)

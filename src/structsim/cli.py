@@ -30,10 +30,7 @@ from .solver import Observables, default_initial, save_snapshot, simulate
 
 FIGURES = ("fig2-forward", "fig2-backward", "fig3-left", "fig3-right",
            "fig4-tl", "fig4-tr", "fig4-bl", "fig4-br")
-# large/small initial infected fractions used by the reproduction recipes;
-# the bistable window needs a seed above the unstable branch (~6% prevalence)
-SEED_LARGE = 0.25
-SEED_SMALL = 1e-4
+SEED_SMALL = 1e-4       # initial infected fraction of the fig4-br recipe
 
 
 def _checked(convert, ok, what: str):
@@ -161,10 +158,14 @@ def cmd_growth_rate(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, initial=None) -> int:
+    """``initial(params, grid)`` prepares the start state; by default the
+    disease-free state with ``--seed-fraction`` of the humans infected."""
     params, grid, name = _resolve(args)
-    mode = args.mode
-    init = default_initial(params, grid, args.seed_fraction, mode=mode)
+    if initial is None:
+        init = default_initial(params, grid, args.seed_fraction, mode=args.mode)
+    else:
+        init = initial(params, grid)
     manifest = RunManifest(sys.argv[1:], name, params, grid)
     rows, final = simulate(params, grid, init, args.t_end,
                            output_every=args.output_every, return_final=True)
@@ -281,32 +282,20 @@ def cmd_reproduce(args) -> int:
     }
     name, lam, seed = recipes[fig]
     ns.preset, ns.lambda_m = name, lam
-    ns.t_end = args.t_end
     if seed == "endemic":
-        # bistable window: start inside the basin of the upper equilibrium
-        params, grid, pname = _resolve(ns)
-        kern = build_reduced_kernels(params, grid)
-        r0_sq = r0_closed_form(params, grid).r0_squared_closed_form
-        roots = solve_endemic(r0_sq, kern)
-        upper, _ = reconstruct_equilibrium(roots[-1], params, grid)
-        state = endemic_seed(upper, grid)
-        manifest = RunManifest(sys.argv[1:], pname, params, grid)
-        rows = simulate(params, grid, state, ns.t_end, output_every=ns.output_every)
-        _write_rows_csv(ns.out, rows)
-        manifest.add_output(ns.out)
-        ts = [r.t for r in rows]
-        with open(ns.svg, "w") as fh:
-            fh.write(render_svg(
-                [("total infected humans", ts, [r.total_i_h for r in rows]),
-                 ("total infected mosquitoes", ts, [r.total_i_m for r in rows])],
-                "time", "total infected", logx=True, logy=True))
-        manifest.add_output(ns.svg)
-        manifest.write(ns.out + ".manifest.json")
-        if not args.quiet:
-            print(f"wrote {ns.out} ({len(rows)} rows)")
-        return 0
+        return cmd_simulate(ns, initial=_upper_endemic_start)
     ns.seed_fraction = seed
     return cmd_simulate(ns)
+
+
+def _upper_endemic_start(params: ModelParams, grid: Grid):
+    """Start of the fig4-bl recipe inside the basin of the upper equilibrium:
+    the bistable window needs a seed above the unstable branch (~6%
+    prevalence)."""
+    kern = build_reduced_kernels(params, grid)
+    r0_sq = r0_closed_form(params, grid).r0_squared_closed_form
+    upper, _ = reconstruct_equilibrium(solve_endemic(r0_sq, kern)[-1], params, grid)
+    return endemic_seed(upper, grid)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", choices=FIGURES, required=True)
     p.add_argument("--out-dir", default="reproduction")
     p.add_argument("--t-end", type=_nonnegative_float, default=50.0)
-    p.add_argument("--seed-fraction", type=_fraction, default=0.01)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("report", help="aggregate threshold and bifurcation report")

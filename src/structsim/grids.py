@@ -117,23 +117,23 @@ def cumulative_to_centers(rate_at_centers: np.ndarray, delta: float) -> np.ndarr
     return delta * np.cumsum(r, axis=-1) - 0.5 * delta * r
 
 
-def decay_factors(rate_at_centers: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell survival factors along one axis.
+def decay_factors(rate_at_centers: np.ndarray,
+                  delta: float) -> tuple[np.ndarray | float, np.ndarray]:
+    """Per-cell survival factors of a field transported along the diagonal.
 
-    Returns ``(entry, step)`` where ``entry[j] = exp(-delta/2 * r_j)`` carries a
-    cohort from the axis origin to the first center, and
-    ``step[j] = exp(-delta/2 * (r_{j-1}+r_j))`` carries it from center j-1 to
-    center j (``step[0]`` is unused padding, set to 1).
+    ``rate_at_centers`` samples the removal rate on the cell centers of one
+    or more axes; the last axis is the one whose origin is the entry
+    boundary.  Returns ``(entry, step)``: ``entry = exp(-delta/2 * r[..., 0])``
+    carries a cohort from the boundary to the first center, and
+    ``step[i, ..., j] = exp(-delta/2 * (r[i-1, ..., j-1] + r[i, ..., j]))``
+    carries it one cell along every axis at once.  Cells with a zero index
+    are unused padding, set to 1.
     """
     r = np.asarray(rate_at_centers, dtype=float)
-    entry = np.exp(-0.5 * delta * r)
+    cur, prev = (slice(1, None),) * r.ndim, (slice(None, -1),) * r.ndim
     step = np.ones_like(r)
-    sl = [slice(None)] * r.ndim
-    sl[-1] = slice(1, None)
-    sl_prev = [slice(None)] * r.ndim
-    sl_prev[-1] = slice(None, -1)
-    step[tuple(sl)] = np.exp(-0.5 * delta * (r[tuple(sl_prev)] + r[tuple(sl)]))
-    return entry, step
+    step[cur] = np.exp(-0.5 * delta * (r[prev] + r[cur]))
+    return np.exp(-0.5 * delta * r[..., 0]), step
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,9 @@ class SurvivalTable:
     pi_m: np.ndarray
     cum_h: np.ndarray
     cum_m: np.ndarray
-    decay_h_entry: np.ndarray
+    decay_h_entry: float
     decay_h_step: np.ndarray
-    decay_m_entry: np.ndarray
+    decay_m_entry: float
     decay_m_step: np.ndarray
 
 
@@ -162,7 +162,7 @@ def _survival_1d(mu: RateSpec, ages: np.ndarray, delta: float):
         r = np.full_like(ages, float(r))
     entry, step = decay_factors(r, delta)
     factors = step.copy()
-    factors[0] = entry[0]
+    factors[0] = entry
     pi = np.cumprod(factors)
     cum = cumulative_to_centers(r, delta)
     return pi, cum, entry, step

@@ -96,19 +96,14 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
             raise ValueError("the human survival integral needs mu_h > 0")
         pi_h = None
         int_pi_h = float(d * np.exp(-0.5 * mu * d) / -np.expm1(-mu * d))
-        c1_rate = mu + np.asarray(eval_rate(params.nu_h, 0.0, taus_h)) \
-            + np.asarray(eval_rate(params.gamma_h, 0.0, taus_h))
-        c1 = np.exp(-cumulative_to_centers(np.broadcast_to(c1_rate, taus_h.shape), d))
+        c1 = np.exp(-cumulative_to_centers(params.removal_rate("i_h")(0.0, taus_h), d))
         beta_h_tau = np.asarray(eval_rate(params.beta_h, 0.0, taus_h))
         human_kernel = human_kernel_nopi = None
     else:
         pi_h = _survival_on(params.mu_h, ages_h, d)
         int_pi_h = float(np.sum(pi_h)) * d
         c1 = beta_h_tau = None
-        cum = characteristic_cumulative(
-            lambda a, t: (eval_rate(params.mu_h, a, t) + eval_rate(params.nu_h, a, t)
-                          + eval_rate(params.gamma_h, a, t)),
-            ages_h, taus_h, d)
+        cum = characteristic_cumulative(params.removal_rate("i_h"), ages_h, taus_h, d)
         bh = np.asarray(eval_rate(params.beta_h, ages_h[:, None] + taus_h[None, :],
                                   np.broadcast_to(taus_h[None, :],
                                                   (len(ages_h), len(taus_h)))))
@@ -118,9 +113,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
     pi_m = _survival_on(params.mu_m, xis_m, d)
-    cum_m = characteristic_cumulative(
-        lambda a, t: eval_rate(params.mu_m, a, t) + eval_rate(params.nu_m, a, t),
-        xis_m, taus_m, d)
+    cum_m = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
     bm = np.asarray(eval_rate(params.beta_m, xis_m[:, None] + taus_m[None, :],
                               np.broadcast_to(taus_m[None, :],
                                               (len(xis_m), len(taus_m)))))

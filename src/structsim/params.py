@@ -65,6 +65,19 @@ class ModelParams:
             raise ValueError("mu_h is not constant")
         return self.mu_h.params[0]
 
+    def removal_rate(self, pool: str):
+        """Total removal rate ``(a, s) -> value`` of a structured pool: "i_h"
+        (mortality + disease mortality + recovery), "r_h" (mortality +
+        immunity loss) or "i_m" (mosquito mortality + disease mortality)."""
+        if pool == "i_h":
+            return lambda a, s: (eval_rate(self.mu_h, a, s) + eval_rate(self.nu_h, a, s)
+                                 + eval_rate(self.gamma_h, a, s))
+        if pool == "r_h":
+            return lambda a, s: eval_rate(self.mu_h, a, s) + eval_rate(self.k_h, a, s)
+        if pool == "i_m":
+            return lambda a, s: eval_rate(self.mu_m, a, s) + eval_rate(self.nu_m, a, s)
+        raise ValueError(f"unknown field {pool!r}")
+
     def epsilon_floor(self, grid: Grid) -> float:
         """Lower bound on the human population preserved by the dynamics:
         lambda_h over the summed grid sup-norms of the human removal rates."""

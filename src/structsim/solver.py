@@ -18,9 +18,21 @@ Two state layouts:
            integrates out exactly and the state is (s_h scalar, i_h[tau],
            r_h[eta]); mosquitoes keep their age structure.
 
-Triangular fields are dense [age, structure-age] arrays; cells with
-structure age exceeding chronological age are identically zero and stay so
-under the diagonal shift.
+One transport rule serves every structured field (i_h, r_h and i_m) in both
+layouts.  The last axis of a field is its structure age (infection or
+recovery age); the leading axis, present except for the REDUCED human
+fields, is chronological age.  A step is the renewal representation on a
+shifted index: every cell moves one cell along all of its axes, is
+multiplied by its step factor, and the structure-age-0 column is filled
+with the step's inflow times the entry factor.  The mass a removal channel
+(recovery out of i_h, immunity loss out of r_h) takes during the step is
+one weighted sum of the field with fused weights share * (1 - step
+factor), and it is the inflow of the next pool.  Only the susceptible
+humans are updated per layout: an age profile in FULL, a scalar relaxing
+to its balance in REDUCED.
+
+Cells of a field with two axes whose structure age exceeds chronological
+age are identically zero and stay so under the diagonal shift.
 """
 
 from __future__ import annotations
@@ -80,84 +92,70 @@ class Observables:
 # precomputed step kernel
 
 
-def _triangle_decays(r: np.ndarray, delta: float):
-    """Entry factor (axis origin -> first center) and diagonal step factors
-    for a triangular [age, structure] field with removal-rate table ``r``."""
-    entry = np.exp(-0.5 * delta * r[:, 0])
-    step = np.ones_like(r)
-    step[1:, 1:] = np.exp(-0.5 * delta * (r[:-1, :-1] + r[1:, 1:]))
-    return entry, step
+def _diagonal(ndim: int):
+    """Indices of every cell that has a predecessor one cell back along all
+    ``ndim`` axes, and of those predecessors."""
+    return (slice(1, None),) * ndim, (slice(None, -1),) * ndim
 
 
-def _share(part_prev, part_cur, total_prev, total_cur) -> np.ndarray:
+def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
     """Fraction of a cell-to-cell removal belonging to one removal channel,
-    using the same rate trapezoid as the decay factor."""
-    num = np.asarray(part_prev + part_cur, dtype=float)
-    den = np.asarray(total_prev + total_cur, dtype=float)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    using the same rate trapezoid as the decay factor (0 where nothing is
+    removed)."""
+    den = total_prev + total_cur
+    return np.divide(part_prev + part_cur, den, out=out, where=den > 0)
+
+
+def _channel_tables(part: np.ndarray, total: np.ndarray, delta: float):
+    """Entry and step factors of a field with removal-rate table ``total``,
+    and the outflow weights of its removal channel ``part``: the channel's
+    share of a cell's removal times the fraction the cell loses."""
+    entry, step = decay_factors(total, delta)
+    cur, prev = _diagonal(total.ndim)
+    out = np.zeros_like(total)
+    _share(part[prev], part[cur], total[prev], total[cur], out[cur])
+    out[cur] *= 1.0 - step[cur]
+    out0 = _share(part[..., 0], part[..., 0], total[..., 0], total[..., 0],
+                  np.zeros_like(total[..., 0])) * (1.0 - entry)
+    return entry, step, out, out0
 
 
 @functools.lru_cache(maxsize=8)
 def _kernel(params: ModelParams, grid: Grid, mode: str):
     delta = grid.delta
-    sur = build_survival(params, grid)
-    ages_h, ages_m = grid.ages_h, grid.ages_m
-    taus_h, taus_m, etas = grid.taus_h, grid.taus_m, grid.etas
+    k = {"sur": build_survival(params, grid), "delta": delta,
+         "eps_floor": params.epsilon_floor(grid)}
 
-    k = {"sur": sur, "delta": delta, "eps_floor": params.epsilon_floor(grid)}
-
-    # mosquito infected-field decays and transmission weights (both modes).
     # Transmission probabilities are sampled half a cell up in age: the
     # unit-CFL dynamics pins (age - infection age) to whole cells, so the
     # representative age lag of a diagonal cell is its midpoint.
-    am2 = ages_m[:, None]
-    tm2 = np.broadcast_to(taus_m[None, :], (grid.n_am, grid.n_tm))
-    k["im_entry"], k["im_step"] = _triangle_decays(
-        np.asarray(eval_rate(params.mu_m, am2, tm2) + eval_rate(params.nu_m, am2, tm2))
-        + np.zeros_like(tm2), delta)
-    k["beta_m_grid"] = np.asarray(eval_rate(params.beta_m, am2 + 0.5 * delta, tm2))
+    am2 = grid.ages_m[:, None]
+    tm2 = np.broadcast_to(grid.taus_m[None, :], (grid.n_am, grid.n_tm))
+    k["im_entry"], k["im_step"] = decay_factors(
+        np.asarray(params.removal_rate("i_m")(am2, tm2)) + np.zeros_like(tm2), delta)
+    k["beta_m"] = np.asarray(eval_rate(params.beta_m, am2 + 0.5 * delta, tm2))
 
+    # human rates on the field axes: (age column, structure age) in full
+    # mode, structure age alone in reduced mode, where no rate reads age
     if mode == "full":
-        a2 = ages_h[:, None]
-        t2 = np.broadcast_to(taus_h[None, :], (grid.n_ah, grid.n_th))
-        e2 = np.broadcast_to(etas[None, :], (grid.n_ah, grid.n_eta))
-        gam = np.asarray(eval_rate(params.gamma_h, a2, t2)) + np.zeros_like(t2)
-        r_ih = (np.asarray(eval_rate(params.mu_h, a2, t2))
-                + np.asarray(eval_rate(params.nu_h, a2, t2)) + gam) + np.zeros_like(t2)
-        kh = np.asarray(eval_rate(params.k_h, a2, e2)) + np.zeros_like(e2)
-        r_rh = (np.asarray(eval_rate(params.mu_h, a2, e2)) + kh) + np.zeros_like(e2)
-        k["ih_entry"], k["ih_step"] = _triangle_decays(r_ih, delta)
-        k["rh_entry"], k["rh_step"] = _triangle_decays(r_rh, delta)
-        # removal-channel shares matching the decay trapezoids
-        k["gamma_share"] = np.zeros_like(gam)
-        k["gamma_share"][1:, 1:] = _share(gam[:-1, :-1], gam[1:, 1:],
-                                          r_ih[:-1, :-1], r_ih[1:, 1:])
-        k["gamma_share0"] = _share(gam[:, 0], gam[:, 0], r_ih[:, 0], r_ih[:, 0])
-        k["k_share"] = np.zeros_like(kh)
-        k["k_share"][1:, 1:] = _share(kh[:-1, :-1], kh[1:, 1:],
-                                      r_rh[:-1, :-1], r_rh[1:, 1:])
-        k["k_share0"] = _share(kh[:, 0], kh[:, 0], r_rh[:, 0], r_rh[:, 0])
-        k["beta_h_grid"] = np.asarray(eval_rate(
-            params.beta_h, ages_h[:, None] + 0.5 * delta,
-            np.broadcast_to(taus_h[None, :], (grid.n_ah, grid.n_th))))
+        a_h = grid.ages_h[:, None]
+        taus = np.broadcast_to(grid.taus_h[None, :], (grid.n_ah, grid.n_th))
+        etas = np.broadcast_to(grid.etas[None, :], (grid.n_ah, grid.n_eta))
     else:
         if not params.reduced_mode_eligible:
             raise ValueError("reduced mode requires age-independent human rates")
-        mu_h = params.mu_h_value()
-        gam1 = np.asarray(eval_rate(params.gamma_h, 0.0, taus_h)) + np.zeros_like(taus_h)
-        r_ih = mu_h + np.asarray(eval_rate(params.nu_h, 0.0, taus_h)) + gam1
-        kh1 = np.asarray(eval_rate(params.k_h, 0.0, etas)) + np.zeros_like(etas)
-        r_rh = mu_h + kh1
-        k["ih_entry1"], k["ih_step1"] = decay_factors(r_ih, delta)
-        k["rh_entry1"], k["rh_step1"] = decay_factors(r_rh, delta)
-        k["gamma_share1"] = np.zeros_like(gam1)
-        k["gamma_share1"][1:] = _share(gam1[:-1], gam1[1:], r_ih[:-1], r_ih[1:])
-        k["gamma_share10"] = float(_share(gam1[0], gam1[0], r_ih[0], r_ih[0]))
-        k["k_share1"] = np.zeros_like(kh1)
-        k["k_share1"][1:] = _share(kh1[:-1], kh1[1:], r_rh[:-1], r_rh[1:])
-        k["k_share10"] = float(_share(kh1[0], kh1[0], r_rh[0], r_rh[0]))
-        k["mu_h"] = mu_h
-        k["beta_h_tau"] = np.asarray(eval_rate(params.beta_h, 0.0, taus_h))
+        a_h, taus, etas = 0.0, grid.taus_h, grid.etas
+    # each rate table is dropped before the next is built: in full mode they
+    # are the size of the fields
+    gam = np.asarray(eval_rate(params.gamma_h, a_h, taus)) + np.zeros_like(taus)
+    r_ih = eval_rate(params.mu_h, a_h, taus) + eval_rate(params.nu_h, a_h, taus) + gam
+    k["ih_entry"], k["ih_step"], k["ih_out"], k["ih_out0"] = _channel_tables(gam, r_ih, delta)
+    del gam, r_ih
+    kh = np.asarray(eval_rate(params.k_h, a_h, etas)) + np.zeros_like(etas)
+    r_rh = eval_rate(params.mu_h, a_h, etas) + kh
+    k["rh_entry"], k["rh_step"], k["rh_out"], k["rh_out0"] = _channel_tables(kh, r_rh, delta)
+    del kh, r_rh
+    k["beta_h"] = np.asarray(eval_rate(params.beta_h, a_h + 0.5 * delta, taus))
     return k
 
 
@@ -165,18 +163,14 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
 # forces of infection
 
 
-def _mosquito_pressure(state: StateFields, params: ModelParams, grid: Grid) -> float:
+def _mosquito_pressure(state: StateFields, params: ModelParams, k: dict) -> float:
     """theta * double integral of beta_m * I_m  (bites turning infectious)."""
-    k = _kernel(params, grid, state.mode)
-    return params.theta * float(np.sum(k["beta_m_grid"] * state.i_m)) * grid.delta ** 2
+    return params.theta * float(np.sum(k["beta_m"] * state.i_m)) * k["delta"] ** 2
 
 
-def _human_pressure(state: StateFields, params: ModelParams, grid: Grid) -> float:
-    """theta * double integral of beta_h * I_h."""
-    k = _kernel(params, grid, state.mode)
-    if state.mode == "full":
-        return params.theta * float(np.sum(k["beta_h_grid"] * state.i_h)) * grid.delta ** 2
-    return params.theta * float(np.sum(k["beta_h_tau"] * state.i_h)) * grid.delta
+def _human_pressure(state: StateFields, params: ModelParams, k: dict) -> float:
+    """theta * integral of beta_h * I_h over the human field's axes."""
+    return params.theta * float(np.sum(k["beta_h"] * state.i_h)) * k["delta"] ** state.i_h.ndim
 
 
 def n_human(state: StateFields, grid: Grid) -> float:
@@ -192,9 +186,8 @@ def n_mosquito(state: StateFields, grid: Grid) -> float:
     return float(np.sum(state.s_m) * d + np.sum(state.i_m) * d * d)
 
 
-def _checked_n_h(state: StateFields, params: ModelParams, grid: Grid) -> float:
+def _checked_n_h(state: StateFields, grid: Grid, k: dict) -> float:
     nh = n_human(state, grid)
-    k = _kernel(params, grid, state.mode)
     if nh < 0.5 * k["eps_floor"]:
         raise DegeneratePopulationError(
             f"N_h = {nh:g} fell below half the floor {k['eps_floor']:g} at t = {state.t:g}")
@@ -203,21 +196,38 @@ def _checked_n_h(state: StateFields, params: ModelParams, grid: Grid) -> float:
 
 def force_mh(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
     """Infection pressure on humans by age: S_h(a)/N_h * theta * iint beta_m I_m."""
-    nh = _checked_n_h(state, params, grid)
-    phi = _mosquito_pressure(state, params, grid)
+    k = _kernel(params, grid, state.mode)
+    nh = _checked_n_h(state, grid, k)
+    phi = _mosquito_pressure(state, params, k)
     s_h = np.atleast_1d(np.asarray(state.s_h, dtype=float))
     return s_h / nh * phi
 
 
 def force_hm(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
     """Infection pressure on mosquitoes by age: S_m(a)/N_h * theta * iint beta_h I_h."""
-    nh = _checked_n_h(state, params, grid)
-    phi = _human_pressure(state, params, grid)
+    k = _kernel(params, grid, state.mode)
+    nh = _checked_n_h(state, grid, k)
+    phi = _human_pressure(state, params, k)
     return state.s_m / nh * phi
 
 
 # ---------------------------------------------------------------------------
 # initial data
+
+
+def _band_profile(entry: np.ndarray, step: np.ndarray, taus: np.ndarray,
+                  ages: np.ndarray, band_width: float, d: float) -> np.ndarray:
+    """Structure-age profile per age row on the band ``taus <= band_width``,
+    proportional to the survival factor and normalized to unit mass per row
+    (rows with no cell inside the triangle stay zero)."""
+    band = taus <= band_width + 1e-12
+    prof = np.where(band[None, :], entry[:, None]
+                    * np.cumprod(np.where(band[None, :], step, 1.0), axis=1), 0.0)
+    prof[:, 0] = entry
+    prof = np.where(band[None, :], prof, 0.0)
+    prof *= taus[None, :] <= ages[:, None] + 1e-12
+    norms = np.sum(prof, axis=1) * d
+    return np.divide(prof, norms[:, None], out=np.zeros_like(prof), where=norms[:, None] > 0)
 
 
 def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 0.0,
@@ -240,44 +250,30 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
     # disease-free profile assembled in the same multiplication order as the
     # transport step, so it is a bit-exact fixed point
     s_m0 = np.cumprod(np.concatenate(
-        ([params.lambda_m * sur.decay_m_entry[0]], sur.decay_m_step[1:])))
+        ([params.lambda_m * sur.decay_m_entry], sur.decay_m_step[1:])))
     i_m0 = np.zeros((grid.n_am, grid.n_tm))
     if infected_fraction_m > 0.0:
-        band_m = grid.taus_m <= seed_tau_band + 1e-12
-        prof_m = np.where(band_m[None, :], k["im_entry"][:, None]
-                          * np.cumprod(np.where(band_m[None, :], k["im_step"], 1.0),
-                                       axis=1), 0.0)
-        prof_m[:, 0] = k["im_entry"]
-        prof_m = np.where(band_m[None, :], prof_m, 0.0)
-        prof_m *= grid.taus_m[None, :] <= grid.ages_m[:, None] + 1e-12
-        norms = np.sum(prof_m, axis=1) * d
-        prof_m = np.divide(prof_m, norms[:, None], out=np.zeros_like(prof_m),
-                           where=norms[:, None] > 0)
+        prof_m = _band_profile(k["im_entry"], k["im_step"], grid.taus_m, grid.ages_m,
+                               seed_tau_band, d)
         i_m0 = infected_fraction_m * s_m0[:, None] * prof_m
         s_m0 = (1.0 - infected_fraction_m) * s_m0
 
-    band = grid.taus_h <= seed_tau_band + 1e-12
     if mode == "reduced":
-        prof = np.where(band, np.cumprod(np.where(band, k["ih_step1"], 1.0)), 0.0)
-        prof[0] = k["ih_entry1"][0]
+        band = grid.taus_h <= seed_tau_band + 1e-12
+        prof = np.where(band, np.cumprod(np.where(band, k["ih_step"], 1.0)), 0.0)
+        prof[0] = k["ih_entry"]
         prof = np.where(band, prof, 0.0)
         prof = prof / (np.sum(prof) * d) if prof.any() else prof
-        s_tot = params.lambda_h / k["mu_h"]
+        s_tot = params.lambda_h / params.mu_h_value()
         i_h0 = infected_fraction * s_tot * prof
         r_h0 = np.zeros(grid.n_eta)
         return StateFields("reduced", 0.0, (1.0 - infected_fraction) * s_tot,
                            i_h0, r_h0, s_m0, i_m0)
 
     s_h0 = np.cumprod(np.concatenate(
-        ([params.lambda_h * sur.decay_h_entry[0]], sur.decay_h_step[1:])))
-    # tau profile per age row, proportional to the infection-survival factor
-    prof = np.where(band[None, :], k["ih_entry"][:, None]
-                    * np.cumprod(np.where(band[None, :], k["ih_step"], 1.0), axis=1), 0.0)
-    prof[:, 0] = k["ih_entry"]
-    prof = np.where(band[None, :], prof, 0.0)
-    prof *= grid.taus_h[None, :] <= grid.ages_h[:, None] + 1e-12
-    norms = np.sum(prof, axis=1) * d
-    prof = np.divide(prof, norms[:, None], out=np.zeros_like(prof), where=norms[:, None] > 0)
+        ([params.lambda_h * sur.decay_h_entry], sur.decay_h_step[1:])))
+    prof = _band_profile(k["ih_entry"], k["ih_step"], grid.taus_h, grid.ages_h,
+                         seed_tau_band, d)
     i_h0 = infected_fraction * s_h0[:, None] * prof
     return StateFields("full", 0.0, (1.0 - infected_fraction) * s_h0, i_h0,
                        np.zeros((grid.n_ah, grid.n_eta)), s_m0, i_m0)
@@ -287,84 +283,67 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 # stepping
 
 
+def _outflow(w: np.ndarray, w0, field: np.ndarray, inflow):
+    """Mass leaving ``field`` through one removal channel during a step, per
+    age row (a scalar for a field with no age axis): the outflow weights
+    ``w`` against every cohort moving one cell, plus ``w0`` of the cohort
+    entering with ``inflow``."""
+    cur, prev = _diagonal(field.ndim)
+    mass = np.zeros(field.shape[:-1])
+    mass[cur[:-1]] = np.sum(w[cur] * field[prev], axis=-1)
+    mass += w0 * inflow
+    return mass
+
+
+def _advance(field: np.ndarray, out: np.ndarray, step: np.ndarray, entry,
+             inflow) -> np.ndarray:
+    """Move ``field`` one cell along every axis into ``out``, decaying by
+    ``step``, and fill the structure-age-0 column with ``inflow * entry``."""
+    cur, prev = _diagonal(field.ndim)
+    out[cur] = field[prev] * step[cur]
+    if field.ndim == 2:
+        out[0, 1:] = 0.0      # nothing moves into the first age row
+    out[..., 0] = inflow * entry
+    return out
+
+
 def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
                   buf: dict) -> None:
     d = grid.delta
-    nh = _checked_n_h(state, params, grid)
-    phi_m = _mosquito_pressure(state, params, grid)   # theta * iint beta_m I_m
-    phi_h = _human_pressure(state, params, grid)      # theta * iint beta_h I_h
-    rate_mh = phi_m / nh   # per-susceptible-human infection rate
-    rate_hm = phi_h / nh   # per-susceptible-mosquito infection rate
+    nh = _checked_n_h(state, grid, k)
+    rate_mh = _mosquito_pressure(state, params, k) / nh   # per-susceptible-human rate
+    rate_hm = _human_pressure(state, params, k) / nh      # per-susceptible-mosquito rate
     sur: SurvivalTable = k["sur"]
 
+    infected_h = state.s_h * rate_mh    # new human infections (by age in full mode)
+    infected_m = state.s_m * rate_hm    # new mosquito infections by age
+    # recoveries and immunity losses during the step: each channel's share of
+    # every cohort's removal (conserves the removal mass split exactly)
+    recovered = _outflow(k["ih_out"], k["ih_out0"], state.i_h, infected_h)
+    returned = _outflow(k["rh_out"], k["rh_out0"], state.r_h, recovered)
+
     if state.mode == "full":
-        lam_mh = state.s_h * rate_mh                       # new human infections by age
-        # recoveries generated during the step: the recovery share of every
-        # cohort's removal (conserves the removal mass split exactly)
-        rb = np.zeros_like(state.s_h)
-        rb[1:] = np.sum(k["gamma_share"][1:, 1:] * (1.0 - k["ih_step"][1:, 1:])
-                        * state.i_h[:-1, :-1], axis=1)
-        rb += k["gamma_share0"] * lam_mh * (1.0 - k["ih_entry"])
-        # immunity losses returning to the susceptible pool, same bookkeeping
-        src = np.zeros_like(state.s_h)
-        src[1:] = np.sum(k["k_share"][1:, 1:] * (1.0 - k["rh_step"][1:, 1:])
-                         * state.r_h[:-1, :-1], axis=1)
-        src += k["k_share0"] * rb * (1.0 - k["rh_entry"])
-
         new_s = buf["s_h"]
-        new_s[1:] = (state.s_h[:-1] + d * src[1:]) * sur.decay_h_step[1:] \
+        new_s[1:] = (state.s_h[:-1] + d * returned[1:]) * sur.decay_h_step[1:] \
             * np.exp(-d * rate_mh)
-        new_s[0] = params.lambda_h * sur.decay_h_entry[0] * np.exp(-0.5 * d * rate_mh)
-
-        new_ih = buf["i_h"]
-        new_ih[1:, 1:] = state.i_h[:-1, :-1] * k["ih_step"][1:, 1:]
-        new_ih[0, 1:] = 0.0
-        new_ih[:, 0] = lam_mh * k["ih_entry"]
-
-        new_rh = buf["r_h"]
-        new_rh[1:, 1:] = state.r_h[:-1, :-1] * k["rh_step"][1:, 1:]
-        new_rh[0, 1:] = 0.0
-        new_rh[:, 0] = rb * k["rh_entry"]
-
+        new_s[0] = params.lambda_h * sur.decay_h_entry * np.exp(-0.5 * d * rate_mh)
         state.s_h, buf["s_h"] = new_s, state.s_h
-        state.i_h, buf["i_h"] = new_ih, state.i_h
-        state.r_h, buf["r_h"] = new_rh, state.r_h
     else:
-        births_i = state.s_h * rate_mh                       # total new infections
-        rb = float(np.sum(k["gamma_share1"][1:] * (1.0 - k["ih_step1"][1:])
-                          * state.i_h[:-1]))
-        rb += k["gamma_share10"] * births_i * (1.0 - k["ih_entry1"][0])
-        src_tot = float(np.sum(k["k_share1"][1:] * (1.0 - k["rh_step1"][1:])
-                               * state.r_h[:-1]))
-        src_tot += k["k_share10"] * rb * (1.0 - k["rh_entry1"][0])
-
-        r_tot = k["mu_h"] + rate_mh
-        s_inf = (params.lambda_h + src_tot) / r_tot
+        r_tot = params.mu_h_value() + rate_mh
+        s_inf = (params.lambda_h + returned) / r_tot
         state.s_h = state.s_h + (1.0 - np.exp(-r_tot * d)) * (s_inf - state.s_h)
 
-        new_ih = buf["i_h"]
-        new_ih[1:] = state.i_h[:-1] * k["ih_step1"][1:]
-        new_ih[0] = births_i * k["ih_entry1"][0]
-        state.i_h, buf["i_h"] = new_ih, state.i_h
-
-        new_rh = buf["r_h"]
-        new_rh[1:] = state.r_h[:-1] * k["rh_step1"][1:]
-        new_rh[0] = rb * k["rh_entry1"][0]
-        state.r_h, buf["r_h"] = new_rh, state.r_h
-
-    # mosquitoes (same in both modes)
-    lam_hm = state.s_m * rate_hm
     new_sm = buf["s_m"]
     new_sm[1:] = state.s_m[:-1] * sur.decay_m_step[1:] * np.exp(-d * rate_hm)
-    new_sm[0] = params.lambda_m * sur.decay_m_entry[0] * np.exp(-0.5 * d * rate_hm)
-
-    new_im = buf["i_m"]
-    new_im[1:, 1:] = state.i_m[:-1, :-1] * k["im_step"][1:, 1:]
-    new_im[0, 1:] = 0.0
-    new_im[:, 0] = lam_hm * k["im_entry"]
-
+    new_sm[0] = params.lambda_m * sur.decay_m_entry * np.exp(-0.5 * d * rate_hm)
     state.s_m, buf["s_m"] = new_sm, state.s_m
-    state.i_m, buf["i_m"] = new_im, state.i_m
+
+    for name, key, inflow in (("i_h", "ih", infected_h), ("r_h", "rh", recovered),
+                              ("i_m", "im", infected_m)):
+        field = getattr(state, name)
+        setattr(state, name, _advance(field, buf[name], k[key + "_step"], k[key + "_entry"],
+                                      inflow))
+        buf[name] = field
     state.t += d
 
 
@@ -386,9 +365,10 @@ def step(state: StateFields, params: ModelParams, grid: Grid) -> StateFields:
 
 def observe(state: StateFields, params: ModelParams, grid: Grid) -> Observables:
     d = grid.delta
+    k = _kernel(params, grid, state.mode)
     nh = n_human(state, grid)
-    phi_m = _mosquito_pressure(state, params, grid)
-    phi_h = _human_pressure(state, params, grid)
+    phi_m = _mosquito_pressure(state, params, k)
+    phi_h = _human_pressure(state, params, k)
     if state.mode == "full":
         total_ih = float(np.sum(state.i_h)) * d * d
         foi_mh = float(np.sum(state.s_h)) * d / nh * phi_m

@@ -159,6 +159,14 @@ def test_reproduce_unknown_figure_exits_2():
     assert main(["reproduce", "--figure", "fig9-nope"]) == 2
 
 
+def test_reproduce_takes_no_seed_fraction(tmp_path):
+    # every recipe fixes its own seed
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce", "--figure", "fig3-left", "--out-dir", str(out_dir),
+                 "--seed-fraction", "0.5", "--quiet"]) == 2
+    assert not out_dir.exists()
+
+
 def test_reproduce_recipes(tmp_path):
     out_dir = str(tmp_path / "repro")
     assert main(["reproduce", "--figure", "fig3-right", "--out-dir", out_dir,

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import structsim as ss
-from structsim.solver import (DegeneratePopulationError, load_snapshot, n_human,
+from structsim.rates import Arity, RateSpec
+from structsim.solver import (DegeneratePopulationError, _kernel, load_snapshot, n_human,
                               n_mosquito, observe, save_snapshot)
 
 from conftest import fast_grid, fast_params, make_params, random_full_state
@@ -227,3 +230,73 @@ def test_snapshot_roundtrip(tmp_path, forward):
     # and it can continue stepping
     more = ss.simulate(params, grid, loaded, t_end=0.1)
     assert more[-1].t == pytest.approx(0.6)
+
+
+# ---------------------------------------------------------------------------
+# one transport rule in both layouts
+
+
+def _triangle(n_a, n_s):
+    return np.arange(n_s)[None, :] <= np.arange(n_a)[:, None]
+
+
+@st.composite
+def _small_case(draw):
+    """Random small grid, age-free human rates and a random triangular state
+    in the drawn layout; ``first`` nonzero gives removal in the entry cell."""
+    delta = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    n_ah, n_am = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    n_th, n_tm = draw(st.integers(1, n_ah)), draw(st.integers(1, n_am))
+    n_eta = draw(st.integers(1, 12))
+    grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=n_am * delta,
+                   tau_max_h=n_th * delta, tau_max_m=n_tm * delta, eta_max=n_eta * delta)
+    first, late = draw(st.sampled_from([0.0, 0.7])), draw(st.floats(0.0, 5.0))
+    params = fast_params(
+        gamma_h=RateSpec.piecewise(draw(st.floats(0.0, 1.0)), first, late, Arity.TAU_ONLY),
+        k_h=RateSpec.piecewise(draw(st.floats(0.0, 1.0)), first, late / 2, Arity.ETA_ONLY))
+    mode = draw(st.sampled_from(["full", "reduced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_star = params.lambda_h / 0.8          # disease-free human total: above the floor
+    if mode == "full":
+        s_h = rng.uniform(0.5, 1.5, n_ah) * n_star / (n_ah * delta)
+        i_h = rng.uniform(0.0, 1.0, (n_ah, n_th)) * _triangle(n_ah, n_th)
+        r_h = rng.uniform(0.0, 1.0, (n_ah, n_eta)) * _triangle(n_ah, n_eta)
+    else:
+        s_h = rng.uniform(0.5, 1.5) * n_star
+        i_h, r_h = rng.uniform(0.0, 1.0, n_th), rng.uniform(0.0, 1.0, n_eta)
+    state = ss.StateFields(mode, 0.0, s_h, i_h, r_h, rng.uniform(0.5, 2.0, n_am),
+                           rng.uniform(0.0, 1.0, (n_am, n_tm)) * _triangle(n_am, n_tm))
+    return params, grid, state
+
+
+@given(_small_case())
+@settings(max_examples=60, deadline=None)
+def test_step_rule_on_random_small_grids(case):
+    params, grid, state = case
+    one = ss.step(state, params, grid)
+    _, fin = ss.simulate(params, grid, state, t_end=grid.delta, return_final=True)
+    for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+        got = np.asarray(getattr(one, name))
+        assert np.array_equal(got, np.asarray(getattr(fin, name))), name
+        assert np.all(got >= 0.0), name
+        if got.ndim == 2:
+            assert np.all(got[~_triangle(*got.shape)] == 0.0), name
+    # without infected humans or mosquitoes nobody is infected during the step
+    state.i_h, state.i_m = np.zeros_like(state.i_h), np.zeros_like(state.i_m)
+    clean = ss.step(state, params, grid)
+    assert np.all(clean.i_h == 0.0) and np.all(clean.i_m == 0.0)
+
+
+@pytest.mark.parametrize("over", [{}, {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
+                                       "k_h": RateSpec.constant(0.7, Arity.ETA_ONLY)}])
+def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
+    # with age-free human rates every age row of the full layout's tables is
+    # the reduced layout's table (row 0 only has the padding of the shift)
+    params = fast_params(**over)
+    grid = fast_grid(0.05)
+    full, red = _kernel(params, grid, "full"), _kernel(params, grid, "reduced")
+    for key in ("ih_step", "rh_step", "ih_out", "rh_out", "beta_h"):
+        assert full[key].shape[1:] == red[key].shape
+        assert all(np.array_equal(row, red[key]) for row in full[key][1:]), key
+    for key in ("ih_entry", "rh_entry", "ih_out0", "rh_out0"):
+        assert np.all(full[key] == red[key]), key
