@@ -30,6 +30,20 @@ def test_decoupled_solver_matches_closed_forms():
             assert rel_l1(getattr(fin, name), getattr(oracle, name)) <= 1e-10, name
 
 
+def test_decoupled_solver_matches_closed_forms_with_entry_cell_removal():
+    # recovery and immunity loss already act in the first structure-age cell
+    params = fast_params(beta_h=RateSpec.constant(0.0, Arity.AGE_TAU),
+                         beta_m=RateSpec.constant(0.0, Arity.AGE_TAU),
+                         gamma_h=RateSpec.constant(1.5, Arity.TAU_ONLY),
+                         k_h=RateSpec.constant(0.7, Arity.ETA_ONLY))
+    grid = fast_grid(0.05)
+    init = random_full_state(params, grid, seed=4)
+    rows, fin = ss.simulate(params, grid, init, t_end=0.5, return_final=True)
+    oracle = volterra_decoupled(params, grid, init, 0.5)
+    for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+        assert rel_l1(getattr(fin, name), getattr(oracle, name)) <= 1e-10, name
+
+
 def test_decoupled_large_time_infection_gone():
     params = no_transmission()
     grid = fast_grid(0.05)

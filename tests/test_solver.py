@@ -287,8 +287,28 @@ def test_step_rule_on_random_small_grids(case):
     assert np.all(clean.i_h == 0.0) and np.all(clean.i_m == 0.0)
 
 
-@pytest.mark.parametrize("over", [{}, {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
-                                       "k_h": RateSpec.constant(0.7, Arity.ETA_ONLY)}])
+# fast_params as is, and with recovery and immunity loss in the entry cell
+RATE_SETS = [{}, {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
+                  "k_h": RateSpec.constant(0.7, Arity.ETA_ONLY)}]
+
+
+@pytest.mark.parametrize("over", RATE_SETS)
+def test_outflow_weights_hand_value(over):
+    # channel share of the trapezoid removal times the fraction removed
+    params = fast_params(**over)
+    grid = fast_grid(0.05)
+    k = _kernel(params, grid, "reduced")
+    d = grid.delta
+    for key, part, other in (("ih", params.gamma_h(0.0, grid.taus_h), 0.8 + 0.3),
+                             ("rh", params.k_h(0.0, grid.etas), 0.8)):
+        pair = part[:-1] + part[1:]
+        expect = pair / (2 * other + pair) * -np.expm1(-0.5 * d * (2 * other + pair))
+        assert np.allclose(k[key + "_out"][1:], expect, rtol=1e-13, atol=0.0), key
+        expect0 = part[0] / (other + part[0]) * -math.expm1(-0.5 * d * (other + part[0]))
+        assert k[key + "_out0"] == pytest.approx(expect0, rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("over", RATE_SETS)
 def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
     # with age-free human rates every age row of the full layout's tables is
     # the reduced layout's table (row 0 only has the padding of the shift)
@@ -300,3 +320,20 @@ def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
         assert all(np.array_equal(row, red[key]) for row in full[key][1:]), key
     for key in ("ih_entry", "rh_entry", "ih_out0", "rh_out0"):
         assert np.all(full[key] == red[key]), key
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_entry_cell_recovery_hand_value(mode):
+    # with no infected or recovered humans, the recovered entry column after a
+    # step is the recovery share of what the newly infected lose on the way to
+    # the first infection-age center, carried to the first recovery-age center
+    params = fast_params(gamma_h=RateSpec.constant(1.5, Arity.TAU_ONLY),
+                         k_h=RateSpec.constant(0.7, Arity.ETA_ONLY))
+    grid = fast_grid(0.05)
+    st0 = ss.default_initial(params, grid, 0.0, mode=mode, infected_fraction_m=0.3)
+    d, r_ih, r_rh = grid.delta, 0.8 + 0.3 + 1.5, 0.8 + 0.7
+    expect = (ss.force_mh(st0, params, grid) * (1.5 / r_ih) * (1.0 - math.exp(-0.5 * d * r_ih))
+              * math.exp(-0.5 * d * r_rh))
+    got = np.atleast_1d(ss.step(st0, params, grid).r_h[..., 0])
+    assert np.all(expect > 0.0)
+    assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
