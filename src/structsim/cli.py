@@ -56,6 +56,11 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="configuration file")
     p.add_argument("--lambda-m", type=_positive_float, default=None,
                    help="override the mosquito recruitment rate")
+    _add_grid_args(p)
+
+
+def _add_grid_args(p: argparse.ArgumentParser) -> None:
+    """The grid overrides and --quiet, which every subcommand takes."""
     p.add_argument("--delta", type=_positive_float, default=None, help="grid step override")
     for name in ("a-max-h", "a-max-m", "tau-max-h", "tau-max-m", "eta-max"):
         p.add_argument(f"--{name}", type=float, default=None,
@@ -260,7 +265,8 @@ def cmd_reproduce(args) -> int:
     def out(suffix):
         return os.path.join(args.out_dir, f"{fig}.{suffix}")
 
-    ns = argparse.Namespace(**vars(args))
+    # the recipe chooses the model: reproduce takes no --preset, --config or --lambda-m
+    ns = argparse.Namespace(**vars(args), config=None)
     ns.out = out("csv")
     ns.svg = out("svg")
     ns.snapshot = None
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bifurcate)
 
     p = sub.add_parser("reproduce", help="rebuild one of the reference figures")
-    _add_model_args(p)
+    _add_grid_args(p)
     p.add_argument("--figure", choices=FIGURES, required=True)
     p.add_argument("--out-dir", default="reproduction")
     p.add_argument("--t-end", type=_nonnegative_float, default=50.0)

@@ -18,26 +18,40 @@ Two state layouts:
            integrates out exactly and the state is (s_h scalar, i_h[tau],
            r_h[eta]); mosquitoes keep their age structure.
 
-One transport rule serves every structured field (i_h, r_h and i_m) in both
-layouts.  The last axis of a field is its structure age (infection or
+The last axis of a structured field is its structure age (infection or
 recovery age); the leading axis, present except for the REDUCED human
-fields, is chronological age.  A step is the renewal representation on a
-shifted index: every cell moves one cell along all of its axes, is
-multiplied by its step factor, and the structure-age-0 column is filled
-with the step's inflow times the entry factor.  The mass a removal channel
-(recovery out of i_h, immunity loss out of r_h) takes during the step is
-one weighted sum of the field with fused weights share * (1 - step
-factor), and it is the inflow of the next pool.  Only the susceptible
-humans are updated per layout: an age profile in FULL, a scalar relaxing
-to its balance in REDUCED.
+fields, is chronological age.  Cells whose structure age exceeds their
+chronological age are identically zero.  A step is the renewal
+representation on a shifted index: a cell moves one cell along all of its
+axes and is multiplied by its step factor, and the structure-age-0 column
+is filled with the step's inflow times the entry factor.  The mass a removal
+channel (recovery out of i_h, immunity loss out of r_h) takes during the
+step is one row dot of the field with fused weights share * (1 - step
+factor), and it is the inflow of the next pool.  The human fields are
+advanced by this shift.  Only the susceptible humans are updated per layout:
+an age profile in FULL, a scalar relaxing to its balance in REDUCED.
 
-Cells of a field with two axes whose structure age exceeds chronological
-age are identically zero and stay so under the diagonal shift.
+Infected mosquitoes are not shifted.  Under the shift the cell (a, tau)
+after t steps is B_{t-tau}(x) * C[tau, x], with x = a - tau the cohort
+offset: B_s is the entry row written at step s (the new infections by age
+times the entry factor) and C[tau, x] the product of the step factors along
+the diagonal from (x, 0) to (x + tau, tau), zero past the age axis.  C does
+not depend on time, so a run keeps only the last n_tm entry rows in a ring
+(the newest at row t mod n_tm) and writes one row per step.  The kernel
+stores C and beta_m * C reversed and doubled along tau; rows c .. c + n_tm - 1
+of a doubled table, with c = n_tm - 1 - (t mod n_tm), line up with the ring
+rows, so the mosquito pressure and the infected-mosquito total are one
+contiguous dot product each.  Initial data enters the ring divided by C;
+the field is rebuilt from the ring when a run returns its state.
+
+A run computes N_h and the two pressures of each state once; the step that
+leaves the state and the observables sampled at it share them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +134,23 @@ def _channel_tables(part: np.ndarray, total: np.ndarray, delta: float):
     return entry, step, out, out0
 
 
+def _cohort_tables(step: np.ndarray, beta: np.ndarray):
+    """``C[tau, x]``, the product of ``step`` along the diagonal from
+    ``(x, 0)`` to ``(x + tau, tau)`` (zero past the age axis), and
+    ``beta[x + tau, tau] * C[tau, x]``, each reversed and doubled along tau
+    so that a slice of ``n_tm`` consecutive rows lines up with the ring."""
+    n_am, n_tm = step.shape
+    c = np.zeros((n_tm, n_am))
+    bc = np.zeros((n_tm, n_am))
+    c[0] = 1.0
+    bc[0] = beta[:, 0]
+    for tau in range(1, n_tm):
+        live = n_am - tau
+        np.multiply(c[tau - 1, :live], step[tau:, tau], out=c[tau, :live])
+        np.multiply(beta[tau:, tau], c[tau, :live], out=bc[tau, :live])
+    return (np.concatenate((c[::-1], c[::-1])), np.concatenate((bc[::-1], bc[::-1])))
+
+
 @functools.lru_cache(maxsize=8)
 def _kernel(params: ModelParams, grid: Grid, mode: str):
     delta = grid.delta
@@ -134,6 +165,7 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
     k["im_entry"], k["im_step"] = decay_factors(
         np.asarray(params.removal_rate("i_m")(am2, tm2)) + np.zeros_like(tm2), delta)
     k["beta_m"] = np.asarray(eval_rate(params.beta_m, am2 + 0.5 * delta, tm2))
+    k["im_c2"], k["im_beta2"] = _cohort_tables(k["im_step"], k["beta_m"])
 
     # human rates on the field axes: (age column, structure age) in full
     # mode, structure age alone in reduced mode, where no rate reads age
@@ -165,12 +197,12 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
 
 def _mosquito_pressure(state: StateFields, params: ModelParams, k: dict) -> float:
     """theta * double integral of beta_m * I_m  (bites turning infectious)."""
-    return params.theta * float(np.sum(k["beta_m"] * state.i_m)) * k["delta"] ** 2
+    return params.theta * float(np.vdot(k["beta_m"], state.i_m)) * k["delta"] ** 2
 
 
 def _human_pressure(state: StateFields, params: ModelParams, k: dict) -> float:
     """theta * integral of beta_h * I_h over the human field's axes."""
-    return params.theta * float(np.sum(k["beta_h"] * state.i_h)) * k["delta"] ** state.i_h.ndim
+    return params.theta * float(np.vdot(k["beta_h"], state.i_h)) * k["delta"] ** state.i_h.ndim
 
 
 def n_human(state: StateFields, grid: Grid) -> float:
@@ -186,18 +218,17 @@ def n_mosquito(state: StateFields, grid: Grid) -> float:
     return float(np.sum(state.s_m) * d + np.sum(state.i_m) * d * d)
 
 
-def _checked_n_h(state: StateFields, grid: Grid, k: dict) -> float:
-    nh = n_human(state, grid)
+def _above_floor(nh: float, k: dict, t: float) -> float:
     if nh < 0.5 * k["eps_floor"]:
         raise DegeneratePopulationError(
-            f"N_h = {nh:g} fell below half the floor {k['eps_floor']:g} at t = {state.t:g}")
+            f"N_h = {nh:g} fell below half the floor {k['eps_floor']:g} at t = {t:g}")
     return nh
 
 
 def force_mh(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
     """Infection pressure on humans by age: S_h(a)/N_h * theta * iint beta_m I_m."""
     k = _kernel(params, grid, state.mode)
-    nh = _checked_n_h(state, grid, k)
+    nh = _above_floor(n_human(state, grid), k, state.t)
     phi = _mosquito_pressure(state, params, k)
     s_h = np.atleast_1d(np.asarray(state.s_h, dtype=float))
     return s_h / nh * phi
@@ -206,7 +237,7 @@ def force_mh(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
 def force_hm(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
     """Infection pressure on mosquitoes by age: S_m(a)/N_h * theta * iint beta_h I_h."""
     k = _kernel(params, grid, state.mode)
-    nh = _checked_n_h(state, grid, k)
+    nh = _above_floor(n_human(state, grid), k, state.t)
     phi = _human_pressure(state, params, k)
     return state.s_m / nh * phi
 
@@ -283,6 +314,61 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 # stepping
 
 
+class _CohortRing:
+    """Infected mosquitoes of a run as the last ``n_tm`` entry rows, indexed by
+    the cohort offset ``x = a - tau``; after ``t`` steps the row of infection
+    age ``tau`` is ``(t - tau) mod n_tm`` (see the module docstring)."""
+
+    def __init__(self, k: dict, i_m: np.ndarray):
+        self.c2, self.beta2, self.entry = k["im_c2"], k["im_beta2"], k["im_entry"]
+        n, n_am = self.c2.shape[0] // 2, self.c2.shape[1]
+        self.t = 0
+        self.rows = np.zeros((n, n_am))
+        with np.errstate(divide="ignore", over="ignore"):
+            for tau in range(n):
+                cells = i_m[tau:, tau]
+                np.divide(cells, self.c2[n - 1 - tau, :n_am - tau],
+                          out=self.rows[-tau % n, :n_am - tau], where=cells != 0.0)
+        if not np.isfinite(np.max(self.rows)):
+            raise ValueError("initial i_m is nonzero where the infection survival "
+                             "product underflows; the cohort ring cannot hold it")
+
+    def _aligned(self, table: np.ndarray) -> np.ndarray:
+        """The rows of a reversed, doubled table that line up with the ring."""
+        n = len(self.rows)
+        c = n - 1 - self.t % n
+        return table[c:c + n]
+
+    def push(self, infected: np.ndarray) -> None:
+        """One step: the oldest cohort row becomes the newest entry row."""
+        self.t += 1
+        np.multiply(infected, self.entry, out=self.rows[self.t % len(self.rows)])
+
+    def sum_beta(self) -> float:
+        """Sum of beta_m * i_m over the cells."""
+        return float(np.vdot(self._aligned(self.beta2), self.rows))
+
+    def sum(self) -> float:
+        """Sum of i_m over the cells."""
+        return float(np.vdot(self._aligned(self.c2), self.rows))
+
+    def field(self) -> np.ndarray:
+        """The i_m field the ring holds."""
+        n, n_am = self.rows.shape
+        i_m = np.zeros((n_am, n))
+        for tau in range(n):
+            np.multiply(self.rows[(self.t - tau) % n, :n_am - tau],
+                        self.c2[n - 1 - tau, :n_am - tau], out=i_m[tau:, tau])
+        return i_m
+
+
+def _sums(state: StateFields, params: ModelParams, grid: Grid, k: dict,
+          ring: _CohortRing) -> tuple[float, float, float]:
+    """N_h and the mosquito and human pressures of a run's state."""
+    return (n_human(state, grid), params.theta * ring.sum_beta() * grid.delta ** 2,
+            _human_pressure(state, params, k))
+
+
 def _outflow(w: np.ndarray, w0, field: np.ndarray, inflow):
     """Mass leaving ``field`` through one removal channel during a step, per
     age row (a scalar for a field with no age axis): the outflow weights
@@ -290,7 +376,7 @@ def _outflow(w: np.ndarray, w0, field: np.ndarray, inflow):
     entering with ``inflow``."""
     cur, prev = _diagonal(field.ndim)
     mass = np.zeros(field.shape[:-1])
-    mass[cur[:-1]] = np.sum(w[cur] * field[prev], axis=-1)
+    mass[cur[:-1]] = np.einsum("...j,...j->...", w[cur], field[prev])
     mass += w0 * inflow
     return mass
 
@@ -309,10 +395,13 @@ def _advance(field: np.ndarray, out: np.ndarray, step: np.ndarray, entry,
 
 def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
                   buf: dict) -> None:
+    """One step of a run: ``buf`` holds the scratch arrays, the ring holding
+    the infected mosquitoes and the sums of ``state``, which it updates."""
     d = grid.delta
-    nh = _checked_n_h(state, grid, k)
-    rate_mh = _mosquito_pressure(state, params, k) / nh   # per-susceptible-human rate
-    rate_hm = _human_pressure(state, params, k) / nh      # per-susceptible-mosquito rate
+    nh, phi_m, phi_h = buf["sums"]
+    _above_floor(nh, k, state.t)
+    rate_mh = phi_m / nh    # per-susceptible-human rate
+    rate_hm = phi_h / nh    # per-susceptible-mosquito rate
     sur: SurvivalTable = k["sur"]
 
     infected_h = state.s_h * rate_mh    # new human infections (by age in full mode)
@@ -338,48 +427,98 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
     new_sm[0] = params.lambda_m * sur.decay_m_entry * np.exp(-0.5 * d * rate_hm)
     state.s_m, buf["s_m"] = new_sm, state.s_m
 
-    for name, key, inflow in (("i_h", "ih", infected_h), ("r_h", "rh", recovered),
-                              ("i_m", "im", infected_m)):
+    for name, key, inflow in (("i_h", "ih", infected_h), ("r_h", "rh", recovered)):
         field = getattr(state, name)
         setattr(state, name, _advance(field, buf[name], k[key + "_step"], k[key + "_entry"],
                                       inflow))
         buf[name] = field
+    buf["ring"].push(infected_m)
     state.t += d
+    buf["sums"] = _sums(state, params, grid, k, buf["ring"])
 
 
-def _make_buffers(state: StateFields) -> dict:
+def _field_shapes(grid: Grid, mode: str) -> dict:
+    if mode == "full":
+        human = {"s_h": (grid.n_ah,), "i_h": (grid.n_ah, grid.n_th),
+                 "r_h": (grid.n_ah, grid.n_eta)}
+    elif mode == "reduced":
+        human = {"s_h": (), "i_h": (grid.n_th,), "r_h": (grid.n_eta,)}
+    else:
+        raise ValueError(f"unknown state mode {mode!r}")
+    return {**human, "s_m": (grid.n_am,), "i_m": (grid.n_am, grid.n_tm)}
+
+
+def _check_state(state: StateFields, grid: Grid) -> None:
+    """Raise ValueError unless every field has the grid's shape, is finite
+    and >= 0, and is exactly 0 where structure age exceeds age.  Min/max
+    reductions: no temporary larger than the square of the structure-age
+    axis, so a full-mode field is never copied."""
+    for name, shape in _field_shapes(grid, state.mode).items():
+        f = np.asarray(getattr(state, name), dtype=float)
+        if f.shape != shape:
+            raise ValueError(f"state field {name} has shape {f.shape}; the grid needs {shape}")
+        lo, hi = np.min(f), np.max(f)
+        if not (lo >= 0.0 and hi < np.inf):
+            raise ValueError(f"state field {name} must be finite and >= 0 "
+                             f"(min {lo:g}, max {hi:g})")
+        # structure-age index above the age index: the strict upper triangle
+        # of the leading square block
+        if f.ndim == 2 and np.max(np.triu(f[:f.shape[1]], 1)) != 0.0:
+            raise ValueError(f"state field {name} is nonzero where structure age exceeds age")
+
+
+def _start(init: StateFields, params: ModelParams, grid: Grid):
+    """A run from ``init``: a checked copy of it, whose i_m is held by the
+    ring in ``buf`` (``state.i_m`` is None until the run returns), the kernel
+    and ``buf``."""
+    _check_state(init, grid)
+    k = _kernel(params, grid, init.mode)
+    state = init.copy()
+    ring = _CohortRing(k, state.i_m)
+    state.i_m = None
     buf = {"i_h": np.zeros_like(state.i_h), "r_h": np.zeros_like(state.r_h),
-           "s_m": np.zeros_like(state.s_m), "i_m": np.zeros_like(state.i_m)}
+           "s_m": np.zeros_like(state.s_m), "ring": ring}
     if state.mode == "full":
         buf["s_h"] = np.zeros_like(state.s_h)
-    return buf
+    buf["sums"] = _sums(state, params, grid, k, ring)
+    return state, k, buf
 
 
 def step(state: StateFields, params: ModelParams, grid: Grid) -> StateFields:
     """One unit-CFL step; returns a new state at t + delta."""
-    k = _kernel(params, grid, state.mode)
-    out = state.copy()
-    _step_inplace(out, params, grid, k, _make_buffers(out))
+    out, k, buf = _start(state, params, grid)
+    _step_inplace(out, params, grid, k, buf)
+    out.i_m = buf["ring"].field()
     return out
 
 
-def observe(state: StateFields, params: ModelParams, grid: Grid) -> Observables:
+def observe(state: StateFields, params: ModelParams, grid: Grid,
+            sums: tuple[float, float, float, float] | None = None) -> Observables:
+    """Observables of ``state``; ValueError if any is not finite.
+
+    A run passes ``sums``: the N_h and the two pressures it already computed
+    for the state, and the sum of the i_m cells its ring holds.
+    """
+    if sums is None:
+        k = _kernel(params, grid, state.mode)
+        sums = (n_human(state, grid), _mosquito_pressure(state, params, k),
+                _human_pressure(state, params, k), float(np.sum(state.i_m)))
     d = grid.delta
-    k = _kernel(params, grid, state.mode)
-    nh = n_human(state, grid)
-    phi_m = _mosquito_pressure(state, params, k)
-    phi_h = _human_pressure(state, params, k)
+    nh, phi_m, phi_h, sum_i_m = sums
     if state.mode == "full":
         total_ih = float(np.sum(state.i_h)) * d * d
         foi_mh = float(np.sum(state.s_h)) * d / nh * phi_m
     else:
         total_ih = float(np.sum(state.i_h)) * d
         foi_mh = float(state.s_h) / nh * phi_m
-    foi_hm = float(np.sum(state.s_m)) * d / nh * phi_h
-    return Observables(t=state.t, n_h=nh, n_m=n_mosquito(state, grid),
-                       total_i_h=total_ih,
-                       total_i_m=float(np.sum(state.i_m)) * d * d,
-                       foi_mh_total=foi_mh, foi_hm_total=foi_hm)
+    sum_s_m = float(np.sum(state.s_m))
+    obs = Observables(t=state.t, n_h=nh, n_m=sum_s_m * d + sum_i_m * d * d,
+                      total_i_h=total_ih, total_i_m=sum_i_m * d * d,
+                      foi_mh_total=foi_mh, foi_hm_total=sum_s_m * d / nh * phi_h)
+    if not all(np.isfinite((obs.n_h, obs.n_m, obs.total_i_h, obs.total_i_m,
+                            obs.foi_mh_total, obs.foi_hm_total))):
+        raise ValueError(f"non-finite observable at t = {state.t:g}: {obs.csv_row()}")
+    return obs
 
 
 SNAPSHOT_MAGIC = b"STRUCTSIM\x01"
@@ -405,25 +544,50 @@ def save_snapshot(state: StateFields, grid: Grid, path: str) -> None:
 
 
 def load_snapshot(path: str) -> tuple[StateFields, Grid]:
+    """Read a :func:`save_snapshot` file; ValueError if it is not one, is
+    truncated, or holds arrays whose rank or shape do not match its grid."""
     import struct
 
     with open(path, "rb") as fh:
-        magic = fh.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
+        def read(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"snapshot {path!r} is truncated: {what} needs {n} bytes, "
+                                 f"{len(data)} remain")
+            return data
+
+        if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
             raise ValueError(f"{path!r} is not a state snapshot")
-        (mode_flag,) = struct.unpack("<B", fh.read(1))
-        header = struct.unpack("<7d", fh.read(56))
-        grid = Grid(*header[:6])
-        t = header[6]
+        (mode_flag,) = struct.unpack("<B", read(1, "the mode flag"))
+        if mode_flag not in (0, 1):
+            raise ValueError(f"snapshot {path!r} has an unknown mode flag {mode_flag}")
+        header = struct.unpack("<7d", read(56, "the header"))
+        try:
+            grid = Grid(*header[:6])
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"snapshot {path!r} has a bad grid header: {exc}") from None
+        mode = "full" if mode_flag else "reduced"
         arrays = []
-        for _ in range(5):
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-            n = int(np.prod(shape))
-            arrays.append(np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy())
-    mode = "full" if mode_flag else "reduced"
+        for name, shape in _field_shapes(grid, mode).items():
+            shape = shape or (1,)              # the reduced scalar s_h is stored as [1]
+            (ndim,) = struct.unpack("<B", read(1, f"the rank of {name}"))
+            if ndim != len(shape):
+                raise ValueError(f"snapshot {path!r}: {name} has rank {ndim}, "
+                                 f"its grid needs {len(shape)}")
+            got = struct.unpack(f"<{ndim}q", read(8 * ndim, f"the shape of {name}"))
+            if got != shape:
+                raise ValueError(f"snapshot {path!r}: {name} has shape {got}, "
+                                 f"its grid needs {shape}")
+            n = math.prod(shape)
+            arr = np.fromfile(fh, dtype="<f8", count=n)    # no bytes copy held beside it
+            if arr.size != n:
+                raise ValueError(f"snapshot {path!r} is truncated: {name} needs {8 * n} "
+                                 f"bytes, fewer remain")
+            arrays.append(arr.reshape(shape))
+        if fh.read(1):
+            raise ValueError(f"snapshot {path!r} has bytes after its last array")
     s_h = arrays[0] if mode == "full" else float(arrays[0][0])
-    return StateFields(mode, t, s_h, arrays[1], arrays[2], arrays[3], arrays[4]), grid
+    return StateFields(mode, header[6], s_h, arrays[1], arrays[2], arrays[3], arrays[4]), grid
 
 
 def simulate(params: ModelParams, grid: Grid, init: StateFields | float,
@@ -433,22 +597,25 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields | float,
     steps (the initial and final instants are always included).
 
     ``init`` may be a prepared state or a seed fraction for
-    :func:`default_initial` in reduced mode.  Deterministic for fixed inputs.
+    :func:`default_initial` in reduced mode.  A prepared state must have the
+    grid's shapes, finite values >= 0 and zeros where structure age exceeds
+    age; ValueError otherwise, and also when an observable is not finite.
+    Deterministic for fixed inputs.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if not isinstance(init, StateFields):
         init = default_initial(params, grid, float(init), mode="reduced")
-    state = init.copy()
-    k = _kernel(params, grid, state.mode)
-    buf = _make_buffers(state)
+    state, k, buf = _start(init, params, grid)
+    ring = buf["ring"]
     n_steps = int(round(t_end / grid.delta))
-    rows = [observe(state, params, grid)]
+    rows = [observe(state, params, grid, (*buf["sums"], ring.sum()))]
     for n in range(1, n_steps + 1):
         _step_inplace(state, params, grid, k, buf)
         state.t = n * grid.delta + init.t   # avoid accumulated float drift
         if n % output_every == 0 or n == n_steps:
-            rows.append(observe(state, params, grid))
+            rows.append(observe(state, params, grid, (*buf["sums"], ring.sum())))
     if return_final:
+        state.i_m = ring.field()
         return rows, state
     return rows

@@ -167,6 +167,17 @@ def test_reproduce_takes_no_seed_fraction(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("extra", [["--lambda-m", "1e6"], ["--preset", "backward"],
+                                   ["--config", "model.cfg"]])
+def test_reproduce_rejects_model_options(tmp_path, capsys, extra):
+    # the recipe fixes the model; reproduce used to accept these and drop them
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce", "--figure", "fig3-left", "--out-dir", str(out_dir),
+                 "--t-end", "0.5", "--quiet", *extra]) == 2
+    assert not out_dir.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_reproduce_recipes(tmp_path):
     out_dir = str(tmp_path / "repro")
     assert main(["reproduce", "--figure", "fig3-right", "--out-dir", out_dir,

@@ -1,4 +1,6 @@
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structsim as ss
+from structsim import solver
 from structsim.rates import Arity, RateSpec
 from structsim.solver import (DegeneratePopulationError, _kernel, load_snapshot, n_human,
                               n_mosquito, observe, save_snapshot)
@@ -241,12 +244,19 @@ def _triangle(n_a, n_s):
 
 
 @st.composite
-def _small_case(draw):
+def _small_case(draw, tm_spans_age=None, min_n_ah=2):
     """Random small grid, age-free human rates and a random triangular state
-    in the drawn layout; ``first`` nonzero gives removal in the entry cell."""
+    in the drawn layout; ``first`` nonzero gives removal in the entry cell.
+    ``tm_spans_age`` True or False forces ``n_tm == n_am`` or ``n_tm < n_am``.
+    A human age axis of at least ``min_n_ah`` cells keeps N_h above the floor
+    over runs of many steps."""
     delta = draw(st.sampled_from([0.05, 0.1, 0.25]))
-    n_ah, n_am = draw(st.integers(2, 10)), draw(st.integers(2, 10))
-    n_th, n_tm = draw(st.integers(1, n_ah)), draw(st.integers(1, n_am))
+    n_ah, n_am = draw(st.integers(min_n_ah, min_n_ah + 8)), draw(st.integers(2, 10))
+    if tm_spans_age is None:
+        n_th, n_tm = draw(st.integers(1, n_ah)), draw(st.integers(1, n_am))
+    else:
+        n_th = draw(st.integers(1, n_ah))
+        n_tm = n_am if tm_spans_age else draw(st.integers(1, n_am - 1))
     n_eta = draw(st.integers(1, 12))
     grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=n_am * delta,
                    tau_max_h=n_th * delta, tau_max_m=n_tm * delta, eta_max=n_eta * delta)
@@ -337,3 +347,137 @@ def test_entry_cell_recovery_hand_value(mode):
     got = np.atleast_1d(ss.step(st0, params, grid).r_h[..., 0])
     assert np.all(expect > 0.0)
     assert np.allclose(got, expect, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# infected mosquitoes as a cohort ring
+
+
+class _ShiftRing:
+    """The cohort ring's interface over the i_m field moved by the shift rule
+    (``_advance``), the reference the ring must reproduce."""
+
+    def __init__(self, k, i_m):
+        self.k, self.i_m, self.spare = k, i_m.copy(), np.zeros_like(i_m)
+
+    def push(self, infected):
+        moved = solver._advance(self.i_m, self.spare, self.k["im_step"], self.k["im_entry"],
+                                infected)
+        self.i_m, self.spare = moved, self.i_m
+
+    def sum_beta(self):
+        return float(np.vdot(self.k["beta_m"], self.i_m))
+
+    def sum(self):
+        return float(np.sum(self.i_m))
+
+    def field(self):
+        return self.i_m.copy()
+
+
+@pytest.mark.parametrize("tm_spans_age", [False, True])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cohort_ring_matches_the_shift(tm_spans_age, data):
+    # the same run with i_m moved by the shift; only the rounding order of
+    # the products along the diagonal may differ
+    params, grid, state = data.draw(_small_case(tm_spans_age, min_n_ah=30))
+    n_steps = data.draw(st.integers(1, 25))
+    assert (grid.n_tm == grid.n_am) == tm_spans_age
+    rows, fin = ss.simulate(params, grid, state, t_end=n_steps * grid.delta,
+                            output_every=3, return_final=True)
+    with mock.patch.object(solver, "_CohortRing", _ShiftRing):
+        ref_rows, ref = ss.simulate(params, grid, state, t_end=n_steps * grid.delta,
+                                    output_every=3, return_final=True)
+    for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+        np.testing.assert_allclose(getattr(fin, name), getattr(ref, name), rtol=1e-12,
+                                   atol=0.0, err_msg=name)
+    assert len(rows) == len(ref_rows)
+    for row, ref_row in zip(rows, ref_rows):
+        assert row.t == ref_row.t
+        for got, want in zip(vars(row).values(), vars(ref_row).values()):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_cohort_ring_rejects_underflowed_survival():
+    # mosquito removal of 1e4 per year: one step factor is exp(-1000) = 0, so
+    # a cohort past infection age 0 cannot be divided back to its entry row
+    params = fast_params(mu_m=RateSpec.constant(1e4, Arity.AGE))
+    grid = fast_grid(0.1)
+    state = ss.default_initial(params, grid, 0.01, mode="reduced")
+    state.s_m = np.ones(grid.n_am)
+    state.i_m[:, 0] = 1.0                  # entry column: C = 1, fine
+    rows = ss.simulate(params, grid, state, t_end=0.3)
+    assert rows[-1].total_i_m == 0.0
+    state.i_m[4, 2] = 1.0
+    with pytest.raises(ValueError, match="underflow"):
+        ss.simulate(params, grid, state, t_end=0.3)
+
+
+# ---------------------------------------------------------------------------
+# guarded states and snapshots
+
+
+def _bad_nan_i_m(st, grid):
+    st.i_m[grid.n_am // 2, 3] = np.nan
+
+
+def _bad_negative_i_h(st, grid):
+    st.i_h[3] = -1e9
+
+
+def _bad_inf_s_m(st, grid):
+    st.s_m[0] = np.inf
+
+
+def _bad_outside_triangle(st, grid):
+    st.i_m[1, 4] = 1e-3                   # infection age above age
+
+
+def _bad_shape(st, grid):
+    st.r_h = np.zeros(grid.n_eta + 1)
+
+
+@pytest.mark.parametrize("spoil", [_bad_nan_i_m, _bad_negative_i_h, _bad_inf_s_m,
+                                   _bad_outside_triangle, _bad_shape])
+def test_simulate_rejects_bad_states(spoil):
+    params, grid = fast_params(), fast_grid(0.05)
+    st = ss.default_initial(params, grid, 0.01, mode="reduced", infected_fraction_m=0.1)
+    spoil(st, grid)
+    with pytest.raises(ValueError, match="state field"):
+        ss.simulate(params, grid, st, t_end=0.5)
+    with pytest.raises(ValueError, match="state field"):
+        ss.step(st, params, grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_simulate_rejects_non_finite_observables():
+    # every cell finite, but their sum overflows
+    params, grid = fast_params(), fast_grid(0.05)
+    st = ss.default_initial(params, grid, 0.01, mode="reduced")
+    st.s_m = np.full(grid.n_am, 1e308)
+    with pytest.raises(ValueError, match="non-finite observable"):
+        ss.simulate(params, grid, st, t_end=0.5)
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_truncated_snapshot_is_a_clear_error(tmp_path, mode):
+    params, grid = fast_params(), fast_grid(0.25)
+    path = tmp_path / "state.bin"
+    save_snapshot(ss.default_initial(params, grid, 0.01, mode=mode), grid, str(path))
+    data = path.read_bytes()
+    load_snapshot(str(path))
+    for cut in sorted({0, 4, 10, 11, 40, 67, 68, 70, 90, len(data) // 2,
+                       len(data) - 8, len(data) - 1}):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated|not a state snapshot"):
+            load_snapshot(str(path))
+    path.write_bytes(data + b"\0")
+    with pytest.raises(ValueError, match="after its last array"):
+        load_snapshot(str(path))
+    # the header says twice the mosquito age extent; the arrays do not follow
+    header = bytearray(data)
+    struct.pack_into("<d", header, 11 + 16, 2 * grid.a_max_m)
+    path.write_bytes(bytes(header))
+    with pytest.raises(ValueError, match="shape"):
+        load_snapshot(str(path))
