@@ -25,6 +25,7 @@ import numpy as np
 from .grids import Grid, build_survival, characteristic_cumulative
 from .kernels import spectral_kernels
 from .params import ModelParams, estimate_mu0
+from .r0 import _prefactor
 from .rates import eval_rate
 from .solver import StateFields
 
@@ -158,8 +159,7 @@ def g_of_lambda(params: ModelParams, grid: Grid, lam: float) -> float:
     if lam <= -mu0:
         raise ValueError(f"lambda must exceed -mu_0 = {-mu0:g}")
     sk = spectral_kernels(params, grid)
-    pref = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2)
-    return pref * sk.human_factor(lam) * sk.mosquito_factor(lam)
+    return _prefactor(params, sk) * sk.human_factor(lam) * sk.mosquito_factor(lam)
 
 
 @dataclass(frozen=True)

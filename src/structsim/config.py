@@ -72,6 +72,28 @@ def _parse_number(text: str, line: int) -> float:
         raise ConfigError(f"expected a number, got {text!r}", line) from None
 
 
+def _read_table(path: str, line: int) -> tuple[list[float], list[float]]:
+    """The (x, value) columns of a table file; a malformed line is an error
+    that names the file and its line."""
+    xs, ys = [], []
+    try:
+        with open(path) as fh:
+            for table_line, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw or raw.startswith("#"):
+                    continue
+                try:
+                    x, y = (float(p) for p in raw.replace(",", " ").split())
+                except ValueError:
+                    raise ConfigError(f"table file {path!r} line {table_line}: expected "
+                                      f"two numbers (x, value), got {raw!r}", line) from None
+                xs.append(x)
+                ys.append(y)
+    except OSError as exc:
+        raise ConfigError(f"cannot read table file {path!r}: {exc}", line) from None
+    return xs, ys
+
+
 def _parse_rate(name: str, value: str, line: int, base_dir: str) -> RateSpec:
     m = _CALL_RE.match(value)
     if not m:
@@ -103,19 +125,7 @@ def _parse_rate(name: str, value: str, line: int, base_dir: str) -> RateSpec:
         if kind == "table":
             if len(args) != 1:
                 raise ConfigError("table(path) takes one argument", line)
-            path = os.path.join(base_dir, args[0])
-            try:
-                xs, ys = [], []
-                with open(path) as fh:
-                    for raw in fh:
-                        raw = raw.strip()
-                        if not raw or raw.startswith("#"):
-                            continue
-                        parts = raw.replace(",", " ").split()
-                        xs.append(float(parts[0]))
-                        ys.append(float(parts[1]))
-            except OSError as exc:
-                raise ConfigError(f"cannot read table file {path!r}: {exc}", line) from None
+            xs, ys = _read_table(os.path.join(base_dir, args[0]), line)
             return RateSpec.table(xs, ys, _SCALAR_ARITY[name])
     except ValueError as exc:
         if isinstance(exc, ConfigError):

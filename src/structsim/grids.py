@@ -96,16 +96,6 @@ def default_grid(mu_h_value: float, delta: float = 0.005) -> Grid:
 # quadrature
 
 
-def integrate_1d(values: np.ndarray, delta: float) -> float:
-    """Composite midpoint rule for cell-centered samples; fixed-order summation."""
-    return float(np.sum(values, dtype=np.float64) * delta)
-
-
-def integrate_triangular(values: np.ndarray, delta: float) -> float:
-    """Cell-sum x delta^2 over a dense 2D field; out-of-triangle cells hold 0."""
-    return float(np.sum(values, dtype=np.float64) * delta * delta)
-
-
 def cumulative_to_centers(rate_at_centers: np.ndarray, delta: float) -> np.ndarray:
     """Integral of a rate from 0 up to each cell center.
 

@@ -44,8 +44,7 @@ class SpectralKernels:
     taus_h: np.ndarray
     c1: np.ndarray | None         # exp(-int (mu_h+nu_h+gamma_h)) on taus_h, eligible only
     beta_h_tau: np.ndarray | None
-    human_kernel: np.ndarray | None        # [n_xi_h, n_th], pi_h(xi) included; general path
-    human_kernel_nopi: np.ndarray | None   # same without the pi_h(xi) factor
+    human_kernel_nopi: np.ndarray | None   # [n_xi_h, n_th] without pi_h(xi); general path
     # mosquito side
     xis_m: np.ndarray
     taus_m: np.ndarray
@@ -60,19 +59,12 @@ class SpectralKernels:
         w = np.exp(-lam * self.taus_h)
         if self.eligible:
             return self.int_pi_h * float(np.sum(self.beta_h_tau * self.c1 * w)) * self.delta
-        return float(np.sum(self.human_kernel * w[None, :])) * self.delta ** 2
+        return float(self.pi_h @ (self.human_kernel_nopi @ w)) * self.delta ** 2
 
     def mosquito_factor(self, lam: float = 0.0) -> float:
         """iint beta_m e^{-removal} pi_m(xi) e^{-lam tau} dxi dtau."""
         w = np.exp(-lam * self.taus_m)
         return float(np.sum(self.mosq_kernel * w[None, :])) * self.delta ** 2
-
-    def human_kernel_action(self, b: np.ndarray) -> float:
-        """Contraction of the (pi_h-free) human kernel against an age density b."""
-        if self.eligible:
-            return float(np.sum(self.beta_h_tau * self.c1)) * self.delta \
-                * float(np.sum(b)) * self.delta
-        return float(np.sum(self.human_kernel_nopi * b[:, None])) * self.delta ** 2
 
 
 def _survival_on(mu_spec, ages: np.ndarray, delta: float) -> np.ndarray:
@@ -98,7 +90,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
         int_pi_h = float(d * np.exp(-0.5 * mu * d) / -np.expm1(-mu * d))
         c1 = np.exp(-cumulative_to_centers(params.removal_rate("i_h")(0.0, taus_h), d))
         beta_h_tau = np.asarray(eval_rate(params.beta_h, 0.0, taus_h))
-        human_kernel = human_kernel_nopi = None
+        human_kernel_nopi = None
     else:
         pi_h = _survival_on(params.mu_h, ages_h, d)
         int_pi_h = float(np.sum(pi_h)) * d
@@ -108,7 +100,6 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
                                   np.broadcast_to(taus_h[None, :],
                                                   (len(ages_h), len(taus_h)))))
         human_kernel_nopi = bh * np.exp(-cum)
-        human_kernel = human_kernel_nopi * pi_h[:, None]
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
@@ -125,7 +116,6 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
 
     return SpectralKernels(delta=d, eligible=eligible, ages_h=ages_h, pi_h=pi_h,
                            int_pi_h=int_pi_h, taus_h=taus_h, c1=c1,
-                           beta_h_tau=beta_h_tau, human_kernel=human_kernel,
-                           human_kernel_nopi=human_kernel_nopi,
+                           beta_h_tau=beta_h_tau, human_kernel_nopi=human_kernel_nopi,
                            xis_m=xis_m, taus_m=taus_m, pi_m=pi_m,
                            int_pi_m=int_pi_m, mosq_kernel=mosq_kernel)

@@ -80,11 +80,13 @@ class ModelParams:
 
     def epsilon_floor(self, grid: Grid) -> float:
         """Lower bound on the human population preserved by the dynamics:
-        lambda_h over the summed grid sup-norms of the human removal rates."""
+        the steady population of the truncated age axis under the largest
+        removal, lambda_h (1 - exp(-sup a_max_h)) / sup, with sup the summed
+        grid sup-norms of the human removal rates."""
         sup = sum(_rate_range(spec, grid.ages_h, seconds)[1] for spec, seconds in (
             (self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
             (self.gamma_h, grid.taus_h), (self.k_h, grid.etas)))
-        return self.lambda_h / sup
+        return self.lambda_h * float(-np.expm1(-sup * grid.a_max_h)) / sup
 
 
 def _rate_range(spec: RateSpec, ages: np.ndarray,

@@ -1,4 +1,4 @@
-"""Basic reproduction number by three independent routes.
+"""Basic reproduction number: the closed form and the routes that check it.
 
 Conventions: the spectral radius of the next-generation operator is
 ``r0 = sqrt(lambda0)``; the square ``lambda0`` is what the threshold and
@@ -9,13 +9,14 @@ Routes:
   closed form      lambda0 as the product of the mosquito/human ratio and
                    the two generation-kernel masses
   power iteration  spectral radius of the discretized human block of the
-                   squared next-generation operator; that block maps any
-                   age density to a multiple of the survival profile, so
-                   the structured path is one inner product plus a
-                   verification pass (a dense fallback is kept for
-                   cross-checks)
+                   squared next-generation operator, iterated on the grid's
+                   human age cells; the block is the survival profile times
+                   one contraction (rank one), so this re-sums the closed
+                   form in another order and checks the contraction code,
+                   not the formula (``g(0)`` likewise)
   reduced formula  valid when no human rate depends on age; replaces the
-                   survival-profile integral by 1/mu_h analytically
+                   survival-profile integral by 1/mu_h analytically, the
+                   one route independent of the closed form's quadrature
 
 lambda0 is exactly linear in the mosquito recruitment rate, which the
 bifurcation sweep exploits.
@@ -23,17 +24,13 @@ bifurcation sweep exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grids import Grid
 from .kernels import SpectralKernels, spectral_kernels
 from .params import ModelParams
-
-# survival tail kept below exp(-40) on the power-iteration age lattice
-_LATTICE_FOLDS = 40.0
-_LATTICE_MAX_CELLS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -94,82 +91,62 @@ def r0_reduced(params: ModelParams, grid: Grid) -> float:
 
 
 def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
-    """Human survival profile the power iteration runs on: pi_h on the grid,
-    or with constant mu_h, exp(-mu_h a) on cell centers extended past the
-    grid to 40 e-folds, so its sum matches the closed-form int pi_h."""
+    """Human survival profile on the grid's age cells.  With constant mu_h it
+    is exp(-mu_h a) on cell centers, and the last cell is an open age class
+    that holds the geometric tail past the grid, so its sum times delta is
+    the closed-form int pi_h up to rounding."""
     sk = spectral_kernels(params, grid)
     if not sk.eligible:
         return sk.pi_h
-    mu, d = params.mu_h_value(), sk.delta
-    cells = max(int(min(np.ceil(_LATTICE_FOLDS / mu / d), _LATTICE_MAX_CELLS)), grid.n_ah)
-    return np.exp(-mu * ((np.arange(cells) + 0.5) * d))
+    mu = params.mu_h_value()
+    pi_h = np.exp(-mu * sk.ages_h)
+    pi_h[-1] /= -np.expm1(-mu * sk.delta)
+    return pi_h
 
 
 def power_iteration_r0(params: ModelParams, grid: Grid, tol: float = 1e-12,
-                       max_iter: int = 64, dense: bool = False) -> R0Report:
+                       max_iter: int = 64) -> R0Report:
     """Spectral radius of the discretized human next-generation block.
 
-    The block sends b(xi) to pi_h(a) * coefficient(b); with the structured
-    path the Rayleigh quotient is exact after one application and a second
-    pass verifies it.  ``dense=True`` materializes the matrix and runs the
-    generic iteration (quadratic cost; for cross-checking on small grids).
+    The block sends an age density b to pi_h * (w . b), where w[xi] is the
+    contraction weight of age cell xi (the row sums of the pi_h-free human
+    kernel; a constant on the eligible path), so it has rank one.  The
+    Rayleigh quotient is exact from the image of the first iterate on, and
+    the loop stops when the next one agrees.  The route re-sums the closed
+    form in another order: it checks the contraction code, not the formula.
+    Quotients and norms are pairwise sums, so the iteration count depends
+    only on the operator.
     """
     sk = spectral_kernels(params, grid)
     pi_h = survival_profile(params, grid)
+    if sk.eligible:
+        w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
+    else:
+        w = np.sum(sk.human_kernel_nopi, axis=1) * sk.delta ** 2
     coef = _prefactor(params, sk) * sk.mosquito_factor(0.0)
 
     def apply_h(b: np.ndarray) -> np.ndarray:
-        return pi_h * (coef * sk.human_kernel_action(b))
+        return pi_h * (coef * float(np.sum(w * b)))
 
-    n = len(pi_h)
-    if dense:
-        if n > 20000:
-            raise ValueError("dense power iteration is for small grids")
-        if sk.eligible:
-            rows = np.full(n, float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta)
-        else:
-            rows = np.sum(sk.human_kernel_nopi, axis=1) * sk.delta
-        mat = coef * np.outer(pi_h, rows) * sk.delta
-        b = np.ones(n)
-        lam_prev = 0.0
-        for it in range(1, max_iter + 1):
-            hb = mat @ b
-            lam = float(hb @ b / (b @ b))
-            b = hb / np.linalg.norm(hb)
-            if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-                break
-            lam_prev = lam
-        else:
-            raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
-        hb = mat @ b
-    else:
-        b = np.ones(n)
-        lam_prev = 0.0
-        for it in range(1, max_iter + 1):
-            hb = apply_h(b)
-            lam = float(hb @ b / (b @ b))
-            nrm = float(np.linalg.norm(hb))
-            if nrm == 0.0:
-                lam, b = 0.0, b
-                break
-            b = hb / nrm
-            if it > 1 and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-                break
-            lam_prev = lam
-        else:
-            raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    b = np.ones(len(pi_h))
+    lam_prev = 0.0
+    for it in range(1, max_iter + 1):
         hb = apply_h(b)
+        lam = float(np.sum(hb * b) / np.sum(b * b))
+        nrm = float(np.sqrt(np.sum(hb * hb)))
+        if nrm == 0.0:
+            lam = 0.0
+            break
+        b = hb / nrm
+        if it > 1 and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+            break
+        lam_prev = lam
+    else:
+        raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    hb = apply_h(b)
     residual = float(np.sum(np.abs(hb - lam * b)) / max(np.sum(np.abs(b)), 1e-300))
-    lam0 = lambda0_closed_form(params, grid)
-    return R0Report(
-        r0_squared_closed_form=lam0,
-        r0=float(np.sqrt(lam0)),
-        r0_squared_power_iter=lam,
-        iterations=it,
-        residual=residual,
-        kernel_mass_mh=sk.mosquito_factor(0.0) / sk.int_pi_m,
-        kernel_mass_hm=sk.human_factor(0.0) / sk.int_pi_h,
-    )
+    return replace(r0_closed_form(params, grid), r0_squared_power_iter=lam,
+                   iterations=it, residual=residual)
 
 
 def lambda_m_slope(params: ModelParams, grid: Grid) -> float:

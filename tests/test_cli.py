@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from structsim import cli
 from structsim.cli import main
 
 GOOD_CONFIG = """
@@ -153,6 +154,29 @@ def test_report_consistency_gate(capsys):
     out = capsys.readouterr().out
     assert "endemic roots at this R0    2:" in out
     assert "backward" in out
+
+
+def test_report_names_the_route_that_breaks_agreement(capsys, monkeypatch):
+    reduced = cli.r0_reduced
+    monkeypatch.setattr(cli, "r0_reduced", lambda p, g: reduced(p, g) * (1 + 3e-5))
+    assert main(["report", "--preset", "backward", "--lambda-m", "2.5e7",
+                 "--delta", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert "MISMATCH" not in captured.out
+    assert "r0 squared (reduced)" in captured.out
+    assert "furthest from the closed form: reduced (3.00e-05 relative)" in captured.err
+
+
+def test_report_without_transmission_agrees_at_zero(tmp_path, capsys):
+    path = tmp_path / "dead.cfg"
+    # age-dependent mortality: the general path, which has no bifurcation part
+    path.write_text(GOOD_CONFIG.replace("beta_m  = gauss_exp(0.05, 0.2, 0.2, 1.0)",
+                                        "beta_m  = constant(0)")
+                    .replace("mu_h    = constant(0.022)", "mu_h    = piecewise(40, 0.02, 0.024)"))
+    assert main(["report", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "r0 squared (closed form)    0.0" in captured.out
+    assert "MISMATCH" not in captured.err
 
 
 def test_reproduce_unknown_figure_exits_2():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import structsim as ss
+from structsim.cli import main
 from structsim.config import ConfigError, load_config
 from structsim.params import preset, preset_grid, validate
 from structsim.rates import Arity, RateKind, RateSpec
@@ -102,6 +103,19 @@ def test_table_rate_roundtrip(tmp_path):
     assert not params.reduced_mode_eligible   # tabulated mu_h varies with age
 
 
+@pytest.mark.parametrize("bad_line", ["2.0", "2.0 abc", "2.0 0.5 9"])
+def test_malformed_table_line_names_file_and_line(tmp_path, capsys, bad_line):
+    (tmp_path / "mu.tsv").write_text(f"# x value\n0.0 0.5\n{bad_line}\n4.0 1.5\n")
+    doc = GOOD.replace("mu_h    = constant(0.022)", "mu_h    = table(mu.tsv)")
+    with pytest.raises(ConfigError, match=r"mu\.tsv' line 3: expected two numbers") as err:
+        load_config(doc, base_dir=str(tmp_path))
+    assert err.value.line == doc.splitlines().index("mu_h    = table(mu.tsv)") + 1
+    config = tmp_path / "table.cfg"
+    config.write_text(doc)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert "mu.tsv' line 3" in capsys.readouterr().err
+
+
 def test_validate_presets_all_pass():
     # default desk-scale grids, including the long backward human-age axis
     for name in ("forward", "backward"):
@@ -149,3 +163,9 @@ def test_epsilon_floor_positive(forward):
     params, grid = forward
     eps = params.epsilon_floor(grid)
     assert eps == pytest.approx(8.4e5 / (0.022 + 0.1 + 50.0 + 40.0), rel=1e-12)
+    # a short age axis caps the floor at its steady population
+    short = ss.Grid(delta=0.01, a_max_h=0.02, a_max_m=0.01, tau_max_h=0.01,
+                    tau_max_m=0.01, eta_max=0.01)
+    sup = 0.022 + 0.1 + 0.0 + 0.0          # gamma_h and k_h are 0 below 0.1
+    assert params.epsilon_floor(short) == pytest.approx(
+        8.4e5 * (1 - np.exp(-sup * 0.02)) / sup, rel=1e-12)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import structsim as ss
-from structsim.grids import (Grid, build_survival, cumulative_to_centers,
-                             integrate_1d, integrate_triangular)
+from structsim.grids import Grid, build_survival, cumulative_to_centers
 from structsim.rates import Arity, RateSpec
 
 from conftest import make_params
@@ -31,39 +30,13 @@ def test_grid_rejects_bad_extents():
              tau_max_m=1.0, eta_max=1.0)
 
 
-def test_integrate_1d_exact_cases():
-    # constant over [0, 1]
-    assert integrate_1d(np.ones(50), 0.02) == pytest.approx(1.0, abs=1e-14)
-    # midpoint is exact on linear integrands
-    xs = (np.arange(10) + 0.5) * 0.1
-    assert integrate_1d(xs, 0.1) == pytest.approx(0.5, abs=1e-14)
-    # exp(-x) on [0, 10] vs closed form
-    xs = (np.arange(1000) + 0.5) * 0.01
-    assert integrate_1d(np.exp(-xs), 0.01) == pytest.approx(1 - math.exp(-10), abs=1e-5)
-
-
-def test_integrate_triangular_cases():
-    delta = 0.01
-    n = 100
-    tri = (np.arange(n)[None, :] <= np.arange(n)[:, None]).astype(float)
-    # area of the triangle below the diagonal of the unit square
-    assert integrate_triangular(tri, delta) == pytest.approx(0.5, abs=2 * delta)
-    # separable field against iterated 1d quadrature (Fubini)
-    xs = (np.arange(n) + 0.5) * delta
-    f, g = np.exp(-xs), np.cos(xs)
-    field = np.outer(f, g)
-    iterated = integrate_1d(f, delta) * integrate_1d(g, delta)
-    assert integrate_triangular(field, delta) == pytest.approx(iterated, rel=1e-12)
-    assert integrate_triangular(np.zeros((5, 5)), 0.1) == 0.0
-
-
 def test_quadrature_error_shrinks_at_least_linearly():
     # Lipschitz integrand with a kink: |x - 1/3| on [0, 1]
     exact = (1.0 / 3) ** 2 / 2 + (2.0 / 3) ** 2 / 2
     errs = []
     for delta in (0.01, 0.005):
         xs = (np.arange(int(1 / delta)) + 0.5) * delta
-        errs.append(abs(integrate_1d(np.abs(xs - 1 / 3), delta) - exact))
+        errs.append(abs(float(np.sum(np.abs(xs - 1 / 3))) * delta - exact))
     assert errs[0] / max(errs[1], 1e-18) >= 1.8
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,67 +43,97 @@ def test_zero_transmission_gives_zero(forward):
     assert r0_closed_form(dead, grid).r0 == 0.0
 
 
+def _age_dependent():
+    # age-dependent human mortality breaks reduced-mode eligibility, so power
+    # iteration runs on the grid profile pi_h with per-age contraction weights
+    params = fast_params(mu_h=RateSpec.table([0.0, 1.0, 6.0], [0.6, 0.9, 1.4],
+                                             Arity.AGE))
+    assert not params.reduced_mode_eligible
+    return params, fast_grid(0.05)
+
+
+def _routes(params, grid):
+    """Power iteration report and every other route's lambda0."""
+    rep = power_iteration_r0(params, grid)
+    others = [rep.r0_squared_power_iter, g_of_lambda(params, grid, 0.0)]
+    if params.reduced_mode_eligible:
+        others.append(r0_reduced(params, grid))
+    return rep, others
+
+
 def test_cross_method_agreement(forward, backward):
-    for params, grid in (forward, backward):
-        rep = power_iteration_r0(params, grid)
-        vals = [rep.r0_squared_closed_form, rep.r0_squared_power_iter,
-                r0_reduced(params, grid), g_of_lambda(params, grid, 0.0)]
-        base = vals[0]
-        for v in vals[1:]:
+    for params, grid in (forward, backward, _age_dependent()):
+        rep, others = _routes(params, grid)
+        base = rep.r0_squared_closed_form
+        for v in others:
             assert abs(v - base) <= 1e-8 * base
         assert rep.r0 == pytest.approx(np.sqrt(base), rel=1e-12)
         assert rep.residual < 1e-10
 
 
-def test_power_iteration_rank_one_converges_immediately(forward):
-    params, grid = forward
-    rep = power_iteration_r0(params, grid, tol=1e-12)
-    assert rep.iterations <= 3
+# the benchmark's age-dependent config: forward rates, mu_h steps at a_star
+_AGE_GRID = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=0.6,
+                    tau_max_m=1.5, eta_max=1.0)
+
+
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(["forward", "backward"]), st.floats(1e6, 1e8)),
+    st.tuples(st.just("age"), st.floats(20.0, 60.0))))
+@settings(max_examples=30, deadline=None)
+def test_power_iteration_rank_one_converges_immediately(case):
+    # the block has rank one: with a constant contraction weight the first
+    # quotient is already exact (2 iterations), with per-age weights the
+    # second is (3 iterations); the count must not depend on rounding
+    name, value = case
+    if name == "age":
+        params = dataclasses.replace(ss.preset("forward", 8e6),
+                                     mu_h=RateSpec.piecewise(value, 0.02, 0.024, Arity.AGE))
+        grid, expected = _AGE_GRID, 3
+    else:
+        params, grid, expected = ss.preset(name, value), ss.preset_grid(name), 2
+    rep, others = _routes(params, grid)
+    assert rep.iterations == expected
+    base = rep.r0_squared_closed_form
+    for v in others:
+        assert abs(v - base) <= 1e-8 * base
 
 
 def test_power_iteration_survival_start_is_eigenvector(forward):
-    # the human block maps the survival profile to lambda0 times itself
-    params, grid = forward
-    sk = spectral_kernels(params, grid)
-    pi_h = survival_profile(params, grid)
-    lam0 = lambda0_closed_form(params, grid)
-    coef = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2) \
-        * sk.mosquito_factor(0.0)
-    image = pi_h * (coef * sk.human_kernel_action(pi_h))
-    resid = np.sum(np.abs(image - lam0 * pi_h)) / np.sum(np.abs(pi_h))
-    assert resid < 1e-10
+    # the human block maps the survival profile to lambda0 times itself, on
+    # the open-class profile (constant mu_h) and on the grid pi_h
+    for params, grid in (forward, _age_dependent()):
+        sk = spectral_kernels(params, grid)
+        pi_h = survival_profile(params, grid)
+        lam0 = lambda0_closed_form(params, grid)
+        coef = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2) \
+            * sk.mosquito_factor(0.0)
+        if sk.eligible:
+            weights = np.full(len(pi_h), float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta)
+        else:
+            weights = np.sum(sk.human_kernel_nopi, axis=1) * sk.delta
+        image = pi_h * (coef * float(np.sum(weights * pi_h)) * sk.delta)
+        resid = np.sum(np.abs(image - lam0 * pi_h)) / np.sum(np.abs(pi_h))
+        assert resid < 1e-10
 
 
-@given(mu=st.floats(0.01, 2.0), delta=st.floats(0.002, 0.05))
+@given(mu=st.floats(0.01, 2.0), delta=st.floats(0.002, 0.05), n_ah=st.integers(1, 5000))
 @settings(max_examples=40, deadline=None)
-def test_closed_form_survival_integral_matches_lattice_sum(mu, delta):
-    # the geometric series against the lattice sum power iteration runs on
+def test_closed_form_survival_integral_matches_lattice_sum(mu, delta, n_ah):
+    # the geometric series against the grid profile power iteration runs on,
+    # whose last cell is an open age class holding the tail past the grid
     params = fast_params(mu_h=RateSpec.constant(mu, Arity.AGE))
-    grid = ss.Grid(delta=delta, a_max_h=delta, a_max_m=delta, tau_max_h=delta,
+    grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=delta, tau_max_h=delta,
                    tau_max_m=delta, eta_max=delta)
-    lattice = float(np.sum(survival_profile(params, grid))) * delta
-    assert spectral_kernels(params, grid).int_pi_h == pytest.approx(lattice, rel=1e-12)
+    profile = survival_profile(params, grid)
+    assert len(profile) == n_ah
+    grid_sum = float(np.sum(profile)) * delta
+    assert spectral_kernels(params, grid).int_pi_h == pytest.approx(grid_sum, rel=1e-12)
 
 
 def test_survival_integral_needs_positive_mortality():
     params = fast_params(mu_h=RateSpec.constant(0.0, Arity.AGE))
     with pytest.raises(ValueError, match="mu_h > 0"):
         r0_closed_form(params, fast_grid(0.05))
-
-
-def test_dense_power_iteration_cross_check_age_dependent():
-    # age-dependent human mortality breaks reduced-mode eligibility; the
-    # structured action and the dense matrix must still agree
-    params = fast_params(mu_h=RateSpec.table([0.0, 1.0, 6.0], [0.6, 0.9, 1.4],
-                                             Arity.AGE))
-    grid = fast_grid(0.05)
-    assert not params.reduced_mode_eligible
-    rep_s = power_iteration_r0(params, grid)
-    rep_d = power_iteration_r0(params, grid, dense=True)
-    assert rep_d.r0_squared_power_iter == pytest.approx(
-        rep_s.r0_squared_power_iter, rel=1e-10)
-    assert rep_s.r0_squared_power_iter == pytest.approx(
-        rep_s.r0_squared_closed_form, rel=1e-8)
 
 
 def test_linearity_in_lambda_m(forward):
