@@ -10,7 +10,7 @@ from .bifurcation import (BifurcationBranch, ReducedKernels, bifurcation_constan
 from .characteristics import (GrowthRateResult, dominant_growth_rate, g_of_lambda,
                               volterra_decoupled)
 from .config import ConfigError, load_config
-from .grids import Grid, SurvivalTable, build_survival, default_grid
+from .grids import Grid, default_grid
 from .params import ModelParams, ValidationReport, preset, preset_grid, validate
 from .r0 import R0Report, lambda_m_for_target_r0, power_iteration_r0, r0_closed_form, \
     r0_reduced

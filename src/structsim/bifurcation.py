@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import offset_cumulative
-from .grids import Grid, build_survival, characteristic_cumulative, cumulative_to_centers
+from .grids import Grid, age_rate, characteristic_cumulative, cumulative_to_centers, \
+    decay_factors
 from .kernels import spectral_kernels
 from .params import ModelParams
 from .r0 import lambda0_closed_form, lambda_m_slope
@@ -48,12 +49,9 @@ class ReducedKernels:
 
     delta: float
     mu_h: float
-    taus: np.ndarray
     c1: np.ndarray                  # exp(-int_0^tau (mu_h + nu_h + gamma_h))
-    beta_h_tau: np.ndarray
     gamma_tau: np.ndarray
     nu_tau: np.ndarray
-    etas: np.ndarray
     immunity_decay: np.ndarray      # exp(-int_0^eta (mu_h + k_h))
     c2: float                       # theta * int beta_h c1
     immunity_integral: float        # int immunity_decay d eta
@@ -63,7 +61,6 @@ class ReducedKernels:
     int_gamma_imm: float            # int gamma_h(tau) exp(-int_0^tau (mu_h + k_h))
     recovered_weight: float         # int c1 * (1 + gamma_h * immunity_integral)
     xis_m: np.ndarray
-    mosquito_kernel: np.ndarray     # beta_m * pi_m * infection survival on (xi, tau)
     mosq_row_mass: np.ndarray       # per-xi mass of the mosquito kernel (x delta^2)
     mosquito_kernel_mass: float
     age_lag_mass: float             # iint (a - tau) * mosquito kernel
@@ -84,7 +81,6 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     mu_h = params.mu_h_value()
     taus, etas = grid.taus_h, grid.etas
     c1 = sk.c1
-    beta_h_tau = sk.beta_h_tau
     gamma_tau = np.asarray(eval_rate(params.gamma_h, 0.0, taus))
     nu_tau = np.asarray(eval_rate(params.nu_h, 0.0, taus))
     immunity_decay = np.exp(-cumulative_to_centers(params.removal_rate("r_h")(0.0, etas), d))
@@ -93,7 +89,7 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     int_c1 = float(np.sum(c1)) * d
     int_gamma_c1 = float(np.sum(gamma_tau * c1)) * d
     int_nu_c1 = float(np.sum(nu_tau * c1)) * d
-    c2 = params.theta * float(np.sum(beta_h_tau * c1)) * d
+    c2 = params.theta * float(np.sum(sk.beta_h_tau * c1)) * d
     recovered_weight = int_c1 + int_gamma_c1 * immunity_integral
     # recovery outflow against the immunity survival, sampled in infection age
     int_gamma_imm = float(np.sum(gamma_tau * np.exp(-cumulative_to_centers(
@@ -101,15 +97,17 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
 
     row_mass = np.sum(sk.mosq_kernel, axis=1) * d * d
     mass = float(np.sum(row_mass))
+    if not mass > 0.0:
+        raise ValueError("the mosquito->human kernel vanishes on the grid (beta_m is 0 "
+                         "wherever age exceeds infection age): no endemic branch exists")
     age_lag = float(np.sum(row_mass * sk.xis_m))
-    return ReducedKernels(delta=d, mu_h=mu_h, taus=taus, c1=c1,
-                          beta_h_tau=beta_h_tau, gamma_tau=gamma_tau, nu_tau=nu_tau,
-                          etas=etas, immunity_decay=immunity_decay, c2=c2,
+    return ReducedKernels(delta=d, mu_h=mu_h, c1=c1, gamma_tau=gamma_tau, nu_tau=nu_tau,
+                          immunity_decay=immunity_decay, c2=c2,
                           immunity_integral=immunity_integral, int_c1=int_c1,
                           int_gamma_c1=int_gamma_c1, int_nu_c1=int_nu_c1,
                           int_gamma_imm=int_gamma_imm,
                           recovered_weight=recovered_weight, xis_m=sk.xis_m,
-                          mosquito_kernel=sk.mosq_kernel, mosq_row_mass=row_mass,
+                          mosq_row_mass=row_mass,
                           mosquito_kernel_mass=mass, age_lag_mass=age_lag)
 
 
@@ -174,10 +172,6 @@ def bifurcation_constant(kernels: ReducedKernels) -> float:
     term2 = -kernels.int_gamma_imm
     term3 = float(np.sum(kernels.c1 * (kernels.nu_tau / kernels.mu_h - 1.0))) * kernels.delta
     return term1 + term2 + term3
-
-
-def c_bif(params: ModelParams, grid: Grid) -> float:
-    return bifurcation_constant(build_reduced_kernels(params, grid))
 
 
 def solve_endemic(r0: float, kernels: ReducedKernels) -> list[float]:
@@ -291,9 +285,9 @@ def reconstruct_equilibrium(k_root: float, params: ModelParams,
     if s_norm <= 0.0:
         raise ValueError(f"invalid root: susceptible share {s_norm:g} <= 0")
 
-    sur = build_survival(params, grid)
     lam_hm_rate = kernels.c2 * k_root                  # per-mosquito infection rate
-    s_m = params.lambda_m * sur.pi_m * np.exp(-lam_hm_rate * grid.ages_m)
+    s_m = params.lambda_m * spectral_kernels(params, grid).pi_m \
+        * np.exp(-lam_hm_rate * grid.ages_m)
     d_im = offset_cumulative(params, grid, "i_m")
     i_m = np.zeros((grid.n_am, grid.n_tm))
     for j in range(grid.n_tm):
@@ -337,8 +331,8 @@ def lift_reduced_equilibrium(k_root: float, params: ModelParams,
     """
     kernels = build_reduced_kernels(params, grid)
     state, n_star = reconstruct_equilibrium(k_root, params, grid)
-    sur = build_survival(params, grid)
     d = grid.delta
+    entry_h, step_h = decay_factors(age_rate(params.mu_h, grid.ages_h), d)
     n_a, n_t, n_e = grid.n_ah, grid.n_th, grid.n_eta
     d_ih = offset_cumulative(params, grid, "i_h")      # edge offsets
     d_rh = offset_cumulative(params, grid, "r_h")
@@ -350,7 +344,7 @@ def lift_reduced_equilibrium(k_root: float, params: ModelParams,
     rh_surv = np.exp(-d_rh)
     s = np.zeros(n_a)
     rb = np.zeros(n_a)                                 # recovery inflow at each age
-    s[0] = (params.lambda_h / n_star) * sur.decay_h_entry * np.exp(-0.5 * d * lam_rate)
+    s[0] = (params.lambda_h / n_star) * entry_h * np.exp(-0.5 * d * lam_rate)
     for i in range(n_a):
         if i > 0:
             js = np.arange(min(i, n_t))
@@ -359,7 +353,7 @@ def lift_reduced_equilibrium(k_root: float, params: ModelParams,
             ls = np.arange(min(i, n_e))
             r_row_prev = rb[i - 1 - ls] * rh_surv[i - 1 - ls, ls]
             src = float(np.sum(k_eta[: len(ls)] * r_row_prev)) * d
-            s[i] = (s[i - 1] + d * src) * sur.decay_h_step[i] * np.exp(-d * lam_rate)
+            s[i] = (s[i - 1] + d * src) * step_h[i] * np.exp(-d * lam_rate)
     i_star = np.zeros((n_a, n_t))
     for j in range(n_t):
         rows = np.arange(j, n_a)
@@ -383,7 +377,6 @@ def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
     if np.any(i_h_star < 0):
         raise ValueError("candidate density must be non-negative")
     d = grid.delta
-    sur = build_survival(params, grid)
     sk = spectral_kernels(params, grid)
     ages, taus, etas = grid.ages_h, grid.taus_h, grid.etas
     n_a = grid.n_ah
@@ -395,7 +388,8 @@ def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
     rec_in = np.sum(gamma_grid * i_h_star, axis=1) * d       # int gamma i* dtau, per age
 
     # population correction: iint (int nu i*) exp(-int_s^a mu) ds da
-    mh_c = sur.cum_h
+    mh_rate = age_rate(params.mu_h, ages)
+    mh_c = cumulative_to_centers(mh_rate, d)
     inner = np.exp(-mh_c) * np.cumsum(nh_loss * np.exp(mh_c)) * d
     koef = float(np.sum(inner)) * d
 
@@ -409,8 +403,7 @@ def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
     first = r0_sq * (1.0 + koef) ** 2 * (damped / mass)
 
     # bracket(alpha) on edge-aligned age offsets alpha = x * delta
-    mh_edge = np.concatenate(([0.0], np.cumsum(
-        np.asarray(eval_rate(params.mu_h, ages, 0.0)) * d)))
+    mh_edge = np.concatenate(([0.0], np.cumsum(mh_rate * d)))
     row_mass = np.sum(i_h_star, axis=1) * d                  # int i*(a, s) ds at centers
     # int_0^alpha i*(alpha, s) ds: i* at the edge age is the mean of the rows around it
     b1 = np.concatenate(([0.0], 0.5 * (row_mass[:-1] + row_mass[1:]), [row_mass[-1]]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, build_survival, characteristic_cumulative
+from .grids import Grid, age_rate, characteristic_cumulative, cumulative_to_centers
 from .kernels import spectral_kernels
 from .params import ModelParams, estimate_mu0
 from .r0 import _prefactor
@@ -86,7 +86,8 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     if abs(t - n * d) > 1e-9 * max(1.0, abs(t)):
         raise ValueError("t must be a multiple of the grid step")
 
-    sur = build_survival(params, grid)
+    cum_h = cumulative_to_centers(age_rate(params.mu_h, grid.ages_h), d)
+    cum_m = cumulative_to_centers(age_rate(params.mu_m, grid.ages_m), d)
     from .solver import _kernel
     sk = _kernel(params, grid, "full")
     d_ih = offset_cumulative(params, grid, "i_h")
@@ -128,23 +129,23 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
 
     s_m_t = np.zeros(grid.n_am)
     if n < grid.n_am:
-        s_m_t[n:] = init.s_m[: grid.n_am - n] * np.exp(-(sur.cum_m[n:] - sur.cum_m[: grid.n_am - n]))
-    s_m_t[: min(n, grid.n_am)] = params.lambda_m * sur.pi_m[: min(n, grid.n_am)]
+        s_m_t[n:] = init.s_m[: grid.n_am - n] * np.exp(-(cum_m[n:] - cum_m[: grid.n_am - n]))
+    s_m_t[: min(n, grid.n_am)] = params.lambda_m * np.exp(-cum_m[: min(n, grid.n_am)])
 
     s_h_t = np.zeros(grid.n_ah)
     if n < grid.n_ah:
-        s_h_t[n:] = init.s_h[: grid.n_ah - n] * np.exp(-(sur.cum_h[n:] - sur.cum_h[: grid.n_ah - n]))
-    s_h_t[: min(n, grid.n_ah)] = params.lambda_h * sur.pi_h[: min(n, grid.n_ah)]
+        s_h_t[n:] = init.s_h[: grid.n_ah - n] * np.exp(-(cum_h[n:] - cum_h[: grid.n_ah - n]))
+    s_h_t[: min(n, grid.n_ah)] = params.lambda_h * np.exp(-cum_h[: min(n, grid.n_ah)])
     # immunity-loss returns accumulated along each susceptible characteristic:
     # a packet entering at row y on step m+1 reaches row y + (n-1-m) at time t
-    mh_prev = np.concatenate(([0.0], sur.cum_h[:-1]))
+    mh_prev = np.concatenate(([0.0], cum_h[:-1]))
     for m in range(n):
         src = source_inflow(m)
         shift = n - 1 - m
         y = np.arange(1, grid.n_ah - shift)
         if len(y) == 0:
             continue
-        s_h_t[y + shift] += d * src[y] * np.exp(-(sur.cum_h[y + shift] - mh_prev[y]))
+        s_h_t[y + shift] += d * src[y] * np.exp(-(cum_h[y + shift] - mh_prev[y]))
 
     return StateFields("full", n * d, s_h_t, i_h_t, r_h_t, s_m_t, i_m_t)
 

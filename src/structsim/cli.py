@@ -238,6 +238,8 @@ def cmd_report(args) -> int:
         red = r0_reduced(params, grid)
         routes["reduced"] = red
         lines.append(f"r0 squared (reduced)        {red!r}")
+    if params.reduced_mode_eligible and rep.kernel_mass_mh > 0:
+        # no branch without a mosquito->human kernel
         kern = build_reduced_kernels(params, grid)
         kb = k_bar(kern)
         cb = bifurcation_constant(kern)

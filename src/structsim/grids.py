@@ -1,4 +1,4 @@
-"""Truncated uniform grids, midpoint quadrature, and survival tables.
+"""Truncated uniform grids, midpoint quadrature, and the one survival rule.
 
 All structural variables (chronological age, infection age, recovery age)
 and time share one step ``delta`` so that transport characteristics, which
@@ -11,6 +11,12 @@ the integral up to a cell center is (full cells at sampled values) plus a
 half cell at the local value.  This is exact for constant rates and for
 piecewise-constant rates whose jumps sit on cell edges, which keeps the
 disease-free profile an exact fixed point of the transport step.
+
+Survival along any characteristic (chronological, infection or recovery
+age) follows this one rule: ``exp(-cumulative_to_centers(rate))`` up to a
+center, or its per-step form ``decay_factors``.  No survival table is kept;
+each consumer builds the factors it reads, sampling an age-only rate with
+``age_rate``.
 """
 
 from __future__ import annotations
@@ -96,6 +102,12 @@ def default_grid(mu_h_value: float, delta: float = 0.005) -> Grid:
 # quadrature
 
 
+def age_rate(spec: RateSpec, ages: np.ndarray) -> np.ndarray:
+    """An age-only rate sampled on ``ages``; a scalar rate fills every cell."""
+    r = np.asarray(eval_rate(spec, ages, 0.0), dtype=float)
+    return np.full_like(ages, float(r)) if r.ndim == 0 else r
+
+
 def cumulative_to_centers(rate_at_centers: np.ndarray, delta: float) -> np.ndarray:
     """Integral of a rate from 0 up to each cell center.
 
@@ -124,47 +136,6 @@ def decay_factors(rate_at_centers: np.ndarray,
     step = np.ones_like(r)
     step[cur] = np.exp(-0.5 * delta * (r[prev] + r[cur]))
     return np.exp(-0.5 * delta * r[..., 0]), step
-
-
-@dataclass(frozen=True)
-class SurvivalTable:
-    """Survival-from-birth probabilities on the age grids.
-
-    ``pi_h[j] = exp(-int_0^{a_j} mu_h)`` at human age centers, same for
-    mosquitoes; built as a running product of per-cell decay factors so the
-    transport step reproduces the profile bit-for-bit.  ``cum_h``/``cum_m``
-    are the cumulative hazards.
-    """
-
-    pi_h: np.ndarray
-    pi_m: np.ndarray
-    cum_h: np.ndarray
-    cum_m: np.ndarray
-    decay_h_entry: float
-    decay_h_step: np.ndarray
-    decay_m_entry: float
-    decay_m_step: np.ndarray
-
-
-def _survival_1d(mu: RateSpec, ages: np.ndarray, delta: float):
-    r = np.asarray(eval_rate(mu, ages, 0.0), dtype=float)
-    if r.ndim == 0:
-        r = np.full_like(ages, float(r))
-    entry, step = decay_factors(r, delta)
-    factors = step.copy()
-    factors[0] = entry
-    pi = np.cumprod(factors)
-    cum = cumulative_to_centers(r, delta)
-    return pi, cum, entry, step
-
-
-def build_survival(params, grid: Grid) -> SurvivalTable:
-    """Survival tables for humans and mosquitoes from the mortality rates."""
-    pi_h, cum_h, eh, sh = _survival_1d(params.mu_h, grid.ages_h, grid.delta)
-    pi_m, cum_m, em, sm = _survival_1d(params.mu_m, grid.ages_m, grid.delta)
-    return SurvivalTable(pi_h=pi_h, pi_m=pi_m, cum_h=cum_h, cum_m=cum_m,
-                         decay_h_entry=eh, decay_h_step=sh,
-                         decay_m_entry=em, decay_m_step=sm)
 
 
 def characteristic_cumulative(rate_fn, offsets: np.ndarray, taus: np.ndarray,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, characteristic_cumulative, cumulative_to_centers
+from .grids import Grid, age_rate, characteristic_cumulative, cumulative_to_centers
 from .params import ModelParams
 from .rates import eval_rate
 
@@ -67,13 +67,6 @@ class SpectralKernels:
         return float(np.sum(self.mosq_kernel * w[None, :])) * self.delta ** 2
 
 
-def _survival_on(mu_spec, ages: np.ndarray, delta: float) -> np.ndarray:
-    r = np.asarray(eval_rate(mu_spec, ages, 0.0), dtype=float)
-    if r.ndim == 0:
-        r = np.full_like(ages, float(r))
-    return np.exp(-cumulative_to_centers(r, delta))
-
-
 @functools.lru_cache(maxsize=8)
 def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     d = grid.delta
@@ -92,7 +85,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
         beta_h_tau = np.asarray(eval_rate(params.beta_h, 0.0, taus_h))
         human_kernel_nopi = None
     else:
-        pi_h = _survival_on(params.mu_h, ages_h, d)
+        pi_h = np.exp(-cumulative_to_centers(age_rate(params.mu_h, ages_h), d))
         int_pi_h = float(np.sum(pi_h)) * d
         c1 = beta_h_tau = None
         cum = characteristic_cumulative(params.removal_rate("i_h"), ages_h, taus_h, d)
@@ -103,7 +96,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
-    pi_m = _survival_on(params.mu_m, xis_m, d)
+    pi_m = np.exp(-cumulative_to_centers(age_rate(params.mu_m, xis_m), d))
     cum_m = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
     bm = np.asarray(eval_rate(params.beta_m, xis_m[:, None] + taus_m[None, :],
                               np.broadcast_to(taus_m[None, :],

@@ -82,10 +82,13 @@ class ModelParams:
         """Lower bound on the human population preserved by the dynamics:
         the steady population of the truncated age axis under the largest
         removal, lambda_h (1 - exp(-sup a_max_h)) / sup, with sup the summed
-        grid sup-norms of the human removal rates."""
+        grid sup-norms of the human removal rates; lambda_h a_max_h, its
+        limit, when no human is ever removed."""
         sup = sum(_rate_range(spec, grid.ages_h, seconds)[1] for spec, seconds in (
             (self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
             (self.gamma_h, grid.taus_h), (self.k_h, grid.etas)))
+        if sup == 0.0:
+            return self.lambda_h * grid.a_max_h
         return self.lambda_h * float(-np.expm1(-sup * grid.a_max_h)) / sup
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, SurvivalTable, build_survival, decay_factors
+from .grids import Grid, age_rate, decay_factors
 from .params import ModelParams
 from .rates import eval_rate
 
@@ -154,8 +154,8 @@ def _cohort_tables(step: np.ndarray, beta: np.ndarray):
 @functools.lru_cache(maxsize=8)
 def _kernel(params: ModelParams, grid: Grid, mode: str):
     delta = grid.delta
-    k = {"sur": build_survival(params, grid), "delta": delta,
-         "eps_floor": params.epsilon_floor(grid)}
+    k = {"delta": delta, "eps_floor": params.epsilon_floor(grid)}
+    k["sm_entry"], k["sm_step"] = decay_factors(age_rate(params.mu_m, grid.ages_m), delta)
 
     # Transmission probabilities are sampled half a cell up in age: the
     # unit-CFL dynamics pins (age - infection age) to whole cells, so the
@@ -170,12 +170,16 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
     # human rates on the field axes: (age column, structure age) in full
     # mode, structure age alone in reduced mode, where no rate reads age
     if mode == "full":
+        k["sh_entry"], k["sh_step"] = decay_factors(age_rate(params.mu_h, grid.ages_h), delta)
         a_h = grid.ages_h[:, None]
         taus = np.broadcast_to(grid.taus_h[None, :], (grid.n_ah, grid.n_th))
         etas = np.broadcast_to(grid.etas[None, :], (grid.n_ah, grid.n_eta))
     else:
         if not params.reduced_mode_eligible:
             raise ValueError("reduced mode requires age-independent human rates")
+        if not params.mu_h_value() > 0:
+            raise ValueError("reduced mode needs mu_h > 0: without human mortality "
+                             "the susceptible humans have no balance")
         a_h, taus, etas = 0.0, grid.taus_h, grid.etas
     # each rate table is dropped before the next is built: in full mode they
     # are the size of the fields
@@ -276,12 +280,11 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
     if not (0.0 <= infected_fraction_m < 1.0):
         raise ValueError("infected_fraction_m must lie in [0, 1)")
     k = _kernel(params, grid, mode)
-    sur: SurvivalTable = k["sur"]
     d = grid.delta
     # disease-free profile assembled in the same multiplication order as the
     # transport step, so it is a bit-exact fixed point
     s_m0 = np.cumprod(np.concatenate(
-        ([params.lambda_m * sur.decay_m_entry], sur.decay_m_step[1:])))
+        ([params.lambda_m * k["sm_entry"]], k["sm_step"][1:])))
     i_m0 = np.zeros((grid.n_am, grid.n_tm))
     if infected_fraction_m > 0.0:
         prof_m = _band_profile(k["im_entry"], k["im_step"], grid.taus_m, grid.ages_m,
@@ -302,7 +305,7 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
                            i_h0, r_h0, s_m0, i_m0)
 
     s_h0 = np.cumprod(np.concatenate(
-        ([params.lambda_h * sur.decay_h_entry], sur.decay_h_step[1:])))
+        ([params.lambda_h * k["sh_entry"]], k["sh_step"][1:])))
     prof = _band_profile(k["ih_entry"], k["ih_step"], grid.taus_h, grid.ages_h,
                          seed_tau_band, d)
     i_h0 = infected_fraction * s_h0[:, None] * prof
@@ -402,7 +405,6 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
     _above_floor(nh, k, state.t)
     rate_mh = phi_m / nh    # per-susceptible-human rate
     rate_hm = phi_h / nh    # per-susceptible-mosquito rate
-    sur: SurvivalTable = k["sur"]
 
     infected_h = state.s_h * rate_mh    # new human infections (by age in full mode)
     infected_m = state.s_m * rate_hm    # new mosquito infections by age
@@ -413,9 +415,9 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
 
     if state.mode == "full":
         new_s = buf["s_h"]
-        new_s[1:] = (state.s_h[:-1] + d * returned[1:]) * sur.decay_h_step[1:] \
+        new_s[1:] = (state.s_h[:-1] + d * returned[1:]) * k["sh_step"][1:] \
             * np.exp(-d * rate_mh)
-        new_s[0] = params.lambda_h * sur.decay_h_entry * np.exp(-0.5 * d * rate_mh)
+        new_s[0] = params.lambda_h * k["sh_entry"] * np.exp(-0.5 * d * rate_mh)
         state.s_h, buf["s_h"] = new_s, state.s_h
     else:
         r_tot = params.mu_h_value() + rate_mh
@@ -423,8 +425,8 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
         state.s_h = state.s_h + (1.0 - np.exp(-r_tot * d)) * (s_inf - state.s_h)
 
     new_sm = buf["s_m"]
-    new_sm[1:] = state.s_m[:-1] * sur.decay_m_step[1:] * np.exp(-d * rate_hm)
-    new_sm[0] = params.lambda_m * sur.decay_m_entry * np.exp(-0.5 * d * rate_hm)
+    new_sm[1:] = state.s_m[:-1] * k["sm_step"][1:] * np.exp(-d * rate_hm)
+    new_sm[0] = params.lambda_m * k["sm_entry"] * np.exp(-0.5 * d * rate_hm)
     state.s_m, buf["s_m"] = new_sm, state.s_m
 
     for name, key, inflow in (("i_h", "ih", infected_h), ("r_h", "rh", recovered)):

@@ -33,15 +33,18 @@ eta_max   = 1.0
 """
 
 
+# no mosquito->human transmission
+DEAD_CONFIG = GOOD_CONFIG.replace("beta_m  = gauss_exp(0.05, 0.2, 0.2, 1.0)",
+                                  "beta_m  = constant(0)")
+
+
 def test_validate_preset_ok():
     assert main(["validate", "--preset", "forward", "--delta", "0.01"]) == 0
 
 
 def test_validate_failing_config_exits_1(tmp_path):
-    bad = GOOD_CONFIG.replace("beta_m  = gauss_exp(0.05, 0.2, 0.2, 1.0)",
-                              "beta_m  = constant(0)")
     path = tmp_path / "dead.cfg"
-    path.write_text(bad)
+    path.write_text(DEAD_CONFIG)
     assert main(["validate", "--config", str(path)]) == 1
 
 
@@ -167,16 +170,54 @@ def test_report_names_the_route_that_breaks_agreement(capsys, monkeypatch):
     assert "furthest from the closed form: reduced (3.00e-05 relative)" in captured.err
 
 
-def test_report_without_transmission_agrees_at_zero(tmp_path, capsys):
+@pytest.mark.parametrize("mu_h", ["constant(0.022)", "piecewise(40, 0.02, 0.024)"],
+                         ids=["eligible", "general"])
+def test_report_without_transmission_agrees_at_zero(tmp_path, capsys, mu_h):
+    # with no mosquito->human kernel there is no endemic branch: the eligible
+    # path drops its bifurcation part, which the general path never has
     path = tmp_path / "dead.cfg"
-    # age-dependent mortality: the general path, which has no bifurcation part
-    path.write_text(GOOD_CONFIG.replace("beta_m  = gauss_exp(0.05, 0.2, 0.2, 1.0)",
-                                        "beta_m  = constant(0)")
-                    .replace("mu_h    = constant(0.022)", "mu_h    = piecewise(40, 0.02, 0.024)"))
+    path.write_text(DEAD_CONFIG.replace("mu_h    = constant(0.022)", f"mu_h    = {mu_h}"))
     assert main(["report", "--config", str(path)]) == 0
     captured = capsys.readouterr()
-    assert "r0 squared (closed form)    0.0" in captured.out
-    assert "MISMATCH" not in captured.err
+    values = {ln.split(")")[0]: ln.split(")")[1].split()[0]
+              for ln in captured.out.splitlines() if ln.startswith(("r0 squared", "g(0)"))}
+    assert len(values) == (4 if mu_h.startswith("constant") else 3)
+    assert set(values.values()) == {"0.0"}, values
+    assert "== bifurcation ==" not in captured.out
+    assert "MISMATCH" not in captured.err and "Traceback" not in captured.err
+
+
+def test_bifurcate_without_mosquito_kernel_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "dead.cfg"
+    path.write_text(DEAD_CONFIG)
+    out = tmp_path / "branch.csv"
+    assert main(["bifurcate", "--config", str(path), "--lambda-m-min", "5e6",
+                 "--lambda-m-max", "1e7", "--points", "5", "--out", str(out),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the mosquito->human kernel vanishes")
+    assert not out.exists()
+
+
+def test_simulate_without_human_removal(tmp_path, capsys):
+    # no human ever leaves but by ageing off the axis: the full layout runs,
+    # the reduced one has no susceptible balance and says so
+    path = tmp_path / "immortal.cfg"
+    path.write_text(GOOD_CONFIG.replace("a_max_h   = 100.0", "a_max_h   = 1.0")
+                    .replace("mu_h    = constant(0.022)", "mu_h    = constant(0)")
+                    .replace("nu_h    = constant(0.1)", "nu_h    = constant(0)")
+                    .replace("piecewise(0.1, 0, 50)", "constant(0)")
+                    .replace("piecewise(0.1, 0, 40)", "constant(0)"))
+    out = tmp_path / "run.csv"
+    args = ["simulate", "--config", str(path), "--t-end", "0.5", "--out", str(out),
+            "--quiet"]
+    assert main(args + ["--mode", "full"]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(rows) > 1 and np.all(np.isfinite(rows))
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: reduced mode needs mu_h > 0")
 
 
 def test_reproduce_unknown_figure_exits_2():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import structsim as ss
-from structsim.grids import Grid, build_survival, cumulative_to_centers
+from structsim.grids import Grid, age_rate, cumulative_to_centers
 from structsim.rates import Arity, RateSpec
 
 from conftest import make_params
@@ -40,17 +40,23 @@ def test_quadrature_error_shrinks_at_least_linearly():
     assert errs[0] / max(errs[1], 1e-18) >= 1.8
 
 
+def _survival(p, g):
+    """Survival from birth on both age axes, by the one survival rule."""
+    return tuple(np.exp(-cumulative_to_centers(age_rate(mu, ages), g.delta))
+                 for mu, ages in ((p.mu_h, g.ages_h), (p.mu_m, g.ages_m)))
+
+
 def test_survival_constant_rate_closed_form():
     p = make_params(mu_h=0.022)
     g = Grid(delta=0.005, a_max_h=20.0, a_max_m=1.5, tau_max_h=0.6,
              tau_max_m=1.5, eta_max=1.0)
-    sur = build_survival(p, g)
+    pi_h, pi_m = _survival(p, g)
     # pi_h(10) = exp(-0.22), pi_m(0.5) = exp(-10) at the nearest centers
     j = int(round(10.0 / g.delta)) - 1        # center 9.9975
-    assert sur.pi_h[j] == pytest.approx(math.exp(-0.022 * g.ages_h[j]), rel=1e-12)
+    assert pi_h[j] == pytest.approx(math.exp(-0.022 * g.ages_h[j]), rel=1e-12)
     assert math.exp(-0.22) == pytest.approx(0.80252, abs=5e-6)
     jm = int(round(0.5 / g.delta)) - 1
-    assert sur.pi_m[jm] == pytest.approx(math.exp(-20.0 * g.ages_m[jm]), rel=1e-12)
+    assert pi_m[jm] == pytest.approx(math.exp(-20.0 * g.ages_m[jm]), rel=1e-12)
     assert math.exp(-10.0) == pytest.approx(4.54e-5, abs=1e-7)
 
 
@@ -72,12 +78,21 @@ def test_survival_piecewise_matches_refined_cumsum():
     assert np.max(np.abs(cum - ref) / np.maximum(ref, 1e-30)) < 1e-10
 
 
+def test_age_rate_repeats_a_scalar_rate():
+    g = Grid(delta=0.1, a_max_h=2.0, a_max_m=1.0, tau_max_h=0.5,
+             tau_max_m=0.5, eta_max=0.5)
+    # a rate that reads only its second variable is one scalar at age-only points
+    r = age_rate(RateSpec.piecewise(0.1, 0.3, 5.0, Arity.TAU_ONLY), g.ages_h)
+    assert r.shape == (g.n_ah,) and np.all(r == 0.3)
+    r = age_rate(RateSpec.piecewise(1.0, 0.5, 2.0, Arity.AGE), g.ages_h)
+    assert np.array_equal(r, np.where(g.ages_h <= 1.0, 0.5, 2.0))
+
+
 def test_survival_invariants():
     p = make_params()
     g = Grid(delta=0.01, a_max_h=50.0, a_max_m=1.5, tau_max_h=0.6,
              tau_max_m=1.5, eta_max=1.0)
-    sur = build_survival(p, g)
-    for pi, mu0 in ((sur.pi_h, 0.022), (sur.pi_m, 20.0)):
+    for pi, mu0 in zip(_survival(p, g), (0.022, 20.0)):
         assert pi[0] <= 1.0
         assert np.all(np.diff(pi) <= 0)
         ages = (np.arange(len(pi)) + 0.5) * g.delta

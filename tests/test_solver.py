@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -328,6 +329,21 @@ def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
         assert all(np.array_equal(row, red[key]) for row in full[key][1:]), key
     for key in ("ih_entry", "rh_entry", "ih_out0", "rh_out0"):
         assert np.all(full[key] == red[key]), key
+
+
+def test_reduced_kernel_builds_no_human_age_table():
+    # a reduced step reads no table on the human age axis, which has 500 000
+    # cells on the backward preset's grid; building one took 28 MB
+    params, grid = ss.preset("backward"), ss.preset_grid("backward")
+    _kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        k = _kernel(params, grid, "reduced")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"reduced kernel build peaked at {peak / 1e6:.1f} MB"
+    assert all(grid.n_ah not in np.shape(v) for v in k.values())
 
 
 @pytest.mark.parametrize("mode", ["full", "reduced"])
