@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import offset_cumulative
-from .grids import Grid, age_rate, characteristic_cumulative, cumulative_to_centers, \
-    decay_factors
+from .grids import Grid, characteristic_cumulative, cumulative_to_centers, decay_factors
 from .kernels import spectral_kernels
 from .params import ModelParams
 from .r0 import lambda0_closed_form, lambda_m_slope
-from .rates import eval_rate
+from .rates import eval_rate, rate_table
 from .solver import StateFields
 
 SCAN_POINTS = 2048
@@ -81,9 +80,10 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     mu_h = params.mu_h_value()
     taus, etas = grid.taus_h, grid.etas
     c1 = sk.c1
-    gamma_tau = np.asarray(eval_rate(params.gamma_h, 0.0, taus))
-    nu_tau = np.asarray(eval_rate(params.nu_h, 0.0, taus))
-    immunity_decay = np.exp(-cumulative_to_centers(params.removal_rate("r_h")(0.0, etas), d))
+    gamma_tau = rate_table(params.gamma_h, 0.0, taus)
+    nu_tau = rate_table(params.nu_h, 0.0, taus)
+    rh_removal = params.removal_rate("r_h")
+    immunity_decay = np.exp(-cumulative_to_centers(rate_table(rh_removal, 0.0, etas), d))
     immunity_integral = float(np.sum(immunity_decay)) * d
 
     int_c1 = float(np.sum(c1)) * d
@@ -93,7 +93,7 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     recovered_weight = int_c1 + int_gamma_c1 * immunity_integral
     # recovery outflow against the immunity survival, sampled in infection age
     int_gamma_imm = float(np.sum(gamma_tau * np.exp(-cumulative_to_centers(
-        params.removal_rate("r_h")(0.0, taus), d)))) * d
+        rate_table(rh_removal, 0.0, taus), d)))) * d
 
     row_mass = np.sum(sk.mosq_kernel, axis=1) * d * d
     mass = float(np.sum(row_mass))
@@ -332,12 +332,12 @@ def lift_reduced_equilibrium(k_root: float, params: ModelParams,
     kernels = build_reduced_kernels(params, grid)
     state, n_star = reconstruct_equilibrium(k_root, params, grid)
     d = grid.delta
-    entry_h, step_h = decay_factors(age_rate(params.mu_h, grid.ages_h), d)
+    entry_h, step_h = decay_factors(rate_table(params.mu_h, grid.ages_h), d)
     n_a, n_t, n_e = grid.n_ah, grid.n_th, grid.n_eta
     d_ih = offset_cumulative(params, grid, "i_h")      # edge offsets
     d_rh = offset_cumulative(params, grid, "r_h")
     gamma = kernels.gamma_tau
-    k_eta = np.asarray(eval_rate(params.k_h, 0.0, grid.etas))
+    k_eta = rate_table(params.k_h, 0.0, grid.etas)
     lam_rate = k_root / (state.s_h / n_star)           # per-susceptible-human rate
 
     ih_surv = np.exp(-d_ih)                            # [offset, tau]
@@ -381,20 +381,19 @@ def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
     ages, taus, etas = grid.ages_h, grid.taus_h, grid.etas
     n_a = grid.n_ah
 
-    tg = np.broadcast_to(taus[None, :], (n_a, grid.n_th))
-    nu_grid = np.asarray(eval_rate(params.nu_h, ages[:, None], tg))
-    gamma_grid = np.asarray(eval_rate(params.gamma_h, ages[:, None], tg))
-    nh_loss = np.sum(nu_grid * i_h_star, axis=1) * d         # int nu i* dtau, per age
-    rec_in = np.sum(gamma_grid * i_h_star, axis=1) * d       # int gamma i* dtau, per age
+    a2, t2 = ages[:, None], taus[None, :]
+    # int nu i* dtau and int gamma i* dtau, per age
+    nh_loss = np.sum(eval_rate(params.nu_h, a2, t2) * i_h_star, axis=1) * d
+    rec_in = np.sum(eval_rate(params.gamma_h, a2, t2) * i_h_star, axis=1) * d
 
     # population correction: iint (int nu i*) exp(-int_s^a mu) ds da
-    mh_rate = age_rate(params.mu_h, ages)
+    mh_rate = rate_table(params.mu_h, ages)
     mh_c = cumulative_to_centers(mh_rate, d)
     inner = np.exp(-mh_c) * np.cumsum(nh_loss * np.exp(mh_c)) * d
     koef = float(np.sum(inner)) * d
 
     pressure = params.theta * float(np.sum(
-        np.asarray(eval_rate(params.beta_h, ages[:, None], tg)) * i_h_star)) * d * d
+        eval_rate(params.beta_h, a2, t2) * i_h_star)) * d * d
 
     damped = float(np.sum(sk.mosq_kernel
                           * np.exp(-pressure * sk.xis_m)[:, None])) * d * d
@@ -422,10 +421,7 @@ def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
     bracket = b1 + b2 + b3
 
     d_ih = offset_cumulative(params, grid, "i_h")            # [edge offset, tau]
-    bh_off = np.asarray(eval_rate(
-        params.beta_h,
-        (np.arange(n_a) * d)[:, None] + taus[None, :],
-        np.broadcast_to(taus[None, :], (n_a, grid.n_th))))
+    bh_off = eval_rate(params.beta_h, (np.arange(n_a) * d)[:, None] + t2, t2)
     idx = np.add.outer(np.arange(n_a), np.arange(grid.n_th))
     valid = idx < n_a                                        # age = offset + tau on the grid
     inner_tau = np.sum(np.where(valid, bh_off * np.exp(-d_ih), 0.0), axis=1) * d

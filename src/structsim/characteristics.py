@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, age_rate, characteristic_cumulative, cumulative_to_centers
+from .grids import Grid, characteristic_cumulative, cumulative_to_centers
 from .kernels import spectral_kernels
 from .params import ModelParams, estimate_mu0
 from .r0 import _prefactor
-from .rates import eval_rate
+from .rates import eval_rate, rate_table
 from .solver import StateFields
 
 
@@ -74,10 +74,8 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     a full-mode state at t = 0.
     """
     d = grid.delta
-    bh = np.asarray(eval_rate(params.beta_h, grid.ages_h[:, None],
-                              np.broadcast_to(grid.taus_h[None, :], (grid.n_ah, grid.n_th))))
-    bm = np.asarray(eval_rate(params.beta_m, grid.ages_m[:, None],
-                              np.broadcast_to(grid.taus_m[None, :], (grid.n_am, grid.n_tm))))
+    bh = eval_rate(params.beta_h, grid.ages_h[:, None], grid.taus_h[None, :])
+    bm = eval_rate(params.beta_m, grid.ages_m[:, None], grid.taus_m[None, :])
     if np.any(bh != 0.0) or np.any(bm != 0.0):
         raise ValueError("decoupled evaluation requires beta_h = beta_m = 0 on the grid")
     if init.mode != "full" or init.t != 0.0:
@@ -86,8 +84,8 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     if abs(t - n * d) > 1e-9 * max(1.0, abs(t)):
         raise ValueError("t must be a multiple of the grid step")
 
-    cum_h = cumulative_to_centers(age_rate(params.mu_h, grid.ages_h), d)
-    cum_m = cumulative_to_centers(age_rate(params.mu_m, grid.ages_m), d)
+    cum_h = cumulative_to_centers(rate_table(params.mu_h, grid.ages_h), d)
+    cum_m = cumulative_to_centers(rate_table(params.mu_m, grid.ages_m), d)
     from .solver import _kernel
     sk = _kernel(params, grid, "full")
     d_ih = offset_cumulative(params, grid, "i_h")
@@ -171,9 +169,8 @@ class GrowthRateResult:
     evaluations: int
 
 
-def dominant_growth_rate(params: ModelParams, grid: Grid,
-                         tol: float = 1e-10) -> GrowthRateResult:
-    """Real root of g(lambda) = 1 by bracketed bisection.
+def dominant_growth_rate(params: ModelParams, grid: Grid) -> GrowthRateResult:
+    """Real root of g(lambda) = 1 by bracketed bisection to a 1e-10 bracket.
 
     g is strictly decreasing, so when g(0) > 1 a unique positive root
     exists; the initial upper bracket is expanded geometrically until the
@@ -205,7 +202,7 @@ def dominant_growth_rate(params: ModelParams, grid: Grid,
         if g(lo) < 1.0:
             return GrowthRateResult(None, g0, None, evals)
     bracket = (lo, hi)
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if g(mid) >= 1.0:
             lo = mid

@@ -15,8 +15,8 @@ disease-free profile an exact fixed point of the transport step.
 Survival along any characteristic (chronological, infection or recovery
 age) follows this one rule: ``exp(-cumulative_to_centers(rate))`` up to a
 center, or its per-step form ``decay_factors``.  No survival table is kept;
-each consumer builds the factors it reads, sampling an age-only rate with
-``age_rate``.
+each consumer builds the factors it reads from a rate table
+(``rates.rate_table``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import RateSpec, eval_rate
+from .rates import rate_table
 
 
 def _check_multiple(name: str, extent: float, delta: float) -> int:
@@ -102,12 +102,6 @@ def default_grid(mu_h_value: float, delta: float = 0.005) -> Grid:
 # quadrature
 
 
-def age_rate(spec: RateSpec, ages: np.ndarray) -> np.ndarray:
-    """An age-only rate sampled on ``ages``; a scalar rate fills every cell."""
-    r = np.asarray(eval_rate(spec, ages, 0.0), dtype=float)
-    return np.full_like(ages, float(r)) if r.ndim == 0 else r
-
-
 def cumulative_to_centers(rate_at_centers: np.ndarray, delta: float) -> np.ndarray:
     """Integral of a rate from 0 up to each cell center.
 
@@ -116,7 +110,10 @@ def cumulative_to_centers(rate_at_centers: np.ndarray, delta: float) -> np.ndarr
     edge-aligned piecewise-constant rates.
     """
     r = np.asarray(rate_at_centers, dtype=float)
-    return delta * np.cumsum(r, axis=-1) - 0.5 * delta * r
+    out = np.cumsum(r, axis=-1)
+    out *= delta
+    out -= 0.5 * delta * r
+    return out
 
 
 def decay_factors(rate_at_centers: np.ndarray,
@@ -133,7 +130,7 @@ def decay_factors(rate_at_centers: np.ndarray,
     """
     r = np.asarray(rate_at_centers, dtype=float)
     cur, prev = (slice(1, None),) * r.ndim, (slice(None, -1),) * r.ndim
-    step = np.ones_like(r)
+    step = np.ones(r.shape)
     step[cur] = np.exp(-0.5 * delta * (r[prev] + r[cur]))
     return np.exp(-0.5 * delta * r[..., 0]), step
 
@@ -146,8 +143,5 @@ def characteristic_cumulative(rate_fn, offsets: np.ndarray, taus: np.ndarray,
     midpoint-to-centers rule as the 1D case.  ``offsets`` are the constant
     values of (age - tau) along each characteristic.
     """
-    a = offsets[:, None] + taus[None, :]
-    r = np.asarray(rate_fn(a, np.broadcast_to(taus[None, :], a.shape)), dtype=float)
-    if r.ndim == 0:
-        r = np.full(a.shape, float(r))
-    return cumulative_to_centers(r, delta)
+    return cumulative_to_centers(
+        rate_table(rate_fn, offsets[:, None] + taus[None, :], taus[None, :]), delta)

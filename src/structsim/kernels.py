@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, age_rate, characteristic_cumulative, cumulative_to_centers
+from .grids import Grid, characteristic_cumulative, cumulative_to_centers
 from .params import ModelParams
-from .rates import eval_rate
+from .rates import eval_rate, rate_table
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,25 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
             raise ValueError("the human survival integral needs mu_h > 0")
         pi_h = None
         int_pi_h = float(d * np.exp(-0.5 * mu * d) / -np.expm1(-mu * d))
-        c1 = np.exp(-cumulative_to_centers(params.removal_rate("i_h")(0.0, taus_h), d))
-        beta_h_tau = np.asarray(eval_rate(params.beta_h, 0.0, taus_h))
+        c1 = np.exp(-cumulative_to_centers(
+            rate_table(params.removal_rate("i_h"), 0.0, taus_h), d))
+        beta_h_tau = rate_table(params.beta_h, 0.0, taus_h)
         human_kernel_nopi = None
     else:
-        pi_h = np.exp(-cumulative_to_centers(age_rate(params.mu_h, ages_h), d))
+        pi_h = np.exp(-cumulative_to_centers(rate_table(params.mu_h, ages_h), d))
         int_pi_h = float(np.sum(pi_h)) * d
         c1 = beta_h_tau = None
+        # exp(-cum) in the cumulative's buffer, times beta_h on its read axes
         cum = characteristic_cumulative(params.removal_rate("i_h"), ages_h, taus_h, d)
-        bh = np.asarray(eval_rate(params.beta_h, ages_h[:, None] + taus_h[None, :],
-                                  np.broadcast_to(taus_h[None, :],
-                                                  (len(ages_h), len(taus_h)))))
-        human_kernel_nopi = bh * np.exp(-cum)
+        human_kernel_nopi = np.exp(np.negative(cum, out=cum), out=cum)
+        human_kernel_nopi *= eval_rate(params.beta_h, ages_h[:, None] + taus_h[None, :],
+                                       taus_h[None, :])
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
-    pi_m = np.exp(-cumulative_to_centers(age_rate(params.mu_m, xis_m), d))
+    pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, xis_m), d))
     cum_m = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
-    bm = np.asarray(eval_rate(params.beta_m, xis_m[:, None] + taus_m[None, :],
-                              np.broadcast_to(taus_m[None, :],
-                                              (len(xis_m), len(taus_m)))))
+    bm = eval_rate(params.beta_m, xis_m[:, None] + taus_m[None, :], taus_m[None, :])
     mosq_kernel = bm * np.exp(-cum_m) * pi_m[:, None]
     # keep age + infection age within the truncated mosquito age span
     idx = np.add.outer(np.arange(len(xis_m)), np.arange(len(taus_m)))

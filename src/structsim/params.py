@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid, default_grid
-from .rates import Arity, RateSpec, eval_rate
+from .rates import Arity, RateSpec, eval_rate, rate_table
 
 PRESET_NAMES = ("forward", "backward")
 
@@ -84,9 +84,10 @@ class ModelParams:
         removal, lambda_h (1 - exp(-sup a_max_h)) / sup, with sup the summed
         grid sup-norms of the human removal rates; lambda_h a_max_h, its
         limit, when no human is ever removed."""
-        sup = sum(_rate_range(spec, grid.ages_h, seconds)[1] for spec, seconds in (
-            (self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
-            (self.gamma_h, grid.taus_h), (self.k_h, grid.etas)))
+        rates = ((self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
+                 (self.gamma_h, grid.taus_h), (self.k_h, grid.etas))
+        ages = grid.ages_h if any(spec.reads[0] for spec, _ in rates) else np.zeros(1)
+        sup = sum(_rate_range(spec, ages, seconds)[1] for spec, seconds in rates)
         if sup == 0.0:
             return self.lambda_h * grid.a_max_h
         return self.lambda_h * float(-np.expm1(-sup * grid.a_max_h)) / sup
@@ -94,12 +95,9 @@ class ModelParams:
 
 def _rate_range(spec: RateSpec, ages: np.ndarray,
                 seconds: np.ndarray) -> tuple[float, float]:
-    """(min, max) of a rate on the (ages x seconds) grid; a NaN anywhere
-    makes both NaN.  An axis the rate does not read is cut to its first
-    point, so only the axes it reads are scanned."""
-    reads_age, reads_second = spec.reads
-    vals = np.asarray(eval_rate(spec, ages[:, None] if reads_age else ages[:1, None],
-                                seconds[None, :] if reads_second else seconds[None, :1]))
+    """(min, max) of a rate on the (ages x seconds) grid, scanning only the
+    axes it reads; a NaN anywhere makes both NaN."""
+    vals = eval_rate(spec, ages[:, None], seconds[None, :])
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -109,10 +107,9 @@ def _reachable_mass(spec: RateSpec, ages: np.ndarray, taus: np.ndarray,
     {(offset + tau, tau)}, offsets on ``ages``, times delta^2.  A rate that
     does not read age takes the same value at every offset."""
     if not spec.reads[0]:
-        return len(ages) * float(np.sum(eval_rate(spec, 0.0, taus))) * delta ** 2
-    vals = np.asarray(eval_rate(spec, ages[:, None] + taus[None, :],
-                                np.broadcast_to(taus[None, :], (len(ages), len(taus)))))
-    return float(np.sum(vals)) * delta ** 2
+        return len(ages) * float(np.sum(rate_table(spec, 0.0, taus))) * delta ** 2
+    return float(np.sum(eval_rate(spec, ages[:, None] + taus[None, :], taus[None, :]))) \
+        * delta ** 2
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:

@@ -104,19 +104,20 @@ def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
     return pi_h
 
 
-def power_iteration_r0(params: ModelParams, grid: Grid, tol: float = 1e-12,
-                       max_iter: int = 64) -> R0Report:
+def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     """Spectral radius of the discretized human next-generation block.
 
     The block sends an age density b to pi_h * (w . b), where w[xi] is the
     contraction weight of age cell xi (the row sums of the pi_h-free human
     kernel; a constant on the eligible path), so it has rank one.  The
     Rayleigh quotient is exact from the image of the first iterate on, and
-    the loop stops when the next one agrees.  The route re-sums the closed
-    form in another order: it checks the contraction code, not the formula.
+    the loop stops when the next one agrees to 1e-12 relative.  The route
+    re-sums the closed form in another order: it checks the contraction
+    code, not the formula.
     Quotients and norms are pairwise sums, so the iteration count depends
     only on the operator.
     """
+    tol, max_iter = 1e-12, 64
     sk = spectral_kernels(params, grid)
     pi_h = survival_profile(params, grid)
     if sk.eligible:

@@ -19,6 +19,13 @@ infection age ``tau``, recovery age ``eta``, or a pair.  ``RateSpec.reads``
 is the one rule for which of ``(a, second)`` it actually reads: neither for
 ``constant``, both for ``gauss_exp``, otherwise ``a`` under AGE arity and the
 second variable under every other arity, the pairs included.
+
+The same rule decides the shape of a sample: ``eval_rate`` evaluates a rate
+on the axes it reads only.  A ``constant`` is a float, an age-only rate has
+the shape of ``a``, the other one-variable rates the shape of the second
+argument, and ``gauss_exp`` the broadcast of both.  Callers pass compact axes
+(``ages[:, None]``, ``taus[None, :]``); ``rate_table`` broadcasts a sample to
+the full table, read-only, for a consumer that indexes every cell.
 """
 
 from __future__ import annotations
@@ -146,18 +153,12 @@ class RateSpec:
 
 
 def eval_rate(spec: RateSpec, a, second=0.0):
-    """Pointwise value of ``spec`` at age ``a`` and second variable ``second``.
-
-    Accepts scalars or numpy arrays (broadcast together); pure and total on
-    the non-negative domain.
-    """
-    a = np.asarray(a, dtype=float)
-    s = np.asarray(second, dtype=float)
+    """Value of ``spec`` at age ``a`` and second variable ``second``, on the
+    axes it reads only (see the module docstring); pure and total on the
+    non-negative domain."""
     if spec.kind is RateKind.CONSTANT:
-        (c,) = spec.params
-        return np.broadcast_to(np.float64(c), np.broadcast_shapes(a.shape, s.shape)).copy() \
-            if a.shape or s.shape else float(c)
-    x = a if spec.reads[0] else s
+        return float(spec.params[0])
+    x = np.asarray(a if spec.reads[0] else second, dtype=float)
     if spec.kind is RateKind.PIECEWISE_CONSTANT:
         threshold, low, high = spec.params
         out = np.where(x <= threshold, low, high)
@@ -166,8 +167,16 @@ def eval_rate(spec: RateSpec, a, second=0.0):
         out = amp / SQRT_2PI * np.exp(-0.5 * ((x - center) / width) ** 2)
     elif spec.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
         amp, center, width, decay = spec.params
+        s = np.asarray(second, dtype=float)
         bump = amp / SQRT_2PI * np.exp(-0.5 * ((s - center) / width) ** 2)
-        out = np.where(a <= s, 0.0, bump * np.exp(-decay * np.maximum(a - s, 0.0)))
+        out = np.where(x <= s, 0.0, bump * np.exp(-decay * np.maximum(x - s, 0.0)))
     else:  # TABLE: linear interpolation, clamped at the ends
         out = np.interp(x, spec.table_x, spec.table_y)
     return out if np.ndim(out) else float(out)
+
+
+def rate_table(rate, a, second=0.0) -> np.ndarray:
+    """The sample ``rate(a, second)`` broadcast, read-only, to the shape of
+    ``a`` and ``second``.  ``rate`` is a :class:`RateSpec` or any callable
+    ``(a, second) -> sample``, such as ``ModelParams.removal_rate``."""
+    return np.broadcast_to(rate(a, second), np.broadcast_shapes(np.shape(a), np.shape(second)))

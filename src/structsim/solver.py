@@ -56,9 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, age_rate, decay_factors
+from .grids import Grid, decay_factors
 from .params import ModelParams
-from .rates import eval_rate
+from .rates import rate_table
 
 
 class DegeneratePopulationError(RuntimeError):
@@ -126,11 +126,11 @@ def _channel_tables(part: np.ndarray, total: np.ndarray, delta: float):
     share of a cell's removal times the fraction the cell loses."""
     entry, step = decay_factors(total, delta)
     cur, prev = _diagonal(total.ndim)
-    out = np.zeros_like(total)
+    out = np.zeros(total.shape)
     _share(part[prev], part[cur], total[prev], total[cur], out[cur])
     out[cur] *= 1.0 - step[cur]
     out0 = _share(part[..., 0], part[..., 0], total[..., 0], total[..., 0],
-                  np.zeros_like(total[..., 0])) * (1.0 - entry)
+                  np.zeros(total.shape[:-1])) * (1.0 - entry)
     return entry, step, out, out0
 
 
@@ -155,25 +155,23 @@ def _cohort_tables(step: np.ndarray, beta: np.ndarray):
 def _kernel(params: ModelParams, grid: Grid, mode: str):
     delta = grid.delta
     k = {"delta": delta, "eps_floor": params.epsilon_floor(grid)}
-    k["sm_entry"], k["sm_step"] = decay_factors(age_rate(params.mu_m, grid.ages_m), delta)
+    k["sm_entry"], k["sm_step"] = decay_factors(rate_table(params.mu_m, grid.ages_m), delta)
 
     # Transmission probabilities are sampled half a cell up in age: the
     # unit-CFL dynamics pins (age - infection age) to whole cells, so the
-    # representative age lag of a diagonal cell is its midpoint.
-    am2 = grid.ages_m[:, None]
-    tm2 = np.broadcast_to(grid.taus_m[None, :], (grid.n_am, grid.n_tm))
+    # representative age lag of a diagonal cell is its midpoint.  A step
+    # dots the fields against them, so they are stored contiguous.
+    am2, tm2 = grid.ages_m[:, None], grid.taus_m[None, :]
     k["im_entry"], k["im_step"] = decay_factors(
-        np.asarray(params.removal_rate("i_m")(am2, tm2)) + np.zeros_like(tm2), delta)
-    k["beta_m"] = np.asarray(eval_rate(params.beta_m, am2 + 0.5 * delta, tm2))
+        rate_table(params.removal_rate("i_m"), am2, tm2), delta)
+    k["beta_m"] = np.ascontiguousarray(rate_table(params.beta_m, am2 + 0.5 * delta, tm2))
     k["im_c2"], k["im_beta2"] = _cohort_tables(k["im_step"], k["beta_m"])
 
     # human rates on the field axes: (age column, structure age) in full
     # mode, structure age alone in reduced mode, where no rate reads age
     if mode == "full":
-        k["sh_entry"], k["sh_step"] = decay_factors(age_rate(params.mu_h, grid.ages_h), delta)
-        a_h = grid.ages_h[:, None]
-        taus = np.broadcast_to(grid.taus_h[None, :], (grid.n_ah, grid.n_th))
-        etas = np.broadcast_to(grid.etas[None, :], (grid.n_ah, grid.n_eta))
+        k["sh_entry"], k["sh_step"] = decay_factors(rate_table(params.mu_h, grid.ages_h), delta)
+        a_h, taus, etas = grid.ages_h[:, None], grid.taus_h[None, :], grid.etas[None, :]
     else:
         if not params.reduced_mode_eligible:
             raise ValueError("reduced mode requires age-independent human rates")
@@ -181,17 +179,14 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
             raise ValueError("reduced mode needs mu_h > 0: without human mortality "
                              "the susceptible humans have no balance")
         a_h, taus, etas = 0.0, grid.taus_h, grid.etas
-    # each rate table is dropped before the next is built: in full mode they
-    # are the size of the fields
-    gam = np.asarray(eval_rate(params.gamma_h, a_h, taus)) + np.zeros_like(taus)
-    r_ih = eval_rate(params.mu_h, a_h, taus) + eval_rate(params.nu_h, a_h, taus) + gam
-    k["ih_entry"], k["ih_step"], k["ih_out"], k["ih_out0"] = _channel_tables(gam, r_ih, delta)
-    del gam, r_ih
-    kh = np.asarray(eval_rate(params.k_h, a_h, etas)) + np.zeros_like(etas)
-    r_rh = eval_rate(params.mu_h, a_h, etas) + kh
-    k["rh_entry"], k["rh_step"], k["rh_out"], k["rh_out0"] = _channel_tables(kh, r_rh, delta)
-    del kh, r_rh
-    k["beta_h"] = np.asarray(eval_rate(params.beta_h, a_h + 0.5 * delta, taus))
+    # each removal table is dropped before the next is built: in full mode
+    # they can be the size of the fields
+    for key, part, pool, second in (("ih", params.gamma_h, "i_h", taus),
+                                    ("rh", params.k_h, "r_h", etas)):
+        k[key + "_entry"], k[key + "_step"], k[key + "_out"], k[key + "_out0"] = \
+            _channel_tables(rate_table(part, a_h, second),
+                            rate_table(params.removal_rate(pool), a_h, second), delta)
+    k["beta_h"] = np.ascontiguousarray(rate_table(params.beta_h, a_h + 0.5 * delta, taus))
     return k
 
 
@@ -250,30 +245,33 @@ def force_hm(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
 # initial data
 
 
+SEED_TAU_BAND = 0.1    # infection-age width of the seeded band
+
+
 def _band_profile(entry: np.ndarray, step: np.ndarray, taus: np.ndarray,
-                  ages: np.ndarray, band_width: float, d: float) -> np.ndarray:
-    """Structure-age profile per age row on the band ``taus <= band_width``,
+                  ages: np.ndarray, d: float) -> np.ndarray:
+    """Structure-age profile per age row on the band ``taus <= SEED_TAU_BAND``,
     proportional to the survival factor and normalized to unit mass per row
-    (rows with no cell inside the triangle stay zero)."""
-    band = taus <= band_width + 1e-12
-    prof = np.where(band[None, :], entry[:, None]
-                    * np.cumprod(np.where(band[None, :], step, 1.0), axis=1), 0.0)
-    prof[:, 0] = entry
-    prof = np.where(band[None, :], prof, 0.0)
-    prof *= taus[None, :] <= ages[:, None] + 1e-12
+    (rows with no cell inside the triangle stay zero).  The first column of
+    ``step`` is the padding 1 of :func:`decay_factors`, so the profile starts
+    at ``entry``."""
+    nb = int(np.count_nonzero(taus <= SEED_TAU_BAND + 1e-12))    # taus increase
+    prof = np.zeros(step.shape)
+    band = prof[:, :nb]
+    np.multiply(entry[:, None], np.cumprod(step[:, :nb], axis=1), out=band)
+    band *= taus[None, :nb] <= ages[:, None] + 1e-12
     norms = np.sum(prof, axis=1) * d
-    return np.divide(prof, norms[:, None], out=np.zeros_like(prof), where=norms[:, None] > 0)
+    return np.divide(prof, norms[:, None], out=prof, where=norms[:, None] > 0)
 
 
 def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 0.0,
-                    mode: str = "reduced", seed_tau_band: float = 0.1,
-                    infected_fraction_m: float = 0.0) -> StateFields:
+                    mode: str = "reduced", infected_fraction_m: float = 0.0) -> StateFields:
     """Disease-free profile with a fraction of susceptibles moved into the
-    infected pool on a thin infection-age band (profile follows the
-    infection-survival decay).  Total mass of each population is preserved
-    exactly.  ``infected_fraction_m`` seeds the mosquito reservoir the same
-    way; the bistable regime is only reachable with a mosquito seed, since
-    seeded humans thin out before the transmissive infection ages.
+    infected pool on the infection-age band ``tau <= SEED_TAU_BAND`` (profile
+    follows the infection-survival decay).  Total mass of each population is
+    preserved exactly.  ``infected_fraction_m`` seeds the mosquito reservoir
+    the same way; the bistable regime is only reachable with a mosquito seed,
+    since seeded humans thin out before the transmissive infection ages.
     """
     if not (0.0 <= infected_fraction < 1.0):
         raise ValueError("infected_fraction must lie in [0, 1)")
@@ -287,13 +285,12 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
         ([params.lambda_m * k["sm_entry"]], k["sm_step"][1:])))
     i_m0 = np.zeros((grid.n_am, grid.n_tm))
     if infected_fraction_m > 0.0:
-        prof_m = _band_profile(k["im_entry"], k["im_step"], grid.taus_m, grid.ages_m,
-                               seed_tau_band, d)
+        prof_m = _band_profile(k["im_entry"], k["im_step"], grid.taus_m, grid.ages_m, d)
         i_m0 = infected_fraction_m * s_m0[:, None] * prof_m
         s_m0 = (1.0 - infected_fraction_m) * s_m0
 
     if mode == "reduced":
-        band = grid.taus_h <= seed_tau_band + 1e-12
+        band = grid.taus_h <= SEED_TAU_BAND + 1e-12
         prof = np.where(band, np.cumprod(np.where(band, k["ih_step"], 1.0)), 0.0)
         prof[0] = k["ih_entry"]
         prof = np.where(band, prof, 0.0)
@@ -306,8 +303,7 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 
     s_h0 = np.cumprod(np.concatenate(
         ([params.lambda_h * k["sh_entry"]], k["sh_step"][1:])))
-    prof = _band_profile(k["ih_entry"], k["ih_step"], grid.taus_h, grid.ages_h,
-                         seed_tau_band, d)
+    prof = _band_profile(k["ih_entry"], k["ih_step"], grid.taus_h, grid.ages_h, d)
     i_h0 = infected_fraction * s_h0[:, None] * prof
     return StateFields("full", 0.0, (1.0 - infected_fraction) * s_h0, i_h0,
                        np.zeros((grid.n_ah, grid.n_eta)), s_m0, i_m0)
@@ -592,22 +588,18 @@ def load_snapshot(path: str) -> tuple[StateFields, Grid]:
     return StateFields(mode, header[6], s_h, arrays[1], arrays[2], arrays[3], arrays[4]), grid
 
 
-def simulate(params: ModelParams, grid: Grid, init: StateFields | float,
+def simulate(params: ModelParams, grid: Grid, init: StateFields,
              t_end: float, output_every: int = 1,
              return_final: bool = False):
     """March the system to t_end, sampling observables every ``output_every``
     steps (the initial and final instants are always included).
 
-    ``init`` may be a prepared state or a seed fraction for
-    :func:`default_initial` in reduced mode.  A prepared state must have the
-    grid's shapes, finite values >= 0 and zeros where structure age exceeds
-    age; ValueError otherwise, and also when an observable is not finite.
-    Deterministic for fixed inputs.
+    ``init`` must have the grid's shapes, finite values >= 0 and zeros where
+    structure age exceeds age; ValueError otherwise, and also when an
+    observable is not finite.  Deterministic for fixed inputs.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    if not isinstance(init, StateFields):
-        init = default_initial(params, grid, float(init), mode="reduced")
     state, k, buf = _start(init, params, grid)
     ring = buf["ring"]
     n_steps = int(round(t_end / grid.delta))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,11 +11,12 @@ from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
                                    dk_f, f_value, general_endemic_residual, h_value,
                                    k_bar, lift_reduced_equilibrium,
                                    reconstruct_equilibrium, solve_endemic, trace_branch)
+from structsim.kernels import spectral_kernels
 from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0, lambda_m_slope
 from structsim.rates import Arity, RateSpec
-from structsim.solver import observe
+from structsim.solver import _kernel, observe
 
-from conftest import make_params
+from conftest import fast_grid, fast_params, make_params
 
 # Adaptive-quadrature references (converged to ~1e-12); the desk-scale grid
 # reproduces them to ~0.3%.
@@ -257,3 +259,46 @@ def test_general_residual_consistent_with_reduced_root():
         errs.append(abs(general_endemic_residual(istar, params, grid) - 1.0))
     assert errs[1] < 0.02
     assert errs[1] < errs[0] / 2.5
+
+
+# ---------------------------------------------------------------------------
+# constant rate samples
+
+
+def _arrays(obj) -> list:
+    """The values of a kernel table dict or kernels dataclass, in field order."""
+    if isinstance(obj, dict):
+        return [obj[key] for key in sorted(obj)]
+    if dataclasses.is_dataclass(obj):
+        return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    return [obj]
+
+
+@pytest.mark.parametrize("mu_h", [RateSpec.constant(0.8, Arity.AGE),
+                                  RateSpec.table([0.0, 6.0], [0.8, 1.1], Arity.AGE)],
+                         ids=["eligible", "general"])
+def test_constant_samples_build_the_tables_of_flat_rates(mu_h):
+    # a constant rate is sampled as one float; every consumer must build the
+    # same tables from it as from the same value read cell by cell on its axis
+    consts = {"nu_h": RateSpec.constant(0.3, Arity.AGE_TAU),
+              "gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
+              "k_h": RateSpec.constant(0.7, Arity.ETA_ONLY),
+              "beta_h": RateSpec.constant(0.2, Arity.AGE_TAU)}
+    flat = {name: RateSpec.piecewise(0.0, spec.params[0], spec.params[0], spec.arity)
+            for name, spec in consts.items()}
+    grid = fast_grid(0.05)
+
+    def tables(rates):
+        params = fast_params(mu_h=mu_h, **rates)
+        out = [str(ss.validate(params, grid)), params.epsilon_floor(grid),
+               spectral_kernels(params, grid), _kernel(params, grid, "full")]
+        if params.reduced_mode_eligible:
+            kern = build_reduced_kernels(params, grid)
+            out += [_kernel(params, grid, "reduced"), kern,
+                    lift_reduced_equilibrium(solve_endemic(1.5, kern)[0], params, grid)]
+        return [v for obj in out for v in _arrays(obj)]
+
+    got, expect = tables(consts), tables(flat)
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert (g is None and e is None) or np.array_equal(g, e)

@@ -159,6 +159,19 @@ def test_validate_and_floor_memory_on_backward_preset():
     assert peak < 32e6
 
 
+def test_epsilon_floor_builds_no_human_age_axis():
+    # no human rate of the backward preset reads age, so the floor scans the
+    # structure axes only and never builds the 500 000-cell human age axis
+    params, grid = preset("backward"), preset_grid("backward")
+    tracemalloc.start()
+    try:
+        params.epsilon_floor(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"epsilon_floor peaked at {peak / 1e6:.2f} MB"
+
+
 def test_epsilon_floor_positive(forward):
     params, grid = forward
     eps = params.epsilon_floor(grid)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import structsim as ss
-from structsim.grids import Grid, age_rate, cumulative_to_centers
-from structsim.rates import Arity, RateSpec
+from structsim.grids import Grid, cumulative_to_centers
+from structsim.rates import Arity, RateSpec, rate_table
 
 from conftest import make_params
 
@@ -42,7 +42,7 @@ def test_quadrature_error_shrinks_at_least_linearly():
 
 def _survival(p, g):
     """Survival from birth on both age axes, by the one survival rule."""
-    return tuple(np.exp(-cumulative_to_centers(age_rate(mu, ages), g.delta))
+    return tuple(np.exp(-cumulative_to_centers(rate_table(mu, ages), g.delta))
                  for mu, ages in ((p.mu_h, g.ages_h), (p.mu_m, g.ages_m)))
 
 
@@ -78,13 +78,17 @@ def test_survival_piecewise_matches_refined_cumsum():
     assert np.max(np.abs(cum - ref) / np.maximum(ref, 1e-30)) < 1e-10
 
 
-def test_age_rate_repeats_a_scalar_rate():
+def test_rate_table_repeats_a_scalar_rate():
     g = Grid(delta=0.1, a_max_h=2.0, a_max_m=1.0, tau_max_h=0.5,
              tau_max_m=0.5, eta_max=0.5)
-    # a rate that reads only its second variable is one scalar at age-only points
-    r = age_rate(RateSpec.piecewise(0.1, 0.3, 5.0, Arity.TAU_ONLY), g.ages_h)
-    assert r.shape == (g.n_ah,) and np.all(r == 0.3)
-    r = age_rate(RateSpec.piecewise(1.0, 0.5, 2.0, Arity.AGE), g.ages_h)
+    # a rate that reads only its second variable is one scalar at age-only
+    # points, and a constant is a float; the table repeats either
+    for spec, value in ((RateSpec.piecewise(0.1, 0.3, 5.0, Arity.TAU_ONLY), 0.3),
+                        (RateSpec.constant(0.7, Arity.AGE_TAU), 0.7)):
+        r = rate_table(spec, g.ages_h)
+        assert r.shape == (g.n_ah,) and np.all(r == value)
+        assert not r.flags.writeable
+    r = rate_table(RateSpec.piecewise(1.0, 0.5, 2.0, Arity.AGE), g.ages_h)
     assert np.array_equal(r, np.where(g.ages_h <= 1.0, 0.5, 2.0))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structsim.params import _rate_range, _reachable_mass
-from structsim.rates import Arity, RateKind, RateSpec, eval_rate
+from structsim.rates import Arity, RateKind, RateSpec, eval_rate, rate_table
 
 SQ2PI = math.sqrt(2 * math.pi)
 
@@ -104,11 +104,16 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta):
     spec = _spec(*kind_arity, p)
     ages = (np.arange(n_a) + 0.5) * delta
     seconds = (np.arange(n_s) + 0.5) * delta
-    full = np.broadcast_to(eval_rate(spec, ages[:, None], seconds[None, :]), (n_a, n_s))
+    axes = (ages[:, None], seconds[None, :])
+    # a sample has the shape of the axes the rate reads: () for a constant
+    read = [np.shape(x) for x, reads in zip(axes, spec.reads) if reads]
+    assert np.shape(eval_rate(spec, *axes)) == np.broadcast_shapes(*read)
+    # the table is the rate evaluated on every cell
+    full = rate_table(spec, *axes)
+    cells = [np.array(x) for x in np.broadcast_arrays(*axes)]
+    assert np.array_equal(full, np.broadcast_to(eval_rate(spec, *cells), (n_a, n_s)))
     assert _rate_range(spec, ages, seconds) == (full.min(), full.max())
-    reach = np.broadcast_to(eval_rate(spec, ages[:, None] + seconds[None, :],
-                                      np.broadcast_to(seconds[None, :], (n_a, n_s))),
-                            (n_a, n_s))
+    reach = rate_table(spec, ages[:, None] + seconds[None, :], seconds[None, :])
     assert _reachable_mass(spec, ages, seconds, delta) == pytest.approx(
         float(np.sum(reach)) * delta ** 2, rel=1e-12)
 

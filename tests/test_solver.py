@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim import solver
-from structsim.rates import Arity, RateSpec
+from structsim.rates import Arity, RateSpec, rate_table
 from structsim.solver import (DegeneratePopulationError, _kernel, load_snapshot, n_human,
                               n_mosquito, observe, save_snapshot)
 
@@ -54,6 +54,18 @@ def test_force_single_cell_hand_value():
     expect = st.s_h * params.theta * beta * mass / nh
     got = ss.force_mh(st, params, grid)
     assert np.allclose(got, expect, rtol=1e-12)
+
+
+def test_force_of_an_age_only_transmission_probability():
+    # beta_h read on chronological age alone is sampled as one age column;
+    # the full layout's pressure table repeats it along infection age
+    params = fast_params(beta_h=RateSpec.gauss(0.2, 2.0, 0.8, Arity.AGE))
+    grid = fast_grid(0.05)
+    st = ss.default_initial(params, grid, 0.1, mode="full")
+    beta = params.beta_h(grid.ages_h + 0.5 * grid.delta)
+    phi = params.theta * float(np.sum(beta[:, None] * st.i_h)) * grid.delta ** 2
+    expect = st.s_m / n_human(st, grid) * phi
+    assert np.allclose(ss.force_hm(st, params, grid), expect, rtol=1e-12, atol=0.0)
 
 
 def test_degenerate_population_error():
@@ -296,9 +308,11 @@ def test_step_rule_on_random_small_grids(case):
     assert np.all(clean.i_h == 0.0) and np.all(clean.i_m == 0.0)
 
 
-# fast_params as is, and with recovery and immunity loss in the entry cell
-RATE_SETS = [{}, {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
-                  "k_h": RateSpec.constant(0.7, Arity.ETA_ONLY)}]
+# fast_params as is, with recovery and immunity loss in the entry cell, and
+# with every human rate constant (each rate sample is a float)
+_ENTRY_CELL = {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
+               "k_h": RateSpec.constant(0.7, Arity.ETA_ONLY)}
+RATE_SETS = [{}, _ENTRY_CELL, {**_ENTRY_CELL, "beta_h": RateSpec.constant(0.2, Arity.AGE_TAU)}]
 
 
 @pytest.mark.parametrize("over", RATE_SETS)
@@ -308,8 +322,8 @@ def test_outflow_weights_hand_value(over):
     grid = fast_grid(0.05)
     k = _kernel(params, grid, "reduced")
     d = grid.delta
-    for key, part, other in (("ih", params.gamma_h(0.0, grid.taus_h), 0.8 + 0.3),
-                             ("rh", params.k_h(0.0, grid.etas), 0.8)):
+    for key, part, other in (("ih", rate_table(params.gamma_h, 0.0, grid.taus_h), 0.8 + 0.3),
+                             ("rh", rate_table(params.k_h, 0.0, grid.etas), 0.8)):
         pair = part[:-1] + part[1:]
         expect = pair / (2 * other + pair) * -np.expm1(-0.5 * d * (2 * other + pair))
         assert np.allclose(k[key + "_out"][1:], expect, rtol=1e-13, atol=0.0), key
