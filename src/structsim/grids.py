@@ -121,9 +121,10 @@ def decay_factors(rate_at_centers: np.ndarray,
     """Per-cell survival factors of a field transported along the diagonal.
 
     ``rate_at_centers`` samples the removal rate on the cell centers of one
-    or more axes; the last axis is the one whose origin is the entry
-    boundary.  Returns ``(entry, step)``: ``entry = exp(-delta/2 * r[..., 0])``
-    carries a cohort from the boundary to the first center, and
+    or more axes; the first axis is the one whose origin is the entry
+    boundary (structure age, for a structured field).  Returns
+    ``(entry, step)``: ``entry = exp(-delta/2 * r[0])`` carries a cohort
+    from the boundary to the first center, and
     ``step[i, ..., j] = exp(-delta/2 * (r[i-1, ..., j-1] + r[i, ..., j]))``
     carries it one cell along every axis at once.  Cells with a zero index
     are unused padding, set to 1.
@@ -132,7 +133,7 @@ def decay_factors(rate_at_centers: np.ndarray,
     cur, prev = (slice(1, None),) * r.ndim, (slice(None, -1),) * r.ndim
     step = np.ones(r.shape)
     step[cur] = np.exp(-0.5 * delta * (r[prev] + r[cur]))
-    return np.exp(-0.5 * delta * r[..., 0]), step
+    return np.exp(-0.5 * delta * r[0]), step
 
 
 def characteristic_cumulative(rate_fn, offsets: np.ndarray, taus: np.ndarray,

@@ -67,6 +67,12 @@ class SpectralKernels:
         return float(np.sum(self.mosq_kernel * w[None, :])) * self.delta ** 2
 
 
+def _age_lag(rate, offsets: np.ndarray, taus: np.ndarray):
+    """The ages ``offset + tau`` of a (offset, structure-age) table, built
+    only for a rate that reads age (6M cells on an age-dependent grid)."""
+    return offsets[:, None] + taus[None, :] if rate.reads[0] else 0.0
+
+
 @functools.lru_cache(maxsize=8)
 def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     d = grid.delta
@@ -92,14 +98,14 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
         # exp(-cum) in the cumulative's buffer, times beta_h on its read axes
         cum = characteristic_cumulative(params.removal_rate("i_h"), ages_h, taus_h, d)
         human_kernel_nopi = np.exp(np.negative(cum, out=cum), out=cum)
-        human_kernel_nopi *= eval_rate(params.beta_h, ages_h[:, None] + taus_h[None, :],
+        human_kernel_nopi *= eval_rate(params.beta_h, _age_lag(params.beta_h, ages_h, taus_h),
                                        taus_h[None, :])
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
     pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, xis_m), d))
     cum_m = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
-    bm = eval_rate(params.beta_m, xis_m[:, None] + taus_m[None, :], taus_m[None, :])
+    bm = eval_rate(params.beta_m, _age_lag(params.beta_m, xis_m, taus_m), taus_m[None, :])
     mosq_kernel = bm * np.exp(-cum_m) * pi_m[:, None]
     # keep age + infection age within the truncated mosquito age span
     idx = np.add.outer(np.arange(len(xis_m)), np.arange(len(taus_m)))

@@ -26,26 +26,31 @@ representation on a shifted index: a cell moves one cell along all of its
 axes and is multiplied by its step factor, and the structure-age-0 column
 is filled with the step's inflow times the entry factor.  The mass a removal
 channel (recovery out of i_h, immunity loss out of r_h) takes during the
-step is one row dot of the field with fused weights share * (1 - step
-factor), and it is the inflow of the next pool.  The human fields are
-advanced by this shift.  Only the susceptible humans are updated per layout:
-an age profile in FULL, a scalar relaxing to its balance in REDUCED.
+step is the cells weighted by share * (1 - step factor), and it is the
+inflow of the next pool.  Only the susceptible humans are updated per
+layout: an age profile in FULL, a scalar relaxing to its balance in REDUCED.
 
-Infected mosquitoes are not shifted.  Under the shift the cell (a, tau)
-after t steps is B_{t-tau}(x) * C[tau, x], with x = a - tau the cohort
-offset: B_s is the entry row written at step s (the new infections by age
-times the entry factor) and C[tau, x] the product of the step factors along
-the diagonal from (x, 0) to (x + tau, tau), zero past the age axis.  C does
-not depend on time, so a run keeps only the last n_tm entry rows in a ring
-(the newest at row t mod n_tm) and writes one row per step.  The kernel
-stores C and beta_m * C reversed and doubled along tau; rows c .. c + n_tm - 1
-of a doubled table, with c = n_tm - 1 - (t mod n_tm), line up with the ring
-rows, so the mosquito pressure and the infected-mosquito total are one
-contiguous dot product each.  Initial data enters the ring divided by C;
-the field is rebuilt from the ring when a run returns its state.
+No structured field is moved.  Under the shift the cell (a, tau) after t
+steps is B_{t-tau}(x) * C[tau, x], with x = a - tau the cohort offset: B_s
+is the entry row written at step s (the step's inflow by age times the
+entry factor) and C[tau, x] the product of the step factors along the
+diagonal from (x, 0) to (x + tau, tau), zero past the age axis.  C does not
+depend on time, so a run holds i_h, r_h and i_m as cohort rings: the last n
+entry rows of the field, n the length of its structure axis, with one row
+written per step.  A REDUCED human field has one cohort, so its rows are
+numbers and C[tau] the product along its axis.  The kernel samples every
+structured table structure age first, so each diagonal is a contiguous run
+of a row, and keeps C with the weights a step contracts against it: beta *
+C for a pressure and (outflow weight) * C for a removal channel.  Ring rows
+head, head + 1, ... (mod n) hold structure ages 0, 1, ..., so a sum over
+the cells is two contiguous dot products, one on each side of the wrap, and
+the outflow into each age row sums a skewed diagonal of the same pieces
+through a strided view.  Initial data enters a ring divided by C; the field
+is rebuilt from the ring when a run returns its state.
 
-A run computes N_h and the two pressures of each state once; the step that
-leaves the state and the observables sampled at it share them.
+A run computes N_h, the two pressures and the infected-human total of each
+state once; the step that leaves the state and the observables sampled at
+it share them.
 """
 
 from __future__ import annotations
@@ -106,12 +111,6 @@ class Observables:
 # precomputed step kernel
 
 
-def _diagonal(ndim: int):
-    """Indices of every cell that has a predecessor one cell back along all
-    ``ndim`` axes, and of those predecessors."""
-    return (slice(1, None),) * ndim, (slice(None, -1),) * ndim
-
-
 def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
     """Fraction of a cell-to-cell removal belonging to one removal channel,
     using the same rate trapezoid as the decay factor (0 where nothing is
@@ -121,34 +120,79 @@ def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
 
 
 def _channel_tables(part: np.ndarray, total: np.ndarray, delta: float):
-    """Entry and step factors of a field with removal-rate table ``total``,
+    """Entry and step factors of a field with removal-rate table ``total``
+    (structure age on the first axis, as :func:`decay_factors` takes it),
     and the outflow weights of its removal channel ``part``: the channel's
     share of a cell's removal times the fraction the cell loses."""
     entry, step = decay_factors(total, delta)
-    cur, prev = _diagonal(total.ndim)
+    cur, prev = (slice(1, None),) * total.ndim, (slice(None, -1),) * total.ndim
     out = np.zeros(total.shape)
     _share(part[prev], part[cur], total[prev], total[cur], out[cur])
     out[cur] *= 1.0 - step[cur]
-    out0 = _share(part[..., 0], part[..., 0], total[..., 0], total[..., 0],
-                  np.zeros(total.shape[:-1])) * (1.0 - entry)
+    out0 = _share(part[0], part[0], total[0], total[0],
+                  np.zeros(total.shape[1:])) * (1.0 - entry)
     return entry, step, out, out0
 
 
-def _cohort_tables(step: np.ndarray, beta: np.ndarray):
-    """``C[tau, x]``, the product of ``step`` along the diagonal from
-    ``(x, 0)`` to ``(x + tau, tau)`` (zero past the age axis), and
-    ``beta[x + tau, tau] * C[tau, x]``, each reversed and doubled along tau
-    so that a slice of ``n_tm`` consecutive rows lines up with the ring."""
-    n_am, n_tm = step.shape
-    c = np.zeros((n_tm, n_am))
-    bc = np.zeros((n_tm, n_am))
+def _cohort_products(step: np.ndarray) -> np.ndarray:
+    """``C[tau, x]``, the product of ``step`` (sampled structure age first)
+    along the diagonal from ``(0, x)`` to ``(tau, x + tau)``; zero past the
+    age axis.  A table with no age axis has one cohort: ``C[tau]``."""
+    if step.ndim == 1:
+        return np.cumprod(step)        # step[0] is the padding 1
+    n_s, n_a = step.shape
+    c = np.zeros((n_s, n_a))
     c[0] = 1.0
-    bc[0] = beta[:, 0]
-    for tau in range(1, n_tm):
-        live = n_am - tau
-        np.multiply(c[tau - 1, :live], step[tau:, tau], out=c[tau, :live])
-        np.multiply(beta[tau:, tau], c[tau, :live], out=bc[tau, :live])
-    return (np.concatenate((c[::-1], c[::-1])), np.concatenate((bc[::-1], bc[::-1])))
+    for tau in range(1, min(n_s, n_a)):
+        np.multiply(c[tau - 1, :n_a - tau], step[tau, tau:], out=c[tau, :n_a - tau])
+    return c
+
+
+def _along_cohorts(table: np.ndarray, c: np.ndarray, lag: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``table[tau + lag, x + tau + lag] * c[tau, x]`` on the cohort layout
+    of ``c``, zero where that cell of ``table`` lies past an axis.  ``out``
+    may be ``table`` itself when ``lag`` is 1: each row is read before it is
+    written."""
+    out = np.zeros(c.shape) if out is None else out
+    if c.ndim == 1:
+        n_s = len(c)
+        out[:n_s - lag] = table[lag:] * c[:n_s - lag]
+        out[n_s - lag:] = 0.0
+        return out
+    n_s, n_a = c.shape
+    for tau in range(n_s):
+        live = max(n_a - tau - lag, 0) if tau + lag < n_s else 0
+        if live:
+            np.multiply(table[tau + lag, tau + lag:], c[tau, :live], out=out[tau, :live])
+        out[tau, live:] = 0.0
+    return out
+
+
+def _ring_channel(key: str, part: np.ndarray, total: np.ndarray, delta: float) -> dict:
+    """The tables a cohort ring with a removal channel reads: entry factors,
+    C, the outflow weights times C (the weight of the cell that moves from
+    ``(tau, x)``) and the entry cell's weights.  The step table lives only
+    until C is formed, and the weights overwrite the outflow table."""
+    entry, step, out, out0 = _channel_tables(part, total, delta)
+    del part, total
+    c = _cohort_products(step)
+    del step
+    return {key + "_entry": entry, key + "_out0": out0, key + "_c": c,
+            key + "_out_c": _along_cohorts(out, c, 1, out=out)}
+
+
+def _check_reduced(mode: str, params: ModelParams) -> None:
+    """A reduced state has no age axis, so its human rates must not read age."""
+    if mode == "reduced" and not params.reduced_mode_eligible:
+        raise ValueError("reduced mode requires age-independent human rates")
+
+
+def _beta_table(rate, ages, taus, delta: float) -> np.ndarray:
+    """A transmission probability sampled half a cell up in age: the unit-CFL
+    dynamics pins (age - infection age) to whole cells, so the representative
+    age lag of a diagonal cell is its midpoint."""
+    return rate_table(rate, ages + 0.5 * delta, taus)
 
 
 @functools.lru_cache(maxsize=8)
@@ -157,36 +201,34 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
     k = {"delta": delta, "eps_floor": params.epsilon_floor(grid)}
     k["sm_entry"], k["sm_step"] = decay_factors(rate_table(params.mu_m, grid.ages_m), delta)
 
-    # Transmission probabilities are sampled half a cell up in age: the
-    # unit-CFL dynamics pins (age - infection age) to whole cells, so the
-    # representative age lag of a diagonal cell is its midpoint.  A step
-    # dots the fields against them, so they are stored contiguous.
-    am2, tm2 = grid.ages_m[:, None], grid.taus_m[None, :]
-    k["im_entry"], k["im_step"] = decay_factors(
-        rate_table(params.removal_rate("i_m"), am2, tm2), delta)
-    k["beta_m"] = np.ascontiguousarray(rate_table(params.beta_m, am2 + 0.5 * delta, tm2))
-    k["im_c2"], k["im_beta2"] = _cohort_tables(k["im_step"], k["beta_m"])
+    # Structured tables are sampled structure age first, (tau, a).
+    taus_m = grid.taus_m[:, None]
+    k["im_entry"], step = decay_factors(
+        rate_table(params.removal_rate("i_m"), grid.ages_m, taus_m), delta)
+    k["im_c"] = _cohort_products(step)
+    k["im_beta_c"] = _along_cohorts(
+        _beta_table(params.beta_m, grid.ages_m, taus_m, delta), k["im_c"], 0)
 
-    # human rates on the field axes: (age column, structure age) in full
-    # mode, structure age alone in reduced mode, where no rate reads age
+    # human rates on the field axes: (structure age, age) in full mode,
+    # structure age alone in reduced mode, where no rate reads age
     if mode == "full":
         k["sh_entry"], k["sh_step"] = decay_factors(rate_table(params.mu_h, grid.ages_h), delta)
-        a_h, taus, etas = grid.ages_h[:, None], grid.taus_h[None, :], grid.etas[None, :]
+        ages, column = grid.ages_h, (slice(None), None)
     else:
-        if not params.reduced_mode_eligible:
-            raise ValueError("reduced mode requires age-independent human rates")
+        _check_reduced(mode, params)
         if not params.mu_h_value() > 0:
             raise ValueError("reduced mode needs mu_h > 0: without human mortality "
                              "the susceptible humans have no balance")
-        a_h, taus, etas = 0.0, grid.taus_h, grid.etas
-    # each removal table is dropped before the next is built: in full mode
-    # they can be the size of the fields
-    for key, part, pool, second in (("ih", params.gamma_h, "i_h", taus),
-                                    ("rh", params.k_h, "r_h", etas)):
-        k[key + "_entry"], k[key + "_step"], k[key + "_out"], k[key + "_out0"] = \
-            _channel_tables(rate_table(part, a_h, second),
-                            rate_table(params.removal_rate(pool), a_h, second), delta)
-    k["beta_h"] = np.ascontiguousarray(rate_table(params.beta_h, a_h + 0.5 * delta, taus))
+        ages, column = 0.0, slice(None)
+    # recovered humans first: their tables are the larger, and their build
+    # peaks before the infected humans' tables are held
+    for key, part, pool, axis in (("rh", params.k_h, "r_h", grid.etas),
+                                  ("ih", params.gamma_h, "i_h", grid.taus_h)):
+        axis = axis[column]
+        k.update(_ring_channel(key, rate_table(part, ages, axis),
+                               rate_table(params.removal_rate(pool), ages, axis), delta))
+    k["ih_beta_c"] = _along_cohorts(
+        _beta_table(params.beta_h, ages, grid.taus_h[column], delta), k["ih_c"], 0)
     return k
 
 
@@ -194,22 +236,39 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
 # forces of infection
 
 
-def _mosquito_pressure(state: StateFields, params: ModelParams, k: dict) -> float:
+def _field_pressure(rate, field: np.ndarray, ages, taus: np.ndarray, theta: float,
+                    d: float) -> float:
+    """theta * integral of beta * field over the field's axes, with beta
+    sampled as the kernel samples it."""
+    beta = _beta_table(rate, ages, taus, d)           # a read-only broadcast
+    cells = "ij"[-field.ndim:]
+    return theta * float(np.einsum(f"{cells},{cells}->", beta, field)) * d ** field.ndim
+
+
+def _mosquito_pressure(state: StateFields, params: ModelParams, grid: Grid) -> float:
     """theta * double integral of beta_m * I_m  (bites turning infectious)."""
-    return params.theta * float(np.vdot(k["beta_m"], state.i_m)) * k["delta"] ** 2
+    return _field_pressure(params.beta_m, state.i_m, grid.ages_m[:, None], grid.taus_m,
+                           params.theta, grid.delta)
 
 
-def _human_pressure(state: StateFields, params: ModelParams, k: dict) -> float:
+def _human_pressure(state: StateFields, params: ModelParams, grid: Grid) -> float:
     """theta * integral of beta_h * I_h over the human field's axes."""
-    return params.theta * float(np.vdot(k["beta_h"], state.i_h)) * k["delta"] ** state.i_h.ndim
+    _check_reduced(state.mode, params)
+    ages = grid.ages_h[:, None] if state.mode == "full" else 0.0
+    return _field_pressure(params.beta_h, state.i_h, ages, grid.taus_h, params.theta,
+                           grid.delta)
+
+
+def _population(mode: str, s_h, sum_i_h: float, sum_r_h: float, d: float) -> float:
+    """N_h from the susceptibles and the cell sums of i_h and r_h."""
+    if mode == "full":
+        return float(np.sum(s_h) * d + sum_i_h * d * d + sum_r_h * d * d)
+    return float(s_h + sum_i_h * d + sum_r_h * d)
 
 
 def n_human(state: StateFields, grid: Grid) -> float:
-    d = grid.delta
-    if state.mode == "full":
-        return float(np.sum(state.s_h) * d + np.sum(state.i_h) * d * d
-                     + np.sum(state.r_h) * d * d)
-    return float(state.s_h + np.sum(state.i_h) * d + np.sum(state.r_h) * d)
+    return _population(state.mode, state.s_h, np.sum(state.i_h), np.sum(state.r_h),
+                       grid.delta)
 
 
 def n_mosquito(state: StateFields, grid: Grid) -> float:
@@ -217,27 +276,26 @@ def n_mosquito(state: StateFields, grid: Grid) -> float:
     return float(np.sum(state.s_m) * d + np.sum(state.i_m) * d * d)
 
 
-def _above_floor(nh: float, k: dict, t: float) -> float:
-    if nh < 0.5 * k["eps_floor"]:
+def _above_floor(nh: float, floor: float, t: float) -> float:
+    if nh < 0.5 * floor:
         raise DegeneratePopulationError(
-            f"N_h = {nh:g} fell below half the floor {k['eps_floor']:g} at t = {t:g}")
+            f"N_h = {nh:g} fell below half the floor {floor:g} at t = {t:g}")
     return nh
 
 
 def force_mh(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
     """Infection pressure on humans by age: S_h(a)/N_h * theta * iint beta_m I_m."""
-    k = _kernel(params, grid, state.mode)
-    nh = _above_floor(n_human(state, grid), k, state.t)
-    phi = _mosquito_pressure(state, params, k)
+    _check_reduced(state.mode, params)
+    nh = _above_floor(n_human(state, grid), params.epsilon_floor(grid), state.t)
+    phi = _mosquito_pressure(state, params, grid)
     s_h = np.atleast_1d(np.asarray(state.s_h, dtype=float))
     return s_h / nh * phi
 
 
 def force_hm(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
     """Infection pressure on mosquitoes by age: S_m(a)/N_h * theta * iint beta_h I_h."""
-    k = _kernel(params, grid, state.mode)
-    nh = _above_floor(n_human(state, grid), k, state.t)
-    phi = _human_pressure(state, params, k)
+    nh = _above_floor(n_human(state, grid), params.epsilon_floor(grid), state.t)
+    phi = _human_pressure(state, params, grid)
     return state.s_m / nh * phi
 
 
@@ -248,17 +306,20 @@ def force_hm(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
 SEED_TAU_BAND = 0.1    # infection-age width of the seeded band
 
 
-def _band_profile(entry: np.ndarray, step: np.ndarray, taus: np.ndarray,
-                  ages: np.ndarray, d: float) -> np.ndarray:
+def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float) -> np.ndarray:
     """Structure-age profile per age row on the band ``taus <= SEED_TAU_BAND``,
     proportional to the survival factor and normalized to unit mass per row
-    (rows with no cell inside the triangle stay zero).  The first column of
-    ``step`` is the padding 1 of :func:`decay_factors`, so the profile starts
-    at ``entry``."""
+    (rows with no cell inside the triangle stay zero).  The band's factors
+    are sampled from the removal rate as the kernel samples them; the first
+    row of ``step`` is the padding 1 of :func:`decay_factors`, so the
+    profile starts at ``entry``."""
     nb = int(np.count_nonzero(taus <= SEED_TAU_BAND + 1e-12))    # taus increase
-    prof = np.zeros(step.shape)
+    prof = np.zeros((len(ages), len(taus)))
+    if nb == 0:
+        return prof
+    entry, step = decay_factors(rate_table(removal, ages, taus[:nb, None]), d)
     band = prof[:, :nb]
-    np.multiply(entry[:, None], np.cumprod(step[:, :nb], axis=1), out=band)
+    np.multiply(entry[:, None], np.cumprod(step, axis=0).T, out=band)
     band *= taus[None, :nb] <= ages[:, None] + 1e-12
     norms = np.sum(prof, axis=1) * d
     return np.divide(prof, norms[:, None], out=prof, where=norms[:, None] > 0)
@@ -285,13 +346,13 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
         ([params.lambda_m * k["sm_entry"]], k["sm_step"][1:])))
     i_m0 = np.zeros((grid.n_am, grid.n_tm))
     if infected_fraction_m > 0.0:
-        prof_m = _band_profile(k["im_entry"], k["im_step"], grid.taus_m, grid.ages_m, d)
+        prof_m = _band_profile(params.removal_rate("i_m"), grid.ages_m, grid.taus_m, d)
         i_m0 = infected_fraction_m * s_m0[:, None] * prof_m
         s_m0 = (1.0 - infected_fraction_m) * s_m0
 
     if mode == "reduced":
-        band = grid.taus_h <= SEED_TAU_BAND + 1e-12
-        prof = np.where(band, np.cumprod(np.where(band, k["ih_step"], 1.0)), 0.0)
+        band = grid.taus_h <= SEED_TAU_BAND + 1e-12    # a prefix of the axis
+        prof = np.where(band, k["ih_c"], 0.0)
         prof[0] = k["ih_entry"]
         prof = np.where(band, prof, 0.0)
         prof = prof / (np.sum(prof) * d) if prof.any() else prof
@@ -303,7 +364,7 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 
     s_h0 = np.cumprod(np.concatenate(
         ([params.lambda_h * k["sh_entry"]], k["sh_step"][1:])))
-    prof = _band_profile(k["ih_entry"], k["ih_step"], grid.taus_h, grid.ages_h, d)
+    prof = _band_profile(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d)
     i_h0 = infected_fraction * s_h0[:, None] * prof
     return StateFields("full", 0.0, (1.0 - infected_fraction) * s_h0, i_h0,
                        np.zeros((grid.n_ah, grid.n_eta)), s_m0, i_m0)
@@ -313,92 +374,115 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 # stepping
 
 
+def _skew(rows: np.ndarray, width: int) -> np.ndarray:
+    """The view ``v[i, j] = rows[i, j - i]`` of a C-contiguous block of rows:
+    column ``j`` runs along a skewed diagonal.  For ``j < i`` it reads the
+    end of row ``i - 1``; with ``width`` below the row length it stays
+    inside ``rows``."""
+    step_i, step_j = rows.strides
+    return np.lib.stride_tricks.as_strided(rows, shape=(len(rows), width),
+                                           strides=(step_i - step_j, step_j),
+                                           writeable=False)
+
+
 class _CohortRing:
-    """Infected mosquitoes of a run as the last ``n_tm`` entry rows, indexed by
-    the cohort offset ``x = a - tau``; after ``t`` steps the row of infection
-    age ``tau`` is ``(t - tau) mod n_tm`` (see the module docstring)."""
+    """A structured field held as the last ``n`` entry rows of a run, indexed
+    by the cohort offset ``x = a - tau``: ring row ``(head + tau) mod n``
+    holds structure age ``tau`` (see the module docstring).  A field with no
+    age axis (the REDUCED human fields) has one cohort, so a row is one
+    number.  ``pool`` names the field; the kernel keys of its tables drop
+    the underscore."""
 
-    def __init__(self, k: dict, i_m: np.ndarray):
-        self.c2, self.beta2, self.entry = k["im_c2"], k["im_beta2"], k["im_entry"]
-        n, n_am = self.c2.shape[0] // 2, self.c2.shape[1]
-        self.t = 0
-        self.rows = np.zeros((n, n_am))
+    def __init__(self, k: dict, pool: str, field: np.ndarray):
+        key = pool.replace("_", "")
+        self.c, self.entry = k[key + "_c"], k[key + "_entry"]
+        self.beta_c, self.out_c = k.get(key + "_beta_c"), k.get(key + "_out_c")
+        self.head = 0
+        self.rows = np.zeros(self.c.shape)
         with np.errstate(divide="ignore", over="ignore"):
-            for tau in range(n):
-                cells = i_m[tau:, tau]
-                np.divide(cells, self.c2[n - 1 - tau, :n_am - tau],
-                          out=self.rows[-tau % n, :n_am - tau], where=cells != 0.0)
+            if field.ndim == 1:
+                np.divide(field, self.c, out=self.rows, where=field != 0.0)
+            else:
+                # a column is a strided pass over the field: read only those with mass
+                n_a = field.shape[0]
+                for tau in np.flatnonzero(np.any(field, axis=0)):
+                    cells = field[tau:, tau]
+                    np.divide(cells, self.c[tau, :n_a - tau], out=self.rows[tau, :n_a - tau],
+                              where=cells != 0.0)
         if not np.isfinite(np.max(self.rows)):
-            raise ValueError("initial i_m is nonzero where the infection survival "
-                             "product underflows; the cohort ring cannot hold it")
+            raise ValueError(f"initial {pool} is nonzero where its survival product "
+                             "underflows; the cohort ring cannot hold it")
 
-    def _aligned(self, table: np.ndarray) -> np.ndarray:
-        """The rows of a reversed, doubled table that line up with the ring."""
-        n = len(self.rows)
-        c = n - 1 - self.t % n
-        return table[c:c + n]
+    def _pieces(self, table: np.ndarray):
+        """``(table rows, ring rows)`` for structure ages ``0 .. n - head - 1``
+        and ``n - head .. n - 1``: each pair contiguous and aligned."""
+        n, h = len(self.rows), self.head
+        return (table[:n - h], self.rows[h:]), (table[n - h:], self.rows[:h])
 
-    def push(self, infected: np.ndarray) -> None:
+    def _dot(self, table: np.ndarray) -> float:
+        (t0, r0), (t1, r1) = self._pieces(table)
+        return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
+
+    def push(self, inflow) -> None:
         """One step: the oldest cohort row becomes the newest entry row."""
-        self.t += 1
-        np.multiply(infected, self.entry, out=self.rows[self.t % len(self.rows)])
-
-    def sum_beta(self) -> float:
-        """Sum of beta_m * i_m over the cells."""
-        return float(np.vdot(self._aligned(self.beta2), self.rows))
+        self.head = (self.head - 1) % len(self.rows)
+        self.rows[self.head] = inflow * self.entry
 
     def sum(self) -> float:
-        """Sum of i_m over the cells."""
-        return float(np.vdot(self._aligned(self.c2), self.rows))
+        """Sum of the field's cells."""
+        return self._dot(self.c)
+
+    def sum_beta(self) -> float:
+        """Sum of beta * cells."""
+        return self._dot(self.beta_c)
+
+    def outflow(self):
+        """Mass the removal channel takes during a step from the cohorts that
+        move one cell (the entering cohort's share is the caller's).  With an
+        age axis it is counted by the age row the cohorts arrive in: a sum
+        along each skewed diagonal of the weighted ring."""
+        if self.rows.ndim == 1:
+            return self._dot(self.out_c)
+        n, n_a = self.rows.shape
+        mass = np.zeros(n_a)
+        for tau0, (w, rows) in zip((0, n - self.head), self._pieces(self.out_c)):
+            width = n_a - 1 - tau0         # arrivals in age rows 1 + tau0 .. n_a - 1
+            if len(w) and width > 0:
+                mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
+        return mass
 
     def field(self) -> np.ndarray:
-        """The i_m field the ring holds."""
-        n, n_am = self.rows.shape
-        i_m = np.zeros((n_am, n))
-        for tau in range(n):
-            np.multiply(self.rows[(self.t - tau) % n, :n_am - tau],
-                        self.c2[n - 1 - tau, :n_am - tau], out=i_m[tau:, tau])
-        return i_m
+        """The field the ring holds."""
+        if self.rows.ndim == 1:
+            return np.roll(self.rows, -self.head) * self.c
+        n, n_a = self.rows.shape
+        f = np.zeros((n_a, n))
+        for tau in range(min(n, n_a)):
+            row = self.rows[(self.head + tau) % n, :n_a - tau]
+            if row.any():                  # a column is a strided pass over the field
+                np.multiply(row, self.c[tau, :n_a - tau], out=f[tau:, tau])
+        return f
 
 
-def _sums(state: StateFields, params: ModelParams, grid: Grid, k: dict,
-          ring: _CohortRing) -> tuple[float, float, float]:
-    """N_h and the mosquito and human pressures of a run's state."""
-    return (n_human(state, grid), params.theta * ring.sum_beta() * grid.delta ** 2,
-            _human_pressure(state, params, k))
-
-
-def _outflow(w: np.ndarray, w0, field: np.ndarray, inflow):
-    """Mass leaving ``field`` through one removal channel during a step, per
-    age row (a scalar for a field with no age axis): the outflow weights
-    ``w`` against every cohort moving one cell, plus ``w0`` of the cohort
-    entering with ``inflow``."""
-    cur, prev = _diagonal(field.ndim)
-    mass = np.zeros(field.shape[:-1])
-    mass[cur[:-1]] = np.einsum("...j,...j->...", w[cur], field[prev])
-    mass += w0 * inflow
-    return mass
-
-
-def _advance(field: np.ndarray, out: np.ndarray, step: np.ndarray, entry,
-             inflow) -> np.ndarray:
-    """Move ``field`` one cell along every axis into ``out``, decaying by
-    ``step``, and fill the structure-age-0 column with ``inflow * entry``."""
-    cur, prev = _diagonal(field.ndim)
-    out[cur] = field[prev] * step[cur]
-    if field.ndim == 2:
-        out[0, 1:] = 0.0      # nothing moves into the first age row
-    out[..., 0] = inflow * entry
-    return out
+def _sums(state: StateFields, params: ModelParams, grid: Grid,
+          buf: dict) -> tuple[float, float, float, float]:
+    """N_h, the mosquito and human pressures and the i_h cell sum of a run's
+    state."""
+    d = grid.delta
+    sum_i_h = buf["i_h"].sum()
+    nh = _population(state.mode, state.s_h, sum_i_h, buf["r_h"].sum(), d)
+    return (nh, params.theta * buf["i_m"].sum_beta() * d ** 2,
+            params.theta * buf["i_h"].sum_beta() * d ** (2 if state.mode == "full" else 1),
+            sum_i_h)
 
 
 def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
                   buf: dict) -> None:
-    """One step of a run: ``buf`` holds the scratch arrays, the ring holding
-    the infected mosquitoes and the sums of ``state``, which it updates."""
+    """One step of a run: ``buf`` holds the structured fields, scratch arrays
+    and the sums of ``state``, which it updates."""
     d = grid.delta
-    nh, phi_m, phi_h = buf["sums"]
-    _above_floor(nh, k, state.t)
+    nh, phi_m, phi_h, _ = buf["sums"]
+    _above_floor(nh, k["eps_floor"], state.t)
     rate_mh = phi_m / nh    # per-susceptible-human rate
     rate_hm = phi_h / nh    # per-susceptible-mosquito rate
 
@@ -406,8 +490,9 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
     infected_m = state.s_m * rate_hm    # new mosquito infections by age
     # recoveries and immunity losses during the step: each channel's share of
     # every cohort's removal (conserves the removal mass split exactly)
-    recovered = _outflow(k["ih_out"], k["ih_out0"], state.i_h, infected_h)
-    returned = _outflow(k["rh_out"], k["rh_out0"], state.r_h, recovered)
+    i_h, r_h = buf["i_h"], buf["r_h"]
+    recovered = i_h.outflow() + k["ih_out0"] * infected_h
+    returned = r_h.outflow() + k["rh_out0"] * recovered
 
     if state.mode == "full":
         new_s = buf["s_h"]
@@ -425,14 +510,11 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
     new_sm[0] = params.lambda_m * k["sm_entry"] * np.exp(-0.5 * d * rate_hm)
     state.s_m, buf["s_m"] = new_sm, state.s_m
 
-    for name, key, inflow in (("i_h", "ih", infected_h), ("r_h", "rh", recovered)):
-        field = getattr(state, name)
-        setattr(state, name, _advance(field, buf[name], k[key + "_step"], k[key + "_entry"],
-                                      inflow))
-        buf[name] = field
-    buf["ring"].push(infected_m)
+    i_h.push(infected_h)
+    r_h.push(recovered)
+    buf["i_m"].push(infected_m)
     state.t += d
-    buf["sums"] = _sums(state, params, grid, k, buf["ring"])
+    buf["sums"] = _sums(state, params, grid, buf)
 
 
 def _field_shapes(grid: Grid, mode: str) -> dict:
@@ -465,49 +547,60 @@ def _check_state(state: StateFields, grid: Grid) -> None:
             raise ValueError(f"state field {name} is nonzero where structure age exceeds age")
 
 
+_STRUCTURED = ("i_h", "r_h", "i_m")
+
+
 def _start(init: StateFields, params: ModelParams, grid: Grid):
-    """A run from ``init``: a checked copy of it, whose i_m is held by the
-    ring in ``buf`` (``state.i_m`` is None until the run returns), the kernel
-    and ``buf``."""
+    """A run from ``init``: its state, whose structured fields are None
+    until the run returns them, the kernel and ``buf``, which holds those
+    fields as cohort rings, scratch arrays and the state's sums.  ``init``
+    is checked and left as it is."""
     _check_state(init, grid)
     k = _kernel(params, grid, init.mode)
-    state = init.copy()
-    ring = _CohortRing(k, state.i_m)
-    state.i_m = None
-    buf = {"i_h": np.zeros_like(state.i_h), "r_h": np.zeros_like(state.r_h),
-           "s_m": np.zeros_like(state.s_m), "ring": ring}
-    if state.mode == "full":
-        buf["s_h"] = np.zeros_like(state.s_h)
-    buf["sums"] = _sums(state, params, grid, k, ring)
+    buf = {name: _CohortRing(k, name, getattr(init, name)) for name in _STRUCTURED}
+    buf["s_m"] = np.zeros_like(init.s_m)
+    s_h = init.s_h
+    if init.mode == "full":
+        s_h, buf["s_h"] = s_h.copy(), np.zeros_like(s_h)
+    state = StateFields(init.mode, init.t, s_h, None, None, init.s_m.copy(), None)
+    buf["sums"] = _sums(state, params, grid, buf)
     return state, k, buf
+
+
+def _finish(state: StateFields, buf: dict) -> None:
+    """Give ``state`` its structured fields back, building one at a time
+    and dropping its ring before the next."""
+    for name in _STRUCTURED:
+        setattr(state, name, buf.pop(name).field())
 
 
 def step(state: StateFields, params: ModelParams, grid: Grid) -> StateFields:
     """One unit-CFL step; returns a new state at t + delta."""
     out, k, buf = _start(state, params, grid)
     _step_inplace(out, params, grid, k, buf)
-    out.i_m = buf["ring"].field()
+    _finish(out, buf)
     return out
 
 
 def observe(state: StateFields, params: ModelParams, grid: Grid,
-            sums: tuple[float, float, float, float] | None = None) -> Observables:
+            sums: tuple[float, float, float, float, float] | None = None) -> Observables:
     """Observables of ``state``; ValueError if any is not finite.
 
-    A run passes ``sums``: the N_h and the two pressures it already computed
-    for the state, and the sum of the i_m cells its ring holds.
+    A run passes ``sums``: the N_h, the two pressures and the i_h cell sum
+    it already computed for the state, and the sum of the i_m cells its ring
+    holds; the run's state carries no structured field.
     """
     if sums is None:
-        k = _kernel(params, grid, state.mode)
-        sums = (n_human(state, grid), _mosquito_pressure(state, params, k),
-                _human_pressure(state, params, k), float(np.sum(state.i_m)))
+        sums = (n_human(state, grid), _mosquito_pressure(state, params, grid),
+                _human_pressure(state, params, grid), float(np.sum(state.i_h)),
+                float(np.sum(state.i_m)))
     d = grid.delta
-    nh, phi_m, phi_h, sum_i_m = sums
+    nh, phi_m, phi_h, sum_i_h, sum_i_m = sums
     if state.mode == "full":
-        total_ih = float(np.sum(state.i_h)) * d * d
+        total_ih = sum_i_h * d * d
         foi_mh = float(np.sum(state.s_h)) * d / nh * phi_m
     else:
-        total_ih = float(np.sum(state.i_h)) * d
+        total_ih = sum_i_h * d
         foi_mh = float(state.s_h) / nh * phi_m
     sum_s_m = float(np.sum(state.s_m))
     obs = Observables(t=state.t, n_h=nh, n_m=sum_s_m * d + sum_i_m * d * d,
@@ -601,15 +694,14 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     state, k, buf = _start(init, params, grid)
-    ring = buf["ring"]
     n_steps = int(round(t_end / grid.delta))
-    rows = [observe(state, params, grid, (*buf["sums"], ring.sum()))]
+    rows = [observe(state, params, grid, (*buf["sums"], buf["i_m"].sum()))]
     for n in range(1, n_steps + 1):
         _step_inplace(state, params, grid, k, buf)
         state.t = n * grid.delta + init.t   # avoid accumulated float drift
         if n % output_every == 0 or n == n_steps:
-            rows.append(observe(state, params, grid, (*buf["sums"], ring.sum())))
+            rows.append(observe(state, params, grid, (*buf["sums"], buf["i_m"].sum())))
     if return_final:
-        state.i_m = ring.field()
+        _finish(state, buf)
         return rows, state
     return rows

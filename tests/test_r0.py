@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,13 +9,15 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim.characteristics import g_of_lambda
+from structsim import kernels
+from structsim.grids import characteristic_cumulative, cumulative_to_centers
 from structsim.kernels import spectral_kernels
 from structsim.r0 import (lambda0_closed_form, lambda_m_for_target_r0,
                           lambda_m_slope, power_iteration_r0, r0_closed_form,
                           r0_reduced, survival_profile)
-from structsim.rates import Arity, RateSpec
+from structsim.rates import Arity, RateSpec, eval_rate, rate_table
 
-from conftest import fast_grid, fast_params
+from conftest import fast_grid, fast_params, make_params
 
 # Reference threshold values (squared convention) from adaptive quadrature of
 # the closed-form integrals, converged to ~1e-12; midpoint desk-scale grids
@@ -189,3 +193,42 @@ def test_kernel_masses_reported(forward):
     recombined = (params.lambda_m * sk.int_pi_m / (params.lambda_h * sk.int_pi_h)
                   * params.theta ** 2 * rep.kernel_mass_mh * rep.kernel_mass_hm)
     assert recombined == pytest.approx(rep.r0_squared_closed_form, rel=1e-12)
+
+
+def test_general_path_builds_no_age_table_for_age_free_transmission():
+    # the general path multiplies its kernels by beta_h and beta_m; a rate
+    # that reads no age is evaluated on infection age alone, without the
+    # (offset + infection age) table (48 MB on the benchmark's age config)
+    params = make_params(mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE),
+                         beta_m=RateSpec.gauss(0.05, 0.2, 0.2, Arity.TAU_ONLY))
+    grid = ss.Grid(delta=0.01, a_max_h=200.0, a_max_m=1.5, tau_max_h=0.6,
+                   tau_max_m=1.5, eta_max=1.0)
+    table = grid.n_ah * grid.n_th * 8
+    live = []
+
+    def traced(spec, a, second=0.0):
+        if spec is params.beta_h:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return eval_rate(spec, a, second)
+
+    spectral_kernels.cache_clear()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(kernels, "eval_rate", traced):
+            sk = spectral_kernels(params, grid)
+    finally:
+        tracemalloc.stop()
+    # held while beta_h is sampled: the removal kernel, not a second table
+    assert len(live) == 1 and live[0] < 1.5 * table, f"{live[0] / table:.2f} tables"
+    # the same tables as on the explicit age table
+    d, d_m = grid.delta, (grid.ages_m, grid.taus_m)
+    cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d)
+    expect = np.exp(-cum) * eval_rate(params.beta_h, grid.ages_h[:, None] + grid.taus_h[None, :],
+                                      grid.taus_h[None, :])
+    assert np.array_equal(sk.human_kernel_nopi, expect)
+    pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, d_m[0]), d))
+    mosq = (eval_rate(params.beta_m, d_m[0][:, None] + d_m[1][None, :], d_m[1][None, :])
+            * np.exp(-characteristic_cumulative(params.removal_rate("i_m"), *d_m, d))
+            * pi_m[:, None])
+    live_cells = np.add.outer(np.arange(grid.n_am), np.arange(grid.n_tm)) + 1 <= grid.n_am
+    assert np.array_equal(sk.mosq_kernel, np.where(live_cells, mosq, 0.0))

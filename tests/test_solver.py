@@ -1,5 +1,7 @@
 import math
+import os
 import struct
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -66,6 +68,11 @@ def test_force_of_an_age_only_transmission_probability():
     phi = params.theta * float(np.sum(beta[:, None] * st.i_h)) * grid.delta ** 2
     expect = st.s_m / n_human(st, grid) * phi
     assert np.allclose(ss.force_hm(st, params, grid), expect, rtol=1e-12, atol=0.0)
+    # a reduced state has no age axis to sample such a rate on
+    reduced = ss.default_initial(fast_params(), grid, 0.1, mode="reduced")
+    for force in (ss.force_mh, ss.force_hm, ss.observe):
+        with pytest.raises(ValueError, match="reduced mode requires age-independent"):
+            force(reduced, params, grid)
 
 
 def test_degenerate_population_error():
@@ -183,16 +190,13 @@ def test_population_balance_defect_is_first_order():
         grid = ss.Grid(delta=delta, a_max_h=16.0, a_max_m=5.0,
                        tau_max_h=8.0, tau_max_m=2.5, eta_max=8.0)
         st = ss.default_initial(params, grid, 0.1, mode="full")
+        mu = rate_table(params.mu_h, grid.ages_h)
+        nu_g = rate_table(params.nu_h, grid.ages_h[:, None], grid.taus_h[None, :])
         worst = 0.0
         state = st
         for _ in range(int(round(0.4 / delta))):
             nxt = ss.step(state, params, grid)
             d_dt = (n_human(nxt, grid) - n_human(state, grid)) / delta
-            mu = np.asarray(params.mu_h(grid.ages_h, 0.0), dtype=float)
-            mu = np.full(grid.n_ah, float(mu)) if mu.ndim == 0 else mu
-            nu_g = params.nu_h(grid.ages_h[:, None],
-                               np.broadcast_to(grid.taus_h[None, :],
-                                               (grid.n_ah, grid.n_th)))
             removal = (np.sum(mu * state.s_h) * delta
                        + np.sum(mu[:, None] * state.r_h) * delta ** 2
                        + np.sum((mu[:, None] + nu_g) * state.i_h) * delta ** 2)
@@ -257,18 +261,22 @@ def _triangle(n_a, n_s):
 
 
 @st.composite
-def _small_case(draw, tm_spans_age=None):
+def _small_case(draw, spans_age=None):
     """Random small grid, age-free human rates and a random triangular state
     in the drawn layout; ``first`` nonzero gives removal in the entry cell.
-    ``tm_spans_age`` True or False forces ``n_tm == n_am`` or ``n_tm < n_am``."""
+    ``spans_age`` True gives structure axes as long as their age axes
+    (``n_th == n_eta == n_ah``, ``n_tm == n_am``); False gives shorter
+    infection-age axes and a recovery-age axis of any length."""
     delta = draw(st.sampled_from([0.05, 0.1, 0.25]))
     n_ah, n_am = draw(st.integers(2, 10)), draw(st.integers(2, 10))
-    if tm_spans_age is None:
+    if spans_age is None:
         n_th, n_tm = draw(st.integers(1, n_ah)), draw(st.integers(1, n_am))
+        n_eta = draw(st.integers(1, 12))
+    elif spans_age:
+        n_th, n_tm, n_eta = n_ah, n_am, n_ah
     else:
-        n_th = draw(st.integers(1, n_ah))
-        n_tm = n_am if tm_spans_age else draw(st.integers(1, n_am - 1))
-    n_eta = draw(st.integers(1, 12))
+        n_th, n_tm = draw(st.integers(1, n_ah - 1)), draw(st.integers(1, n_am - 1))
+        n_eta = draw(st.integers(1, 12))
     grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=n_am * delta,
                    tau_max_h=n_th * delta, tau_max_m=n_tm * delta, eta_max=n_eta * delta)
     first, late = draw(st.sampled_from([0.0, 0.7])), draw(st.floats(0.0, 5.0))
@@ -317,30 +325,40 @@ RATE_SETS = [{}, _ENTRY_CELL, {**_ENTRY_CELL, "beta_h": RateSpec.constant(0.2, A
 
 @pytest.mark.parametrize("over", RATE_SETS)
 def test_outflow_weights_hand_value(over):
-    # channel share of the trapezoid removal times the fraction removed
+    # channel share of the trapezoid removal times the fraction removed; the
+    # kernel keeps the weights times the survival product C
     params = fast_params(**over)
     grid = fast_grid(0.05)
     k = _kernel(params, grid, "reduced")
     d = grid.delta
-    for key, part, other in (("ih", rate_table(params.gamma_h, 0.0, grid.taus_h), 0.8 + 0.3),
-                             ("rh", rate_table(params.k_h, 0.0, grid.etas), 0.8)):
+    for key, pool, part, axis, other in (
+            ("ih", "i_h", params.gamma_h, grid.taus_h, 0.8 + 0.3),
+            ("rh", "r_h", params.k_h, grid.etas, 0.8)):
+        part = rate_table(part, 0.0, axis)
+        _, _, out, out0 = solver._channel_tables(
+            part, rate_table(params.removal_rate(pool), 0.0, axis), d)
         pair = part[:-1] + part[1:]
         expect = pair / (2 * other + pair) * -np.expm1(-0.5 * d * (2 * other + pair))
-        assert np.allclose(k[key + "_out"][1:], expect, rtol=1e-13, atol=0.0), key
+        assert np.allclose(out[1:], expect, rtol=1e-13, atol=0.0), key
+        assert np.array_equal(k[key + "_out_c"], np.append(out[1:], 0.0) * k[key + "_c"]), key
         expect0 = part[0] / (other + part[0]) * -math.expm1(-0.5 * d * (other + part[0]))
-        assert k[key + "_out0"] == pytest.approx(expect0, rel=1e-13, abs=0.0), key
+        assert k[key + "_out0"] == out0 == pytest.approx(expect0, rel=1e-13, abs=0.0), key
 
 
 @pytest.mark.parametrize("over", RATE_SETS)
 def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
-    # with age-free human rates every age row of the full layout's tables is
-    # the reduced layout's table (row 0 only has the padding of the shift)
+    # with age-free human rates every cohort column of the full layout's ring
+    # tables is the reduced layout's table, cut where the cohort leaves the
+    # age axis, and the per-age entry tables repeat the reduced values
     params = fast_params(**over)
     grid = fast_grid(0.05)
     full, red = _kernel(params, grid, "full"), _kernel(params, grid, "reduced")
-    for key in ("ih_step", "rh_step", "ih_out", "rh_out", "beta_h"):
-        assert full[key].shape[1:] == red[key].shape
-        assert all(np.array_equal(row, red[key]) for row in full[key][1:]), key
+    for key, lag in (("ih_c", 0), ("rh_c", 0), ("ih_beta_c", 0), ("ih_out_c", 1), ("rh_out_c", 1)):
+        assert full[key].shape == (len(red[key]), grid.n_ah), key
+        for tau, value in enumerate(red[key]):
+            live = grid.n_ah - tau - lag
+            assert np.all(full[key][tau, :live] == value), (key, tau)
+            assert np.all(full[key][tau, live:] == 0.0), (key, tau)
     for key in ("ih_entry", "rh_entry", "ih_out0", "rh_out0"):
         assert np.all(full[key] == red[key]), key
 
@@ -381,45 +399,97 @@ def test_entry_cell_recovery_hand_value(mode):
 # infected mosquitoes as a cohort ring
 
 
-class _ShiftRing:
-    """The cohort ring's interface over the i_m field moved by the shift rule
-    (``_advance``), the reference the ring must reproduce."""
-
-    def __init__(self, k, i_m):
-        self.k, self.i_m, self.spare = k, i_m.copy(), np.zeros_like(i_m)
-
-    def push(self, infected):
-        moved = solver._advance(self.i_m, self.spare, self.k["im_step"], self.k["im_entry"],
-                                infected)
-        self.i_m, self.spare = moved, self.i_m
-
-    def sum_beta(self):
-        return float(np.vdot(self.k["beta_m"], self.i_m))
-
-    def sum(self):
-        return float(np.sum(self.i_m))
-
-    def field(self):
-        return self.i_m.copy()
+def _diagonal(ndim):
+    return (slice(1, None),) * ndim, (slice(None, -1),) * ndim
 
 
-@pytest.mark.parametrize("tm_spans_age", [False, True])
+def _shift(field, step, entry, inflow):
+    """The shift rule: ``field`` moved one cell along every axis and decayed
+    by ``step``, its structure-age-0 column filled with ``inflow * entry``."""
+    cur, prev = _diagonal(field.ndim)
+    out = np.zeros_like(field)
+    out[cur] = field[prev] * step[cur]
+    out[..., 0] = inflow * entry
+    return out
+
+
+def _shift_rings(params, grid):
+    """A stand-in for ``solver._CohortRing`` that holds the ordinary field and
+    moves it by the shift rule, with tables sampled from the rates: the
+    reference a cohort ring must reproduce."""
+    d = grid.delta
+    pools = {"i_h": (grid.ages_h, grid.taus_h, params.gamma_h, params.beta_h),
+             "r_h": (grid.ages_h, grid.etas, params.k_h, None),
+             "i_m": (grid.ages_m, grid.taus_m, None, params.beta_m)}
+
+    class ShiftRing:
+        def __init__(self, k, pool, field):
+            ages, axis, part, beta = pools[pool]
+            if field.ndim == 1:             # a reduced human field
+                ages = 0.0
+            # tables come structure age first; a field with an age axis is age-major
+            sample = lambda rate: rate_table(rate, ages, axis[:, None] if field.ndim == 2 else axis)
+            total = sample(params.removal_rate(pool))
+            self.entry, step, out, _ = solver._channel_tables(
+                total if part is None else sample(part), total, d)
+            self.step, self.out = step.T, out.T
+            lag = ages[:, None] if field.ndim == 2 else ages
+            self.beta = None if beta is None else rate_table(beta, lag + 0.5 * d, axis)
+            self.cells = field.copy()
+
+        def push(self, inflow):
+            self.cells = _shift(self.cells, self.step, self.entry, inflow)
+
+        def outflow(self):
+            cur, prev = _diagonal(self.cells.ndim)
+            mass = np.zeros(self.cells.shape[:-1])
+            mass[cur[:-1]] = np.sum(self.out[cur] * self.cells[prev], axis=-1)
+            return mass
+
+        def sum(self):
+            return float(np.sum(self.cells))
+
+        def sum_beta(self):
+            return float(np.sum(self.beta * self.cells))
+
+        def field(self):
+            return self.cells.copy()
+
+    return ShiftRing
+
+
+SUBNORMAL_ULPS = 16
+
+
+def _assert_rounding_only(got, want, name):
+    """``got`` has the zero cells of ``want`` exactly and its other cells to
+    rtol 1e-12; a subnormal cell of ``want`` carries fewer bits than rtol
+    asks, so it is held to a few units in the last place instead: the shift
+    rounds a subnormal cell at each of its at most 25 steps."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
+    normal = np.abs(want) >= np.finfo(float).tiny
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0, err_msg=name)
+    np.testing.assert_array_max_ulp(got[~normal], want[~normal], maxulp=SUBNORMAL_ULPS)
+
+
+@pytest.mark.parametrize("spans_age", [False, True])
 @given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_cohort_ring_matches_the_shift(tm_spans_age, data):
-    # the same run with i_m moved by the shift; only the rounding order of
-    # the products along the diagonal may differ
-    params, grid, state = data.draw(_small_case(tm_spans_age))
+@settings(max_examples=60, deadline=None)
+def test_cohort_ring_matches_the_shift(spans_age, data):
+    # the same run with every cohort ring replaced by the shifted field, in
+    # the drawn layout; only the rounding order of the products and sums
+    # may differ
+    params, grid, state = data.draw(_small_case(spans_age))
     n_steps = data.draw(st.integers(1, 25))
-    assert (grid.n_tm == grid.n_am) == tm_spans_age
+    assert (grid.n_tm == grid.n_am and grid.n_th == grid.n_eta == grid.n_ah) == spans_age
     rows, fin = ss.simulate(params, grid, state, t_end=n_steps * grid.delta,
                             output_every=3, return_final=True)
-    with mock.patch.object(solver, "_CohortRing", _ShiftRing):
+    with mock.patch.object(solver, "_CohortRing", _shift_rings(params, grid)):
         ref_rows, ref = ss.simulate(params, grid, state, t_end=n_steps * grid.delta,
                                     output_every=3, return_final=True)
     for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
-        np.testing.assert_allclose(getattr(fin, name), getattr(ref, name), rtol=1e-12,
-                                   atol=0.0, err_msg=name)
+        _assert_rounding_only(getattr(fin, name), getattr(ref, name), name)
     assert len(rows) == len(ref_rows)
     for row, ref_row in zip(rows, ref_rows):
         assert row.t == ref_row.t
@@ -428,8 +498,8 @@ def test_cohort_ring_matches_the_shift(tm_spans_age, data):
 
 
 def test_cohort_ring_rejects_underflowed_survival():
-    # mosquito removal of 1e4 per year: one step factor is exp(-1000) = 0, so
-    # a cohort past infection age 0 cannot be divided back to its entry row
+    # removal of 1e4 per year: one step factor is exp(-1000) = 0, so a cohort
+    # past structure age 0 cannot be divided back to its entry row
     params = fast_params(mu_m=RateSpec.constant(1e4, Arity.AGE))
     grid = fast_grid(0.1)
     state = ss.default_initial(params, grid, 0.01, mode="reduced")
@@ -438,8 +508,40 @@ def test_cohort_ring_rejects_underflowed_survival():
     rows = ss.simulate(params, grid, state, t_end=0.3)
     assert rows[-1].total_i_m == 0.0
     state.i_m[4, 2] = 1.0
-    with pytest.raises(ValueError, match="underflow"):
+    with pytest.raises(ValueError, match="i_m is nonzero where its survival product underflows"):
         ss.simulate(params, grid, state, t_end=0.3)
+    # the human rings of the full layout: disease mortality, immunity loss
+    for over, name in (({"nu_h": RateSpec.constant(1e4, Arity.AGE_TAU)}, "i_h"),
+                       ({"k_h": RateSpec.constant(1e4, Arity.ETA_ONLY)}, "r_h")):
+        params = fast_params(**over)
+        state = ss.default_initial(params, grid, 0.0, mode="full")
+        getattr(state, name)[:, 0] = 1.0
+        rows, fin = ss.simulate(params, grid, state, t_end=0.3, return_final=True)
+        assert np.all(getattr(fin, name)[:, 1:] == 0.0)
+        getattr(state, name)[4, 2] = 1.0
+        with pytest.raises(ValueError, match=f"{name} is nonzero where its survival product"):
+            ss.simulate(params, grid, state, t_end=0.3)
+        with pytest.raises(ValueError, match="underflows"):
+            ss.step(state, params, grid)
+
+
+@given(_small_case(), st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_snapshot_round_trip_on_random_small_grids(case, n_steps):
+    # a prepared state and the state a run returns, rebuilt from its rings,
+    # read back bit for bit in both layouts
+    params, grid, state = case
+    _, fin = ss.simulate(params, grid, state, t_end=n_steps * grid.delta, return_final=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.bin")
+        for want in (state, fin):
+            save_snapshot(want, grid, path)
+            got, got_grid = load_snapshot(path)
+            assert got_grid == grid and got.mode == want.mode and got.t == want.t
+            for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+                a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+                assert a.dtype == b.dtype == np.float64, name
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
