@@ -16,7 +16,6 @@ from .r0 import R0Report, lambda_m_for_target_r0, power_iteration_r0, r0_closed_
     r0_reduced
 from .rates import Arity, RateKind, RateSpec, eval_rate
 from .solver import (DegeneratePopulationError, Observables, StateFields, default_initial,
-                     force_hm, force_mh, load_snapshot, observe, save_snapshot,
-                     simulate, step)
+                     load_snapshot, observe, save_snapshot, simulate, step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -131,8 +131,13 @@ def decay_factors(rate_at_centers: np.ndarray,
     """
     r = np.asarray(rate_at_centers, dtype=float)
     cur, prev = (slice(1, None),) * r.ndim, (slice(None, -1),) * r.ndim
-    step = np.ones(r.shape)
-    step[cur] = np.exp(-0.5 * delta * (r[prev] + r[cur]))
+    step = np.empty(r.shape)
+    for axis in range(r.ndim):
+        step[(slice(None),) * axis + (0,)] = 1.0
+    cells = step[cur]                    # the exponential is formed in place
+    np.add(r[prev], r[cur], out=cells)
+    cells *= -0.5 * delta
+    np.exp(cells, out=cells)
     return np.exp(-0.5 * delta * r[0]), step
 
 

@@ -35,18 +35,23 @@ steps is B_{t-tau}(x) * C[tau, x], with x = a - tau the cohort offset: B_s
 is the entry row written at step s (the step's inflow by age times the
 entry factor) and C[tau, x] the product of the step factors along the
 diagonal from (x, 0) to (x + tau, tau), zero past the age axis.  C does not
-depend on time, so a run holds i_h, r_h and i_m as cohort rings: the last n
-entry rows of the field, n the length of its structure axis, with one row
-written per step.  A REDUCED human field has one cohort, so its rows are
-numbers and C[tau] the product along its axis.  The kernel samples every
-structured table structure age first, so each diagonal is a contiguous run
-of a row, and keeps C with the weights a step contracts against it: beta *
-C for a pressure and (outflow weight) * C for a removal channel.  Ring rows
-head, head + 1, ... (mod n) hold structure ages 0, 1, ..., so a sum over
-the cells is two contiguous dot products, one on each side of the wrap, and
+depend on time, so a run holds i_h, r_h and i_m as cohort rings of entry
+rows, with one row written per step.  A ring holds the rows its run
+reaches: m = min(n, j + 1 + steps) with j the last structure-age column of
+the initial field holding mass and n the length of the structure axis, so
+the row a step drops is always empty.  A REDUCED human field has one
+cohort, so its rows are numbers and C[tau] the product along its axis.  The
+kernel samples every structured table structure age first, so each
+diagonal is a contiguous run of a row, and keeps C with the weights a step
+contracts against it: beta * C for a pressure and (outflow weight) * C for
+a removal channel.  A table of m rows is the leading m rows of the table of
+the whole axis, so the kernel builds only the rows a run reaches, and one
+kernel per (params, grid, mode) is kept for later runs.  Ring rows head,
+head + 1, ... (mod m) hold structure ages 0, 1, ..., so a sum over the
+cells is two contiguous dot products, one on each side of the wrap, and
 the outflow into each age row sums a skewed diagonal of the same pieces
 through a strided view.  Initial data enters a ring divided by C; the field
-is rebuilt from the ring when a run returns its state.
+is rebuilt on the whole axis when a run returns its state.
 
 A run computes N_h, the two pressures and the infected-human total of each
 state once; the step that leaves the state and the observables sampled at
@@ -114,9 +119,11 @@ class Observables:
 def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
     """Fraction of a cell-to-cell removal belonging to one removal channel,
     using the same rate trapezoid as the decay factor (0 where nothing is
-    removed)."""
+    removed: the channel's rate is one of the removal's rates, all >= 0).
+    The numerator is formed in ``out`` and divided there."""
+    np.add(part_prev, part_cur, out=out)
     den = total_prev + total_cur
-    return np.divide(part_prev + part_cur, den, out=out, where=den > 0)
+    return np.divide(out, den, out=out, where=den > 0)
 
 
 def _channel_tables(part: np.ndarray, total: np.ndarray, delta: float):
@@ -151,35 +158,41 @@ def _cohort_products(step: np.ndarray) -> np.ndarray:
 def _along_cohorts(table: np.ndarray, c: np.ndarray, lag: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """``table[tau + lag, x + tau + lag] * c[tau, x]`` on the cohort layout
-    of ``c``, zero where that cell of ``table`` lies past an axis.  ``out``
-    may be ``table`` itself when ``lag`` is 1: each row is read before it is
-    written."""
+    of ``c``, zero where that cell of ``table`` lies past an axis (``table``
+    may have more structure-age rows than ``c``).  ``out`` may be the
+    leading rows of ``table`` itself when ``lag`` is 1: each row is read
+    before it is written."""
     out = np.zeros(c.shape) if out is None else out
+    n_t = len(table)
     if c.ndim == 1:
-        n_s = len(c)
-        out[:n_s - lag] = table[lag:] * c[:n_s - lag]
-        out[n_s - lag:] = 0.0
+        live = min(len(c), n_t - lag)
+        out[:live] = table[lag:lag + live] * c[:live]
+        out[live:] = 0.0
         return out
     n_s, n_a = c.shape
     for tau in range(n_s):
-        live = max(n_a - tau - lag, 0) if tau + lag < n_s else 0
+        live = max(n_a - tau - lag, 0) if tau + lag < n_t else 0
         if live:
             np.multiply(table[tau + lag, tau + lag:], c[tau, :live], out=out[tau, :live])
         out[tau, live:] = 0.0
     return out
 
 
-def _ring_channel(key: str, part: np.ndarray, total: np.ndarray, delta: float) -> dict:
-    """The tables a cohort ring with a removal channel reads: entry factors,
-    C, the outflow weights times C (the weight of the cell that moves from
-    ``(tau, x)``) and the entry cell's weights.  The step table lives only
-    until C is formed, and the weights overwrite the outflow table."""
+def _ring_channel(key: str, part: np.ndarray, total: np.ndarray, delta: float,
+                  m: int) -> dict:
+    """The tables a cohort ring of ``m`` rows with a removal channel reads:
+    entry factors, C, the outflow weights times C (the weight of the cell
+    that moves from ``(tau, x)``) and the entry cell's weights.  ``part``
+    and ``total`` are sampled on ``m + 1`` structure ages, or on the whole
+    axis when it is shorter: the weight of row ``m - 1`` reads step row
+    ``m``.  The step table lives only until C is formed, and the weights
+    overwrite the outflow table."""
     entry, step, out, out0 = _channel_tables(part, total, delta)
     del part, total
-    c = _cohort_products(step)
+    c = _cohort_products(step[:m])
     del step
     return {key + "_entry": entry, key + "_out0": out0, key + "_c": c,
-            key + "_out_c": _along_cohorts(out, c, 1, out=out)}
+            key + "_out_c": _along_cohorts(out, c, 1, out=out[:m])}
 
 
 def _check_reduced(mode: str, params: ModelParams) -> None:
@@ -196,13 +209,35 @@ def _beta_table(rate, ages, taus, delta: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel(params: ModelParams, grid: Grid, mode: str):
+def _age_kernel(params: ModelParams, grid: Grid, mode: str) -> dict:
+    """The kernel tables on the age axes alone: the susceptibles' entry and
+    step factors, the step and the population floor.  They are all that
+    :func:`default_initial` reads."""
     delta = grid.delta
     k = {"delta": delta, "eps_floor": params.epsilon_floor(grid)}
     k["sm_entry"], k["sm_step"] = decay_factors(rate_table(params.mu_m, grid.ages_m), delta)
+    if mode == "full":
+        k["sh_entry"], k["sh_step"] = decay_factors(rate_table(params.mu_h, grid.ages_h), delta)
+    else:
+        _check_reduced(mode, params)
+        if not params.mu_h_value() > 0:
+            raise ValueError("reduced mode needs mu_h > 0: without human mortality "
+                             "the susceptible humans have no balance")
+    return k
+
+
+def _build_kernel(params: ModelParams, grid: Grid, mode: str,
+                  rows: tuple[int, int, int]) -> dict:
+    """The tables a run reads: those of :func:`_age_kernel` and the ring
+    tables of ``i_h``, ``r_h`` and ``i_m``, each built for the first
+    ``rows`` structure ages of its field, in that order.  A table of ``m``
+    rows is the leading ``m`` rows of the table of the whole axis."""
+    delta = grid.delta
+    k = dict(_age_kernel(params, grid, mode))
+    m_ih, m_rh, m_im = rows
 
     # Structured tables are sampled structure age first, (tau, a).
-    taus_m = grid.taus_m[:, None]
+    taus_m = grid.taus_m[:m_im, None]
     k["im_entry"], step = decay_factors(
         rate_table(params.removal_rate("i_m"), grid.ages_m, taus_m), delta)
     k["im_c"] = _cohort_products(step)
@@ -211,25 +246,43 @@ def _kernel(params: ModelParams, grid: Grid, mode: str):
 
     # human rates on the field axes: (structure age, age) in full mode,
     # structure age alone in reduced mode, where no rate reads age
-    if mode == "full":
-        k["sh_entry"], k["sh_step"] = decay_factors(rate_table(params.mu_h, grid.ages_h), delta)
-        ages, column = grid.ages_h, (slice(None), None)
-    else:
-        _check_reduced(mode, params)
-        if not params.mu_h_value() > 0:
-            raise ValueError("reduced mode needs mu_h > 0: without human mortality "
-                             "the susceptible humans have no balance")
-        ages, column = 0.0, slice(None)
+    ages, column = (grid.ages_h, (slice(None), None)) if mode == "full" else (0.0, slice(None))
     # recovered humans first: their tables are the larger, and their build
     # peaks before the infected humans' tables are held
-    for key, part, pool, axis in (("rh", params.k_h, "r_h", grid.etas),
-                                  ("ih", params.gamma_h, "i_h", grid.taus_h)):
-        axis = axis[column]
+    for key, part, pool, axis, m in (("rh", params.k_h, "r_h", grid.etas, m_rh),
+                                     ("ih", params.gamma_h, "i_h", grid.taus_h, m_ih)):
+        axis = axis[:m + 1][column]
         k.update(_ring_channel(key, rate_table(part, ages, axis),
-                               rate_table(params.removal_rate(pool), ages, axis), delta))
+                               rate_table(params.removal_rate(pool), ages, axis), delta, m))
     k["ih_beta_c"] = _along_cohorts(
-        _beta_table(params.beta_h, ages, grid.taus_h[column], delta), k["ih_c"], 0)
+        _beta_table(params.beta_h, ages, grid.taus_h[:m_ih][column], delta), k["ih_c"], 0)
     return k
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_slot(params: ModelParams, grid: Grid, mode: str) -> dict:
+    """Where :func:`_kernel` keeps the one kernel of ``(params, grid, mode)``
+    and the rows it was built for."""
+    return {"rows": (0, 0, 0), "k": None}
+
+
+def _kernel(params: ModelParams, grid: Grid, mode: str,
+            rows: tuple[int, int, int] | None = None) -> dict:
+    """The kernel of a run that reaches the first ``rows`` structure ages of
+    ``i_h``, ``r_h`` and ``i_m`` (None: the whole axes); its ring tables may
+    hold more rows.  One kernel is kept per ``(params, grid, mode)``.  A run
+    that reaches past its rows replaces it with one built for at least twice
+    the kept rows on each axis that grows, so a loop of one-step runs builds
+    a few times, not once per step."""
+    slot = _kernel_slot(params, grid, mode)
+    axes = (grid.n_th, grid.n_eta, grid.n_tm)
+    kept = slot["rows"]
+    if any(m > have for m, have in zip(rows or axes, kept)):
+        rows = tuple(have if m <= have else min(n, max(m, 2 * have))
+                     for m, have, n in zip(rows or axes, kept, axes))
+        slot.update(rows=(0, 0, 0), k=None)     # drop the old tables before the build
+        slot.update(rows=rows, k=_build_kernel(params, grid, mode, rows))
+    return slot["k"]
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +336,6 @@ def _above_floor(nh: float, floor: float, t: float) -> float:
     return nh
 
 
-def force_mh(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
-    """Infection pressure on humans by age: S_h(a)/N_h * theta * iint beta_m I_m."""
-    _check_reduced(state.mode, params)
-    nh = _above_floor(n_human(state, grid), params.epsilon_floor(grid), state.t)
-    phi = _mosquito_pressure(state, params, grid)
-    s_h = np.atleast_1d(np.asarray(state.s_h, dtype=float))
-    return s_h / nh * phi
-
-
-def force_hm(state: StateFields, params: ModelParams, grid: Grid) -> np.ndarray:
-    """Infection pressure on mosquitoes by age: S_m(a)/N_h * theta * iint beta_h I_h."""
-    nh = _above_floor(n_human(state, grid), params.epsilon_floor(grid), state.t)
-    phi = _human_pressure(state, params, grid)
-    return state.s_m / nh * phi
-
-
 # ---------------------------------------------------------------------------
 # initial data
 
@@ -338,7 +375,7 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
         raise ValueError("infected_fraction must lie in [0, 1)")
     if not (0.0 <= infected_fraction_m < 1.0):
         raise ValueError("infected_fraction_m must lie in [0, 1)")
-    k = _kernel(params, grid, mode)
+    k = _age_kernel(params, grid, mode)
     d = grid.delta
     # disease-free profile assembled in the same multiplication order as the
     # transport step, so it is a bit-exact fixed point
@@ -351,10 +388,14 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
         s_m0 = (1.0 - infected_fraction_m) * s_m0
 
     if mode == "reduced":
-        band = grid.taus_h <= SEED_TAU_BAND + 1e-12    # a prefix of the axis
-        prof = np.where(band, k["ih_c"], 0.0)
-        prof[0] = k["ih_entry"]
-        prof = np.where(band, prof, 0.0)
+        # the band's survival products, with the entry factor in cell 0
+        nb = int(np.count_nonzero(grid.taus_h <= SEED_TAU_BAND + 1e-12))
+        prof = np.zeros(grid.n_th)
+        if nb:
+            entry, step = decay_factors(
+                rate_table(params.removal_rate("i_h"), 0.0, grid.taus_h[:nb]), d)
+            prof[:nb] = np.cumprod(step)
+            prof[0] = entry
         prof = prof / (np.sum(prof) * d) if prof.any() else prof
         s_tot = params.lambda_h / params.mu_h_value()
         i_h0 = infected_fraction * s_tot * prof
@@ -385,27 +426,40 @@ def _skew(rows: np.ndarray, width: int) -> np.ndarray:
                                            writeable=False)
 
 
-class _CohortRing:
-    """A structured field held as the last ``n`` entry rows of a run, indexed
-    by the cohort offset ``x = a - tau``: ring row ``(head + tau) mod n``
-    holds structure age ``tau`` (see the module docstring).  A field with no
-    age axis (the REDUCED human fields) has one cohort, so a row is one
-    number.  ``pool`` names the field; the kernel keys of its tables drop
-    the underscore."""
+def _reach(columns: np.ndarray, n: int, n_steps: int) -> int:
+    """The structure-age rows a run of ``n_steps`` reaches on an axis of
+    ``n`` cells from a field with mass in ``columns``: each step carries a
+    cohort one row on, so the last column with mass, plus one, plus the
+    steps; at least one row and at most ``n``."""
+    last = int(columns[-1]) + 1 if len(columns) else 0
+    return max(1, min(n, last + n_steps))
 
-    def __init__(self, k: dict, pool: str, field: np.ndarray):
+
+class _CohortRing:
+    """A structured field held as the last ``m`` entry rows of a run, indexed
+    by the cohort offset ``x = a - tau``: ring row ``(head + tau) mod m``
+    holds structure age ``tau`` (see the module docstring).  ``m`` is the
+    number of rows the run reaches, so the oldest row is empty whenever a
+    step drops it; the ring reads the leading ``m`` rows of the kernel's
+    tables.  A field with no age axis (the REDUCED human fields) has one
+    cohort, so a row is one number.  ``pool`` names the field; the kernel
+    keys of its tables drop the underscore.  ``columns`` are the
+    structure-age columns of ``field`` holding mass, all below ``m``."""
+
+    def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray, m: int):
         key = pool.replace("_", "")
-        self.c, self.entry = k[key + "_c"], k[key + "_entry"]
-        self.beta_c, self.out_c = k.get(key + "_beta_c"), k.get(key + "_out_c")
-        self.head = 0
+        self.c, self.beta_c, self.out_c = (
+            None if key + name not in k else k[key + name][:m]
+            for name in ("_c", "_beta_c", "_out_c"))
+        self.entry, self.head, self.n = k[key + "_entry"], 0, field.shape[-1]
         self.rows = np.zeros(self.c.shape)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
-                np.divide(field, self.c, out=self.rows, where=field != 0.0)
+                np.divide(field[:m], self.c, out=self.rows, where=field[:m] != 0.0)
             else:
                 # a column is a strided pass over the field: read only those with mass
                 n_a = field.shape[0]
-                for tau in np.flatnonzero(np.any(field, axis=0)):
+                for tau in columns:
                     cells = field[tau:, tau]
                     np.divide(cells, self.c[tau, :n_a - tau], out=self.rows[tau, :n_a - tau],
                               where=cells != 0.0)
@@ -414,10 +468,10 @@ class _CohortRing:
                              "underflows; the cohort ring cannot hold it")
 
     def _pieces(self, table: np.ndarray):
-        """``(table rows, ring rows)`` for structure ages ``0 .. n - head - 1``
-        and ``n - head .. n - 1``: each pair contiguous and aligned."""
-        n, h = len(self.rows), self.head
-        return (table[:n - h], self.rows[h:]), (table[n - h:], self.rows[:h])
+        """``(table rows, ring rows)`` for structure ages ``0 .. m - head - 1``
+        and ``m - head .. m - 1``: each pair contiguous and aligned."""
+        m, h = len(self.rows), self.head
+        return (table[:m - h], self.rows[h:]), (table[m - h:], self.rows[:h])
 
     def _dot(self, table: np.ndarray) -> float:
         (t0, r0), (t1, r1) = self._pieces(table)
@@ -443,22 +497,24 @@ class _CohortRing:
         along each skewed diagonal of the weighted ring."""
         if self.rows.ndim == 1:
             return self._dot(self.out_c)
-        n, n_a = self.rows.shape
+        m, n_a = self.rows.shape
         mass = np.zeros(n_a)
-        for tau0, (w, rows) in zip((0, n - self.head), self._pieces(self.out_c)):
+        for tau0, (w, rows) in zip((0, m - self.head), self._pieces(self.out_c)):
             width = n_a - 1 - tau0         # arrivals in age rows 1 + tau0 .. n_a - 1
             if len(w) and width > 0:
                 mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
         return mass
 
     def field(self) -> np.ndarray:
-        """The field the ring holds."""
+        """The field the ring holds, on the whole structure axis."""
         if self.rows.ndim == 1:
-            return np.roll(self.rows, -self.head) * self.c
-        n, n_a = self.rows.shape
-        f = np.zeros((n_a, n))
-        for tau in range(min(n, n_a)):
-            row = self.rows[(self.head + tau) % n, :n_a - tau]
+            f = np.zeros(self.n)
+            np.multiply(np.roll(self.rows, -self.head), self.c, out=f[:len(self.rows)])
+            return f
+        m, n_a = self.rows.shape
+        f = np.zeros((n_a, self.n))
+        for tau in range(min(m, n_a)):
+            row = self.rows[(self.head + tau) % m, :n_a - tau]
             if row.any():                  # a column is a strided pass over the field
                 np.multiply(row, self.c[tau, :n_a - tau], out=f[tau:, tau])
         return f
@@ -550,14 +606,21 @@ def _check_state(state: StateFields, grid: Grid) -> None:
 _STRUCTURED = ("i_h", "r_h", "i_m")
 
 
-def _start(init: StateFields, params: ModelParams, grid: Grid):
-    """A run from ``init``: its state, whose structured fields are None
-    until the run returns them, the kernel and ``buf``, which holds those
-    fields as cohort rings, scratch arrays and the state's sums.  ``init``
-    is checked and left as it is."""
+def _start(init: StateFields, params: ModelParams, grid: Grid, n_steps: int):
+    """A run of ``n_steps`` from ``init``: its state, whose structured
+    fields are None until the run returns them, the kernel and ``buf``,
+    which holds those fields as cohort rings, scratch arrays and the
+    state's sums.  Each ring and its tables cover the structure ages the
+    run reaches.  ``init`` is checked and left as it is."""
     _check_state(init, grid)
-    k = _kernel(params, grid, init.mode)
-    buf = {name: _CohortRing(k, name, getattr(init, name)) for name in _STRUCTURED}
+    fields = {name: getattr(init, name) for name in _STRUCTURED}
+    # the structure-age columns holding mass, in order
+    columns = {name: np.flatnonzero(np.any(f, axis=0) if f.ndim == 2 else f)
+               for name, f in fields.items()}
+    rows = {name: _reach(columns[name], f.shape[-1], n_steps) for name, f in fields.items()}
+    k = _kernel(params, grid, init.mode, tuple(rows.values()))
+    buf = {name: _CohortRing(k, name, f, columns[name], rows[name])
+           for name, f in fields.items()}
     buf["s_m"] = np.zeros_like(init.s_m)
     s_h = init.s_h
     if init.mode == "full":
@@ -576,7 +639,7 @@ def _finish(state: StateFields, buf: dict) -> None:
 
 def step(state: StateFields, params: ModelParams, grid: Grid) -> StateFields:
     """One unit-CFL step; returns a new state at t + delta."""
-    out, k, buf = _start(state, params, grid)
+    out, k, buf = _start(state, params, grid, 1)
     _step_inplace(out, params, grid, k, buf)
     _finish(out, buf)
     return out
@@ -631,7 +694,7 @@ def save_snapshot(state: StateFields, grid: Grid, path: str) -> None:
             a = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
             fh.write(struct.pack("<B", a.ndim))
             fh.write(struct.pack(f"<{a.ndim}q", *a.shape))
-            fh.write(a.tobytes())
+            fh.write(memoryview(a).cast("B"))     # the array's own buffer: no copy
 
 
 def load_snapshot(path: str) -> tuple[StateFields, Grid]:
@@ -693,8 +756,8 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    state, k, buf = _start(init, params, grid)
     n_steps = int(round(t_end / grid.delta))
+    state, k, buf = _start(init, params, grid, n_steps)
     rows = [observe(state, params, grid, (*buf["sums"], buf["i_m"].sum()))]
     for n in range(1, n_steps + 1):
         _step_inplace(state, params, grid, k, buf)

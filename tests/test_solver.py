@@ -23,11 +23,27 @@ from conftest import fast_grid, fast_params, make_params, random_full_state
 # forces of infection
 
 
+def force_mh(state, params, grid):
+    """Infection pressure on humans by age: S_h(a)/N_h * theta * iint beta_m I_m,
+    from the state's fields."""
+    solver._check_reduced(state.mode, params)
+    nh = solver._above_floor(n_human(state, grid), params.epsilon_floor(grid), state.t)
+    s_h = np.atleast_1d(np.asarray(state.s_h, dtype=float))
+    return s_h / nh * solver._mosquito_pressure(state, params, grid)
+
+
+def force_hm(state, params, grid):
+    """Infection pressure on mosquitoes by age: S_m(a)/N_h * theta * iint beta_h I_h,
+    from the state's fields."""
+    nh = solver._above_floor(n_human(state, grid), params.epsilon_floor(grid), state.t)
+    return state.s_m / nh * solver._human_pressure(state, params, grid)
+
+
 def test_force_zero_without_infectious(forward):
     params, grid = forward
     st = ss.default_initial(params, grid, 0.0, mode="reduced")
-    assert np.all(ss.force_mh(st, params, grid) == 0.0)
-    assert np.all(ss.force_hm(st, params, grid) == 0.0)
+    assert np.all(force_mh(st, params, grid) == 0.0)
+    assert np.all(force_hm(st, params, grid) == 0.0)
 
 
 def test_force_zero_without_susceptibles():
@@ -35,10 +51,10 @@ def test_force_zero_without_susceptibles():
     grid = fast_grid()
     st = random_full_state(params, grid, seed=3)
     st.s_h = np.zeros_like(st.s_h)
-    assert np.all(ss.force_mh(st, params, grid) == 0.0)
+    assert np.all(force_mh(st, params, grid) == 0.0)
     st2 = random_full_state(params, grid, seed=4)
     st2.s_m = np.zeros_like(st2.s_m)
-    assert np.all(ss.force_hm(st2, params, grid) == 0.0)
+    assert np.all(force_hm(st2, params, grid) == 0.0)
 
 
 def test_force_single_cell_hand_value():
@@ -54,7 +70,7 @@ def test_force_single_cell_hand_value():
     nh = n_human(st, grid)
     beta = params.beta_m(grid.ages_m[i_idx] + 0.5 * grid.delta, grid.taus_m[j_idx])
     expect = st.s_h * params.theta * beta * mass / nh
-    got = ss.force_mh(st, params, grid)
+    got = force_mh(st, params, grid)
     assert np.allclose(got, expect, rtol=1e-12)
 
 
@@ -67,10 +83,10 @@ def test_force_of_an_age_only_transmission_probability():
     beta = params.beta_h(grid.ages_h + 0.5 * grid.delta)
     phi = params.theta * float(np.sum(beta[:, None] * st.i_h)) * grid.delta ** 2
     expect = st.s_m / n_human(st, grid) * phi
-    assert np.allclose(ss.force_hm(st, params, grid), expect, rtol=1e-12, atol=0.0)
+    assert np.allclose(force_hm(st, params, grid), expect, rtol=1e-12, atol=0.0)
     # a reduced state has no age axis to sample such a rate on
     reduced = ss.default_initial(fast_params(), grid, 0.1, mode="reduced")
-    for force in (ss.force_mh, ss.force_hm, ss.observe):
+    for force in (force_mh, force_hm, ss.observe):
         with pytest.raises(ValueError, match="reduced mode requires age-independent"):
             force(reduced, params, grid)
 
@@ -81,7 +97,7 @@ def test_degenerate_population_error():
     st = ss.default_initial(params, grid, 0.0, mode="full")
     st.s_h = st.s_h * 1e-9     # far below the guaranteed floor
     with pytest.raises(DegeneratePopulationError):
-        ss.force_mh(st, params, grid)
+        force_mh(st, params, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +268,30 @@ def test_snapshot_roundtrip(tmp_path, forward):
     assert more[-1].t == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_snapshot_bytes_are_the_header_and_each_array_row_major(tmp_path, mode):
+    # the file a snapshot writes from its arrays' own buffers is the header
+    # followed by each array's tobytes(): a state returned by a run, and one
+    # whose fields are not C-contiguous
+    params, grid = fast_params(), fast_grid(0.1)
+    init = ss.default_initial(params, grid, 0.05, mode=mode, infected_fraction_m=0.1)
+    _, fin = ss.simulate(params, grid, init, t_end=4 * grid.delta, return_final=True)
+    strided = fin.copy()
+    strided.i_m = np.asfortranarray(fin.i_m)
+    strided.i_h = np.asfortranarray(fin.i_h)
+    path = tmp_path / "state.bin"
+    for state in (fin, strided):
+        save_snapshot(state, grid, str(path))
+        expect = [solver.SNAPSHOT_MAGIC, struct.pack("<B", mode == "full"),
+                  struct.pack("<7d", grid.delta, grid.a_max_h, grid.a_max_m, grid.tau_max_h,
+                              grid.tau_max_m, grid.eta_max, state.t)]
+        for arr in (np.atleast_1d(state.s_h), state.i_h, state.r_h, state.s_m, state.i_m):
+            a = np.asarray(arr, dtype="<f8")
+            expect += [struct.pack("<B", a.ndim), struct.pack(f"<{a.ndim}q", *a.shape),
+                       a.tobytes()]
+        assert path.read_bytes() == b"".join(expect)
+
+
 # ---------------------------------------------------------------------------
 # one transport rule in both layouts
 
@@ -266,7 +306,11 @@ def _small_case(draw, spans_age=None):
     in the drawn layout; ``first`` nonzero gives removal in the entry cell.
     ``spans_age`` True gives structure axes as long as their age axes
     (``n_th == n_eta == n_ah``, ``n_tm == n_am``); False gives shorter
-    infection-age axes and a recovery-age axis of any length."""
+    infection-age axes and a recovery-age axis of any length.  About half
+    the states keep mass only in the first ``j`` structure-age columns of
+    each structured field, ``0 <= j <= n``: a run from them reaches fewer
+    than ``n`` rows until its steps carry the last of that mass to the end
+    of the axis (``j == n`` reaches every row from the start)."""
     delta = draw(st.sampled_from([0.05, 0.1, 0.25]))
     n_ah, n_am = draw(st.integers(2, 10)), draw(st.integers(2, 10))
     if spans_age is None:
@@ -295,6 +339,10 @@ def _small_case(draw, spans_age=None):
         i_h, r_h = rng.uniform(0.0, 1.0, n_th), rng.uniform(0.0, 1.0, n_eta)
     state = ss.StateFields(mode, 0.0, s_h, i_h, r_h, rng.uniform(0.5, 2.0, n_am),
                            rng.uniform(0.0, 1.0, (n_am, n_tm)) * _triangle(n_am, n_tm))
+    if draw(st.booleans()):
+        for name in ("i_h", "r_h", "i_m"):
+            field = getattr(state, name)
+            field[..., draw(st.integers(0, field.shape[-1])):] = 0.0
     return params, grid, state
 
 
@@ -363,11 +411,76 @@ def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
         assert np.all(full[key] == red[key]), key
 
 
+_RING_KEYS = {"ih": ("ih_c", "ih_beta_c", "ih_out_c"), "rh": ("rh_c", "rh_out_c"),
+              "im": ("im_c", "im_beta_c")}
+
+
+def _assert_prefix_tables(params, grid, mode, rows):
+    """A kernel built for ``rows`` structure ages of (i_h, r_h, i_m) holds
+    the leading rows of every ring table of the whole-axis build, and the
+    same other tables.  Neither build is cached."""
+    full = solver._build_kernel(params, grid, mode, (grid.n_th, grid.n_eta, grid.n_tm))
+    part = solver._build_kernel(params, grid, mode, rows)
+    assert part.keys() == full.keys()
+    ring = {key: m for keys, m in zip(_RING_KEYS.values(), rows) for key in keys}
+    for key, table in full.items():
+        want = table[:ring[key]] if key in ring else table
+        assert np.array_equal(part[key], want), (key, rows)
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+@pytest.mark.parametrize("over", RATE_SETS)
+def test_ring_tables_of_fewer_rows_are_a_prefix(over, mode):
+    params, grid = fast_params(**over), fast_grid(0.05)
+    n = (grid.n_th, grid.n_eta, grid.n_tm)
+    for rows in [(1, 1, 1), (2, 5, 3), (n[0] - 1, n[1] - 1, n[2] - 1), (n[0], 1, n[2] // 2), n]:
+        _assert_prefix_tables(params, grid, mode, rows)
+
+
+def test_ring_tables_of_fewer_rows_are_a_prefix_on_an_age_dependent_grid():
+    # the full-mode age config of the benchmark: 50 000 human ages; the rows
+    # a 10-step run from a 20-column seed reaches, and one row each
+    params = make_params(mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE), lambda_m=1e7)
+    grid = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=0.6,
+                   tau_max_m=1.5, eta_max=1.0)
+    for rows in [(30, 10, 10), (1, 1, 1)]:
+        _assert_prefix_tables(params, grid, "full", rows)
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_a_run_builds_its_ring_tables_once(mode):
+    # the start state reads no ring table; a run builds its tables once, for
+    # the rows it reaches, and keeps them for the next run that reaches no
+    # further.  A run that does replaces them; a loop of one-step runs
+    # builds a few times, and a run longer than every axis builds them whole.
+    params, grid = fast_params(), fast_grid(0.05)
+    axes = (grid.n_th, grid.n_eta, grid.n_tm)
+    with mock.patch.object(solver, "_build_kernel", wraps=solver._build_kernel) as build:
+        solver._kernel_slot.cache_clear()
+        init = ss.default_initial(params, grid, 0.01, mode=mode, infected_fraction_m=0.1)
+        assert build.call_count == 0 and solver._kernel_slot.cache_info().currsize == 0
+        ss.simulate(params, grid, init, t_end=3 * grid.delta, return_final=True)
+        seeded = [int(np.flatnonzero(np.any(f, axis=0) if f.ndim == 2 else f)[-1]) + 1
+                  for f in (init.i_h, init.i_m)]
+        assert [c.args[3] for c in build.call_args_list] == [(seeded[0] + 3, 3, seeded[1] + 3)]
+        ss.simulate(params, grid, init, t_end=2 * grid.delta)
+        ss.step(init, params, grid)
+        assert build.call_count == 1
+        state = init
+        for _ in range(max(axes)):
+            state = ss.step(state, params, grid)
+        assert 1 < build.call_count <= 1 + 3 * math.ceil(math.log2(max(axes)))
+        assert build.call_args.args[3] == axes
+        assert solver._kernel_slot.cache_info().currsize == 1
+    solver._kernel_slot.cache_clear()
+
+
 def test_reduced_kernel_builds_no_human_age_table():
     # a reduced step reads no table on the human age axis, which has 500 000
     # cells on the backward preset's grid; building one took 28 MB
     params, grid = ss.preset("backward"), ss.preset_grid("backward")
-    _kernel.cache_clear()
+    solver._kernel_slot.cache_clear()
+    solver._age_kernel.cache_clear()
     tracemalloc.start()
     try:
         k = _kernel(params, grid, "reduced")
@@ -388,7 +501,7 @@ def test_entry_cell_recovery_hand_value(mode):
     grid = fast_grid(0.05)
     st0 = ss.default_initial(params, grid, 0.0, mode=mode, infected_fraction_m=0.3)
     d, r_ih, r_rh = grid.delta, 0.8 + 0.3 + 1.5, 0.8 + 0.7
-    expect = (ss.force_mh(st0, params, grid) * (1.5 / r_ih) * (1.0 - math.exp(-0.5 * d * r_ih))
+    expect = (force_mh(st0, params, grid) * (1.5 / r_ih) * (1.0 - math.exp(-0.5 * d * r_ih))
               * math.exp(-0.5 * d * r_rh))
     got = np.atleast_1d(ss.step(st0, params, grid).r_h[..., 0])
     assert np.all(expect > 0.0)
@@ -423,7 +536,7 @@ def _shift_rings(params, grid):
              "i_m": (grid.ages_m, grid.taus_m, None, params.beta_m)}
 
     class ShiftRing:
-        def __init__(self, k, pool, field):
+        def __init__(self, k, pool, field, columns, m):
             ages, axis, part, beta = pools[pool]
             if field.ndim == 1:             # a reduced human field
                 ages = 0.0
@@ -479,7 +592,8 @@ def _assert_rounding_only(got, want, name):
 def test_cohort_ring_matches_the_shift(spans_age, data):
     # the same run with every cohort ring replaced by the shifted field, in
     # the drawn layout; only the rounding order of the products and sums
-    # may differ
+    # may differ.  Structure axes have at most 12 cells, so some runs end
+    # before their rings reach the end of an axis and some long after.
     params, grid, state = data.draw(_small_case(spans_age))
     n_steps = data.draw(st.integers(1, 25))
     assert (grid.n_tm == grid.n_am and grid.n_th == grid.n_eta == grid.n_ah) == spans_age
