@@ -17,12 +17,16 @@ that table, each bisected on f (the scan is dense enough to separate the
 two roots near the fold).  dk_f = R0 * h' is the exact analytic
 K-derivative of that same expression.
 
-``bifurcation_constant`` evaluates the three-term threshold constant whose
-sign classifies the branch direction.  Note it is not algebraically
-identical to dk_f at (R0=1, K=0): its recovered-pool term is a single
-integral of gamma_h against the immunity survival, whereas the derivative
-carries the product of int(gamma_h c1) with the immunity integral.  Both
-are exposed; the sweep classifier follows the constant.
+Every question about the branch is answered from h: it is backward iff
+h'(0) = dk_f(1, 0) > 0, i.e. iff it leaves K = 0 below R0 = 1
+(``direction``), and a sweep reports a fold when it finds roots below
+R0 = 1.  ``bifurcation_constant`` evaluates the paper's printed
+three-term threshold constant.  It is not algebraically identical to
+dk_f at (R0=1, K=0): its recovered-pool term is a single integral of
+gamma_h against the immunity survival, whereas the derivative carries
+the product of int(gamma_h c1) with the immunity integral, and on some
+parameter sets the two differ in sign.  It is reported, not used to
+classify.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import offset_cumulative
-from .grids import Grid, characteristic_cumulative, cumulative_to_centers, decay_factors
+from .grids import Grid, cumulative_to_centers
 from .kernels import spectral_kernels
 from .params import ModelParams
-from .r0 import lambda0_closed_form, lambda_m_slope
-from .rates import eval_rate, rate_table
+from .r0 import lambda_m_slope
+from .rates import rate_table
 from .solver import StateFields
 
 SCAN_POINTS = 2048
@@ -174,6 +178,12 @@ def bifurcation_constant(kernels: ReducedKernels) -> float:
     return term1 + term2 + term3
 
 
+def direction(dh0: float) -> str:
+    """Branch direction from h'(0) = dk_f(1, 0): "backward" iff it is
+    positive, so that small roots K exist just below R0 = 1."""
+    return "backward" if dh0 > 0 else "forward"
+
+
 def solve_endemic(r0: float, kernels: ReducedKernels) -> list[float]:
     """All strictly positive roots of f(r0, K) = 1 on [0, K_bar].
 
@@ -216,9 +226,10 @@ class BranchPoint:
 @dataclass(frozen=True)
 class BifurcationBranch:
     points: tuple[BranchPoint, ...]
-    classification: str            # "forward" or "backward"
+    classification: str            # "forward" or "backward", from h'(0)
     fold_r0_star: float | None
     c_bif: float
+    dh0: float                     # h'(0) = dk_f(1, 0)
 
 
 def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
@@ -227,37 +238,36 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
 
     The threshold value is exactly linear in the recruitment rate, so every
     sweep point solves on the one scan table of h built with the kernels.
-    For a backward branch the fold is the smallest threshold value still
-    carrying a root: the first sweep bracket that gains a root is refined
-    three times on 17 sub-points, which puts the fold within 1/16**3 of a
-    sweep step above 1/max h.
+    When the first sweep point carrying a root lies below R0 = 1, the fold
+    is the smallest threshold value still carrying a root: that sweep
+    bracket is refined three times on 17 sub-points, which puts the fold
+    within 1/16**3 of a sweep step above 1/max h.
     """
     if not (0 < lambda_m_min < lambda_m_max):
         raise ValueError("need 0 < lambda_m_min < lambda_m_max")
     kernels = build_reduced_kernels(params, grid)
     slope = lambda_m_slope(params, grid)
-    cbif = bifurcation_constant(kernels)
     lams = np.linspace(lambda_m_min, lambda_m_max, n_points)
     points = [BranchPoint(float(lm), float(slope * lm),
                           tuple(solve_endemic(slope * lm, kernels))) for lm in lams]
-    classification = "backward" if cbif > 0 else "forward"
 
     fold = None
-    if classification == "backward":
-        if any(p.roots for p in points):
-            first = next(i for i, p in enumerate(points) if p.roots)
-            lo = lams[first - 1] if first > 0 else lambda_m_min
-            hi = lams[first]
-            for _ in range(3):
-                sub = np.linspace(lo, hi, 17)
-                idx = next((i for i, lm in enumerate(sub)
-                            if solve_endemic(slope * lm, kernels)), None)
-                if idx is None:
-                    break
-                hi = sub[idx]
-                lo = sub[idx - 1] if idx > 0 else lo
-            fold = float(slope * hi)
-    return BifurcationBranch(tuple(points), classification, fold, cbif)
+    first = next((i for i, p in enumerate(points) if p.roots), None)
+    if first is not None and points[first].r0 < 1.0:
+        lo = lams[first - 1] if first > 0 else lambda_m_min
+        hi = lams[first]
+        for _ in range(3):
+            sub = np.linspace(lo, hi, 17)
+            idx = next((i for i, lm in enumerate(sub)
+                        if solve_endemic(slope * lm, kernels)), None)
+            if idx is None:
+                break
+            hi = sub[idx]
+            lo = sub[idx - 1] if idx > 0 else lo
+        fold = float(slope * hi)
+    dh0 = float(dk_f(1.0, 0.0, kernels))
+    return BifurcationBranch(tuple(points), direction(dh0), fold,
+                             bifurcation_constant(kernels), dh0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,118 +325,3 @@ def endemic_seed(equilibrium: StateFields, grid: Grid) -> StateFields:
     seed.i_m *= 0.75
     seed.s_h = seed.s_h + moved
     return seed
-
-
-# ---------------------------------------------------------------------------
-# general-model endemic residual
-
-
-def lift_reduced_equilibrium(k_root: float, params: ModelParams,
-                             grid: Grid) -> np.ndarray:
-    """Normalized 2D infected density i*(a, tau) generating a reduced root.
-
-    Marches the equilibrium age profile of normalized susceptibles with the
-    same discrete shift/decay/source conventions as the transport step, then
-    spreads the infection-age profile along it.
-    """
-    kernels = build_reduced_kernels(params, grid)
-    state, n_star = reconstruct_equilibrium(k_root, params, grid)
-    d = grid.delta
-    entry_h, step_h = decay_factors(rate_table(params.mu_h, grid.ages_h), d)
-    n_a, n_t, n_e = grid.n_ah, grid.n_th, grid.n_eta
-    d_ih = offset_cumulative(params, grid, "i_h")      # edge offsets
-    d_rh = offset_cumulative(params, grid, "r_h")
-    gamma = kernels.gamma_tau
-    k_eta = rate_table(params.k_h, 0.0, grid.etas)
-    lam_rate = k_root / (state.s_h / n_star)           # per-susceptible-human rate
-
-    ih_surv = np.exp(-d_ih)                            # [offset, tau]
-    rh_surv = np.exp(-d_rh)
-    s = np.zeros(n_a)
-    rb = np.zeros(n_a)                                 # recovery inflow at each age
-    s[0] = (params.lambda_h / n_star) * entry_h * np.exp(-0.5 * d * lam_rate)
-    for i in range(n_a):
-        if i > 0:
-            js = np.arange(min(i, n_t))
-            i_row_prev = lam_rate * s[i - 1 - js] * ih_surv[i - 1 - js, js]
-            rb[i - 1] = float(np.sum(gamma[: len(js)] * i_row_prev)) * d
-            ls = np.arange(min(i, n_e))
-            r_row_prev = rb[i - 1 - ls] * rh_surv[i - 1 - ls, ls]
-            src = float(np.sum(k_eta[: len(ls)] * r_row_prev)) * d
-            s[i] = (s[i - 1] + d * src) * step_h[i] * np.exp(-d * lam_rate)
-    i_star = np.zeros((n_a, n_t))
-    for j in range(n_t):
-        rows = np.arange(j, n_a)
-        i_star[rows, j] = lam_rate * s[rows - j] * ih_surv[rows - j, j]
-    return i_star
-
-
-def general_endemic_residual(i_h_star: np.ndarray, params: ModelParams,
-                             grid: Grid) -> float:
-    """Evaluate the full-model endemic existence condition at a candidate
-    normalized infected density; the value 1 certifies an equilibrium.
-
-    The candidate enters through three functionals: the extra-mortality
-    correction to the population profile, the transmission pressure on
-    mosquitoes (which discounts the mosquito kernel by the age lag), and
-    the susceptible-depletion bracket.  With a zero candidate the value
-    reduces exactly to the threshold value lambda0.
-    """
-    if i_h_star.shape != (grid.n_ah, grid.n_th):
-        raise ValueError("candidate must be sampled on the (human age, infection age) grid")
-    if np.any(i_h_star < 0):
-        raise ValueError("candidate density must be non-negative")
-    d = grid.delta
-    sk = spectral_kernels(params, grid)
-    ages, taus, etas = grid.ages_h, grid.taus_h, grid.etas
-    n_a = grid.n_ah
-
-    a2, t2 = ages[:, None], taus[None, :]
-    # int nu i* dtau and int gamma i* dtau, per age
-    nh_loss = np.sum(eval_rate(params.nu_h, a2, t2) * i_h_star, axis=1) * d
-    rec_in = np.sum(eval_rate(params.gamma_h, a2, t2) * i_h_star, axis=1) * d
-
-    # population correction: iint (int nu i*) exp(-int_s^a mu) ds da
-    mh_rate = rate_table(params.mu_h, ages)
-    mh_c = cumulative_to_centers(mh_rate, d)
-    inner = np.exp(-mh_c) * np.cumsum(nh_loss * np.exp(mh_c)) * d
-    koef = float(np.sum(inner)) * d
-
-    pressure = params.theta * float(np.sum(
-        eval_rate(params.beta_h, a2, t2) * i_h_star)) * d * d
-
-    damped = float(np.sum(sk.mosq_kernel
-                          * np.exp(-pressure * sk.xis_m)[:, None])) * d * d
-    mass = sk.mosquito_factor(0.0)
-    r0_sq = lambda0_closed_form(params, grid)
-    first = r0_sq * (1.0 + koef) ** 2 * (damped / mass)
-
-    # bracket(alpha) on edge-aligned age offsets alpha = x * delta
-    mh_edge = np.concatenate(([0.0], np.cumsum(mh_rate * d)))
-    row_mass = np.sum(i_h_star, axis=1) * d                  # int i*(a, s) ds at centers
-    # int_0^alpha i*(alpha, s) ds: i* at the edge age is the mean of the rows around it
-    b1 = np.concatenate(([0.0], 0.5 * (row_mass[:-1] + row_mass[1:]), [row_mass[-1]]))
-
-    cum_loss = np.concatenate(([0.0], np.cumsum(nh_loss * np.exp(mh_c)) * d))
-    b2 = np.exp(-mh_edge) * cum_loss                          # int nh_loss e^{-int mu}
-
-    d_rh_centers = characteristic_cumulative(        # center offsets
-        params.removal_rate("r_h"), ages, etas, d)
-    rh_surv_c = np.exp(-d_rh_centers)
-    b3 = np.zeros(n_a + 1)
-    n_e = grid.n_eta
-    for x in range(1, n_a + 1):
-        ls = np.arange(min(x, n_e))
-        b3[x] = float(np.sum(rec_in[x - 1 - ls] * rh_surv_c[x - 1 - ls, ls])) * d
-    bracket = b1 + b2 + b3
-
-    d_ih = offset_cumulative(params, grid, "i_h")            # [edge offset, tau]
-    bh_off = eval_rate(params.beta_h, (np.arange(n_a) * d)[:, None] + t2, t2)
-    idx = np.add.outer(np.arange(n_a), np.arange(grid.n_th))
-    valid = idx < n_a                                        # age = offset + tau on the grid
-    inner_tau = np.sum(np.where(valid, bh_off * np.exp(-d_ih), 0.0), axis=1) * d
-    bigint = params.theta * float(np.sum(inner_tau * bracket[:n_a])) * d
-
-    second = (params.theta * damped) * params.lambda_m \
-        * ((1.0 + koef) / (params.lambda_h * sk.int_pi_h)) * bigint
-    return first - second

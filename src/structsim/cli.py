@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bifurcation import (bifurcation_constant, build_reduced_kernels, endemic_seed,
-                          k_bar, reconstruct_equilibrium, solve_endemic, trace_branch)
+from .bifurcation import (bifurcation_constant, build_reduced_kernels, direction, dk_f,
+                          endemic_seed, k_bar, reconstruct_equilibrium, solve_endemic,
+                          trace_branch)
 from .characteristics import dominant_growth_rate, g_of_lambda
 from .config import ConfigError, load_config
 from .grids import Grid, default_grid
@@ -111,6 +112,13 @@ class SystemExit2(Exception):
     """Usage or parse failure; maps to exit code 2."""
 
 
+def _note_sign_disagreement(c_bif: float, dh0: float) -> None:
+    """One stderr note when the printed constant and h'(0) differ in sign."""
+    if np.sign(c_bif) != np.sign(dh0):
+        print(f"note: c_bif = {c_bif:.4f} and h'(0) = dk_f(1, 0) = {dh0:.4f} differ in "
+              f"sign; the branch direction follows h'(0)", file=sys.stderr)
+
+
 def _write_rows_csv(path: str, rows: list[Observables]) -> None:
     with open(path, "w") as fh:
         fh.write(Observables.CSV_HEADER + "\n")
@@ -198,6 +206,7 @@ def cmd_bifurcate(args) -> int:
     params, grid, name = _resolve(args)
     manifest = RunManifest(sys.argv[1:], name, params, grid)
     branch = trace_branch(params, grid, args.lambda_m_min, args.lambda_m_max, args.points)
+    _note_sign_disagreement(branch.c_bif, branch.dh0)
     with open(args.out, "w") as fh:
         fh.write(f"# classification={branch.classification}\n")
         fh.write(f"# c_bif={branch.c_bif!r}\n")
@@ -243,11 +252,13 @@ def cmd_report(args) -> int:
         kern = build_reduced_kernels(params, grid)
         kb = k_bar(kern)
         cb = bifurcation_constant(kern)
+        dh0 = float(dk_f(1.0, 0.0, kern))
+        _note_sign_disagreement(cb, dh0)
         roots = solve_endemic(rep.r0_squared_closed_form, kern)
         lines.append("== bifurcation ==")
         lines.append(f"c_bif                       {cb!r}")
         lines.append(f"K_bar                       {kb!r}")
-        lines.append(f"direction                   {'backward' if cb > 0 else 'forward'}")
+        lines.append(f"direction                   {direction(dh0)}")
         lines.append(f"endemic roots at this R0    {len(roots)}: "
                      + ", ".join(f"{r:.6f}" for r in roots))
     print("\n".join(lines))
@@ -346,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bifurcate", help="trace endemic branches over the "
                                          "mosquito recruitment rate")
     _add_model_args(p)
-    p.add_argument("--lambda-m-min", type=float, required=True)
-    p.add_argument("--lambda-m-max", type=float, required=True)
+    p.add_argument("--lambda-m-min", type=_positive_float, required=True)
+    p.add_argument("--lambda-m-max", type=_positive_float, required=True)
     p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--svg")

@@ -21,6 +21,7 @@ each consumer builds the factors it reads from a rate table
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .rates import rate_table
 
 def _check_multiple(name: str, extent: float, delta: float) -> int:
     n = extent / delta
-    n_round = round(n)
+    n_round = round(n) if math.isfinite(n) else 0
     if n_round < 1 or abs(n - n_round) > 1e-9 * max(1.0, n):
         raise ValueError(f"{name}={extent} is not a positive integer multiple of delta={delta}")
     return int(n_round)

@@ -718,7 +718,7 @@ def load_snapshot(path: str) -> tuple[StateFields, Grid]:
         header = struct.unpack("<7d", read(56, "the header"))
         try:
             grid = Grid(*header[:6])
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ValueError(f"snapshot {path!r} has a bad grid header: {exc}") from None
         mode = "full" if mode_flag else "reduced"
         arrays = []

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
-                                   dk_f, f_value, general_endemic_residual, h_value,
-                                   k_bar, lift_reduced_equilibrium,
+                                   dk_f, f_value, h_value, k_bar,
                                    reconstruct_equilibrium, solve_endemic, trace_branch)
+from structsim.cli import main
+from structsim.config import GRID_KEYS, POPULATION_KEYS, RATE_KEYS
 from structsim.kernels import spectral_kernels
 from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0, lambda_m_slope
 from structsim.rates import Arity, RateSpec
 from structsim.solver import _kernel, observe
 
 from conftest import fast_grid, fast_params, make_params
+from test_acceptance import _random_assumption3_params
 
 # Adaptive-quadrature references (converged to ~1e-12); the desk-scale grid
 # reproduces them to ~0.3%.
@@ -186,6 +188,69 @@ def test_trace_branch_backward_fold(backward):
     assert all(not pt.roots for pt in below)
 
 
+@functools.lru_cache(maxsize=1)
+def _disagreeing_draws():
+    """Criterion 10's draws, on its grid, where sign(c_bif) != sign(h'(0))."""
+    rng = np.random.default_rng(20260808)
+    grid = ss.Grid(delta=0.01, a_max_h=60.0, a_max_m=1.5, tau_max_h=0.6,
+                   tau_max_m=1.5, eta_max=1.0)
+    draws, checked = [], 0
+    while checked < 20:
+        params = _random_assumption3_params(rng)
+        kern = build_reduced_kernels(params, grid)
+        cb = bifurcation_constant(kern)
+        if abs(cb) < 0.25:
+            continue
+        checked += 1
+        if np.sign(cb) != np.sign(dk_f(1.0, 0.0, kern)):
+            draws.append(params)
+    return grid, draws
+
+
+def _config_text(params, grid) -> str:
+    """A config document for ``params`` on ``grid``."""
+    lines = ["[population]", *(f"{k} = {getattr(params, k)!r}" for k in POPULATION_KEYS),
+             "[rates]"]
+    for name in RATE_KEYS:
+        spec = getattr(params, name)
+        lines.append(f"{name} = {spec.kind.value}({', '.join(map(repr, spec.params))})")
+    lines += ["[grid]", *(f"{k} = {getattr(grid, k)!r}" for k in GRID_KEYS)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("draw", range(5))
+def test_branch_follows_h_where_c_bif_disagrees(draw, tmp_path, capsys):
+    # c_bif < 0 < h'(0) on these draws: roots exist below R0 = 1, so the
+    # branch is backward and its fold sits just above the table's 1/max h
+    grid, draws = _disagreeing_draws()
+    assert len(draws) == 5
+    params = draws[draw]
+    kern = build_reduced_kernels(params, grid)
+    slope = lambda_m_slope(params, grid)
+    lo, hi = 0.3 / slope, 1.2 / slope
+    br = trace_branch(params, grid, lo, hi, 200)
+    below = any(pt.roots for pt in br.points if pt.r0 < 1.0)
+    assert below and br.classification == "backward"
+    step = br.points[1].lambda_m - br.points[0].lambda_m
+    gap = br.fold_r0_star - 1.0 / np.max(kern.h_scan)
+    assert 0.0 <= gap <= slope * step / 16 ** 3
+
+    path = tmp_path / "draw.cfg"
+    path.write_text(_config_text(params, grid))
+    out = tmp_path / "branch.csv"
+    assert main(["bifurcate", "--config", str(path), "--lambda-m-min", repr(lo),
+                 "--lambda-m-max", repr(hi), "--points", "20", "--out", str(out),
+                 "--quiet"]) == 0
+    assert open(out).readline() == "# classification=backward\n"
+    note = (f"note: c_bif = {bifurcation_constant(kern):.4f} and h'(0) = dk_f(1, 0) = "
+            f"{dk_f(1.0, 0.0, kern):.4f} differ in sign; the branch direction follows h'(0)")
+    assert capsys.readouterr().err.splitlines() == [note]
+    assert main(["report", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "direction                   backward" in captured.out
+    assert captured.err.splitlines() == [note]
+
+
 def test_reconstruction_small_root_approaches_dfe(forward):
     params, grid = forward
     kern = build_reduced_kernels(params, grid)
@@ -218,47 +283,6 @@ def test_reconstructed_equilibrium_is_nearly_stationary(forward):
     for r in rows:
         assert abs(r.total_i_h / ref.total_i_h - 1) < 0.01
         assert abs(r.n_h / ref.n_h - 1) < 0.01
-
-
-def test_general_residual_zero_candidate_reduces_to_threshold(forward):
-    params, _ = forward
-    grid = ss.Grid(delta=0.02, a_max_h=120.0, a_max_m=1.5, tau_max_h=0.6,
-                   tau_max_m=1.5, eta_max=1.0)
-    res = general_endemic_residual(np.zeros((grid.n_ah, grid.n_th)), params, grid)
-    assert res == pytest.approx(lambda0_closed_form(params, grid), rel=1e-12)
-
-
-def test_general_residual_random_field_not_one(forward):
-    params, _ = forward
-    grid = ss.Grid(delta=0.02, a_max_h=120.0, a_max_m=1.5, tau_max_h=0.6,
-                   tau_max_m=1.5, eta_max=1.0)
-    rng = np.random.default_rng(3)
-    field = rng.uniform(0, 1e-3, (grid.n_ah, grid.n_th)) \
-        * (np.arange(grid.n_th)[None, :] <= np.arange(grid.n_ah)[:, None])
-    assert abs(general_endemic_residual(field, params, grid) - 1.0) > 0.05
-    with pytest.raises(ValueError):
-        general_endemic_residual(-field, params, grid)
-
-
-def test_general_residual_consistent_with_reduced_root():
-    # lifting a reduced root to its two-dimensional profile certifies the
-    # full-model condition; agreement improves ~quadratically with the step.
-    # The sub-permille regime needs steps beyond desk scale, so the check
-    # asserts the achieved level and the convergence trend.
-    mu_h = 0.1
-    errs = []
-    for delta in (0.02, 0.01):
-        grid = ss.Grid(delta=delta, a_max_h=120.0, a_max_m=1.5, tau_max_h=0.6,
-                       tau_max_m=1.5, eta_max=1.0)
-        base = make_params(mu_h=mu_h, lambda_m=1.0)
-        lam = lambda_m_for_target_r0(base, grid, 1.3)
-        params = make_params(mu_h=mu_h, lambda_m=lam)
-        kern = build_reduced_kernels(params, grid)
-        k = solve_endemic(1.3, kern)[0]
-        istar = lift_reduced_equilibrium(k, params, grid)
-        errs.append(abs(general_endemic_residual(istar, params, grid) - 1.0))
-    assert errs[1] < 0.02
-    assert errs[1] < errs[0] / 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +319,7 @@ def test_constant_samples_build_the_tables_of_flat_rates(mu_h):
         if params.reduced_mode_eligible:
             kern = build_reduced_kernels(params, grid)
             out += [_kernel(params, grid, "reduced"), kern,
-                    lift_reduced_equilibrium(solve_endemic(1.5, kern)[0], params, grid)]
+                    *reconstruct_equilibrium(solve_endemic(1.5, kern)[0], params, grid)]
         return [v for obj in out for v in _arrays(obj)]
 
     got, expect = tables(consts), tables(flat)

@@ -66,7 +66,9 @@ def test_nonpositive_overrides_exit_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("extra", [["--points", "0"], ["--points", "-3"],
-                                   ["--threads", "2"]])
+                                   ["--threads", "2"], ["--lambda-m-max", "inf"],
+                                   ["--lambda-m-max", "nan"], ["--lambda-m-min", "inf"],
+                                   ["--lambda-m-min", "nan"], ["--lambda-m-min", "0"]])
 def test_bifurcate_rejects_bad_arguments(tmp_path, extra):
     out = tmp_path / "branch.csv"
     assert main(["bifurcate", "--preset", "forward", "--lambda-m-min", "5e6",
@@ -79,7 +81,8 @@ def test_bifurcate_rejects_bad_arguments(tmp_path, extra):
                                    ["--t-end", "nan"], ["--t-end", "inf"],
                                    ["--t-end", "-1"], ["--seed-fraction", "1.5"],
                                    ["--seed-fraction", "-0.1"], ["--a-max-h", "-5"],
-                                   ["--tau-max-h", "0.0123"]])
+                                   ["--tau-max-h", "0.0123"], ["--a-max-h", "inf"],
+                                   ["--tau-max-h", "inf"]])
 def test_simulate_usage_errors_exit_2(tmp_path, capsys, extra):
     out = tmp_path / "run.csv"
     args = ["simulate", "--preset", "forward", "--t-end", "0.1", "--delta", "0.01",
@@ -87,6 +90,17 @@ def test_simulate_usage_errors_exit_2(tmp_path, capsys, extra):
     assert main(args + extra) == 2
     assert not out.exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_infinite_config_extent_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "inf.cfg"
+    path.write_text(GOOD_CONFIG.replace("a_max_h   = 100.0", "a_max_h   = inf"))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(path), "--t-end", "0.1", "--out", str(out),
+                 "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config error: a_max_h=inf")
 
 
 def test_r0_and_growth_rate_run(capsys):
@@ -149,6 +163,16 @@ def test_bifurcate_csv_headers(tmp_path):
     assert lines[3] == "lambda_m,r0,n_roots,k1,k2"
     counts = [int(ln.split(",")[2]) for ln in lines[4:]]
     assert max(counts) == 2 and min(counts) == 0
+
+
+@pytest.mark.parametrize("name", ["forward", "backward"])
+def test_presets_print_no_sign_note(tmp_path, capsys, name):
+    # c_bif and h'(0) agree in sign on both presets
+    assert main(["bifurcate", "--preset", name, "--lambda-m-min", "5e6",
+                 "--lambda-m-max", "1e8", "--points", "5", "--delta", "0.01",
+                 "--out", str(tmp_path / "branch.csv"), "--quiet"]) == 0
+    assert main(["report", "--preset", name, "--delta", "0.01"]) == 0
+    assert "note:" not in capsys.readouterr().err
 
 
 def test_report_consistency_gate(capsys):
