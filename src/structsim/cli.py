@@ -27,7 +27,7 @@ from .manifest import RunManifest
 from .params import PRESET_NAMES, ModelParams, preset, preset_grid, validate
 from .plots import render_svg
 from .r0 import power_iteration_r0, r0_closed_form, r0_reduced
-from .solver import Observables, default_initial, save_snapshot, simulate
+from .solver import Observables, default_initial, simulate
 
 FIGURES = ("fig2-forward", "fig2-backward", "fig3-left", "fig3-right",
            "fig4-tl", "fig4-tr", "fig4-bl", "fig4-br")
@@ -82,10 +82,7 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
                 text = fh.read()
         except OSError as exc:
             raise SystemExit2(f"cannot read config: {exc}")
-        try:
-            params, grid = load_config(text, base_dir=os.path.dirname(args.config) or ".")
-        except ConfigError as exc:
-            raise SystemExit2(f"config error: {exc}")
+        params, grid = load_config(text, base_dir=os.path.dirname(args.config) or ".")
         if args.lambda_m is not None:
             params = params.with_lambda_m(args.lambda_m)
         if grid is None:
@@ -180,13 +177,13 @@ def cmd_simulate(args, initial=None) -> int:
     else:
         init = initial(params, grid)
     manifest = RunManifest(sys.argv[1:], name, params, grid)
-    rows, final = simulate(params, grid, init, args.t_end,
-                           output_every=args.output_every, return_final=True)
+    run = simulate(params, grid, init, args.t_end, output_every=args.output_every,
+                   snapshot=args.snapshot)
+    rows, digest = run if args.snapshot else (run, None)
     _write_rows_csv(args.out, rows)
     manifest.add_output(args.out)
     if args.snapshot:
-        save_snapshot(final, grid, args.snapshot)
-        manifest.add_output(args.snapshot)
+        manifest.add_output(args.snapshot, digest)
     if args.svg:
         ts = [r.t for r in rows]
         render = render_svg(

@@ -52,8 +52,10 @@ class RunManifest:
         self.outputs: dict[str, str] = {}
         self._t0 = time.monotonic()
 
-    def add_output(self, path: str) -> None:
-        self.outputs[path] = sha256_file(path)
+    def add_output(self, path: str, digest: str | None = None) -> None:
+        """Record ``path`` with its SHA-256 digest: ``digest`` when its
+        writer took it while writing, otherwise read from the file."""
+        self.outputs[path] = sha256_file(path) if digest is None else digest
 
     def to_dict(self) -> dict:
         inputs = {

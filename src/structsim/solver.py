@@ -50,8 +50,10 @@ kernel per (params, grid, mode) is kept for later runs.  Ring rows head,
 head + 1, ... (mod m) hold structure ages 0, 1, ..., so a sum over the
 cells is two contiguous dot products, one on each side of the wrap, and
 the outflow into each age row sums a skewed diagonal of the same pieces
-through a strided view.  Initial data enters a ring divided by C; the field
-is rebuilt on the whole axis when a run returns its state.
+through a strided view.  Initial data enters a ring divided by C.  A
+field is rebuilt from its ring a block of age rows at a time: into one
+array when a run returns its state, and straight into the file, block by
+block, when a run writes its final state as a snapshot.
 
 A run computes N_h, the two pressures and the infected-human total of each
 state once; the step that leaves the state and the observables sampled at
@@ -61,7 +63,9 @@ it share them.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,13 +347,31 @@ def _above_floor(nh: float, floor: float, t: float) -> float:
 SEED_TAU_BAND = 0.1    # infection-age width of the seeded band
 
 
-def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float) -> np.ndarray:
+def _band_columns(nb: int, n: int) -> int:
+    """How many leading cells of a row of ``n`` cells, zero past its first
+    ``nb``, numpy's pairwise sum groups as it groups the whole row.  That
+    sum splits a row of more than 128 cells at half its length rounded
+    down to a multiple of 8, and adds a shorter row of at least 8 cells
+    in 8 partial sums of every eighth cell.  Dropping zeros that come last
+    in a partial sum or after a split keeps every bit of the sum."""
+    while n > 128:
+        half = n // 2 - n // 2 % 8
+        if nb > half:
+            return n
+        n = half
+    return min(n, -(-nb // 8) * 8)
+
+
+def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float,
+                  mass: np.ndarray) -> np.ndarray:
     """Structure-age profile per age row on the band ``taus <= SEED_TAU_BAND``,
-    proportional to the survival factor and normalized to unit mass per row
+    proportional to the survival factor and scaled to ``mass`` per row
     (rows with no cell inside the triangle stay zero).  The band's factors
     are sampled from the removal rate as the kernel samples them; the first
     row of ``step`` is the padding 1 of :func:`decay_factors`, so the
-    profile starts at ``entry``."""
+    profile starts at ``entry``.  Only the band's columns are read: the row
+    sums take the few zero columns after it that keep them bit for bit the
+    sums of whole rows."""
     nb = int(np.count_nonzero(taus <= SEED_TAU_BAND + 1e-12))    # taus increase
     prof = np.zeros((len(ages), len(taus)))
     if nb == 0:
@@ -358,8 +380,10 @@ def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float) -> np.n
     band = prof[:, :nb]
     np.multiply(entry[:, None], np.cumprod(step, axis=0).T, out=band)
     band *= taus[None, :nb] <= ages[:, None] + 1e-12
-    norms = np.sum(prof, axis=1) * d
-    return np.divide(prof, norms[:, None], out=prof, where=norms[:, None] > 0)
+    norms = np.sum(prof[:, :_band_columns(nb, len(taus))], axis=1) * d
+    np.divide(band, norms[:, None], out=band, where=norms[:, None] > 0)
+    band *= mass[:, None]
+    return prof
 
 
 def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 0.0,
@@ -383,8 +407,8 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
         ([params.lambda_m * k["sm_entry"]], k["sm_step"][1:])))
     i_m0 = np.zeros((grid.n_am, grid.n_tm))
     if infected_fraction_m > 0.0:
-        prof_m = _band_profile(params.removal_rate("i_m"), grid.ages_m, grid.taus_m, d)
-        i_m0 = infected_fraction_m * s_m0[:, None] * prof_m
+        i_m0 = _band_profile(params.removal_rate("i_m"), grid.ages_m, grid.taus_m, d,
+                             infected_fraction_m * s_m0)
         s_m0 = (1.0 - infected_fraction_m) * s_m0
 
     if mode == "reduced":
@@ -405,8 +429,8 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 
     s_h0 = np.cumprod(np.concatenate(
         ([params.lambda_h * k["sh_entry"]], k["sh_step"][1:])))
-    prof = _band_profile(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d)
-    i_h0 = infected_fraction * s_h0[:, None] * prof
+    i_h0 = _band_profile(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d,
+                         infected_fraction * s_h0)
     return StateFields("full", 0.0, (1.0 - infected_fraction) * s_h0, i_h0,
                        np.zeros((grid.n_ah, grid.n_eta)), s_m0, i_m0)
 
@@ -444,14 +468,15 @@ class _CohortRing:
     tables.  A field with no age axis (the REDUCED human fields) has one
     cohort, so a row is one number.  ``pool`` names the field; the kernel
     keys of its tables drop the underscore.  ``columns`` are the
-    structure-age columns of ``field`` holding mass, all below ``m``."""
+    structure-age columns of ``field`` holding mass, all below ``m``;
+    ``shape`` is the field's."""
 
     def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray, m: int):
         key = pool.replace("_", "")
         self.c, self.beta_c, self.out_c = (
             None if key + name not in k else k[key + name][:m]
             for name in ("_c", "_beta_c", "_out_c"))
-        self.entry, self.head, self.n = k[key + "_entry"], 0, field.shape[-1]
+        self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
         self.rows = np.zeros(self.c.shape)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
@@ -505,19 +530,27 @@ class _CohortRing:
                 mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
         return mass
 
+    def fill(self, out: np.ndarray, start: int = 0) -> np.ndarray:
+        """Write age rows ``start .. start + len(out) - 1`` of the field into
+        ``out``, row-major on the whole structure axis; a ring with no age
+        axis writes its one row, the whole field.  The cells of structure
+        age ``tau`` in those rows are one contiguous run of ring row ``tau``
+        times C, from cohort offset ``start - tau`` on."""
+        out[...] = 0.0
+        m = len(self.rows)
+        if self.rows.ndim == 1:
+            np.multiply(np.roll(self.rows, -self.head), self.c, out=out[:m])
+            return out
+        stop = start + len(out)
+        for tau in range(min(m, stop)):
+            x0 = max(start - tau, 0)
+            np.multiply(self.rows[(self.head + tau) % m, x0:stop - tau],
+                        self.c[tau, x0:stop - tau], out=out[x0 + tau - start:, tau])
+        return out
+
     def field(self) -> np.ndarray:
         """The field the ring holds, on the whole structure axis."""
-        if self.rows.ndim == 1:
-            f = np.zeros(self.n)
-            np.multiply(np.roll(self.rows, -self.head), self.c, out=f[:len(self.rows)])
-            return f
-        m, n_a = self.rows.shape
-        f = np.zeros((n_a, self.n))
-        for tau in range(min(m, n_a)):
-            row = self.rows[(self.head + tau) % m, :n_a - tau]
-            if row.any():                  # a column is a strided pass over the field
-                np.multiply(row, self.c[tau, :n_a - tau], out=f[tau:, tau])
-        return f
+        return self.fill(np.empty(self.shape))
 
 
 def _sums(state: StateFields, params: ModelParams, grid: Grid,
@@ -676,32 +709,52 @@ def observe(state: StateFields, params: ModelParams, grid: Grid,
 
 
 SNAPSHOT_MAGIC = b"STRUCTSIM\x01"
+SNAPSHOT_BLOCK_BYTES = 1 << 20    # a ring's field is written in blocks of about this size
 
 
-def save_snapshot(state: StateFields, grid: Grid, path: str) -> None:
+def _blocks(field):
+    """A snapshot field as consecutive arrays of its cells in row-major
+    order: an array itself, or the field a cohort ring holds, built a
+    block of whole age rows at a time in one buffer."""
+    if not isinstance(field, _CohortRing):
+        yield field
+    elif len(field.shape) == 1:
+        yield field.field()
+    else:
+        n_a, n = field.shape
+        block = np.empty((max(1, SNAPSHOT_BLOCK_BYTES // (8 * n)), n), dtype="<f8")
+        for start in range(0, n_a, len(block)):
+            yield field.fill(block[:n_a - start], start)
+
+
+def save_snapshot(state: StateFields, grid: Grid, path: str) -> str:
     """Versioned binary snapshot: header with the grid geometry, then the
-    field arrays row-major as little-endian 64-bit floats."""
-    import struct
-
+    field arrays row-major as little-endian 64-bit floats.  A structured
+    field of ``state`` may be a run's cohort ring, which is written without
+    building the field.  Returns the SHA-256 hex digest of the bytes
+    written, taken as they are written."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        mode_flag = 1 if state.mode == "full" else 0
-        fh.write(struct.pack("<B", mode_flag))
-        fh.write(struct.pack("<7d", grid.delta, grid.a_max_h, grid.a_max_m,
-                             grid.tau_max_h, grid.tau_max_m, grid.eta_max, state.t))
-        s_h = np.atleast_1d(np.asarray(state.s_h, dtype="<f8"))
-        for arr in (s_h, state.i_h, state.r_h, state.s_m, state.i_m):
-            a = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
-            fh.write(struct.pack("<B", a.ndim))
-            fh.write(struct.pack(f"<{a.ndim}q", *a.shape))
-            fh.write(memoryview(a).cast("B"))     # the array's own buffer: no copy
+        def put(data) -> None:
+            digest.update(data)
+            fh.write(data)
+
+        put(SNAPSHOT_MAGIC + struct.pack("<B", state.mode == "full")
+            + struct.pack("<7d", grid.delta, grid.a_max_h, grid.a_max_m,
+                          grid.tau_max_h, grid.tau_max_m, grid.eta_max, state.t))
+        for field in (np.atleast_1d(state.s_h), state.i_h, state.r_h, state.s_m, state.i_m):
+            if not isinstance(field, _CohortRing):
+                field = np.ascontiguousarray(field, dtype="<f8")
+            ndim = len(field.shape)
+            put(struct.pack("<B", ndim) + struct.pack(f"<{ndim}q", *field.shape))
+            for block in _blocks(field):
+                put(memoryview(block).cast("B"))      # the array's own buffer: no copy
+    return digest.hexdigest()
 
 
 def load_snapshot(path: str) -> tuple[StateFields, Grid]:
     """Read a :func:`save_snapshot` file; ValueError if it is not one, is
     truncated, or holds arrays whose rank or shape do not match its grid."""
-    import struct
-
     with open(path, "rb") as fh:
         def read(n: int, what: str) -> bytes:
             data = fh.read(n)
@@ -746,9 +799,13 @@ def load_snapshot(path: str) -> tuple[StateFields, Grid]:
 
 def simulate(params: ModelParams, grid: Grid, init: StateFields,
              t_end: float, output_every: int = 1,
-             return_final: bool = False):
+             return_final: bool = False, snapshot: str | None = None):
     """March the system to t_end, sampling observables every ``output_every``
-    steps (the initial and final instants are always included).
+    steps (the initial and final instants are always included).  Returns
+    the rows; with ``return_final``, ``(rows, final state)``; with a
+    ``snapshot`` path, ``(rows, digest)``: the final state is written there
+    by :func:`save_snapshot` straight from the run's cohort rings, and
+    ``digest`` is the SHA-256 of the file.
 
     ``init`` must have the grid's shapes, finite values >= 0 and zeros where
     structure age exceeds age; ValueError otherwise, and also when an
@@ -756,6 +813,8 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
+    if return_final and snapshot is not None:
+        raise ValueError("a run returns its final state or writes it to a snapshot, not both")
     n_steps = int(round(t_end / grid.delta))
     state, k, buf = _start(init, params, grid, n_steps)
     rows = [observe(state, params, grid, (*buf["sums"], buf["i_m"].sum()))]
@@ -764,6 +823,10 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
         state.t = n * grid.delta + init.t   # avoid accumulated float drift
         if n % output_every == 0 or n == n_steps:
             rows.append(observe(state, params, grid, (*buf["sums"], buf["i_m"].sum())))
+    if snapshot is not None:
+        for name in _STRUCTURED:
+            setattr(state, name, buf[name])
+        return rows, save_snapshot(state, grid, snapshot)
     if return_final:
         _finish(state, buf)
         return rows, state

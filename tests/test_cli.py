@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -100,7 +101,7 @@ def test_infinite_config_extent_is_a_config_error(tmp_path, capsys):
                  "--quiet"]) == 2
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: config error: a_max_h=inf")
+    assert len(err) == 1 and err[0].startswith("config error: a_max_h=inf")
 
 
 def test_r0_and_growth_rate_run(capsys):
@@ -136,6 +137,24 @@ def test_simulate_csv_and_manifest(tmp_path):
     args2[args2.index(snap)] = str(tmp_path / "final2.bin")
     assert main(args2) == 0
     assert open(out, "rb").read() == open(out2, "rb").read()
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_manifest_digests_are_the_outputs_sha256(tmp_path, mode):
+    # the snapshot's digest is taken while it is written, the others from
+    # their files: each is the SHA-256 of the file's bytes
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    out = str(tmp_path / "run.csv")
+    assert main(["simulate", "--config", str(cfg), "--a-max-h", "2", "--mode", mode,
+                 "--t-end", "0.05", "--out", out, "--snapshot", str(tmp_path / "final.bin"),
+                 "--svg", str(tmp_path / "run.svg"), "--quiet"]) == 0
+    with open(out + ".manifest.json") as fh:
+        outputs = json.load(fh)["outputs"]
+    assert len(outputs) == 3
+    for path, digest in outputs.items():
+        with open(path, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest(), path
 
 
 def test_svg_is_a_derived_view(tmp_path):

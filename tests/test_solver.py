@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -656,6 +657,61 @@ def test_snapshot_round_trip_on_random_small_grids(case, n_steps):
                 a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
                 assert a.dtype == b.dtype == np.float64, name
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@given(_small_case(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_streamed_snapshot_is_the_snapshot_of_the_final_state(case, data):
+    # a run that writes its final state from its rings, a block of age rows
+    # at a time, writes the bytes of the state it would return, after a few
+    # steps and after more steps than any axis has cells; the digest it
+    # returns is the file's, and its rows are those of the run that returns
+    # its state
+    params, grid, state = case
+    longest = max(grid.n_ah, grid.n_th, grid.n_eta, grid.n_am, grid.n_tm)
+    n_steps = data.draw(st.one_of(st.integers(0, 4), st.integers(longest + 1, longest + 4)))
+    t_end = n_steps * grid.delta
+    want_rows, fin = ss.simulate(params, grid, state, t_end=t_end, return_final=True)
+    block = data.draw(st.integers(1, 400))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(solver, "SNAPSHOT_BLOCK_BYTES", block):
+        want, got = os.path.join(tmp, "want.bin"), os.path.join(tmp, "got.bin")
+        save_snapshot(fin, grid, want)
+        rows, digest = ss.simulate(params, grid, state, t_end=t_end, snapshot=got)
+        with open(want, "rb") as fh_want, open(got, "rb") as fh_got:
+            want_bytes, got_bytes = fh_want.read(), fh_got.read()
+    assert got_bytes == want_bytes
+    assert digest == hashlib.sha256(got_bytes).hexdigest()
+    assert rows == want_rows
+
+
+def test_streamed_snapshot_builds_no_field(tmp_path):
+    # after the run starts, writing its final state allocates less than one
+    # recovered-human field (5.8 MB here): no field is rebuilt to be written
+    params, grid = fast_params(), fast_grid(0.005)
+    init = ss.default_initial(params, grid, 0.01, mode="full", infected_fraction_m=0.01)
+    field_bytes = 8 * grid.n_ah * grid.n_eta
+    start, after_start = solver._start, []
+
+    def traced_start(*args):
+        run = start(*args)
+        tracemalloc.reset_peak()
+        after_start.append(tracemalloc.get_traced_memory()[0])
+        return run
+
+    path = str(tmp_path / "state.bin")
+    ss.simulate(params, grid, init, t_end=3 * grid.delta, snapshot=path)   # builds the kernel
+    tracemalloc.start()
+    try:
+        with mock.patch.object(solver, "_start", traced_start):
+            _, digest = ss.simulate(params, grid, init, t_end=3 * grid.delta, snapshot=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - after_start[0] < field_bytes, \
+        f"writing the snapshot allocated {(peak - after_start[0]) / 1e6:.1f} MB"
+    with open(path, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
