@@ -99,6 +99,17 @@ def default_grid(mu_h_value: float, delta: float = 0.005) -> Grid:
                 tau_max_h=0.6, tau_max_m=1.5, eta_max=1.0)
 
 
+ROW_BLOCK_BYTES = 1 << 20    # a table on a long age axis is built in blocks of about this size
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of the rows of an ``(n_rows, n_cols)`` float table,
+    each of about ``ROW_BLOCK_BYTES`` and at least one row: a consumer that
+    needs only reductions of the table builds and drops it block by block."""
+    size = max(1, ROW_BLOCK_BYTES // (8 * n_cols))
+    return [slice(start, start + size) for start in range(0, n_rows, size)]
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 

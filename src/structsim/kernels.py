@@ -6,11 +6,20 @@ The next-generation analysis needs double integrals of the form
           * pi(xi)  dxi dtau
 
 where ``xi = age - tau`` is constant along a transport characteristic.
-This module materializes those kernels once per (params, grid) pair and
+This module builds those kernels once per (params, grid) pair and
 exposes the weighted masses every downstream computation shares, so that
 closed-form evaluation, power iteration, and the characteristic equation
 all reduce to sums over identical arrays (cross-method agreement is then
 limited only by floating-point rounding).
+
+The human block of the next-generation operator has rank one, pi_h times
+one contraction, so every consumer reads the human kernel K[xi, tau]
+(pi_h left out) through two contractions only: its row sums over tau, the
+contraction weights of power iteration, and the pi_h-weighted profile
+pi_h @ K, which ``human_factor`` dots with exp(-lam tau).  On an
+age-dependent grid the kernel is built a block of about
+``grids.ROW_BLOCK_BYTES`` of age rows at a time, each block folded into
+both contractions and dropped, so no (age, infection age) table is held.
 
 When every human rate is age-independent, the human kernel factorizes into
 (integral of pi_h) x (infection-age profile) and never reads the human age
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, characteristic_cumulative, cumulative_to_centers
+from .grids import Grid, characteristic_cumulative, cumulative_to_centers, row_blocks
 from .params import ModelParams
 from .rates import eval_rate, rate_table
 
@@ -44,7 +53,10 @@ class SpectralKernels:
     taus_h: np.ndarray
     c1: np.ndarray | None         # exp(-int (mu_h+nu_h+gamma_h)) on taus_h, eligible only
     beta_h_tau: np.ndarray | None
-    human_kernel_nopi: np.ndarray | None   # [n_xi_h, n_th] without pi_h(xi); general path
+    # general path only: the two contractions of K[xi, tau] (pi_h left out),
+    # never K itself
+    human_rows: np.ndarray | None  # [n_ah] row sums over tau
+    human_tau: np.ndarray | None   # [n_th] pi_h @ K
     # mosquito side
     xis_m: np.ndarray
     taus_m: np.ndarray
@@ -59,7 +71,7 @@ class SpectralKernels:
         w = np.exp(-lam * self.taus_h)
         if self.eligible:
             return self.int_pi_h * float(np.sum(self.beta_h_tau * self.c1 * w)) * self.delta
-        return float(self.pi_h @ (self.human_kernel_nopi @ w)) * self.delta ** 2
+        return float(self.human_tau @ w) * self.delta ** 2
 
     def mosquito_factor(self, lam: float = 0.0) -> float:
         """iint beta_m e^{-removal} pi_m(xi) e^{-lam tau} dxi dtau."""
@@ -69,8 +81,27 @@ class SpectralKernels:
 
 def _age_lag(rate, offsets: np.ndarray, taus: np.ndarray):
     """The ages ``offset + tau`` of a (offset, structure-age) table, built
-    only for a rate that reads age (6M cells on an age-dependent grid)."""
+    only for a rate that reads age."""
     return offsets[:, None] + taus[None, :] if rate.reads[0] else 0.0
+
+
+def _human_contractions(params: ModelParams, ages: np.ndarray, taus: np.ndarray,
+                        pi_h: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and ``pi_h @ K`` of the human kernel ``K[xi, tau]`` =
+    beta_h(xi + tau, tau) exp(-int removal) on offsets ``ages``, built a
+    block of age rows at a time.  Every row of a block is the row of the
+    whole table bit for bit, so the row sums are too."""
+    removal = params.removal_rate("i_h")
+    rows, tau_profile = np.empty(len(ages)), np.zeros(len(taus))
+    for block in row_blocks(len(ages), len(taus)):
+        # exp(-cum) in the cumulative's buffer, times beta_h on its read axes
+        k = characteristic_cumulative(removal, ages[block], taus, d)
+        np.exp(np.negative(k, out=k), out=k)
+        k *= eval_rate(params.beta_h, _age_lag(params.beta_h, ages[block], taus),
+                       taus[None, :])
+        np.sum(k, axis=1, out=rows[block])
+        tau_profile += pi_h[block] @ k
+    return rows, tau_profile
 
 
 @functools.lru_cache(maxsize=8)
@@ -90,16 +121,12 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
         c1 = np.exp(-cumulative_to_centers(
             rate_table(params.removal_rate("i_h"), 0.0, taus_h), d))
         beta_h_tau = rate_table(params.beta_h, 0.0, taus_h)
-        human_kernel_nopi = None
+        human_rows = human_tau = None
     else:
         pi_h = np.exp(-cumulative_to_centers(rate_table(params.mu_h, ages_h), d))
         int_pi_h = float(np.sum(pi_h)) * d
         c1 = beta_h_tau = None
-        # exp(-cum) in the cumulative's buffer, times beta_h on its read axes
-        cum = characteristic_cumulative(params.removal_rate("i_h"), ages_h, taus_h, d)
-        human_kernel_nopi = np.exp(np.negative(cum, out=cum), out=cum)
-        human_kernel_nopi *= eval_rate(params.beta_h, _age_lag(params.beta_h, ages_h, taus_h),
-                                       taus_h[None, :])
+        human_rows, human_tau = _human_contractions(params, ages_h, taus_h, pi_h, d)
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
@@ -114,6 +141,6 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
 
     return SpectralKernels(delta=d, eligible=eligible, ages_h=ages_h, pi_h=pi_h,
                            int_pi_h=int_pi_h, taus_h=taus_h, c1=c1,
-                           beta_h_tau=beta_h_tau, human_kernel_nopi=human_kernel_nopi,
+                           beta_h_tau=beta_h_tau, human_rows=human_rows, human_tau=human_tau,
                            xis_m=xis_m, taus_m=taus_m, pi_m=pi_m,
                            int_pi_m=int_pi_m, mosq_kernel=mosq_kernel)

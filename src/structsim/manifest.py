@@ -3,7 +3,8 @@
 The manifest digest covers the command line, the fully resolved parameters
 and grid, and the tool version; output files are recorded with their
 SHA-256 digests.  Identical manifests imply byte-identical CSV outputs
-(all computations are deterministic).
+(all computations are deterministic).  The run's wall time and peak
+resident memory are recorded beside the digest, outside what it covers.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import resource
 import time
 
 from . import __version__
@@ -69,6 +71,8 @@ class RunManifest:
             json.dumps(inputs, sort_keys=True).encode()).hexdigest()
         return {**inputs, "input_digest": digest,
                 "wall_time_s": round(time.monotonic() - self._t0, 3),
+                "peak_rss_mb": round(   # ru_maxrss is in KiB on Linux
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                 "outputs": self.outputs}
 
     def write(self, path: str) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, default_grid
+from .grids import Grid, default_grid, row_blocks
 from .rates import Arity, RateSpec, eval_rate, rate_table
 
 PRESET_NAMES = ("forward", "backward")
@@ -96,20 +96,24 @@ class ModelParams:
 def _rate_range(spec: RateSpec, ages: np.ndarray,
                 seconds: np.ndarray) -> tuple[float, float]:
     """(min, max) of a rate on the (ages x seconds) grid, scanning only the
-    axes it reads; a NaN anywhere makes both NaN."""
-    vals = eval_rate(spec, ages[:, None], seconds[None, :])
-    return float(np.min(vals)), float(np.max(vals))
+    axes it reads, a block of ages at a time; a NaN anywhere makes both NaN."""
+    ages = ages if spec.reads[0] else ages[:1]
+    samples = (eval_rate(spec, ages[block, None], seconds[None, :])
+               for block in row_blocks(len(ages), len(seconds)))
+    lo, hi = np.array([(np.min(v), np.max(v)) for v in samples]).T
+    return float(np.min(lo)), float(np.max(hi))
 
 
 def _reachable_mass(spec: RateSpec, ages: np.ndarray, taus: np.ndarray,
                     delta: float) -> float:
     """Grid sum of a transmission probability over the reachable set
     {(offset + tau, tau)}, offsets on ``ages``, times delta^2.  A rate that
-    does not read age takes the same value at every offset."""
+    does not read age takes the same value at every offset; one that does is
+    summed a block of offsets at a time, never on the whole table."""
     if not spec.reads[0]:
         return len(ages) * float(np.sum(rate_table(spec, 0.0, taus))) * delta ** 2
-    return float(np.sum(eval_rate(spec, ages[:, None] + taus[None, :], taus[None, :]))) \
-        * delta ** 2
+    return sum(float(np.sum(eval_rate(spec, ages[block, None] + taus[None, :], taus[None, :])))
+               for block in row_blocks(len(ages), len(taus))) * delta ** 2
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:

@@ -108,12 +108,14 @@ def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     """Spectral radius of the discretized human next-generation block.
 
     The block sends an age density b to pi_h * (w . b), where w[xi] is the
-    contraction weight of age cell xi (the row sums of the pi_h-free human
-    kernel; a constant on the eligible path), so it has rank one.  The
-    Rayleigh quotient is exact from the image of the first iterate on, and
-    the loop stops when the next one agrees to 1e-12 relative.  The route
-    re-sums the closed form in another order: it checks the contraction
-    code, not the formula.
+    contraction weight of age cell xi (``SpectralKernels.human_rows``, the
+    row sums of the pi_h-free human kernel; a constant on the eligible
+    path), so it has rank one.  The Rayleigh quotient is exact from the
+    image of the first iterate on, and the loop stops when the next one
+    agrees to 1e-12 relative.  The route re-sums the closed form in another
+    order: the closed form reads the kernel's other contraction, the
+    tau-profile ``pi_h @ K``, so this checks the contraction code, not the
+    formula.
     Quotients and norms are pairwise sums, so the iteration count depends
     only on the operator.
     """
@@ -123,7 +125,7 @@ def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     if sk.eligible:
         w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
     else:
-        w = np.sum(sk.human_kernel_nopi, axis=1) * sk.delta ** 2
+        w = sk.human_rows * sk.delta ** 2
     coef = _prefactor(params, sk) * sk.mosquito_factor(0.0)
 
     def apply_h(b: np.ndarray) -> np.ndarray:

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import os
+import resource
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import structsim as ss
 from structsim import cli
 from structsim.cli import main
+from structsim.manifest import RunManifest
 
 GOOD_CONFIG = """
 [population]
@@ -155,6 +159,24 @@ def test_manifest_digests_are_the_outputs_sha256(tmp_path, mode):
     for path, digest in outputs.items():
         with open(path, "rb") as fh:
             assert digest == hashlib.sha256(fh.read()).hexdigest(), path
+
+
+def test_manifest_records_peak_rss_outside_the_input_digest():
+    # peak RSS sits beside wall_time_s; the digest covers only the inputs,
+    # so a run that peaks higher has the same input_digest
+    params, grid = ss.preset("forward", 7e6), ss.preset_grid("forward")
+    manifest = RunManifest(["simulate", "--preset", "forward"], "forward", params, grid)
+    first = manifest.to_dict()
+    assert first["peak_rss_mb"] > 0.0
+    inputs = {key: first[key] for key in ("command", "preset", "params", "grid", "version")}
+    assert first["input_digest"] == hashlib.sha256(
+        json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    with mock.patch.object(resource, "getrusage",
+                           return_value=mock.Mock(ru_maxrss=peak_kib + 2048)):
+        higher = manifest.to_dict()
+    assert higher["peak_rss_mb"] == pytest.approx(first["peak_rss_mb"] + 2.0, abs=0.11)
+    assert higher["input_digest"] == first["input_digest"]
 
 
 def test_svg_is_a_derived_view(tmp_path):

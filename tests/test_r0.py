@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim.characteristics import g_of_lambda
-from structsim import kernels
+from structsim import grids, kernels
 from structsim.grids import characteristic_cumulative, cumulative_to_centers
 from structsim.kernels import spectral_kernels
 from structsim.r0 import (lambda0_closed_form, lambda_m_for_target_r0,
@@ -114,7 +114,7 @@ def test_power_iteration_survival_start_is_eigenvector(forward):
         if sk.eligible:
             weights = np.full(len(pi_h), float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta)
         else:
-            weights = np.sum(sk.human_kernel_nopi, axis=1) * sk.delta
+            weights = sk.human_rows * sk.delta
         image = pi_h * (coef * float(np.sum(weights * pi_h)) * sk.delta)
         resid = np.sum(np.abs(image - lam0 * pi_h)) / np.sum(np.abs(pi_h))
         assert resid < 1e-10
@@ -204,11 +204,12 @@ def test_general_path_builds_no_age_table_for_age_free_transmission():
     grid = ss.Grid(delta=0.01, a_max_h=200.0, a_max_m=1.5, tau_max_h=0.6,
                    tau_max_m=1.5, eta_max=1.0)
     table = grid.n_ah * grid.n_th * 8
-    live = []
+    live, ages = [], []
 
     def traced(spec, a, second=0.0):
         if spec is params.beta_h:
             live.append(tracemalloc.get_traced_memory()[0])
+            ages.append(a)
         return eval_rate(spec, a, second)
 
     spectral_kernels.cache_clear()
@@ -218,17 +219,81 @@ def test_general_path_builds_no_age_table_for_age_free_transmission():
             sk = spectral_kernels(params, grid)
     finally:
         tracemalloc.stop()
-    # held while beta_h is sampled: the removal kernel, not a second table
-    assert len(live) == 1 and live[0] < 1.5 * table, f"{live[0] / table:.2f} tables"
-    # the same tables as on the explicit age table
+    # held while beta_h is sampled, once per block of age rows: less than
+    # the removal kernel, never a second table
+    assert len(live) == len(grids.row_blocks(grid.n_ah, grid.n_th))
+    assert max(live) < 1.5 * table, f"{max(live) / table:.2f} tables"
+    assert all(isinstance(a, float) for a in ages)
+    # the contractions of the explicit age table
     d, d_m = grid.delta, (grid.ages_m, grid.taus_m)
     cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d)
     expect = np.exp(-cum) * eval_rate(params.beta_h, grid.ages_h[:, None] + grid.taus_h[None, :],
                                       grid.taus_h[None, :])
-    assert np.array_equal(sk.human_kernel_nopi, expect)
+    assert np.array_equal(sk.human_rows, np.sum(expect, axis=1))
+    np.testing.assert_allclose(sk.human_tau, sk.pi_h @ expect, rtol=1e-13, atol=0.0)
     pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, d_m[0]), d))
     mosq = (eval_rate(params.beta_m, d_m[0][:, None] + d_m[1][None, :], d_m[1][None, :])
             * np.exp(-characteristic_cumulative(params.removal_rate("i_m"), *d_m, d))
             * pi_m[:, None])
     live_cells = np.add.outer(np.arange(grid.n_am), np.arange(grid.n_tm)) + 1 <= grid.n_am
     assert np.array_equal(sk.mosq_kernel, np.where(live_cells, mosq, 0.0))
+
+
+def _explicit_human_kernel(params, grid):
+    """The general path's human kernel K[xi, tau] (pi_h left out) as one
+    table: the reference its blocked contractions must reproduce."""
+    cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h,
+                                    grid.delta)
+    return np.exp(-cum) * eval_rate(params.beta_h, grid.ages_h[:, None] + grid.taus_h[None, :],
+                                    grid.taus_h[None, :])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocked_human_contractions_match_the_explicit_table(data):
+    # random small age-dependent grids, blocks of one row up to the whole
+    # axis with a ragged last block: the row sums are those of the table bit
+    # for bit, and human_factor agrees to rounding for lambdas of both signs
+    delta = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
+    n_ah = data.draw(st.integers(1, 40))
+    n_th = data.draw(st.integers(1, n_ah))
+    grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=delta, tau_max_h=n_th * delta,
+                   tau_max_m=delta, eta_max=delta)
+    a_star = data.draw(st.floats(0.0, n_ah * delta))
+    beta_h = data.draw(st.sampled_from([
+        RateSpec.gauss(0.2, 0.6, 0.3, Arity.TAU_ONLY),
+        RateSpec.gauss_exp(0.3, 0.4, 0.5, 0.8),
+        RateSpec.table([0.0, 1.0, 4.0], [0.1, 0.5, 0.2], Arity.AGE)]))
+    params = fast_params(mu_h=RateSpec.piecewise(a_star, data.draw(st.floats(0.1, 2.0)),
+                                                 data.draw(st.floats(0.1, 2.0)), Arity.AGE),
+                         beta_h=beta_h)
+    assert not params.reduced_mode_eligible
+    rows = data.draw(st.one_of(st.just(1), st.integers(1, n_ah + 1)))
+    block = rows * 8 * n_th + data.draw(st.integers(0, 8 * n_th - 1))
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", block):
+        assert len(grids.row_blocks(n_ah, n_th)) == -(-n_ah // rows)
+        sk = spectral_kernels.__wrapped__(params, grid)
+    table = _explicit_human_kernel(params, grid)
+    assert np.array_equal(sk.human_rows, np.sum(table, axis=1))
+    for lam in (-1.5, -0.2, 0.0, 0.7, 6.0):
+        expect = float(sk.pi_h @ (table @ np.exp(-lam * grid.taus_h))) * delta ** 2
+        assert sk.human_factor(lam) == pytest.approx(expect, rel=1e-13, abs=0.0), lam
+
+
+def test_general_path_holds_only_the_contractions():
+    # on the benchmark's age config (50 000 x 120 cells, 48 MB a table) the
+    # build holds one block of age rows at a time, and the entry it keeps
+    # holds no (age, infection age) table
+    params = dataclasses.replace(ss.preset("forward", 8e6),
+                                 mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE))
+    table = _AGE_GRID.n_ah * _AGE_GRID.n_th * 8
+    tracemalloc.start()
+    try:
+        sk = spectral_kernels.__wrapped__(params, _AGE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table / 4, f"general-path build peaked at {peak / table:.2f} tables"
+    arrays = [v for v in vars(sk).values() if isinstance(v, np.ndarray)]
+    assert all(v.size < _AGE_GRID.n_ah * _AGE_GRID.n_th for v in arrays)
+    assert sum(v.nbytes for v in arrays) < 2e6

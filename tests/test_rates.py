@@ -1,12 +1,18 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structsim as ss
+from structsim import grids
 from structsim.params import _rate_range, _reachable_mass
 from structsim.rates import Arity, RateKind, RateSpec, eval_rate, rate_table
+
+from conftest import make_params
 
 SQ2PI = math.sqrt(2 * math.pi)
 
@@ -98,9 +104,10 @@ def _spec(kind, arity, p):
 @given(kind_arity=st.sampled_from([(k, a) for k in _SCALAR_KINDS for a in Arity]
                                   + [("gauss_exp", Arity.AGE_TAU)]),
        p=st.tuples(*[st.floats(0.0, 3.0)] * 4),
-       n_a=st.integers(1, 40), n_s=st.integers(1, 30), delta=st.floats(0.01, 0.5))
+       n_a=st.integers(1, 40), n_s=st.integers(1, 30), delta=st.floats(0.01, 0.5),
+       rows=st.integers(1, 41))
 @settings(max_examples=300, deadline=None)
-def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta):
+def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta, rows):
     spec = _spec(*kind_arity, p)
     ages = (np.arange(n_a) + 0.5) * delta
     seconds = (np.arange(n_s) + 0.5) * delta
@@ -112,10 +119,12 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta):
     full = rate_table(spec, *axes)
     cells = [np.array(x) for x in np.broadcast_arrays(*axes)]
     assert np.array_equal(full, np.broadcast_to(eval_rate(spec, *cells), (n_a, n_s)))
-    assert _rate_range(spec, ages, seconds) == (full.min(), full.max())
     reach = rate_table(spec, ages[:, None] + seconds[None, :], seconds[None, :])
-    assert _reachable_mass(spec, ages, seconds, delta) == pytest.approx(
-        float(np.sum(reach)) * delta ** 2, rel=1e-12)
+    # the scans run over blocks of ``rows`` ages, the last one ragged
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", rows * 8 * n_s):
+        assert _rate_range(spec, ages, seconds) == (full.min(), full.max())
+        assert _reachable_mass(spec, ages, seconds, delta) == pytest.approx(
+            float(np.sum(reach)) * delta ** 2, rel=1e-12)
 
 
 @given(a=st.floats(0, 50), second=st.floats(0, 50),
@@ -130,3 +139,22 @@ def test_eval_pure_nonnegative_deterministic(a, second, amp, center, width, deca
     assert v1 >= 0.0
     if a <= second:
         assert v1 == 0.0
+
+
+def test_validate_scans_an_age_reading_transmission_in_row_blocks():
+    # beta_h reading age on the benchmark's human age axis (50 000 x 120
+    # cells, 48 MB a table): validate scans its range and its reachable mass
+    # a block of ages at a time and never holds the table
+    params = make_params(mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE),
+                         beta_h=RateSpec.gauss_exp(0.1, 0.3, 0.1, 0.01))
+    grid = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=0.6,
+                   tau_max_m=1.5, eta_max=1.0)
+    table = grid.n_ah * grid.n_th * 8
+    tracemalloc.start()
+    try:
+        report = ss.validate(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed, str(report)
+    assert peak < table / 4, f"validate peaked at {peak / table:.2f} tables"

@@ -365,6 +365,66 @@ def test_step_rule_on_random_small_grids(case):
     assert np.all(clean.i_h == 0.0) and np.all(clean.i_m == 0.0)
 
 
+def _channel_flows(params, grid, pool, part, axis, cells, inflow):
+    """One step of a human pool by the shift, from the rates: the mass its
+    removal channel ``part`` takes, by the age row it arrives in (a number
+    in the reduced layout), and the cell sums of its deaths and of what
+    passes the end of an axis.  ``inflow`` enters the structure-age-0 cell
+    and loses its share on the way to the first center."""
+    d, full = grid.delta, cells.ndim == 2
+    ages = grid.ages_h[:, None] if full else 0.0
+    total = rate_table(params.removal_rate(pool), ages, axis)
+    part = rate_table(part, ages, axis)
+    cur, prev = _diagonal(cells.ndim)
+    pair, part_pair = total[prev] + total[cur], part[prev] + part[cur]
+    share = np.divide(part_pair, pair, out=np.zeros(pair.shape), where=pair > 0)
+    loss = cells[prev] * -np.expm1(-0.5 * d * pair)
+    total0, part0 = total[..., 0], part[..., 0]
+    share0 = np.divide(part0, total0, out=np.zeros(np.shape(total0)), where=total0 > 0)
+    loss0 = inflow * -np.expm1(-0.5 * d * total0)
+    moved = np.sum(share * loss, axis=-1)       # taken from the cells of each age row
+    channel = share0 * loss0 + (np.append(0.0, moved) if full else moved)
+    deaths = float(np.sum(loss) + np.sum(loss0) - np.sum(channel))
+    return channel, deaths, float(np.sum(cells) - np.sum(cells[prev]))
+
+
+@given(_small_case())
+@settings(max_examples=60, deadline=None)
+def test_population_balance_identity_on_random_small_grids(case):
+    # the discrete population balance of one step, in both layouts, from
+    # flows sampled on the rates: what recovery takes from i_h enters r_h,
+    # what immunity loss takes from r_h enters the susceptibles, and i_h + r_h
+    # change by the new infections less deaths, returns and what leaves the axes
+    params, grid, state = case
+    nxt = ss.step(state, params, grid)
+    d, full = grid.delta, state.mode == "full"
+    infected = force_mh(state, params, grid) if full else float(force_mh(state, params, grid)[0])
+    recovered, deaths_i, past_i = _channel_flows(params, grid, "i_h", params.gamma_h,
+                                                 grid.taus_h, state.i_h, infected)
+    returned, deaths_r, past_r = _channel_flows(params, grid, "r_h", params.k_h,
+                                                grid.etas, state.r_h, recovered)
+    terms = (np.sum(state.i_h), np.sum(state.r_h), np.sum(infected), deaths_i, deaths_r,
+             np.sum(returned), past_i, past_r)
+    held = float(np.sum(nxt.i_h) + np.sum(nxt.r_h))
+    balance = terms[0] + terms[1] + terms[2] - sum(terms[3:])
+    assert held == pytest.approx(balance, rel=0.0, abs=1e-12 * (sum(terms) + held))
+    # the susceptibles receive the returned mass; recovery into r_h is its entry row
+    rate_mh = solver._mosquito_pressure(state, params, grid) / n_human(state, grid)
+    entry_r = np.exp(-0.5 * d * rate_table(params.removal_rate("r_h"),
+                                           grid.ages_h if full else 0.0, grid.etas[0]))
+    np.testing.assert_allclose(nxt.r_h[..., 0], recovered * entry_r, rtol=1e-12, atol=0.0)
+    if full:
+        mu = rate_table(params.mu_h, grid.ages_h)
+        expect = (state.s_h[:-1] + d * returned[1:]) * np.exp(-0.5 * d * (mu[:-1] + mu[1:])) \
+            * np.exp(-d * rate_mh)
+        np.testing.assert_allclose(nxt.s_h[1:], expect, rtol=1e-12, atol=0.0)
+    else:
+        r_tot = params.mu_h_value() + rate_mh
+        expect = state.s_h - np.expm1(-r_tot * d) * ((params.lambda_h + returned) / r_tot
+                                                     - state.s_h)
+        assert nxt.s_h == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
 # fast_params as is, with recovery and immunity loss in the entry cell, and
 # with every human rate constant (each rate sample is a float)
 _ENTRY_CELL = {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
