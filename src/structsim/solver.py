@@ -50,8 +50,12 @@ kernel per (params, grid, mode) is kept for later runs.  Ring rows head,
 head + 1, ... (mod m) hold structure ages 0, 1, ..., so a sum over the
 cells is two contiguous dot products, one on each side of the wrap, and
 the outflow into each age row sums a skewed diagonal of the same pieces
-through a strided view.  Initial data enters a ring divided by C.  A
-field is rebuilt from its ring a block of age rows at a time: into one
+through a strided view.  Initial data enters a ring divided by C, read
+one structure-age column with mass at a time.  The seed of
+:func:`default_initial` is column-major (structure age major), so each
+such column is contiguous, its band is the leading cells of the buffer and
+the cells past the band are zero pages a run never touches.  A field is
+rebuilt from its ring a block of age rows at a time: into one
 array when a run returns its state, and straight into the file, block by
 block, when a run writes its final state as a snapshot.
 
@@ -369,20 +373,26 @@ def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float,
     (rows with no cell inside the triangle stay zero).  The band's factors
     are sampled from the removal rate as the kernel samples them; the first
     row of ``step`` is the padding 1 of :func:`decay_factors`, so the
-    profile starts at ``entry``.  Only the band's columns are read: the row
-    sums take the few zero columns after it that keep them bit for bit the
-    sums of whole rows."""
+    profile starts at ``entry``.
+
+    The profile is returned column-major (structure age major): the band is
+    the leading cells of its buffer, and the zero cells past it are pages
+    the process never touches.  The band and its row sums are formed in a
+    small row-major block of the band's columns and the few zero columns
+    after them that keep the sums bit for bit the sums of whole rows; only
+    the scaled band is copied into the profile."""
     nb = int(np.count_nonzero(taus <= SEED_TAU_BAND + 1e-12))    # taus increase
-    prof = np.zeros((len(ages), len(taus)))
+    prof = np.zeros((len(ages), len(taus)), order="F")
     if nb == 0:
         return prof
     entry, step = decay_factors(rate_table(removal, ages, taus[:nb, None]), d)
-    band = prof[:, :nb]
+    block = np.zeros((len(ages), _band_columns(nb, len(taus))))
+    band = block[:, :nb]
     np.multiply(entry[:, None], np.cumprod(step, axis=0).T, out=band)
     band *= taus[None, :nb] <= ages[:, None] + 1e-12
-    norms = np.sum(prof[:, :_band_columns(nb, len(taus))], axis=1) * d
+    norms = np.sum(block, axis=1) * d
     np.divide(band, norms[:, None], out=band, where=norms[:, None] > 0)
-    band *= mass[:, None]
+    np.multiply(band, mass[:, None], out=prof[:, :nb])
     return prof
 
 
@@ -482,7 +492,8 @@ class _CohortRing:
             if field.ndim == 1:
                 np.divide(field[:m], self.c, out=self.rows, where=field[:m] != 0.0)
             else:
-                # a column is a strided pass over the field: read only those with mass
+                # read only the columns with mass: each one contiguous run in a
+                # column-major seed, a strided pass in a row-major field
                 n_a = field.shape[0]
                 for tau in columns:
                     cells = field[tau:, tau]
@@ -587,7 +598,9 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
         new_s = buf["s_h"]
         new_s[1:] = (state.s_h[:-1] + d * returned[1:]) * k["sh_step"][1:] \
             * np.exp(-d * rate_mh)
-        new_s[0] = params.lambda_h * k["sh_entry"] * np.exp(-0.5 * d * rate_mh)
+        # births and the mass that returns within the entry cell
+        new_s[0] = (params.lambda_h + d * returned[0]) * k["sh_entry"] \
+            * np.exp(-0.5 * d * rate_mh)
         state.s_h, buf["s_h"] = new_s, state.s_h
     else:
         r_tot = params.mu_h_value() + rate_mh

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim import solver
+from structsim.grids import decay_factors
 from structsim.rates import Arity, RateSpec, rate_table
 from structsim.solver import (DegeneratePopulationError, _kernel, load_snapshot, n_human,
                               n_mosquito, observe, save_snapshot)
@@ -129,6 +133,100 @@ def test_default_initial_mosquito_seed(forward):
     nm0 = n_mosquito(ss.default_initial(params, grid, 0.0, mode="reduced"), grid)
     assert n_mosquito(st, grid) == pytest.approx(nm0, rel=1e-12)
     assert float(np.sum(st.i_m)) * grid.delta ** 2 == pytest.approx(0.3 * nm0, rel=1e-12)
+
+
+def _row_major_band(removal, ages, taus, d, mass):
+    """The seed band built row-major on whole rows: the survival profile of
+    each age row on ``taus <= SEED_TAU_BAND``, inside the triangle, divided by
+    the sum of its whole row and scaled to ``mass``."""
+    nb = int(np.count_nonzero(taus <= solver.SEED_TAU_BAND + 1e-12))
+    prof = np.zeros((len(ages), len(taus)))
+    entry, step = decay_factors(rate_table(removal, ages, taus[:nb, None]), d)
+    prof[:, :nb] = entry[:, None] * np.cumprod(step, axis=0).T
+    prof[:, :nb] *= taus[None, :nb] <= ages[:, None] + 1e-12
+    norms = np.sum(prof, axis=1) * d
+    np.divide(prof, norms[:, None], out=prof, where=norms[:, None] > 0)
+    return prof * mass[:, None]
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.01])      # rows of 60 and of 300 cells
+@pytest.mark.parametrize("fraction_m", [0.0, 0.3])
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_seed_is_the_row_major_band_in_structure_age_major_layout(tmp_path, mode, fraction_m,
+                                                                  delta):
+    # every field of the seed equals a row-major build of the same band; a
+    # seeded full-mode i_h is column-major, and a run from the seed writes the
+    # snapshot of a run from its C-contiguous copy
+    params, grid = fast_params(), fast_grid(delta)
+    seed = ss.default_initial(params, grid, 0.01, mode=mode, infected_fraction_m=fraction_m)
+    dfe = ss.default_initial(params, grid, 0.0, mode=mode)
+    d = grid.delta
+    want = dfe.copy()
+    want.s_m = (1.0 - fraction_m) * dfe.s_m
+    if fraction_m:
+        want.i_m = _row_major_band(params.removal_rate("i_m"), grid.ages_m, grid.taus_m, d,
+                                   fraction_m * dfe.s_m)
+    if mode == "full":
+        want.s_h = (1.0 - 0.01) * dfe.s_h
+        want.i_h = _row_major_band(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d,
+                                   0.01 * dfe.s_h)
+        assert seed.i_h.flags.f_contiguous
+    else:
+        want.s_h, want.i_h = seed.s_h, seed.i_h       # the reduced seed rule is its own
+    for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+        assert np.array_equal(getattr(seed, name), getattr(want, name)), name
+    if fraction_m:
+        assert seed.i_m.flags.f_contiguous
+
+    contiguous = seed.copy()
+    for name in ("i_h", "r_h", "i_m"):
+        setattr(contiguous, name, np.ascontiguousarray(getattr(seed, name)))
+    runs = [ss.simulate(params, grid, start, t_end=3 * d, snapshot=str(tmp_path / f"{i}.bin"))
+            for i, start in enumerate((seed, contiguous))]
+    assert runs[0] == runs[1]
+    assert (tmp_path / "0.bin").read_bytes() == (tmp_path / "1.bin").read_bytes()
+
+
+_SEED_RSS = """\
+import sys
+import structsim as ss
+from structsim.rates import Arity, RateSpec
+params = ss.ModelParams(
+    lambda_h=8.4e5, lambda_m=1e7, theta=3.65e4,
+    mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE),
+    mu_m=RateSpec.constant(20.0, Arity.AGE), nu_h=RateSpec.constant(0.1, Arity.AGE_TAU),
+    nu_m=RateSpec.constant(25.0, Arity.AGE_TAU),
+    gamma_h=RateSpec.piecewise(0.1, 0.0, 50.0, Arity.TAU_ONLY),
+    k_h=RateSpec.piecewise(0.1, 0.0, 40.0, Arity.ETA_ONLY),
+    beta_h=RateSpec.gauss(0.1, 0.3, 0.1, Arity.TAU_ONLY),
+    beta_m=RateSpec.gauss_exp(0.05, 0.2, 0.2, 1.0))
+grid = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=2.0, tau_max_m=1.5,
+               eta_max=1.0)
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) * 1024
+
+before = rss()
+state = ss.default_initial(params, grid, 0.01, mode="full")
+print(rss() - before, state.i_h.nbytes)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_full_mode_seed_touches_only_its_band():
+    # an age-dependent grid of 50 000 ages with a 160 MB i_h, of which the
+    # seed band is 21 of 400 columns: seeding it grows the resident set by
+    # far less than the field, since its cells past the band stay untouched
+    # zero pages (tracemalloc counts the allocation, not the touched pages)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ss.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _SEED_RSS], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    grown, field_bytes = map(int, out.split())
+    assert field_bytes == 50_000 * 400 * 8
+    assert grown < field_bytes / 4, f"seeding grew the resident set by {grown / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +486,18 @@ def _channel_flows(params, grid, pool, part, axis, cells, inflow):
     return channel, deaths, float(np.sum(cells) - np.sum(cells[prev]))
 
 
-@given(_small_case())
+@given(_small_case(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_population_balance_identity_on_random_small_grids(case):
+def test_population_balance_identity_on_random_small_grids(case, entry_cell):
     # the discrete population balance of one step, in both layouts, from
     # flows sampled on the rates: what recovery takes from i_h enters r_h,
     # what immunity loss takes from r_h enters the susceptibles, and i_h + r_h
-    # change by the new infections less deaths, returns and what leaves the axes
+    # change by the new infections less deaths, returns and what leaves the axes.
+    # Half the draws take constant recovery and immunity-loss rates, so mass
+    # infected in the entry cell recovers and returns within the step.
     params, grid, state = case
+    if entry_cell:
+        params = dataclasses.replace(params, **_ENTRY_CELL)
     nxt = ss.step(state, params, grid)
     d, full = grid.delta, state.mode == "full"
     infected = force_mh(state, params, grid) if full else float(force_mh(state, params, grid)[0])
@@ -418,6 +520,10 @@ def test_population_balance_identity_on_random_small_grids(case):
         expect = (state.s_h[:-1] + d * returned[1:]) * np.exp(-0.5 * d * (mu[:-1] + mu[1:])) \
             * np.exp(-d * rate_mh)
         np.testing.assert_allclose(nxt.s_h[1:], expect, rtol=1e-12, atol=0.0)
+        # the entry row: births and what returns within the entry cell, carried
+        # to the first age center
+        expect0 = (params.lambda_h + d * returned[0]) * np.exp(-0.5 * d * (mu[0] + rate_mh))
+        assert nxt.s_h[0] == pytest.approx(expect0, rel=1e-12, abs=0.0)
     else:
         r_tot = params.mu_h_value() + rate_mh
         expect = state.s_h - np.expm1(-r_tot * d) * ((params.lambda_h + returned) / r_tot
