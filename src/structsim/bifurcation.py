@@ -31,6 +31,7 @@ classify.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,10 @@ class ReducedKernels:
         object.__setattr__(self, "h_scan", h_value(k_scan, self))
 
 
+@functools.lru_cache(maxsize=8)
 def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
+    """The pieces of f for ``(params, grid)``, kept for later calls as
+    :func:`spectral_kernels` keeps its tables."""
     if not params.reduced_mode_eligible:
         raise ValueError("reduced kernels require age-independent human rates")
     d = grid.delta
@@ -241,7 +245,10 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     When the first sweep point carrying a root lies below R0 = 1, the fold
     is the smallest threshold value still carrying a root: that sweep
     bracket is refined three times on 17 sub-points, which puts the fold
-    within 1/16**3 of a sweep step above 1/max h.
+    within 1/16**3 of a sweep step above 1/max h.  Below R0 = 1 the scan
+    starts under 1 (h(0) = 1) and ends at -1 (h(K_bar) = 0), so a value r0
+    carries a root exactly when r0 * max(h_scan) >= 1, and the refinement
+    tests that instead of solving.
     """
     if not (0 < lambda_m_min < lambda_m_max):
         raise ValueError("need 0 < lambda_m_min < lambda_m_max")
@@ -254,14 +261,15 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     fold = None
     first = next((i for i, p in enumerate(points) if p.roots), None)
     if first is not None and points[first].r0 < 1.0:
+        h_max = float(np.max(kernels.h_scan))
         lo = lams[first - 1] if first > 0 else lambda_m_min
         hi = lams[first]
         for _ in range(3):
             sub = np.linspace(lo, hi, 17)
-            idx = next((i for i, lm in enumerate(sub)
-                        if solve_endemic(slope * lm, kernels)), None)
-            if idx is None:
+            carries = np.flatnonzero(slope * sub * h_max >= 1.0)
+            if not carries.size:
                 break
+            idx = carries[0]
             hi = sub[idx]
             lo = sub[idx - 1] if idx > 0 else lo
         fold = float(slope * hi)

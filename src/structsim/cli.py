@@ -147,10 +147,6 @@ def cmd_r0(args) -> int:
         lines.append(f"r0 squared (reduced)        {red!r}")
     lines.append(f"threshold R0 (= r0 squared)  {rep.r0_squared_closed_form:.6f}")
     print("\n".join(lines))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("lambda_m,r0_squared,r0\n")
-            fh.write(f"{params.lambda_m!r},{rep.r0_squared_closed_form!r},{rep.r0!r}\n")
     return 0
 
 
@@ -332,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--method", choices=("closed", "power", "reduced", "all"),
                    default="all")
-    p.add_argument("--out", help="optional CSV output")
     p.set_defaults(func=cmd_r0)
 
     p = sub.add_parser("growth-rate", help="dominant linear growth rate at the "

@@ -153,6 +153,8 @@ def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | Non
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in lines[section]:
+            raise ConfigError(f"duplicate key {key!r}", lineno)
         if section == "population":
             if key not in POPULATION_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [population]", lineno)
@@ -165,8 +167,6 @@ def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | Non
             if key not in GRID_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [grid]", lineno)
             seen[section][key] = _parse_number(value, lineno)
-        if key in seen[section] and key in lines[section]:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
         lines[section][key] = lineno
 
     for key in POPULATION_KEYS:

@@ -104,10 +104,12 @@ ROW_BLOCK_BYTES = 1 << 20    # a table on a long age axis is built in blocks of 
 
 def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     """Consecutive slices of the rows of an ``(n_rows, n_cols)`` float table,
-    each of about ``ROW_BLOCK_BYTES`` and at least one row: a consumer that
-    needs only reductions of the table builds and drops it block by block."""
+    each of about ``ROW_BLOCK_BYTES`` and at least one row, the last ending
+    at ``n_rows``: a consumer that needs only reductions of the table builds
+    and drops it block by block, and a consumer that writes it a piece at a
+    time needs one buffer of the first block's rows."""
     size = max(1, ROW_BLOCK_BYTES // (8 * n_cols))
-    return [slice(start, start + size) for start in range(0, n_rows, size)]
+    return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
 
 
 # ---------------------------------------------------------------------------

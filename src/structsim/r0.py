@@ -42,7 +42,6 @@ class R0Report:
     residual: float | None = None
     kernel_mass_mh: float = 0.0       # iint of the normalized mosquito->human kernel
     kernel_mass_hm: float = 0.0       # iint of the normalized human->mosquito kernel
-    r0_squared_reduced: float | None = None
 
     def format_text(self) -> str:
         lines = [
@@ -54,8 +53,6 @@ class R0Report:
         if self.r0_squared_power_iter is not None:
             lines.append(f"r0 squared (power iter)     {self.r0_squared_power_iter!r}"
                          f"   [{self.iterations} iterations, residual {self.residual:.3e}]")
-        if self.r0_squared_reduced is not None:
-            lines.append(f"r0 squared (reduced)        {self.r0_squared_reduced!r}")
         return "\n".join(lines)
 
 
@@ -70,7 +67,7 @@ def lambda0_closed_form(params: ModelParams, grid: Grid) -> float:
 
 def r0_closed_form(params: ModelParams, grid: Grid) -> R0Report:
     sk = spectral_kernels(params, grid)
-    lam0 = _prefactor(params, sk) * sk.human_factor(0.0) * sk.mosquito_factor(0.0)
+    lam0 = lambda0_closed_form(params, grid)
     return R0Report(
         r0_squared_closed_form=lam0,
         r0=float(np.sqrt(lam0)),

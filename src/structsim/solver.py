@@ -54,10 +54,11 @@ through a strided view.  Initial data enters a ring divided by C, read
 one structure-age column with mass at a time.  The seed of
 :func:`default_initial` is column-major (structure age major), so each
 such column is contiguous, its band is the leading cells of the buffer and
-the cells past the band are zero pages a run never touches.  A field is
-rebuilt from its ring a block of age rows at a time: into one
-array when a run returns its state, and straight into the file, block by
-block, when a run writes its final state as a snapshot.
+the cells past the band are zero pages a run never touches; the band is
+formed as whole rows a block of age rows (``grids.row_blocks``) at a time,
+so it is bit for bit the row-major seed.  A field is rebuilt from its ring
+into one array when a run returns its state, and straight into the file,
+in the same row blocks, when a run writes its final state as a snapshot.
 
 A run computes N_h, the two pressures and the infected-human total of each
 state once; the step that leaves the state and the observables sampled at
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, decay_factors
+from .grids import Grid, decay_factors, row_blocks
 from .params import ModelParams
 from .rates import rate_table
 
@@ -351,21 +352,6 @@ def _above_floor(nh: float, floor: float, t: float) -> float:
 SEED_TAU_BAND = 0.1    # infection-age width of the seeded band
 
 
-def _band_columns(nb: int, n: int) -> int:
-    """How many leading cells of a row of ``n`` cells, zero past its first
-    ``nb``, numpy's pairwise sum groups as it groups the whole row.  That
-    sum splits a row of more than 128 cells at half its length rounded
-    down to a multiple of 8, and adds a shorter row of at least 8 cells
-    in 8 partial sums of every eighth cell.  Dropping zeros that come last
-    in a partial sum or after a split keeps every bit of the sum."""
-    while n > 128:
-        half = n // 2 - n // 2 % 8
-        if nb > half:
-            return n
-        n = half
-    return min(n, -(-nb // 8) * 8)
-
-
 def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float,
                   mass: np.ndarray) -> np.ndarray:
     """Structure-age profile per age row on the band ``taus <= SEED_TAU_BAND``,
@@ -377,22 +363,26 @@ def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float,
 
     The profile is returned column-major (structure age major): the band is
     the leading cells of its buffer, and the zero cells past it are pages
-    the process never touches.  The band and its row sums are formed in a
-    small row-major block of the band's columns and the few zero columns
-    after them that keep the sums bit for bit the sums of whole rows; only
-    the scaled band is copied into the profile."""
+    the process never touches.  Each block of age rows (``row_blocks``) is
+    formed as whole rows in one zeroed row-major buffer, so its row norms
+    are the sums of the rows of a row-major seed; only the scaled band is
+    copied into the profile."""
     nb = int(np.count_nonzero(taus <= SEED_TAU_BAND + 1e-12))    # taus increase
     prof = np.zeros((len(ages), len(taus)), order="F")
     if nb == 0:
         return prof
     entry, step = decay_factors(rate_table(removal, ages, taus[:nb, None]), d)
-    block = np.zeros((len(ages), _band_columns(nb, len(taus))))
-    band = block[:, :nb]
-    np.multiply(entry[:, None], np.cumprod(step, axis=0).T, out=band)
-    band *= taus[None, :nb] <= ages[:, None] + 1e-12
-    norms = np.sum(block, axis=1) * d
-    np.divide(band, norms[:, None], out=band, where=norms[:, None] > 0)
-    np.multiply(band, mass[:, None], out=prof[:, :nb])
+    survival = np.cumprod(step, axis=0).T
+    blocks = row_blocks(len(ages), len(taus))
+    buffer = np.zeros((blocks[0].stop, len(taus)))
+    for rows in blocks:
+        block = buffer[:rows.stop - rows.start]
+        band = block[:, :nb]
+        np.multiply(entry[rows, None], survival[rows], out=band)
+        band *= taus[None, :nb] <= ages[rows, None] + 1e-12
+        norms = np.sum(block, axis=1) * d
+        np.divide(band, norms[:, None], out=band, where=norms[:, None] > 0)
+        np.multiply(band, mass[rows, None], out=prof[rows, :nb])
     return prof
 
 
@@ -722,22 +712,22 @@ def observe(state: StateFields, params: ModelParams, grid: Grid,
 
 
 SNAPSHOT_MAGIC = b"STRUCTSIM\x01"
-SNAPSHOT_BLOCK_BYTES = 1 << 20    # a ring's field is written in blocks of about this size
 
 
 def _blocks(field):
     """A snapshot field as consecutive arrays of its cells in row-major
     order: an array itself, or the field a cohort ring holds, built a
-    block of whole age rows at a time in one buffer."""
+    block of whole age rows (``row_blocks``) at a time in one buffer."""
     if not isinstance(field, _CohortRing):
         yield field
     elif len(field.shape) == 1:
         yield field.field()
     else:
         n_a, n = field.shape
-        block = np.empty((max(1, SNAPSHOT_BLOCK_BYTES // (8 * n)), n), dtype="<f8")
-        for start in range(0, n_a, len(block)):
-            yield field.fill(block[:n_a - start], start)
+        blocks = row_blocks(n_a, n)
+        buffer = np.empty((blocks[0].stop, n), dtype="<f8")
+        for rows in blocks:
+            yield field.fill(buffer[:rows.stop - rows.start], rows.start)
 
 
 def save_snapshot(state: StateFields, grid: Grid, path: str) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structsim as ss
+from structsim import bifurcation
 from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
                                    dk_f, f_value, h_value, k_bar,
                                    reconstruct_equilibrium, solve_endemic, trace_branch)
@@ -188,6 +190,53 @@ def test_trace_branch_backward_fold(backward):
     assert all(not pt.roots for pt in below)
 
 
+def _searched_fold(params, grid, lambda_m_min, lambda_m_max, n_points):
+    """The fold as a search by root solving finds it: the first sweep point
+    carrying a root, if it lies below R0 = 1, with its bracket refined
+    three times on 17 sub-points, each sub-point solved."""
+    kernels = build_reduced_kernels(params, grid)
+    slope = lambda_m_slope(params, grid)
+    lams = np.linspace(lambda_m_min, lambda_m_max, n_points)
+    first = next((i for i, lm in enumerate(lams) if solve_endemic(slope * lm, kernels)), None)
+    if first is None or not float(slope * lams[first]) < 1.0:
+        return None
+    lo = lams[first - 1] if first > 0 else lambda_m_min
+    hi = lams[first]
+    for _ in range(3):
+        sub = np.linspace(lo, hi, 17)
+        idx = next((i for i, lm in enumerate(sub) if solve_endemic(slope * lm, kernels)),
+                   None)
+        if idx is None:
+            break
+        hi = sub[idx]
+        lo = sub[idx - 1] if idx > 0 else lo
+    return float(slope * hi)
+
+
+@pytest.mark.parametrize("sweep", [(5e6, 1e8, 120), (1e6, 1e8, 200), (9.1e5, 1.13e8, 80),
+                                   (1.2e6, 8.4e7, 80), (5e6, 3e7, 37), (1e6, 2e7, 13),
+                                   (1e6, 1e8, 7), (3e6, 9e6, 50)])
+@pytest.mark.parametrize("name", ["backward", "forward"])
+def test_fold_rule_is_the_searched_fold(name, sweep, request):
+    # r0 * max(h_scan) >= 1 marks the sub-points that carry a root, so the
+    # refinement lands on the fold the solving search lands on, bit for bit
+    params, grid = request.getfixturevalue(name)
+    br = trace_branch(params, grid, *sweep)
+    assert br.fold_r0_star == _searched_fold(params, grid, *sweep)
+    if name == "forward" or sweep == (3e6, 9e6, 50):     # no root below R0 = 1 swept
+        assert br.fold_r0_star is None
+    else:
+        assert br.fold_r0_star is not None
+
+
+def test_trace_branch_solves_each_sweep_point_once(backward):
+    params, grid = backward
+    with mock.patch.object(bifurcation, "solve_endemic", wraps=solve_endemic) as solve:
+        br = trace_branch(params, grid, 1e6, 1e8, 80)
+    assert br.fold_r0_star is not None
+    assert solve.call_count == 80
+
+
 @functools.lru_cache(maxsize=1)
 def _disagreeing_draws():
     """Criterion 10's draws, on its grid, where sign(c_bif) != sign(h'(0))."""
@@ -234,6 +283,9 @@ def test_branch_follows_h_where_c_bif_disagrees(draw, tmp_path, capsys):
     step = br.points[1].lambda_m - br.points[0].lambda_m
     gap = br.fold_r0_star - 1.0 / np.max(kern.h_scan)
     assert 0.0 <= gap <= slope * step / 16 ** 3
+    for n_points in (200, 80):
+        assert trace_branch(params, grid, lo, hi, n_points).fold_r0_star \
+            == _searched_fold(params, grid, lo, hi, n_points)
 
     path = tmp_path / "draw.cfg"
     path.write_text(_config_text(params, grid))

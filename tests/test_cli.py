@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import structsim as ss
-from structsim import cli
+from structsim import bifurcation, cli
 from structsim.cli import main
 from structsim.manifest import RunManifest
 
@@ -117,6 +117,26 @@ def test_r0_and_growth_rate_run(capsys):
                  "--delta", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "lambda*" in out and "g(0)" in out
+
+
+def test_r0_writes_no_csv(tmp_path, capsys):
+    # every artifact the CLI writes gets a manifest; r0 only prints
+    out = tmp_path / "r0.csv"
+    assert main(["r0", "--preset", "forward", "--delta", "0.01", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
+def test_fig4_bl_start_builds_the_reduced_kernels_once():
+    # the start solves for the upper root and reconstructs it from the same
+    # kernels and h scan
+    params, grid = ss.preset("backward", 2.5e7), ss.preset_grid("backward", 0.01)
+    bifurcation.build_reduced_kernels.cache_clear()
+    with mock.patch.object(bifurcation, "ReducedKernels",
+                           wraps=bifurcation.ReducedKernels) as built:
+        start = cli._upper_endemic_start(params, grid)
+    assert built.call_count == 1
+    assert start.mode == "reduced" and float(np.sum(start.i_h)) > 0.0
 
 
 def test_simulate_csv_and_manifest(tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,45 @@ def test_unknown_key_and_kind_and_syntax():
     except ConfigError as exc:
         err = exc
     assert err is not None and err.line is not None  # position-annotated
+
+
+def _error_line(doc: str, line_text: str) -> int:
+    return doc.splitlines().index(line_text) + 1
+
+
+@pytest.mark.parametrize("value", ["constant(3)", "bogus(3)"])
+def test_duplicate_key_is_reported_before_its_value(tmp_path, capsys, value):
+    # a repeated key is the error, whether or not its value would parse
+    doc = GOOD.replace("mu_m    = constant(20)\n", f"mu_m    = constant(20)\nmu_m = {value}\n")
+    line = _error_line(doc, f"mu_m = {value}")
+    with pytest.raises(ConfigError, match=f"line {line}: duplicate key 'mu_m'") as err:
+        load_config(doc)
+    assert err.value.line == line
+    config = tmp_path / "dup.cfg"
+    config.write_text(doc)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: line {line}: duplicate "
+                                                    f"key 'mu_m'"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mu_m    = constant(20)", "mu_m    = constant(1, 2)", "constant(c) takes one argument"),
+    ("gamma_h = piecewise(0.1, 0, 50)", "gamma_h = piecewise(0.1, 0)",
+     "piecewise(threshold, low, high) takes three arguments"),
+    ("mu_h    = constant(0.022)", "mu_h    = table()", "table(path) takes one argument"),
+    ("beta_h  = gauss(0.1, 0.3, 0.1)", "beta_h  = gauss_exp(0.1, 0.3, 0.1, 1.0)",
+     "gauss_exp is only supported for beta_m"),
+])
+def test_rate_argument_errors_name_their_line(tmp_path, capsys, old, new, message):
+    doc = GOOD.replace(old, new)
+    line = _error_line(doc, new)
+    with pytest.raises(ConfigError, match=re.escape(f"line {line}: {message}")) as err:
+        load_config(doc)
+    assert err.value.line == line
+    config = tmp_path / "args.cfg"
+    config.write_text(doc)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: line {line}: {message}"]
 
 
 def test_missing_rate_is_an_error():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structsim as ss
-from structsim import solver
+from structsim import grids, solver
 from structsim.grids import decay_factors
 from structsim.rates import Arity, RateSpec, rate_table
 from structsim.solver import (DegeneratePopulationError, _kernel, load_snapshot, n_human,
@@ -149,7 +149,9 @@ def _row_major_band(removal, ages, taus, d, mass):
     return prof * mass[:, None]
 
 
-@pytest.mark.parametrize("delta", [0.05, 0.01])      # rows of 60 and of 300 cells
+# rows of 60, 300 and 1 500 cells; on the last, the sums of the band alone
+# round apart from the sums of whole rows
+@pytest.mark.parametrize("delta", [0.05, 0.01, 0.002])
 @pytest.mark.parametrize("fraction_m", [0.0, 0.3])
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 def test_seed_is_the_row_major_band_in_structure_age_major_layout(tmp_path, mode, fraction_m,
@@ -840,7 +842,7 @@ def test_streamed_snapshot_is_the_snapshot_of_the_final_state(case, data):
     want_rows, fin = ss.simulate(params, grid, state, t_end=t_end, return_final=True)
     block = data.draw(st.integers(1, 400))
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(solver, "SNAPSHOT_BLOCK_BYTES", block):
+            mock.patch.object(grids, "ROW_BLOCK_BYTES", block):
         want, got = os.path.join(tmp, "want.bin"), os.path.join(tmp, "got.bin")
         save_snapshot(fin, grid, want)
         rows, digest = ss.simulate(params, grid, state, t_end=t_end, snapshot=got)
