@@ -243,12 +243,13 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     The threshold value is exactly linear in the recruitment rate, so every
     sweep point solves on the one scan table of h built with the kernels.
     When the first sweep point carrying a root lies below R0 = 1, the fold
-    is the smallest threshold value still carrying a root: that sweep
-    bracket is refined three times on 17 sub-points, which puts the fold
-    within 1/16**3 of a sweep step above 1/max h.  Below R0 = 1 the scan
-    starts under 1 (h(0) = 1) and ends at -1 (h(K_bar) = 0), so a value r0
-    carries a root exactly when r0 * max(h_scan) >= 1, and the refinement
-    tests that instead of solving.
+    is the smallest threshold value still carrying a root: the bracket from
+    the sweep point before it (from 0 when it is the first sweep point) is
+    refined three times on 17 sub-points, which puts the fold within
+    1/16**3 of the bracket above 1/max h.  Below R0 = 1 the scan starts
+    under 1 (h(0) = 1) and ends at -1 (h(K_bar) = 0), so a value r0 carries
+    a root exactly when r0 * max(h_scan) >= 1, and the refinement tests
+    that instead of solving.
     """
     if not (0 < lambda_m_min < lambda_m_max):
         raise ValueError("need 0 < lambda_m_min < lambda_m_max")
@@ -262,7 +263,7 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     first = next((i for i, p in enumerate(points) if p.roots), None)
     if first is not None and points[first].r0 < 1.0:
         h_max = float(np.max(kernels.h_scan))
-        lo = lams[first - 1] if first > 0 else lambda_m_min
+        lo = lams[first - 1] if first > 0 else 0.0
         hi = lams[first]
         for _ in range(3):
             sub = np.linspace(lo, hi, 17)

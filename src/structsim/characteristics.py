@@ -27,7 +27,7 @@ from .kernels import spectral_kernels
 from .params import ModelParams, estimate_mu0
 from .r0 import _prefactor
 from .rates import eval_rate, rate_table
-from .solver import StateFields, _channel_tables
+from .solver import StateFields, _entry, _moves
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +86,14 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
 
     cum_h = cumulative_to_centers(rate_table(params.mu_h, grid.ages_h), d)
     cum_m = cumulative_to_centers(rate_table(params.mu_m, grid.ages_m), d)
-    # the channels' outflow weights (age-major), sampled from the rates
+    # the channels' outflow weights, sampled from the rates: of the cells
+    # arriving at (a, s) for a, s >= 1 (age-major), and of the entry cells
     def outflow_weights(part, pool: str, seconds: np.ndarray):
         column = seconds[:, None]
-        _, _, out, out0 = _channel_tables(
-            rate_table(part, grid.ages_h, column),
-            rate_table(params.removal_rate(pool), grid.ages_h, column), d)
-        return out.T, out0
+        rates = (rate_table(params.removal_rate(pool), grid.ages_h, column),
+                 rate_table(part, grid.ages_h, column))
+        diagonal = (slice(None, -1),) * 2, (slice(1, None),) * 2
+        return _moves(rates, rates, d, *diagonal)[1].T, _entry(rates[0][0], rates[1][0], d)[1]
 
     ih_out, _ = outflow_weights(params.gamma_h, "i_h", grid.taus_h)
     rh_out, rh_out0 = outflow_weights(params.k_h, "r_h", grid.etas)
@@ -109,7 +110,7 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     # transmission probabilities zero there is no fresh-infection term
     def recovery_inflow(field: np.ndarray) -> np.ndarray:
         out = np.zeros(grid.n_ah)
-        out[1:] = np.sum(ih_out[1:, 1:] * field[:-1, :-1], axis=1)
+        out[1:] = np.sum(ih_out * field[:-1, :-1], axis=1)
         return out
 
     q_hist = [recovery_inflow(i_h_at(m)) for m in range(n)]
@@ -125,7 +126,7 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
     def source_inflow(m: int) -> np.ndarray:
         field = r_h_at(m)
         out = np.zeros(grid.n_ah)
-        out[1:] = np.sum(rh_out[1:, 1:] * field[:-1, :-1], axis=1)
+        out[1:] = np.sum(rh_out * field[:-1, :-1], axis=1)
         out += rh_out0 * q_hist[m]
         return out
 

@@ -19,6 +19,8 @@ factor that vanishes for a <= tau).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,9 @@ from .grids import Grid, default_grid, row_blocks
 from .rates import Arity, RateSpec, eval_rate, rate_table
 
 PRESET_NAMES = ("forward", "backward")
+
+_REMOVAL_TERMS = {"i_h": ("mu_h", "nu_h", "gamma_h"), "r_h": ("mu_h", "k_h"),
+                  "i_m": ("mu_m", "nu_m")}
 
 
 @dataclass(frozen=True)
@@ -65,18 +70,21 @@ class ModelParams:
             raise ValueError("mu_h is not constant")
         return self.mu_h.params[0]
 
+    def removal_terms(self, pool: str) -> tuple[RateSpec, ...]:
+        """The rates whose sum is the total removal rate of a structured
+        pool: "i_h" (mortality, disease mortality, recovery), "r_h"
+        (mortality, immunity loss) or "i_m" (mosquito mortality, disease
+        mortality)."""
+        if pool not in _REMOVAL_TERMS:
+            raise ValueError(f"unknown field {pool!r}")
+        return tuple(getattr(self, name) for name in _REMOVAL_TERMS[pool])
+
     def removal_rate(self, pool: str):
-        """Total removal rate ``(a, s) -> value`` of a structured pool: "i_h"
-        (mortality + disease mortality + recovery), "r_h" (mortality +
-        immunity loss) or "i_m" (mosquito mortality + disease mortality)."""
-        if pool == "i_h":
-            return lambda a, s: (eval_rate(self.mu_h, a, s) + eval_rate(self.nu_h, a, s)
-                                 + eval_rate(self.gamma_h, a, s))
-        if pool == "r_h":
-            return lambda a, s: eval_rate(self.mu_h, a, s) + eval_rate(self.k_h, a, s)
-        if pool == "i_m":
-            return lambda a, s: eval_rate(self.mu_m, a, s) + eval_rate(self.nu_m, a, s)
-        raise ValueError(f"unknown field {pool!r}")
+        """Total removal rate ``(a, s) -> value`` of a structured pool: its
+        :meth:`removal_terms` summed in their order."""
+        terms = self.removal_terms(pool)
+        return lambda a, s: functools.reduce(operator.add,
+                                             (eval_rate(spec, a, s) for spec in terms))
 
     def epsilon_floor(self, grid: Grid) -> float:
         """Lower bound on the human population preserved by the dynamics:

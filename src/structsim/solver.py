@@ -43,14 +43,20 @@ the row a step drops is always empty.  A REDUCED human field has one
 cohort, so its rows are numbers and C[tau] the product along its axis.  The
 kernel samples every structured table structure age first, so each
 diagonal is a contiguous run of a row, and keeps C with the weights a step
-contracts against it: beta * C for a pressure and (outflow weight) * C for
-a removal channel.  A table of m rows is the leading m rows of the table of
-the whole axis, so the kernel builds only the rows a run reaches, and one
-kernel per (params, grid, mode) is kept for later runs.  Ring rows head,
-head + 1, ... (mod m) hold structure ages 0, 1, ..., so a sum over the
-cells is two contiguous dot products, one on each side of the wrap, and
-the outflow into each age row sums a skewed diagonal of the same pieces
-through a strided view.  Initial data enters a ring divided by C, read
+contracts against it: (outflow weight) * C for a removal channel, and for a
+pressure beta * C, or beta alone on the structure axis when the field has
+an age axis and beta reads no age.  It builds the tables of an age axis
+one structure-age row at a time, each row of C and of the weights from the
+row before, so no other table of a ring's size is formed.  A table of m
+rows is the leading m rows of the table of the whole axis, so the kernel
+builds only the rows a run reaches, and one kernel per (params, grid, mode)
+is kept for later runs.  Ring rows head, head + 1, ... (mod m) hold
+structure ages 0, 1, ..., so a sum over the cells is two contiguous dot
+products, one on each side of the wrap, and the outflow into each age row
+sums a skewed diagonal of the same pieces through a strided view.  A ring
+that keeps beta on the structure axis dots each row with its row of C once
+per state; the cell sum is the sum of those row sums and the pressure
+their dot product with beta.  Initial data enters a ring divided by C, read
 one structure-age column with mass at a time.  The seed of
 :func:`default_initial` is column-major (structure age major), so each
 such column is contiguous, its band is the leading cells of the buffer and
@@ -70,6 +76,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -77,7 +84,7 @@ import numpy as np
 
 from .grids import Grid, decay_factors, row_blocks
 from .params import ModelParams
-from .rates import rate_table
+from .rates import eval_rate, rate_table
 
 
 class DegeneratePopulationError(RuntimeError):
@@ -135,73 +142,115 @@ def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
     return np.divide(out, den, out=out, where=den > 0)
 
 
-def _channel_tables(part: np.ndarray, total: np.ndarray, delta: float):
-    """Entry and step factors of a field with removal-rate table ``total``
-    (structure age on the first axis, as :func:`decay_factors` takes it),
-    and the outflow weights of its removal channel ``part``: the channel's
-    share of a cell's removal times the fraction the cell loses."""
-    entry, step = decay_factors(total, delta)
-    cur, prev = (slice(1, None),) * total.ndim, (slice(None, -1),) * total.ndim
-    out = np.zeros(total.shape)
-    _share(part[prev], part[cur], total[prev], total[cur], out[cur])
-    out[cur] *= 1.0 - step[cur]
-    out0 = _share(part[0], part[0], total[0], total[0],
-                  np.zeros(total.shape[1:])) * (1.0 - entry)
-    return entry, step, out, out0
+def _moves(prev, cur, delta: float, before=slice(None, -1), after=slice(1, None)):
+    """Step factors of the cells ``before`` of one rate sample moving one
+    cell along the diagonal to the cells ``after`` of the next (as
+    :func:`decay_factors` forms them), and the outflow weights of the
+    removal channel: its share of the removal times the fraction the cell
+    loses.  ``prev`` and ``cur`` are (removal rate, channel rate) pairs; a
+    field with no channel has channel rate None, and no weights."""
+    (total_prev, part_prev), (total_cur, part_cur) = prev, cur
+    total_prev, total_cur = total_prev[before], total_cur[after]
+    step = np.add(total_prev, total_cur)
+    step *= -0.5 * delta
+    np.exp(step, out=step)
+    if part_prev is None:
+        return step, None
+    weight = _share(part_prev[before], part_cur[after], total_prev, total_cur,
+                    np.empty(step.shape))
+    weight *= 1.0 - step
+    return step, weight
 
 
-def _cohort_products(step: np.ndarray) -> np.ndarray:
-    """``C[tau, x]``, the product of ``step`` (sampled structure age first)
-    along the diagonal from ``(0, x)`` to ``(tau, x + tau)``; zero past the
-    age axis.  A table with no age axis has one cohort: ``C[tau]``."""
-    if step.ndim == 1:
-        return np.cumprod(step)        # step[0] is the padding 1
-    n_s, n_a = step.shape
-    c = np.zeros((n_s, n_a))
+def _entry(total0, part0, delta: float):
+    """Entry factors from the removal rate at structure age 0 and, for a
+    field with a channel (rate ``part0``, else None), the entry cell's
+    outflow weights: the channel's share times the fraction lost on the way
+    to the first center."""
+    entry = np.exp(-0.5 * delta * total0)
+    if part0 is None:
+        return entry, None
+    return entry, _share(part0, part0, total0, total0, np.zeros(np.shape(total0))) * (1.0 - entry)
+
+
+def _rate_row(samples: list, t, n: int) -> np.ndarray:
+    """Row ``t`` of the sum of rate samples on (structure age, age), added
+    in their order as ``ModelParams.removal_rate`` adds them, on ``n``
+    ages; a sample that reads no structure age is the same in every row.
+    Samples on a structure axis alone are one row: ``t`` is then
+    ``slice(None)``."""
+    return np.broadcast_to(functools.reduce(
+        operator.add, (s[t] if np.ndim(s) == 2 else s for s in samples)), (n,))
+
+
+def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal,
+                 part=None, beta=None) -> dict:
+    """The tables a cohort ring of ``m`` rows reads: entry factors, C and,
+    with a removal channel of rate ``part``, the outflow weights times C
+    (the weight of the cell that moves from ``(tau, x)``) and the entry
+    cell's weights; with a transmission probability ``beta``, beta * C, or
+    ``beta`` on the structure axis alone when the field has an age axis and
+    ``beta`` reads no age.  ``removal`` are the rates whose sum is the
+    field's removal rate, ``ages`` its age axis (0.0 for a field without
+    one, which has one cohort).
+
+    Each rate is sampled once, on the axes it reads: on the first ``m``
+    structure ages, or ``m + 1`` with a channel (the weight of row
+    ``m - 1`` reads step row ``m``), or the whole axis when it is shorter.
+    With an age axis the tables are built one structure-age row at a time,
+    each row of C and of the weights from the row before, so the only
+    ``(m, n_a)`` arrays are the tables kept."""
+    n_t = min(m + (part is not None), len(axis))
+    full = np.ndim(ages) == 1
+    taus = axis[:n_t, None] if full else axis[:n_t]
+    n = len(ages) if full else n_t
+    samples = ([eval_rate(spec, ages, taus) for spec in removal],
+               None if part is None else [eval_rate(part, ages, taus)])
+
+    def rates(t):
+        """Row ``t`` of the removal rate and of the channel's rate."""
+        return tuple(None if s is None else _rate_row(s, t, n) for s in samples)
+
+    betas = None if beta is None else _beta_table(beta, ages, taus[:m], delta)
+    k = {}
+    if not full:
+        # one cohort: C is the product of the step factors along the axis
+        total, part = rates(slice(None))
+        k[key + "_entry"], out0 = _entry(total[0], None if part is None else part[0], delta)
+        step, weight = _moves((total, part), (total, part), delta)
+        k[key + "_c"] = c = np.cumprod(np.concatenate(([1.0], step[:m - 1])))
+        if weight is not None:
+            live = min(m, n_t - 1)
+            k[key + "_out0"], k[key + "_out_c"] = out0, np.zeros(m)
+            np.multiply(weight[:live], c[:live], out=k[key + "_out_c"][:live])
+        if beta is not None:
+            k[key + "_beta_c"] = betas * c
+        return k
+
+    prev = rates(0)
+    k[key + "_entry"], out0 = _entry(*prev, delta)
+    k[key + "_c"] = c = np.zeros((m, n))
     c[0] = 1.0
-    for tau in range(1, min(n_s, n_a)):
-        np.multiply(c[tau - 1, :n_a - tau], step[tau, tau:], out=c[tau, :n_a - tau])
-    return c
-
-
-def _along_cohorts(table: np.ndarray, c: np.ndarray, lag: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """``table[tau + lag, x + tau + lag] * c[tau, x]`` on the cohort layout
-    of ``c``, zero where that cell of ``table`` lies past an axis (``table``
-    may have more structure-age rows than ``c``).  ``out`` may be the
-    leading rows of ``table`` itself when ``lag`` is 1: each row is read
-    before it is written."""
-    out = np.zeros(c.shape) if out is None else out
-    n_t = len(table)
-    if c.ndim == 1:
-        live = min(len(c), n_t - lag)
-        out[:live] = table[lag:lag + live] * c[:live]
-        out[live:] = 0.0
-        return out
-    n_s, n_a = c.shape
-    for tau in range(n_s):
-        live = max(n_a - tau - lag, 0) if tau + lag < n_t else 0
-        if live:
-            np.multiply(table[tau + lag, tau + lag:], c[tau, :live], out=out[tau, :live])
-        out[tau, live:] = 0.0
-    return out
-
-
-def _ring_channel(key: str, part: np.ndarray, total: np.ndarray, delta: float,
-                  m: int) -> dict:
-    """The tables a cohort ring of ``m`` rows with a removal channel reads:
-    entry factors, C, the outflow weights times C (the weight of the cell
-    that moves from ``(tau, x)``) and the entry cell's weights.  ``part``
-    and ``total`` are sampled on ``m + 1`` structure ages, or on the whole
-    axis when it is shorter: the weight of row ``m - 1`` reads step row
-    ``m``.  The step table lives only until C is formed, and the weights
-    overwrite the outflow table."""
-    entry, step, out, out0 = _channel_tables(part, total, delta)
-    del part, total
-    c = _cohort_products(step[:m])
-    del step
-    return {key + "_entry": entry, key + "_out0": out0, key + "_c": c,
-            key + "_out_c": _along_cohorts(out, c, 1, out=out[:m])}
+    if part is not None:
+        k[key + "_out0"], k[key + "_out_c"] = out0, np.zeros((m, n))
+    beta_c = None
+    if beta is not None and beta.reads[0]:
+        beta_c = k[key + "_beta_c"] = np.zeros((m, n))
+        np.multiply(betas[0], c[0], out=beta_c[0])
+    elif beta is not None:
+        k[key + "_beta"] = np.ascontiguousarray(betas[:, 0])    # the same in every age column
+    for t in range(1, min(n_t, n)):
+        # the cells of row t - 1 that move to row t: cohort offsets x < n - t
+        cur, live = rates(t), n - t
+        step, weight = _moves(prev, cur, delta, slice(t - 1, -1), slice(t, None))
+        if weight is not None:
+            np.multiply(weight, c[t - 1, :live], out=k[key + "_out_c"][t - 1, :live])
+        if t < m:
+            np.multiply(c[t - 1, :live], step, out=c[t, :live])
+            if beta_c is not None:
+                np.multiply(betas[t, t:], c[t, :live], out=beta_c[t, :live])
+        prev = cur
+    return k
 
 
 def _check_reduced(mode: str, params: ModelParams) -> None:
@@ -244,27 +293,14 @@ def _build_kernel(params: ModelParams, grid: Grid, mode: str,
     delta = grid.delta
     k = dict(_age_kernel(params, grid, mode))
     m_ih, m_rh, m_im = rows
-
-    # Structured tables are sampled structure age first, (tau, a).
-    taus_m = grid.taus_m[:m_im, None]
-    k["im_entry"], step = decay_factors(
-        rate_table(params.removal_rate("i_m"), grid.ages_m, taus_m), delta)
-    k["im_c"] = _cohort_products(step)
-    k["im_beta_c"] = _along_cohorts(
-        _beta_table(params.beta_m, grid.ages_m, taus_m, delta), k["im_c"], 0)
-
-    # human rates on the field axes: (structure age, age) in full mode,
-    # structure age alone in reduced mode, where no rate reads age
-    ages, column = (grid.ages_h, (slice(None), None)) if mode == "full" else (0.0, slice(None))
-    # recovered humans first: their tables are the larger, and their build
-    # peaks before the infected humans' tables are held
-    for key, part, pool, axis, m in (("rh", params.k_h, "r_h", grid.etas, m_rh),
-                                     ("ih", params.gamma_h, "i_h", grid.taus_h, m_ih)):
-        axis = axis[:m + 1][column]
-        k.update(_ring_channel(key, rate_table(part, ages, axis),
-                               rate_table(params.removal_rate(pool), ages, axis), delta, m))
-    k["ih_beta_c"] = _along_cohorts(
-        _beta_table(params.beta_h, ages, grid.taus_h[:m_ih][column], delta), k["ih_c"], 0)
+    # human fields have no age axis in reduced mode, where no rate reads age
+    ages = grid.ages_h if mode == "full" else 0.0
+    k.update(_ring_tables("ih", delta, ages, grid.taus_h, m_ih, params.removal_terms("i_h"),
+                          params.gamma_h, params.beta_h))
+    k.update(_ring_tables("rh", delta, ages, grid.etas, m_rh, params.removal_terms("r_h"),
+                          params.k_h))
+    k.update(_ring_tables("im", delta, grid.ages_m, grid.taus_m, m_im,
+                          params.removal_terms("i_m"), beta=params.beta_m))
     return k
 
 
@@ -473,11 +509,12 @@ class _CohortRing:
 
     def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray, m: int):
         key = pool.replace("_", "")
-        self.c, self.beta_c, self.out_c = (
+        self.c, self.beta, self.beta_c, self.out_c = (
             None if key + name not in k else k[key + name][:m]
-            for name in ("_c", "_beta_c", "_out_c"))
+            for name in ("_c", "_beta", "_beta_c", "_out_c"))
         self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
         self.rows = np.zeros(self.c.shape)
+        self.dots, self.fresh = np.zeros(m), False
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
                 np.divide(field[:m], self.c, out=self.rows, where=field[:m] != 0.0)
@@ -503,18 +540,34 @@ class _CohortRing:
         (t0, r0), (t1, r1) = self._pieces(table)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 
+    def _row_dots(self) -> np.ndarray:
+        """``d[tau]``, the sum of the cells of structure age ``tau``: each
+        ring row dotted with its row of C, once per state."""
+        if not self.fresh:
+            m, h = len(self.rows), self.head
+            for (c, rows), d in zip(self._pieces(self.c), (self.dots[:m - h], self.dots[m - h:])):
+                np.matmul(rows[:, None, :], c[:, :, None], out=d[:, None, None])
+            self.fresh = True
+        return self.dots
+
     def push(self, inflow) -> None:
         """One step: the oldest cohort row becomes the newest entry row."""
         self.head = (self.head - 1) % len(self.rows)
         self.rows[self.head] = inflow * self.entry
+        self.fresh = False
 
     def sum(self) -> float:
         """Sum of the field's cells."""
-        return self._dot(self.c)
+        if self.beta is None:
+            return self._dot(self.c)
+        return float(np.sum(self._row_dots()))
 
     def sum_beta(self) -> float:
-        """Sum of beta * cells."""
-        return self._dot(self.beta_c)
+        """Sum of beta * cells: from the row sums when beta reads only the
+        structure age."""
+        if self.beta is None:
+            return self._dot(self.beta_c)
+        return float(np.dot(self.beta, self._row_dots()))
 
     def outflow(self):
         """Mass the removal channel takes during a step from the cohorts that

@@ -192,15 +192,16 @@ def test_trace_branch_backward_fold(backward):
 
 def _searched_fold(params, grid, lambda_m_min, lambda_m_max, n_points):
     """The fold as a search by root solving finds it: the first sweep point
-    carrying a root, if it lies below R0 = 1, with its bracket refined
-    three times on 17 sub-points, each sub-point solved."""
+    carrying a root, if it lies below R0 = 1, with its bracket (from 0 when
+    it is the first sweep point) refined three times on 17 sub-points, each
+    sub-point solved."""
     kernels = build_reduced_kernels(params, grid)
     slope = lambda_m_slope(params, grid)
     lams = np.linspace(lambda_m_min, lambda_m_max, n_points)
     first = next((i for i, lm in enumerate(lams) if solve_endemic(slope * lm, kernels)), None)
     if first is None or not float(slope * lams[first]) < 1.0:
         return None
-    lo = lams[first - 1] if first > 0 else lambda_m_min
+    lo = lams[first - 1] if first > 0 else 0.0
     hi = lams[first]
     for _ in range(3):
         sub = np.linspace(lo, hi, 17)
@@ -227,6 +228,19 @@ def test_fold_rule_is_the_searched_fold(name, sweep, request):
         assert br.fold_r0_star is None
     else:
         assert br.fold_r0_star is not None
+
+
+def test_fold_below_a_sweep_that_starts_inside_the_bistable_window():
+    # the first sweep point already carries roots below R0 = 1, so the fold
+    # lies below the sweep: its bracket runs from 0 to the first point
+    params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward", 0.01)
+    slope = lambda_m_slope(params, grid)
+    lo, hi = 0.5 / slope, 1.2 / slope
+    br = trace_branch(params, grid, lo, hi, 20)
+    assert br.points[0].roots and br.points[0].r0 < 1.0
+    gap = br.fold_r0_star - 1.0 / np.max(build_reduced_kernels(params, grid).h_scan)
+    assert 0.0 <= gap <= min(1e-3, br.points[0].r0 / 16 ** 3)
+    assert br.fold_r0_star == _searched_fold(params, grid, lo, hi, 20)
 
 
 def test_trace_branch_solves_each_sweep_point_once(backward):

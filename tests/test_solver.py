@@ -409,6 +409,9 @@ def _triangle(n_a, n_s):
 def _small_case(draw, spans_age=None):
     """Random small grid, age-free human rates and a random triangular state
     in the drawn layout; ``first`` nonzero gives removal in the entry cell.
+    In the full layout about half the cases take a transmission probability
+    ``beta_h`` that reads age alone, so the kernel keeps ``beta_h * C``;
+    otherwise it keeps ``beta_h`` on the infection-age axis.
     ``spans_age`` True gives structure axes as long as their age axes
     (``n_th == n_eta == n_ah``, ``n_tm == n_am``); False gives shorter
     infection-age axes and a recovery-age axis of any length.  About half
@@ -448,6 +451,10 @@ def _small_case(draw, spans_age=None):
         for name in ("i_h", "r_h", "i_m"):
             field = getattr(state, name)
             field[..., draw(st.integers(0, field.shape[-1])):] = 0.0
+    if mode == "full" and draw(st.booleans()):
+        params = dataclasses.replace(params, beta_h=RateSpec.piecewise(
+            draw(st.floats(0.0, n_ah * delta)), draw(st.floats(0.0, 1.0)),
+            draw(st.floats(0.0, 1.0)), Arity.AGE))
     return params, grid, state
 
 
@@ -547,6 +554,141 @@ _ENTRY_CELL = {"gamma_h": RateSpec.constant(1.5, Arity.TAU_ONLY),
 RATE_SETS = [{}, _ENTRY_CELL, {**_ENTRY_CELL, "beta_h": RateSpec.constant(0.2, Arity.AGE_TAU)}]
 
 
+# ---------------------------------------------------------------------------
+# the whole-table rule: the independent reference of the streamed ring tables
+
+
+def _channel_tables(part, total, delta):
+    """Entry and step factors of a field with removal-rate table ``total``
+    (structure age on the first axis), and the outflow weights of its
+    removal channel ``part``: the channel's share of the rate trapezoid
+    times the fraction a cell loses, whole tables at once."""
+    entry, step = decay_factors(total, delta)
+    cur, prev = _diagonal(total.ndim)
+    pair = total[prev] + total[cur]
+    out = np.zeros(total.shape)
+    out[cur] = np.divide(part[prev] + part[cur], pair, out=np.zeros(pair.shape),
+                         where=pair > 0) * (1.0 - step[cur])
+    pair0 = total[0] + total[0]
+    out0 = np.divide(part[0] + part[0], pair0, out=np.zeros(np.shape(pair0)),
+                     where=pair0 > 0) * (1.0 - entry)
+    return entry, step, out, out0
+
+
+def _cohort_products(step):
+    """``C[tau, x]``: the product of ``step`` (structure age first) along
+    the diagonal from ``(0, x)`` to ``(tau, x + tau)``, zero past the age
+    axis; along the one cohort of a table with no age axis."""
+    if step.ndim == 1:
+        return np.cumprod(step)        # step[0] is the padding 1
+    n_s, n_a = step.shape
+    c = np.zeros((n_s, n_a))
+    c[0] = 1.0
+    for tau in range(1, min(n_s, n_a)):
+        c[tau, :n_a - tau] = c[tau - 1, :n_a - tau] * step[tau, tau:]
+    return c
+
+
+def _along_cohorts(table, c, lag):
+    """``table[tau + lag, x + tau + lag] * c[tau, x]`` on the cohort layout
+    of ``c``, zero where that cell of ``table`` lies past an axis."""
+    out = np.zeros(c.shape)
+    live_rows = max(min(len(c), len(table) - lag), 0)
+    if c.ndim == 1:
+        out[:live_rows] = table[lag:lag + live_rows] * c[:live_rows]
+        return out
+    n_a = c.shape[1]
+    for tau in range(live_rows):
+        live = max(n_a - tau - lag, 0)
+        out[tau, :live] = table[tau + lag, tau + lag:] * c[tau, :live]
+    return out
+
+
+def _reference_ring_tables(params, grid, mode, rows):
+    """The ring tables of a kernel for ``rows`` structure ages of (i_h, r_h,
+    i_m) by the whole-table rule, with beta * C for both pressures."""
+    d, full = grid.delta, mode == "full"
+    human = grid.ages_h if full else 0.0
+    k = {}
+    for key, pool, part, beta, ages, axis, m in (
+            ("ih", "i_h", params.gamma_h, params.beta_h, human, grid.taus_h, rows[0]),
+            ("rh", "r_h", params.k_h, None, human, grid.etas, rows[1]),
+            ("im", "i_m", None, params.beta_m, grid.ages_m, grid.taus_m, rows[2])):
+        taus = axis[:m + (part is not None)]
+        column = taus[:, None] if np.ndim(ages) else taus
+        total = rate_table(params.removal_rate(pool), ages, column)
+        entry, step, out, out0 = _channel_tables(
+            total if part is None else rate_table(part, ages, column), total, d)
+        c = _cohort_products(step[:m])
+        k.update({key + "_entry": entry, key + "_c": c})
+        if part is not None:
+            k.update({key + "_out0": out0, key + "_out_c": _along_cohorts(out, c, 1)})
+        if beta is not None:
+            k[key + "_beta_c"] = _along_cohorts(
+                rate_table(beta, np.add(ages, 0.5 * d), column[:m]), c, 0)
+    return k
+
+
+def _assert_streamed_tables(params, grid, mode, rows):
+    """Every ring table of the build for ``rows`` is the whole-table rule's,
+    bit for bit; a transmission probability kept on the structure axis
+    alone gives the reference's beta * C times C.  Not cached."""
+    k = solver._build_kernel(params, grid, mode, rows)
+    for key, want in _reference_ring_tables(params, grid, mode, rows).items():
+        got = k.get(key)
+        if key.endswith("_beta_c") and key not in k:
+            beta, c = k[key[:2] + "_beta"], k[key[:2] + "_c"]
+            assert beta.shape == (len(c),) and c.ndim == 2, (key, rows)
+            got = beta[:, None] * c
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (key, rows)
+
+
+_AGE_BETA = {"beta_h": RateSpec.piecewise(2.0, 0.1, 0.4, Arity.AGE),
+             "mu_h": RateSpec.piecewise(3.0, 0.8, 1.1, Arity.AGE)}
+
+
+@pytest.mark.parametrize("over, mode", [(over, mode) for over in RATE_SETS
+                                        for mode in ("full", "reduced")] + [(_AGE_BETA, "full")])
+def test_streamed_ring_tables_are_the_whole_table_rule(over, mode):
+    params, grid = fast_params(**over), fast_grid(0.05)
+    n = (grid.n_th, grid.n_eta, grid.n_tm)
+    for rows in [(1, 1, 1), (2, 5, 3), (n[0] - 1, n[1] - 1, n[2] - 1), (n[0], 1, n[2] // 2), n]:
+        _assert_streamed_tables(params, grid, mode, rows)
+    # a transmission probability that reads no age leaves no (m, n_a) table
+    k = solver._build_kernel(params, grid, mode, n)
+    assert ("ih_beta_c" in k) == (mode == "reduced" or params.beta_h.reads[0])
+
+
+def _age_config():
+    """The full-mode age config of the benchmark: 50 000 human ages."""
+    params = make_params(mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE), lambda_m=1e7)
+    grid = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=0.6,
+                   tau_max_m=1.5, eta_max=1.0)
+    return params, grid
+
+
+def test_streamed_ring_tables_are_the_whole_table_rule_on_an_age_dependent_grid():
+    params, grid = _age_config()
+    for rows in [(31, 10, 10), (1, 1, 1)]:
+        _assert_streamed_tables(params, grid, "full", rows)
+
+
+def test_full_kernel_build_peaks_at_its_tables():
+    # the build forms one structure-age row at a time: on the benchmark's age
+    # grid it allocates the tables it returns and a few rows of 50 000 cells,
+    # where the whole-table rule held five (m + 1, n_a) tables per ring
+    params, grid = _age_config()
+    solver._age_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        k = solver._build_kernel(params, grid, "full", (31, 10, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(np.asarray(table).nbytes for table in k.values())
+    assert peak <= kept + 4e6, f"build peaked {(peak - kept) / 1e6:.1f} MB above its tables"
+
+
 @pytest.mark.parametrize("over", RATE_SETS)
 def test_outflow_weights_hand_value(over):
     # channel share of the trapezoid removal times the fraction removed; the
@@ -559,7 +701,7 @@ def test_outflow_weights_hand_value(over):
             ("ih", "i_h", params.gamma_h, grid.taus_h, 0.8 + 0.3),
             ("rh", "r_h", params.k_h, grid.etas, 0.8)):
         part = rate_table(part, 0.0, axis)
-        _, _, out, out0 = solver._channel_tables(
+        _, _, out, out0 = _channel_tables(
             part, rate_table(params.removal_rate(pool), 0.0, axis), d)
         pair = part[:-1] + part[1:]
         expect = pair / (2 * other + pair) * -np.expm1(-0.5 * d * (2 * other + pair))
@@ -574,9 +716,13 @@ def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
     # with age-free human rates every cohort column of the full layout's ring
     # tables is the reduced layout's table, cut where the cohort leaves the
     # age axis, and the per-age entry tables repeat the reduced values
+    # (beta_h reads no age, so the full layout keeps it on the infection-age
+    # axis alone and beta_h * C is formed here)
     params = fast_params(**over)
     grid = fast_grid(0.05)
     full, red = _kernel(params, grid, "full"), _kernel(params, grid, "reduced")
+    assert "ih_beta_c" not in full and full["ih_beta"].shape == (len(red["ih_c"]),)
+    full = {**full, "ih_beta_c": full["ih_beta"][:, None] * full["ih_c"]}
     for key, lag in (("ih_c", 0), ("rh_c", 0), ("ih_beta_c", 0), ("ih_out_c", 1), ("rh_out_c", 1)):
         assert full[key].shape == (len(red[key]), grid.n_ah), key
         for tau, value in enumerate(red[key]):
@@ -587,8 +733,8 @@ def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
         assert np.all(full[key] == red[key]), key
 
 
-_RING_KEYS = {"ih": ("ih_c", "ih_beta_c", "ih_out_c"), "rh": ("rh_c", "rh_out_c"),
-              "im": ("im_c", "im_beta_c")}
+_RING_KEYS = {"ih": ("ih_c", "ih_beta", "ih_beta_c", "ih_out_c"), "rh": ("rh_c", "rh_out_c"),
+              "im": ("im_c", "im_beta", "im_beta_c")}
 
 
 def _assert_prefix_tables(params, grid, mode, rows):
@@ -616,9 +762,7 @@ def test_ring_tables_of_fewer_rows_are_a_prefix(over, mode):
 def test_ring_tables_of_fewer_rows_are_a_prefix_on_an_age_dependent_grid():
     # the full-mode age config of the benchmark: 50 000 human ages; the rows
     # a 10-step run from a 20-column seed reaches, and one row each
-    params = make_params(mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE), lambda_m=1e7)
-    grid = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=0.6,
-                   tau_max_m=1.5, eta_max=1.0)
+    params, grid = _age_config()
     for rows in [(30, 10, 10), (1, 1, 1)]:
         _assert_prefix_tables(params, grid, "full", rows)
 
@@ -719,7 +863,7 @@ def _shift_rings(params, grid):
             # tables come structure age first; a field with an age axis is age-major
             sample = lambda rate: rate_table(rate, ages, axis[:, None] if field.ndim == 2 else axis)
             total = sample(params.removal_rate(pool))
-            self.entry, step, out, _ = solver._channel_tables(
+            self.entry, step, out, _ = _channel_tables(
                 total if part is None else sample(part), total, d)
             self.step, self.out = step.T, out.T
             lag = ages[:, None] if field.ndim == 2 else ages
@@ -785,6 +929,11 @@ def test_cohort_ring_matches_the_shift(spans_age, data):
         assert row.t == ref_row.t
         for got, want in zip(vars(row).values(), vars(ref_row).values()):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # an age-free beta_h is kept on the infection-age axis alone: the full
+    # layout holds no (m, n_a) table of it
+    k = solver._kernel_slot(params, grid, state.mode)["k"]
+    if state.mode == "full":
+        assert ("ih_beta_c" in k) == params.beta_h.reads[0] != ("ih_beta" in k)
 
 
 def test_cohort_ring_rejects_underflowed_survival():
