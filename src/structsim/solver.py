@@ -514,7 +514,7 @@ class _CohortRing:
             for name in ("_c", "_beta", "_beta_c", "_out_c"))
         self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
         self.rows = np.zeros(self.c.shape)
-        self.dots, self.fresh = np.zeros(m), False
+        self.dots = np.zeros(m)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
                 np.divide(field[:m], self.c, out=self.rows, where=field[:m] != 0.0)
@@ -529,6 +529,7 @@ class _CohortRing:
         if not np.isfinite(np.max(self.rows)):
             raise ValueError(f"initial {pool} is nonzero where its survival product "
                              "underflows; the cohort ring cannot hold it")
+        self._row_sums()
 
     def _pieces(self, table: np.ndarray):
         """``(table rows, ring rows)`` for structure ages ``0 .. m - head - 1``
@@ -540,34 +541,33 @@ class _CohortRing:
         (t0, r0), (t1, r1) = self._pieces(table)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 
-    def _row_dots(self) -> np.ndarray:
-        """``d[tau]``, the sum of the cells of structure age ``tau``: each
-        ring row dotted with its row of C, once per state."""
-        if not self.fresh:
-            m, h = len(self.rows), self.head
-            for (c, rows), d in zip(self._pieces(self.c), (self.dots[:m - h], self.dots[m - h:])):
-                np.matmul(rows[:, None, :], c[:, :, None], out=d[:, None, None])
-            self.fresh = True
-        return self.dots
+    def _row_sums(self) -> None:
+        """In a ring that keeps beta on the structure axis, set ``dots[tau]``
+        to the sum of the cells of structure age ``tau``: each ring row
+        dotted with its row of C, once per state."""
+        if self.beta is None:
+            return
+        m, h = len(self.rows), self.head
+        for (c, rows), d in zip(self._pieces(self.c), (self.dots[:m - h], self.dots[m - h:])):
+            np.matmul(rows[:, None, :], c[:, :, None], out=d[:, None, None])
 
     def push(self, inflow) -> None:
         """One step: the oldest cohort row becomes the newest entry row."""
         self.head = (self.head - 1) % len(self.rows)
         self.rows[self.head] = inflow * self.entry
-        self.fresh = False
+        self._row_sums()
 
     def sum(self) -> float:
         """Sum of the field's cells."""
         if self.beta is None:
             return self._dot(self.c)
-        return float(np.sum(self._row_dots()))
+        return float(np.sum(self.dots))
 
     def sum_beta(self) -> float:
-        """Sum of beta * cells: from the row sums when beta reads only the
-        structure age."""
+        """Sum of beta * cells."""
         if self.beta is None:
             return self._dot(self.beta_c)
-        return float(np.dot(self.beta, self._row_dots()))
+        return float(np.dot(self.beta, self.dots))
 
     def outflow(self):
         """Mass the removal channel takes during a step from the cohorts that
