@@ -632,7 +632,7 @@ def _reference_ring_tables(params, grid, mode, rows):
 def _assert_streamed_tables(params, grid, mode, rows):
     """Every ring table of the build for ``rows`` is the whole-table rule's,
     bit for bit; a transmission probability kept on the structure axis
-    alone gives the reference's beta * C times C.  Not cached."""
+    alone is compared through its product with C.  Not cached."""
     k = solver._build_kernel(params, grid, mode, rows)
     for key, want in _reference_ring_tables(params, grid, mode, rows).items():
         got = k.get(key)
