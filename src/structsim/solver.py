@@ -222,7 +222,7 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
         if weight is not None:
             live = min(m, n_t - 1)
             k[key + "_out0"], k[key + "_out_c"] = out0, np.zeros(m)
-            np.multiply(weight[:live], c[:live], out=k[key + "_out_c"][:live])
+            k[key + "_out_c"][:live] = weight[:live] * c[:live]
         if beta is not None:
             k[key + "_beta_c"] = betas * c
         return k
