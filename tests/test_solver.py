@@ -452,9 +452,11 @@ def _small_case(draw, spans_age=None):
             field = getattr(state, name)
             field[..., draw(st.integers(0, field.shape[-1])):] = 0.0
     if mode == "full" and draw(st.booleans()):
+        # 0 or a normal probability: a subnormal one makes the pressure
+        # subnormal, which keeps too few digits for the rtol of the run checks
+        beta = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
         params = dataclasses.replace(params, beta_h=RateSpec.piecewise(
-            draw(st.floats(0.0, n_ah * delta)), draw(st.floats(0.0, 1.0)),
-            draw(st.floats(0.0, 1.0)), Arity.AGE))
+            draw(st.floats(0.0, n_ah * delta)), draw(beta), draw(beta), Arity.AGE))
     return params, grid, state
 
 
