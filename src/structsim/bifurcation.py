@@ -45,6 +45,7 @@ from .rates import rate_table
 from .solver import StateFields
 
 SCAN_POINTS = 2048
+SCAN_CHUNK = 128      # K points per h_value call while filling h_scan
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,11 @@ class ReducedKernels:
     def __post_init__(self) -> None:
         k_scan = np.linspace(0.0, k_bar(self), SCAN_POINTS + 1)
         object.__setattr__(self, "k_scan", k_scan)
-        object.__setattr__(self, "h_scan", h_value(k_scan, self))
+        # a chunk of K at a time: each value is its row's own sum, so the
+        # scan is the whole-table h_value(k_scan) bit for bit
+        object.__setattr__(self, "h_scan", np.concatenate(
+            [h_value(k_scan[i:i + SCAN_CHUNK], self)
+             for i in range(0, len(k_scan), SCAN_CHUNK)]))
 
 
 @functools.lru_cache(maxsize=8)

@@ -163,7 +163,12 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
 
 def g_of_lambda(params: ModelParams, grid: Grid, lam: float) -> float:
     """Characteristic function of the linearization; g(0) equals lambda0."""
-    mu0 = estimate_mu0(params, grid)
+    return _g_above(params, grid, lam, estimate_mu0(params, grid))
+
+
+def _g_above(params: ModelParams, grid: Grid, lam: float, mu0: float) -> float:
+    """g(lam), after checking lam > -mu0 for the mortality floor mu0 of
+    ``(params, grid)``."""
     if lam <= -mu0:
         raise ValueError(f"lambda must exceed -mu_0 = {-mu0:g}")
     sk = spectral_kernels(params, grid)
@@ -184,7 +189,7 @@ def dominant_growth_rate(params: ModelParams, grid: Grid) -> GrowthRateResult:
     g is strictly decreasing, so when g(0) > 1 a unique positive root
     exists; the initial upper bracket is expanded geometrically until the
     sign changes.  When g(0) < 1 the (negative) root is returned only if it
-    is bracketable above -mu_0.
+    is bracketable above -mu_0.  The floor mu_0 is estimated once per call.
     """
     mu0 = estimate_mu0(params, grid)
     evals = 0
@@ -192,7 +197,7 @@ def dominant_growth_rate(params: ModelParams, grid: Grid) -> GrowthRateResult:
     def g(lam: float) -> float:
         nonlocal evals
         evals += 1
-        return g_of_lambda(params, grid, lam)
+        return _g_above(params, grid, lam, mu0)
 
     g0 = g(0.0)
     if g0 == 1.0:

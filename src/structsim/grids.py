@@ -22,6 +22,7 @@ each consumer builds the factors it reads from a rate table
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,17 @@ def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     time needs one buffer of the first block's rows."""
     size = max(1, ROW_BLOCK_BYTES // (8 * n_cols))
     return [slice(start, min(start + size, n_rows)) for start in range(0, n_rows, size)]
+
+
+def center_blocks(n: int, delta: float, n_cols: int = 1) -> Iterator[np.ndarray]:
+    """The cell centers of an ``n``-cell axis, one :func:`row_blocks` block
+    of an ``(n, n_cols)`` table at a time; each block is its slice of
+    ``Grid.centers(n)`` bit for bit, and the whole axis is never built."""
+    for block in row_blocks(n, n_cols):
+        centers = np.arange(block.start, block.stop, dtype=float)
+        centers += 0.5
+        centers *= delta
+        yield centers
 
 
 # ---------------------------------------------------------------------------

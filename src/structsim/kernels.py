@@ -25,7 +25,10 @@ When every human rate is age-independent, the human kernel factorizes into
 (integral of pi_h) x (infection-age profile) and never reads the human age
 axis: with constant mortality mu the midpoint sum over all cell centers is
 the geometric series delta * exp(-mu delta/2) / (1 - exp(-mu delta)), which
-differs from the analytic 1/mu by a relative (mu delta)^2 / 24.
+differs from the analytic 1/mu by a relative (mu delta)^2 / 24.  The kernels
+of that path hold no vector on the human age axis (500 000 cells on the
+backward preset); ``SpectralKernels.ages_h`` builds the axis on access, and
+only the general path builds it to sample pi_h and the contractions.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class SpectralKernels:
     delta: float
     eligible: bool
     # human side
-    ages_h: np.ndarray            # grid human-age axis
+    n_ah: int                     # cells of the human age axis
     pi_h: np.ndarray | None       # survival on ages_h; general path only
     int_pi_h: float               # closed-form geometric sum on the eligible path
     taus_h: np.ndarray
@@ -63,6 +66,11 @@ class SpectralKernels:
     pi_m: np.ndarray
     int_pi_m: float
     mosq_kernel: np.ndarray       # [n_xi_m, n_tm], pi_m(xi) included
+
+    @property
+    def ages_h(self) -> np.ndarray:
+        """The human age axis, built on each access: no path keeps it."""
+        return (np.arange(self.n_ah) + 0.5) * self.delta
 
     # -- weighted masses -----------------------------------------------------
 
@@ -111,7 +119,6 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
 
     # --- human side
     eligible = params.reduced_mode_eligible
-    ages_h = grid.ages_h
     if eligible:
         mu = params.mu_h_value()
         if mu <= 0:
@@ -123,6 +130,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
         beta_h_tau = rate_table(params.beta_h, 0.0, taus_h)
         human_rows = human_tau = None
     else:
+        ages_h = grid.ages_h
         pi_h = np.exp(-cumulative_to_centers(rate_table(params.mu_h, ages_h), d))
         int_pi_h = float(np.sum(pi_h)) * d
         c1 = beta_h_tau = None
@@ -139,7 +147,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     mosq_kernel = np.where(idx + 1 <= grid.n_am, mosq_kernel, 0.0)
     int_pi_m = float(np.sum(pi_m)) * d
 
-    return SpectralKernels(delta=d, eligible=eligible, ages_h=ages_h, pi_h=pi_h,
+    return SpectralKernels(delta=d, eligible=eligible, n_ah=grid.n_ah, pi_h=pi_h,
                            int_pi_h=int_pi_h, taus_h=taus_h, c1=c1,
                            beta_h_tau=beta_h_tau, human_rows=human_rows, human_tau=human_tau,
                            xis_m=xis_m, taus_m=taus_m, pi_m=pi_m,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, default_grid, row_blocks
+from .grids import Grid, center_blocks, default_grid
 from .rates import Arity, RateSpec, eval_rate, rate_table
 
 PRESET_NAMES = ("forward", "backward")
@@ -94,34 +94,35 @@ class ModelParams:
         limit, when no human is ever removed."""
         rates = ((self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
                  (self.gamma_h, grid.taus_h), (self.k_h, grid.etas))
-        ages = grid.ages_h if any(spec.reads[0] for spec, _ in rates) else np.zeros(1)
-        sup = sum(_rate_range(spec, ages, seconds)[1] for spec, seconds in rates)
+        sup = sum(_rate_range(spec, grid.n_ah, grid.delta, seconds)[1]
+                  for spec, seconds in rates)
         if sup == 0.0:
             return self.lambda_h * grid.a_max_h
         return self.lambda_h * float(-np.expm1(-sup * grid.a_max_h)) / sup
 
 
-def _rate_range(spec: RateSpec, ages: np.ndarray,
+def _rate_range(spec: RateSpec, n_ages: int, delta: float,
                 seconds: np.ndarray) -> tuple[float, float]:
-    """(min, max) of a rate on the (ages x seconds) grid, scanning only the
-    axes it reads, a block of ages at a time; a NaN anywhere makes both NaN."""
-    ages = ages if spec.reads[0] else ages[:1]
-    samples = (eval_rate(spec, ages[block, None], seconds[None, :])
-               for block in row_blocks(len(ages), len(seconds)))
+    """(min, max) of a rate on the grid of ``n_ages`` age centers (step
+    ``delta``) times ``seconds``, scanning only the axes it reads, a block of
+    ages at a time; a NaN anywhere makes both NaN."""
+    n_ages = n_ages if spec.reads[0] else 1
+    samples = (eval_rate(spec, ages[:, None], seconds[None, :])
+               for ages in center_blocks(n_ages, delta, len(seconds)))
     lo, hi = np.array([(np.min(v), np.max(v)) for v in samples]).T
     return float(np.min(lo)), float(np.max(hi))
 
 
-def _reachable_mass(spec: RateSpec, ages: np.ndarray, taus: np.ndarray,
-                    delta: float) -> float:
+def _reachable_mass(spec: RateSpec, n_ages: int, delta: float, taus: np.ndarray) -> float:
     """Grid sum of a transmission probability over the reachable set
-    {(offset + tau, tau)}, offsets on ``ages``, times delta^2.  A rate that
-    does not read age takes the same value at every offset; one that does is
-    summed a block of offsets at a time, never on the whole table."""
+    {(offset + tau, tau)}, offsets on ``n_ages`` age centers, times delta^2.
+    A rate that does not read age takes the same value at every offset; one
+    that does is summed a block of offsets at a time, never on the whole
+    table."""
     if not spec.reads[0]:
-        return len(ages) * float(np.sum(rate_table(spec, 0.0, taus))) * delta ** 2
-    return sum(float(np.sum(eval_rate(spec, ages[block, None] + taus[None, :], taus[None, :])))
-               for block in row_blocks(len(ages), len(taus))) * delta ** 2
+        return n_ages * float(np.sum(rate_table(spec, 0.0, taus))) * delta ** 2
+    return sum(float(np.sum(eval_rate(spec, ages[:, None] + taus[None, :], taus[None, :])))
+               for ages in center_blocks(n_ages, delta, len(taus))) * delta ** 2
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:
@@ -201,32 +202,32 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
     bounded = True
     worst = ""
     no_second = np.zeros(1)
-    for name, spec, ages, seconds in (
-            ("mu_h", params.mu_h, grid.ages_h, no_second),
-            ("mu_m", params.mu_m, grid.ages_m, no_second),
-            ("nu_h", params.nu_h, grid.ages_h, grid.taus_h),
-            ("nu_m", params.nu_m, grid.ages_m, grid.taus_m),
-            ("gamma_h", params.gamma_h, grid.ages_h, grid.taus_h),
-            ("k_h", params.k_h, grid.ages_h, grid.etas)):
-        lo_v, hi_v = _rate_range(spec, ages, seconds)
+    for name, spec, n_ages, seconds in (
+            ("mu_h", params.mu_h, grid.n_ah, no_second),
+            ("mu_m", params.mu_m, grid.n_am, no_second),
+            ("nu_h", params.nu_h, grid.n_ah, grid.taus_h),
+            ("nu_m", params.nu_m, grid.n_am, grid.taus_m),
+            ("gamma_h", params.gamma_h, grid.n_ah, grid.taus_h),
+            ("k_h", params.k_h, grid.n_ah, grid.etas)):
+        lo_v, hi_v = _rate_range(spec, n_ages, grid.delta, seconds)
         if not (lo_v >= 0 and np.isfinite(hi_v)):
             bounded, worst = False, name
     add("rates_bounded", bounded, "all rates finite and >= 0 on the grid" if bounded
         else f"{worst} is unbounded or negative on the grid")
 
-    betas = (("beta_h", params.beta_h, grid.ages_h, grid.taus_h),
-             ("beta_m", params.beta_m, grid.ages_m, grid.taus_m))
+    betas = (("beta_h", params.beta_h, grid.n_ah, grid.taus_h),
+             ("beta_m", params.beta_m, grid.n_am, grid.taus_m))
     in_unit = True
-    for name, spec, ages, taus in betas:
-        lo_v, hi_v = _rate_range(spec, ages, taus)
+    for name, spec, n_ages, taus in betas:
+        lo_v, hi_v = _rate_range(spec, n_ages, grid.delta, taus)
         if not (0 <= lo_v and hi_v <= 1):
             in_unit, worst = False, name
     add("beta_in_unit_interval", in_unit, "beta_h, beta_m within [0, 1]" if in_unit
         else f"{worst} leaves [0, 1] on the grid")
 
     # transmissibility on the reachable set {(s + tau, tau)}
-    for name, spec, ages, taus in betas:
-        mass = _reachable_mass(spec, ages, taus, grid.delta)
+    for name, spec, n_ages, taus in betas:
+        mass = _reachable_mass(spec, n_ages, grid.delta, taus)
         add(f"{name}_not_identically_zero", mass > 0.0,
             f"triangular grid sum = {mass:g}")
 
@@ -250,5 +251,5 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
 
 def estimate_mu0(params: ModelParams, grid: Grid) -> float:
     no_second = np.zeros(1)
-    return min(_rate_range(params.mu_h, grid.ages_h, no_second)[0],
-               _rate_range(params.mu_m, grid.ages_m, no_second)[0])
+    return min(_rate_range(params.mu_h, grid.n_ah, grid.delta, no_second)[0],
+               _rate_range(params.mu_m, grid.n_am, grid.delta, no_second)[0])

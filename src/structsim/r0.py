@@ -9,11 +9,12 @@ Routes:
   closed form      lambda0 as the product of the mosquito/human ratio and
                    the two generation-kernel masses
   power iteration  spectral radius of the discretized human block of the
-                   squared next-generation operator, iterated on the grid's
-                   human age cells; the block is the survival profile times
-                   one contraction (rank one), so this re-sums the closed
-                   form in another order and checks the contraction code,
-                   not the formula (``g(0)`` likewise)
+                   squared next-generation operator on the grid's human age
+                   cells; the block is the survival profile times one
+                   contraction (rank one), so the iterates keep two
+                   coefficients and the route re-sums the closed form in
+                   another order, checking the contraction code, not the
+                   formula (``g(0)`` likewise)
   reduced formula  valid when no human rate depends on age; replaces the
                    survival-profile integral by 1/mu_h analytically, the
                    one route independent of the closed form's quadrature
@@ -24,11 +25,12 @@ bifurcation sweep exploits.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, center_blocks
 from .kernels import SpectralKernels, spectral_kernels
 from .params import ModelParams
 
@@ -87,6 +89,19 @@ def r0_reduced(params: ModelParams, grid: Grid) -> float:
             * sk.mosquito_factor(0.0) * human_tau)
 
 
+def _survival_blocks(params: ModelParams, grid: Grid) -> Iterator[np.ndarray]:
+    """The eligible path's survival profile (:func:`survival_profile`) a
+    ``grids.row_blocks`` block of age cells at a time."""
+    mu, d = params.mu_h_value(), grid.delta
+    done = 0
+    for ages in center_blocks(grid.n_ah, d):
+        pi_h = np.exp(-mu * ages)
+        done += len(ages)
+        if done == grid.n_ah:
+            pi_h[-1] /= -np.expm1(-mu * d)
+        yield pi_h
+
+
 def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
     """Human survival profile on the grid's age cells.  With constant mu_h it
     is exp(-mu_h a) on cell centers, and the last cell is an open age class
@@ -95,10 +110,7 @@ def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
     sk = spectral_kernels(params, grid)
     if not sk.eligible:
         return sk.pi_h
-    mu = params.mu_h_value()
-    pi_h = np.exp(-mu * sk.ages_h)
-    pi_h[-1] /= -np.expm1(-mu * sk.delta)
-    return pi_h
+    return np.concatenate(list(_survival_blocks(params, grid)))
 
 
 def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
@@ -113,38 +125,54 @@ def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     order: the closed form reads the kernel's other contraction, the
     tau-profile ``pi_h @ K``, so this checks the contraction code, not the
     formula.
-    Quotients and norms are pairwise sums, so the iteration count depends
-    only on the operator.
+
+    Every iterate lies in span{1, pi_h} (the start is 1, every image a
+    multiple of pi_h), so the loop runs on the two coefficients of
+    b = p + q pi_h, and the quotient, the norm and the residual come from
+    five sums: n, sum pi_h, sum pi_h^2, sum w and sum w pi_h.  On the
+    eligible path the profile is summed a block of age cells at a time
+    (the sampled open-class profile, not its geometric closed form), so no
+    vector on the human age axis is held.
     """
     tol, max_iter = 1e-12, 64
     sk = spectral_kernels(params, grid)
-    pi_h = survival_profile(params, grid)
+    n = float(grid.n_ah)
     if sk.eligible:
+        s1 = s2 = 0.0
+        for pi_h in _survival_blocks(params, grid):
+            s1 += float(np.sum(pi_h))
+            s2 += float(np.sum(pi_h * pi_h))
         w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
+        w0, w1 = w * n, w * s1
     else:
-        w = sk.human_rows * sk.delta ** 2
+        pi_h, w = sk.pi_h, sk.human_rows * sk.delta ** 2
+        s1, s2 = float(np.sum(pi_h)), float(np.sum(pi_h * pi_h))
+        w0, w1 = float(np.sum(w)), float(np.sum(w * pi_h))
     coef = _prefactor(params, sk) * sk.mosquito_factor(0.0)
 
-    def apply_h(b: np.ndarray) -> np.ndarray:
-        return pi_h * (coef * float(np.sum(w * b)))
+    def apply_h(p: float, q: float) -> float:
+        """The pi_h coefficient of the image of p + q pi_h."""
+        return coef * (p * w0 + q * w1)
 
-    b = np.ones(len(pi_h))
+    p, q = 1.0, 0.0
     lam_prev = 0.0
     for it in range(1, max_iter + 1):
-        hb = apply_h(b)
-        lam = float(np.sum(hb * b) / np.sum(b * b))
-        nrm = float(np.sqrt(np.sum(hb * hb)))
+        c = apply_h(p, q)
+        lam = c * (p * s1 + q * s2) / (p * p * n + 2.0 * p * q * s1 + q * q * s2)
+        nrm = abs(c) * float(np.sqrt(s2))
         if nrm == 0.0:
             lam = 0.0
             break
-        b = hb / nrm
+        p, q = 0.0, c / nrm
         if it > 1 and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
             break
         lam_prev = lam
     else:
         raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
-    hb = apply_h(b)
-    residual = float(np.sum(np.abs(hb - lam * b)) / max(np.sum(np.abs(b)), 1e-300))
+    # sum |image - lam b| / sum |b|: pi_h >= 0, and p = 0 unless the image
+    # vanished, so the absolute sums split by coefficient
+    residual = ((abs(lam * p) * n + abs(apply_h(p, q) - lam * q) * s1)
+                / max(abs(p) * n + abs(q) * s1, 1e-300))
     return replace(r0_closed_form(params, grid), r0_squared_power_iter=lam,
                    iterations=it, residual=residual)
 

@@ -43,6 +43,15 @@ def kern_backward(backward):
     return build_reduced_kernels(*backward)
 
 
+@pytest.mark.parametrize("name", ["forward", "backward"])
+def test_chunked_h_scan_is_the_whole_table_scan(name, request):
+    # h_scan is filled a chunk of K points at a time; every value is the sum
+    # over its own row, so it is h on the whole scan bit for bit
+    kern = request.getfixturevalue(f"kern_{name}")
+    assert len(kern.k_scan) > bifurcation.SCAN_CHUNK
+    assert np.array_equal(kern.h_scan, h_value(kern.k_scan, kern))
+
+
 def test_f_at_zero_is_identity(kern_forward):
     for r0 in (0.15, 0.83, 1.0, 1.16, 3.7):
         assert f_value(r0, 0.0, kern_forward) == r0      # bit-exact

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import structsim as ss
+from structsim import characteristics
 from structsim.characteristics import dominant_growth_rate, g_of_lambda, volterra_decoupled
+from structsim.params import estimate_mu0
 from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0
 from structsim.rates import Arity, RateSpec
 
@@ -108,6 +112,22 @@ def test_growth_rate_positive_above_threshold(forward):
     res = dominant_growth_rate(params, grid)
     assert res.lambda_star is not None and res.lambda_star > 0
     assert g_of_lambda(params, grid, res.lambda_star) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_growth_rate_estimates_the_floor_once(forward):
+    # the floor mu_0 scans the age axes; the root search reads it once, not
+    # once per evaluation, and evaluates g as g_of_lambda does
+    params, grid = forward
+    calls = []
+
+    def counted(p, g):
+        calls.append(1)
+        return estimate_mu0(p, g)
+
+    with mock.patch.object(characteristics, "estimate_mu0", counted):
+        res = dominant_growth_rate(params, grid)
+    assert len(calls) == 1 and res.evaluations > 30
+    assert res.g0 == g_of_lambda(params, grid, 0.0)
 
 
 def test_growth_rate_zero_at_tuned_threshold(forward):

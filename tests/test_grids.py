@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import structsim as ss
-from structsim.grids import Grid, cumulative_to_centers
+from structsim import grids
+from structsim.grids import Grid, center_blocks, cumulative_to_centers, row_blocks
 from structsim.rates import Arity, RateSpec, rate_table
 
 from conftest import make_params
@@ -16,6 +20,21 @@ def test_grid_counts_and_centers():
     assert (g.n_ah, g.n_am, g.n_th, g.n_tm, g.n_eta) == (200, 300, 120, 300, 200)
     assert g.ages_h[0] == pytest.approx(0.0025)
     assert g.ages_h[-1] == pytest.approx(1.0 - 0.0025)
+
+
+@given(n=st.integers(1, 300), n_cols=st.integers(1, 40), rows=st.integers(1, 301),
+       delta=st.sampled_from([0.005, 0.01, 0.05, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_center_blocks_are_the_axis_in_row_blocks(n, n_cols, rows, delta):
+    # blocks of ``rows`` centers, the last one ragged, concatenate to the
+    # grid's axis bit for bit
+    grid = Grid(delta=delta, a_max_h=n * delta, a_max_m=delta, tau_max_h=delta,
+                tau_max_m=delta, eta_max=delta)
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", rows * 8 * n_cols):
+        blocks = list(center_blocks(n, delta, n_cols))
+        sizes = [s.stop - s.start for s in row_blocks(n, n_cols)]
+    assert [len(b) for b in blocks] == sizes
+    assert np.array_equal(np.concatenate(blocks), grid.ages_h)
 
 
 def test_grid_rejects_bad_extents():

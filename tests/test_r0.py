@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structsim as ss
-from structsim.characteristics import g_of_lambda
+from structsim.bifurcation import build_reduced_kernels
+from structsim.characteristics import dominant_growth_rate, g_of_lambda
 from structsim import grids, kernels
 from structsim.grids import characteristic_cumulative, cumulative_to_centers
 from structsim.kernels import spectral_kernels
@@ -118,6 +119,108 @@ def test_power_iteration_survival_start_is_eigenvector(forward):
         image = pi_h * (coef * float(np.sum(weights * pi_h)) * sk.delta)
         resid = np.sum(np.abs(image - lam0 * pi_h)) / np.sum(np.abs(pi_h))
         assert resid < 1e-10
+
+
+def _vector_power_iteration(params, grid):
+    """Power iteration on age vectors (the loop before the two-coefficient
+    form): the reference whose count, quotient and residual that form must
+    reproduce.  Returns (lambda, iterations, residual)."""
+    tol, max_iter = 1e-12, 64
+    sk = spectral_kernels(params, grid)
+    if sk.eligible:
+        # the open-class profile on the whole axis, not in blocks
+        mu = params.mu_h_value()
+        pi_h = np.exp(-mu * grid.ages_h)
+        pi_h[-1] /= -np.expm1(-mu * grid.delta)
+        w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
+    else:
+        pi_h = sk.pi_h
+        w = sk.human_rows * sk.delta ** 2
+    coef = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2) \
+        * sk.mosquito_factor(0.0)
+
+    def apply_h(b):
+        return pi_h * (coef * float(np.sum(w * b)))
+
+    b = np.ones(len(pi_h))
+    lam_prev = 0.0
+    for it in range(1, max_iter + 1):
+        hb = apply_h(b)
+        lam = float(np.sum(hb * b) / np.sum(b * b))
+        nrm = float(np.sqrt(np.sum(hb * hb)))
+        if nrm == 0.0:
+            lam = 0.0
+            break
+        b = hb / nrm
+        if it > 1 and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
+            break
+        lam_prev = lam
+    else:
+        raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    hb = apply_h(b)
+    residual = float(np.sum(np.abs(hb - lam * b)) / max(np.sum(np.abs(b)), 1e-300))
+    return lam, it, residual
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_coefficient_power_iteration_is_the_vector_iteration(data):
+    # random small grids, human rates age-free (eligible: the profile summed
+    # in blocks of age cells, the last one ragged) or reading age (general)
+    delta = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
+    n_ah = data.draw(st.integers(1, 60))
+    n_th = data.draw(st.integers(1, n_ah))
+    n_am = data.draw(st.integers(1, 30))
+    n_tm = data.draw(st.integers(1, n_am))
+    grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=n_am * delta,
+                   tau_max_h=n_th * delta, tau_max_m=n_tm * delta, eta_max=delta)
+    mu = data.draw(st.floats(0.05, 2.0))
+    over = {"lambda_m": data.draw(st.floats(1.0, 1e4))}
+    if data.draw(st.booleans()):
+        over["mu_h"] = RateSpec.constant(mu, Arity.AGE)
+    else:
+        over["mu_h"] = RateSpec.piecewise(data.draw(st.floats(0.0, n_ah * delta)), mu,
+                                          data.draw(st.floats(0.05, 2.0)), Arity.AGE)
+        if data.draw(st.booleans()):
+            over["beta_h"] = RateSpec.gauss_exp(0.3, 0.4, 0.5, 0.8)
+    params = fast_params(**over)
+    block = data.draw(st.integers(1, n_ah + 1)) * 8
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", block):
+        rep = power_iteration_r0(params, grid)
+        lam, iterations, _ = _vector_power_iteration(params, grid)
+    assert isinstance(rep.iterations, int)
+    assert rep.iterations == iterations
+    assert abs(rep.r0_squared_power_iter - lam) <= 1e-13 * abs(lam)
+    assert rep.residual <= 1e-12
+
+
+@pytest.mark.parametrize("routine", ["power_iteration_r0", "validate", "build_reduced_kernels",
+                                     "dominant_growth_rate"])
+def test_age_free_routines_hold_no_human_age_vector(routine):
+    # the backward preset's human age axis has 500 000 cells, 4 MB a vector;
+    # with cold caches each age-free route peaks below 6 MiB, most of it the
+    # mosquito kernel build
+    params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
+    run = {"power_iteration_r0": power_iteration_r0, "validate": ss.validate,
+           "build_reduced_kernels": build_reduced_kernels,
+           "dominant_growth_rate": dominant_growth_rate}[routine]
+    spectral_kernels.cache_clear()
+    build_reduced_kernels.cache_clear()
+    tracemalloc.start()
+    try:
+        run(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20, f"{routine} peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_eligible_kernels_keep_no_human_age_vector():
+    params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
+    sk = spectral_kernels(params, grid)
+    arrays = [v for v in vars(sk).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(grid.n_ah not in v.shape for v in arrays)
+    assert len(sk.ages_h) == grid.n_ah
 
 
 @given(mu=st.floats(0.01, 2.0), delta=st.floats(0.002, 0.05), n_ah=st.integers(1, 5000))

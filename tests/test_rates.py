@@ -120,10 +120,10 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta, rows):
     cells = [np.array(x) for x in np.broadcast_arrays(*axes)]
     assert np.array_equal(full, np.broadcast_to(eval_rate(spec, *cells), (n_a, n_s)))
     reach = rate_table(spec, ages[:, None] + seconds[None, :], seconds[None, :])
-    # the scans run over blocks of ``rows`` ages, the last one ragged
+    # the scans run over blocks of ``rows`` age centers, the last one ragged
     with mock.patch.object(grids, "ROW_BLOCK_BYTES", rows * 8 * n_s):
-        assert _rate_range(spec, ages, seconds) == (full.min(), full.max())
-        assert _reachable_mass(spec, ages, seconds, delta) == pytest.approx(
+        assert _rate_range(spec, n_a, delta, seconds) == (full.min(), full.max())
+        assert _reachable_mass(spec, n_a, delta, seconds) == pytest.approx(
             float(np.sum(reach)) * delta ** 2, rel=1e-12)
 
 
