@@ -88,6 +88,10 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
         if grid is None:
             mu0 = float(np.min(np.asarray(
                 params.mu_h(np.linspace(0.0, 10.0, 64)), dtype=float)))
+            if not mu0 > 0 and args.a_max_h is None:
+                raise SystemExit2(f"mu_h reaches {mu0:g} on ages [0, 10], so the default "
+                                  "human age extent 5 / mu_h is unbounded: give the config "
+                                  "a [grid] section or pass --a-max-h")
             grid = default_grid(max(mu0, 1e-6), 0.005 if args.delta is None else args.delta)
         name = None
     overrides = {"delta": args.delta, "a_max_h": args.a_max_h, "a_max_m": args.a_max_m,

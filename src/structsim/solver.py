@@ -48,9 +48,9 @@ pressure beta * C, or beta alone on the structure axis when the field has
 an age axis and beta reads no age.  It builds the tables of an age axis
 one structure-age row at a time, each row of C and of the weights from the
 row before, so no other table of a ring's size is formed.  A table of m
-rows is the leading m rows of the table of the whole axis, so the kernel
-builds only the rows a run reaches, and one kernel per (params, grid, mode)
-is kept for later runs.  Ring rows head, head + 1, ... (mod m) hold
+rows is the leading m rows of the table of the whole axis, so each run
+builds its kernel once, for exactly the rows it reaches, and keeps it no
+longer than the run.  Ring rows head, head + 1, ... (mod m) hold
 structure ages 0, 1, ..., so a sum over the cells is two contiguous dot
 products, one on each side of the wrap, and the outflow into each age row
 sums a skewed diagonal of the same pieces through a strided view.  A ring
@@ -266,13 +266,12 @@ def _beta_table(rate, ages, taus, delta: float) -> np.ndarray:
     return rate_table(rate, ages + 0.5 * delta, taus)
 
 
-@functools.lru_cache(maxsize=8)
-def _age_kernel(params: ModelParams, grid: Grid, mode: str) -> dict:
-    """The kernel tables on the age axes alone: the susceptibles' entry and
-    step factors, the step and the population floor.  They are all that
-    :func:`default_initial` reads."""
+def _susceptible_factors(params: ModelParams, grid: Grid, mode: str) -> dict:
+    """The susceptibles' entry and step factors on their age axes, the
+    humans' in the full layout only: all that :func:`default_initial`
+    reads of the kernel."""
     delta = grid.delta
-    k = {"delta": delta, "eps_floor": params.epsilon_floor(grid)}
+    k = {}
     k["sm_entry"], k["sm_step"] = decay_factors(rate_table(params.mu_m, grid.ages_m), delta)
     if mode == "full":
         k["sh_entry"], k["sh_step"] = decay_factors(rate_table(params.mu_h, grid.ages_h), delta)
@@ -284,15 +283,17 @@ def _age_kernel(params: ModelParams, grid: Grid, mode: str) -> dict:
     return k
 
 
-def _build_kernel(params: ModelParams, grid: Grid, mode: str,
-                  rows: tuple[int, int, int]) -> dict:
-    """The tables a run reads: those of :func:`_age_kernel` and the ring
-    tables of ``i_h``, ``r_h`` and ``i_m``, each built for the first
-    ``rows`` structure ages of its field, in that order.  A table of ``m``
-    rows is the leading ``m`` rows of the table of the whole axis."""
+def _kernel(params: ModelParams, grid: Grid, mode: str,
+            rows: tuple[int, int, int] | None = None) -> dict:
+    """The tables a run reads: the population floor, the susceptibles'
+    factors and the ring tables of ``i_h``, ``r_h`` and ``i_m``, each built
+    for exactly the first ``rows`` structure ages of its field, in that
+    order (None: the whole axes).  A table of ``m`` rows is the leading
+    ``m`` rows of the table of the whole axis."""
     delta = grid.delta
-    k = dict(_age_kernel(params, grid, mode))
-    m_ih, m_rh, m_im = rows
+    k = _susceptible_factors(params, grid, mode)
+    k["eps_floor"] = params.epsilon_floor(grid)
+    m_ih, m_rh, m_im = rows or (grid.n_th, grid.n_eta, grid.n_tm)
     # human fields have no age axis in reduced mode, where no rate reads age
     ages = grid.ages_h if mode == "full" else 0.0
     k.update(_ring_tables("ih", delta, ages, grid.taus_h, m_ih, params.removal_terms("i_h"),
@@ -302,32 +303,6 @@ def _build_kernel(params: ModelParams, grid: Grid, mode: str,
     k.update(_ring_tables("im", delta, grid.ages_m, grid.taus_m, m_im,
                           params.removal_terms("i_m"), beta=params.beta_m))
     return k
-
-
-@functools.lru_cache(maxsize=8)
-def _kernel_slot(params: ModelParams, grid: Grid, mode: str) -> dict:
-    """Where :func:`_kernel` keeps the one kernel of ``(params, grid, mode)``
-    and the rows it was built for."""
-    return {"rows": (0, 0, 0), "k": None}
-
-
-def _kernel(params: ModelParams, grid: Grid, mode: str,
-            rows: tuple[int, int, int] | None = None) -> dict:
-    """The kernel of a run that reaches the first ``rows`` structure ages of
-    ``i_h``, ``r_h`` and ``i_m`` (None: the whole axes); its ring tables may
-    hold more rows.  One kernel is kept per ``(params, grid, mode)``.  A run
-    that reaches past its rows replaces it with one built for at least twice
-    the kept rows on each axis that grows, so a loop of one-step runs builds
-    a few times, not once per step."""
-    slot = _kernel_slot(params, grid, mode)
-    axes = (grid.n_th, grid.n_eta, grid.n_tm)
-    kept = slot["rows"]
-    if any(m > have for m, have in zip(rows or axes, kept)):
-        rows = tuple(have if m <= have else min(n, max(m, 2 * have))
-                     for m, have, n in zip(rows or axes, kept, axes))
-        slot.update(rows=(0, 0, 0), k=None)     # drop the old tables before the build
-        slot.update(rows=rows, k=_build_kernel(params, grid, mode, rows))
-    return slot["k"]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +410,7 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
         raise ValueError("infected_fraction must lie in [0, 1)")
     if not (0.0 <= infected_fraction_m < 1.0):
         raise ValueError("infected_fraction_m must lie in [0, 1)")
-    k = _age_kernel(params, grid, mode)
+    k = _susceptible_factors(params, grid, mode)
     d = grid.delta
     # disease-free profile assembled in the same multiplication order as the
     # transport step, so it is a bit-exact fixed point
@@ -499,21 +474,20 @@ class _CohortRing:
     """A structured field held as the last ``m`` entry rows of a run, indexed
     by the cohort offset ``x = a - tau``: ring row ``(head + tau) mod m``
     holds structure age ``tau`` (see the module docstring).  ``m`` is the
-    number of rows the run reaches, so the oldest row is empty whenever a
-    step drops it; the ring reads the leading ``m`` rows of the kernel's
-    tables.  A field with no age axis (the REDUCED human fields) has one
-    cohort, so a row is one number.  ``pool`` names the field; the kernel
-    keys of its tables drop the underscore.  ``columns`` are the
-    structure-age columns of ``field`` holding mass, all below ``m``;
-    ``shape`` is the field's."""
+    number of rows the run reaches, the rows of the kernel's tables, so the
+    oldest row is empty whenever a step drops it.  A field with no age axis
+    (the REDUCED human fields) has one cohort, so a row is one number.
+    ``pool`` names the field; the kernel keys of its tables drop the
+    underscore.  ``columns`` are the structure-age columns of ``field``
+    holding mass, all below ``m``; ``shape`` is the field's."""
 
-    def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray, m: int):
+    def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray):
         key = pool.replace("_", "")
         self.c, self.beta, self.beta_c, self.out_c = (
-            None if key + name not in k else k[key + name][:m]
-            for name in ("_c", "_beta", "_beta_c", "_out_c"))
+            k.get(key + name) for name in ("_c", "_beta", "_beta_c", "_out_c"))
         self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
         self.rows = np.zeros(self.c.shape)
+        m = len(self.c)
         self.dots = np.zeros(m)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
@@ -708,8 +682,7 @@ def _start(init: StateFields, params: ModelParams, grid: Grid, n_steps: int):
                for name, f in fields.items()}
     rows = {name: _reach(columns[name], f.shape[-1], n_steps) for name, f in fields.items()}
     k = _kernel(params, grid, init.mode, tuple(rows.values()))
-    buf = {name: _CohortRing(k, name, f, columns[name], rows[name])
-           for name, f in fields.items()}
+    buf = {name: _CohortRing(k, name, f, columns[name]) for name, f in fields.items()}
     buf["s_m"] = np.zeros_like(init.s_m)
     s_h = init.s_h
     if init.mode == "full":

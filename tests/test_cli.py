@@ -108,6 +108,27 @@ def test_infinite_config_extent_is_a_config_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: a_max_h=inf")
 
 
+def test_zero_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):
+    # the default human age extent is 5 / min mu_h on ages [0, 10]: with mu_h
+    # 0 below age 40 it would be 10^9 cells, so every command stops before
+    # sizing a grid, unless --a-max-h gives the extent
+    path = tmp_path / "zero.cfg"
+    path.write_text(GOOD_CONFIG.split("[grid]")[0]
+                    .replace("mu_h    = constant(0.022)", "mu_h    = piecewise(40, 0, 0.02)"))
+    out = tmp_path / "run.csv"
+    with mock.patch.object(cli, "default_grid", side_effect=AssertionError("grid sized")):
+        for command in (["validate"], ["report"],
+                        ["simulate", "--mode", "full", "--t-end", "0.1", "--out", str(out)]):
+            assert main(command + ["--config", str(path)]) == 2, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: mu_h reaches 0"), command
+            assert "[grid]" in err[0] and "--a-max-h" in err[0]
+    assert not out.exists()
+    args = cli.build_parser().parse_args(["report", "--config", str(path), "--a-max-h", "100"])
+    _, grid, _ = cli._resolve(args)
+    assert grid.a_max_h == 100.0 and grid.n_ah == 20000
+
+
 def test_r0_and_growth_rate_run(capsys):
     assert main(["r0", "--preset", "backward", "--lambda-m", "7.4e7",
                  "--method", "all", "--delta", "0.01"]) == 0

@@ -634,8 +634,8 @@ def _reference_ring_tables(params, grid, mode, rows):
 def _assert_streamed_tables(params, grid, mode, rows):
     """Every ring table of the build for ``rows`` is the whole-table rule's,
     bit for bit; a transmission probability kept on the structure axis
-    alone is compared through its product with C.  Not cached."""
-    k = solver._build_kernel(params, grid, mode, rows)
+    alone is compared through its product with C."""
+    k = solver._kernel(params, grid, mode, rows)
     for key, want in _reference_ring_tables(params, grid, mode, rows).items():
         got = k.get(key)
         if key.endswith("_beta_c") and key not in k:
@@ -657,7 +657,7 @@ def test_streamed_ring_tables_are_the_whole_table_rule(over, mode):
     for rows in [(1, 1, 1), (2, 5, 3), (n[0] - 1, n[1] - 1, n[2] - 1), (n[0], 1, n[2] // 2), n]:
         _assert_streamed_tables(params, grid, mode, rows)
     # a transmission probability that reads no age leaves no (m, n_a) table
-    k = solver._build_kernel(params, grid, mode, n)
+    k = solver._kernel(params, grid, mode, n)
     assert ("ih_beta_c" in k) == (mode == "reduced" or params.beta_h.reads[0])
 
 
@@ -680,10 +680,9 @@ def test_full_kernel_build_peaks_at_its_tables():
     # grid it allocates the tables it returns and a few rows of 50 000 cells,
     # where the whole-table rule held five (m + 1, n_a) tables per ring
     params, grid = _age_config()
-    solver._age_kernel.cache_clear()
     tracemalloc.start()
     try:
-        k = solver._build_kernel(params, grid, "full", (31, 10, 10))
+        k = solver._kernel(params, grid, "full", (31, 10, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -742,9 +741,9 @@ _RING_KEYS = {"ih": ("ih_c", "ih_beta", "ih_beta_c", "ih_out_c"), "rh": ("rh_c",
 def _assert_prefix_tables(params, grid, mode, rows):
     """A kernel built for ``rows`` structure ages of (i_h, r_h, i_m) holds
     the leading rows of every ring table of the whole-axis build, and the
-    same other tables.  Neither build is cached."""
-    full = solver._build_kernel(params, grid, mode, (grid.n_th, grid.n_eta, grid.n_tm))
-    part = solver._build_kernel(params, grid, mode, rows)
+    same other tables."""
+    full = solver._kernel(params, grid, mode)
+    part = solver._kernel(params, grid, mode, rows)
     assert part.keys() == full.keys()
     ring = {key: m for keys, m in zip(_RING_KEYS.values(), rows) for key in keys}
     for key, table in full.items():
@@ -772,37 +771,37 @@ def test_ring_tables_of_fewer_rows_are_a_prefix_on_an_age_dependent_grid():
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 def test_a_run_builds_its_ring_tables_once(mode):
     # the start state reads no ring table; a run builds its tables once, for
-    # the rows it reaches, and keeps them for the next run that reaches no
-    # further.  A run that does replaces them; a loop of one-step runs
-    # builds a few times, and a run longer than every axis builds them whole.
+    # the rows it reaches
     params, grid = fast_params(), fast_grid(0.05)
-    axes = (grid.n_th, grid.n_eta, grid.n_tm)
-    with mock.patch.object(solver, "_build_kernel", wraps=solver._build_kernel) as build:
-        solver._kernel_slot.cache_clear()
+    with mock.patch.object(solver, "_kernel", wraps=solver._kernel) as build:
         init = ss.default_initial(params, grid, 0.01, mode=mode, infected_fraction_m=0.1)
-        assert build.call_count == 0 and solver._kernel_slot.cache_info().currsize == 0
+        assert build.call_count == 0
         ss.simulate(params, grid, init, t_end=3 * grid.delta, return_final=True)
-        seeded = [int(np.flatnonzero(np.any(f, axis=0) if f.ndim == 2 else f)[-1]) + 1
-                  for f in (init.i_h, init.i_m)]
-        assert [c.args[3] for c in build.call_args_list] == [(seeded[0] + 3, 3, seeded[1] + 3)]
-        ss.simulate(params, grid, init, t_end=2 * grid.delta)
-        ss.step(init, params, grid)
-        assert build.call_count == 1
-        state = init
-        for _ in range(max(axes)):
-            state = ss.step(state, params, grid)
-        assert 1 < build.call_count <= 1 + 3 * math.ceil(math.log2(max(axes)))
-        assert build.call_args.args[3] == axes
-        assert solver._kernel_slot.cache_info().currsize == 1
-    solver._kernel_slot.cache_clear()
+    seeded = [int(np.flatnonzero(np.any(f, axis=0) if f.ndim == 2 else f)[-1]) + 1
+              for f in (init.i_h, init.i_m)]
+    assert [c.args[3] for c in build.call_args_list] == [(seeded[0] + 3, 3, seeded[1] + 3)]
+
+
+def test_a_finished_run_holds_no_kernel():
+    # a run's tables live no longer than the run: once a full-mode run that
+    # read 400 KB of tables has returned, less than a sixth of that is left
+    # allocated.  The parameters are this test's own, so no earlier run with
+    # them could have built tables outside the trace.
+    params, grid = fast_params(theta=0.75), fast_grid(0.02)
+    init = ss.default_initial(params, grid, 0.01, mode="full", infected_fraction_m=0.01)
+    tracemalloc.start()
+    try:
+        ss.simulate(params, grid, init, t_end=0.5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64e3, f"a finished run left {held / 1e3:.0f} KB allocated"
 
 
 def test_reduced_kernel_builds_no_human_age_table():
     # a reduced step reads no table on the human age axis, which has 500 000
     # cells on the backward preset's grid; building one took 28 MB
     params, grid = ss.preset("backward"), ss.preset_grid("backward")
-    solver._kernel_slot.cache_clear()
-    solver._age_kernel.cache_clear()
     tracemalloc.start()
     try:
         k = _kernel(params, grid, "reduced")
@@ -858,7 +857,7 @@ def _shift_rings(params, grid):
              "i_m": (grid.ages_m, grid.taus_m, None, params.beta_m)}
 
     class ShiftRing:
-        def __init__(self, k, pool, field, columns, m):
+        def __init__(self, k, pool, field, columns):
             ages, axis, part, beta = pools[pool]
             if field.ndim == 1:             # a reduced human field
                 ages = 0.0
@@ -897,15 +896,25 @@ SUBNORMAL_ULPS = 16
 
 
 def _assert_rounding_only(got, want, name):
-    """``got`` has the zero cells of ``want`` exactly and its other cells to
-    rtol 1e-12; a subnormal cell of ``want`` carries fewer bits than rtol
-    asks, so it is held to a few units in the last place instead: the shift
-    rounds a subnormal cell at each of its at most 25 steps."""
+    """``got`` is exactly 0 where ``want`` is and holds its normal cells to
+    rtol 1e-12; a nonzero subnormal cell of ``want`` carries fewer bits than
+    rtol asks, so it is held to a few units in the last place instead, and
+    may round to 0 in ``got``: the shift rounds a subnormal cell at each of
+    its at most 25 steps."""
     got, want = np.asarray(got), np.asarray(want)
-    np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
-    normal = np.abs(want) >= np.finfo(float).tiny
+    zero, normal = want == 0.0, np.abs(want) >= np.finfo(float).tiny
+    np.testing.assert_array_equal(got[zero], 0.0, err_msg=name)
     np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0, err_msg=name)
-    np.testing.assert_array_max_ulp(got[~normal], want[~normal], maxulp=SUBNORMAL_ULPS)
+    subnormal = ~zero & ~normal
+    np.testing.assert_array_max_ulp(got[subnormal], want[subnormal], maxulp=SUBNORMAL_ULPS)
+
+
+def test_rounding_only_lets_a_subnormal_round_to_zero_but_not_back():
+    # the smallest subnormal is one unit in the last place from 0, so the
+    # ring may round it away; a cell the shift leaves at 0 must stay 0
+    _assert_rounding_only(np.array([0.0]), np.array([5e-324]), "cell")
+    with pytest.raises(AssertionError):
+        _assert_rounding_only(np.array([5e-324]), np.array([0.0]), "cell")
 
 
 @pytest.mark.parametrize("spans_age", [False, True])
@@ -933,7 +942,7 @@ def test_cohort_ring_matches_the_shift(spans_age, data):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     # an age-free beta_h is kept on the infection-age axis alone: the full
     # layout holds no (m, n_a) table of it
-    k = solver._kernel_slot(params, grid, state.mode)["k"]
+    k = solver._kernel(params, grid, state.mode)
     if state.mode == "full":
         assert ("ih_beta_c" in k) == params.beta_h.reads[0] != ("ih_beta" in k)
 
