@@ -32,6 +32,10 @@ from .solver import Observables, default_initial, simulate
 FIGURES = ("fig2-forward", "fig2-backward", "fig3-left", "fig3-right",
            "fig4-tl", "fig4-tr", "fig4-bl", "fig4-br")
 SEED_SMALL = 1e-4       # initial infected fraction of the fig4-br recipe
+# the most human age cells a config without a [grid] section gets from the
+# default extent 5 / mu_h: 10^7 cells is an 80 MB vector, 20 times the
+# backward preset's axis; a smaller mortality needs an explicit extent
+MAX_DEFAULT_AGE_CELLS = 10 ** 7
 
 
 def _checked(convert, ok, what: str):
@@ -86,13 +90,16 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
         if args.lambda_m is not None:
             params = params.with_lambda_m(args.lambda_m)
         if grid is None:
+            delta = 0.005 if args.delta is None else args.delta
             mu0 = float(np.min(np.asarray(
                 params.mu_h(np.linspace(0.0, 10.0, 64)), dtype=float)))
-            if not mu0 > 0 and args.a_max_h is None:
+            cells = 5.0 / mu0 / delta if mu0 > 0 else math.inf
+            if cells > MAX_DEFAULT_AGE_CELLS and args.a_max_h is None:
+                extent = f"{cells:.3g} cells" if math.isfinite(cells) else "unbounded"
                 raise SystemExit2(f"mu_h reaches {mu0:g} on ages [0, 10], so the default "
-                                  "human age extent 5 / mu_h is unbounded: give the config "
+                                  f"human age extent 5 / mu_h is {extent}: give the config "
                                   "a [grid] section or pass --a-max-h")
-            grid = default_grid(max(mu0, 1e-6), 0.005 if args.delta is None else args.delta)
+            grid = default_grid(max(mu0, 1e-6), delta)
         name = None
     overrides = {"delta": args.delta, "a_max_h": args.a_max_h, "a_max_m": args.a_max_m,
                  "tau_max_h": args.tau_max_h, "tau_max_m": args.tau_max_m,

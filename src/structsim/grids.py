@@ -100,7 +100,9 @@ def default_grid(mu_h_value: float, delta: float = 0.005) -> Grid:
                 tau_max_h=0.6, tau_max_m=1.5, eta_max=1.0)
 
 
-ROW_BLOCK_BYTES = 1 << 20    # a table on a long age axis is built in blocks of about this size
+# a table on a long age axis is built in blocks of about this size, small
+# enough that a block and its temporaries stay in a core's L2 cache
+ROW_BLOCK_BYTES = 1 << 18
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list[slice]:

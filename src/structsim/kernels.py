@@ -139,12 +139,16 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
     pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, xis_m), d))
-    cum_m = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
-    bm = eval_rate(params.beta_m, _age_lag(params.beta_m, xis_m, taus_m), taus_m[None, :])
-    mosq_kernel = bm * np.exp(-cum_m) * pi_m[:, None]
-    # keep age + infection age within the truncated mosquito age span
-    idx = np.add.outer(np.arange(len(xis_m)), np.arange(len(taus_m)))
-    mosq_kernel = np.where(idx + 1 <= grid.n_am, mosq_kernel, 0.0)
+    # beta_m exp(-cum) pi_m, formed in the cumulative's buffer
+    mosq_kernel = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
+    np.exp(np.negative(mosq_kernel, out=mosq_kernel), out=mosq_kernel)
+    mosq_kernel *= eval_rate(params.beta_m, _age_lag(params.beta_m, xis_m, taus_m),
+                             taus_m[None, :])
+    mosq_kernel *= pi_m[:, None]
+    # keep age + infection age within the truncated mosquito age span: row
+    # xi holds infection ages below n_am - xi
+    for xi in range(max(0, grid.n_am - grid.n_tm + 1), grid.n_am):
+        mosq_kernel[xi, grid.n_am - xi:] = 0.0
     int_pi_m = float(np.sum(pi_m)) * d
 
     return SpectralKernels(delta=d, eligible=eligible, n_ah=grid.n_ah, pi_h=pi_h,

@@ -5,12 +5,13 @@ and grid, and the tool version; output files are recorded with their
 SHA-256 digests.  Identical manifests imply byte-identical CSV outputs
 (all computations are deterministic).  The run's wall time and peak
 resident memory are recorded beside the digest, outside what it covers.
+``hashlib`` loads OpenSSL's libcrypto (~3 MB resident), so it is imported
+where a digest is made, not by the commands that hash nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import resource
 import time
@@ -37,6 +38,7 @@ def _jsonable(obj):
 
 
 def sha256_file(path: str) -> str:
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -60,6 +62,7 @@ class RunManifest:
         self.outputs[path] = sha256_file(path) if digest is None else digest
 
     def to_dict(self) -> dict:
+        import hashlib
         inputs = {
             "command": self.command,
             "preset": self.preset,

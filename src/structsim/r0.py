@@ -91,12 +91,14 @@ def r0_reduced(params: ModelParams, grid: Grid) -> float:
 
 def _survival_blocks(params: ModelParams, grid: Grid) -> Iterator[np.ndarray]:
     """The eligible path's survival profile (:func:`survival_profile`) a
-    ``grids.row_blocks`` block of age cells at a time."""
+    ``grids.row_blocks`` block of age cells at a time, each formed in its
+    block of centers."""
     mu, d = params.mu_h_value(), grid.delta
     done = 0
-    for ages in center_blocks(grid.n_ah, d):
-        pi_h = np.exp(-mu * ages)
-        done += len(ages)
+    for pi_h in center_blocks(grid.n_ah, d):
+        pi_h *= -mu
+        np.exp(pi_h, out=pi_h)
+        done += len(pi_h)
         if done == grid.n_ah:
             pi_h[-1] /= -np.expm1(-mu * d)
         yield pi_h
@@ -139,9 +141,12 @@ def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     n = float(grid.n_ah)
     if sk.eligible:
         s1 = s2 = 0.0
+        squares = None        # pi_h^2 of every block in the first block's buffer
         for pi_h in _survival_blocks(params, grid):
+            if squares is None:
+                squares = np.empty(len(pi_h))
             s1 += float(np.sum(pi_h))
-            s2 += float(np.sum(pi_h * pi_h))
+            s2 += float(np.sum(np.multiply(pi_h, pi_h, out=squares[:len(pi_h)])))
         w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
         w0, w1 = w * n, w * s1
     else:

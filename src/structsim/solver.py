@@ -74,7 +74,6 @@ it share them.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import operator
 import struct
@@ -762,6 +761,7 @@ def save_snapshot(state: StateFields, grid: Grid, path: str) -> str:
     field of ``state`` may be a run's cohort ring, which is written without
     building the field.  Returns the SHA-256 hex digest of the bytes
     written, taken as they are written."""
+    import hashlib      # loads OpenSSL: only where a digest is made
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(data) -> None:

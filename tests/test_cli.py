@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import resource
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -129,6 +131,29 @@ def test_zero_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):
     assert grid.a_max_h == 100.0 and grid.n_ah == 20000
 
 
+def test_tiny_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):
+    # mu_h 1e-7 below age 40 is positive, but 5 / mu_h sizes ~10^10 cells
+    # (10^9 behind the old 1e-6 clamp), past cli.MAX_DEFAULT_AGE_CELLS: the
+    # commands stop before sizing a grid, unless --a-max-h gives the extent
+    text = GOOD_CONFIG.split("[grid]")[0]
+    path = tmp_path / "tiny.cfg"
+    path.write_text(text.replace("mu_h    = constant(0.022)",
+                                 "mu_h    = piecewise(40, 1e-7, 0.02)"))
+    with mock.patch.object(cli, "default_grid", side_effect=AssertionError("grid sized")):
+        for command in (["validate"], ["report"], ["r0"]):
+            assert main(command + ["--config", str(path)]) == 2, command
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: mu_h reaches 1e-07"), command
+            assert "1e+10 cells" in err[0] and "[grid]" in err[0] and "--a-max-h" in err[0]
+    args = cli.build_parser().parse_args(["report", "--config", str(path), "--a-max-h", "100"])
+    assert cli._resolve(args)[1].n_ah == 20000
+    # a mortality whose default axis fits under the cap keeps it: the
+    # backward preset's 500 000 cells
+    path.write_text(text.replace("mu_h    = constant(0.022)", "mu_h    = constant(0.002)"))
+    args = cli.build_parser().parse_args(["report", "--config", str(path), "--delta", "0.005"])
+    assert cli._resolve(args)[1].n_ah == 500000
+
+
 def test_r0_and_growth_rate_run(capsys):
     assert main(["r0", "--preset", "backward", "--lambda-m", "7.4e7",
                  "--method", "all", "--delta", "0.01"]) == 0
@@ -200,6 +225,49 @@ def test_manifest_digests_are_the_outputs_sha256(tmp_path, mode):
     for path, digest in outputs.items():
         with open(path, "rb") as fh:
             assert digest == hashlib.sha256(fh.read()).hexdigest(), path
+
+
+_QUERIES_THEN_SIMULATE = """\
+import json, sys
+from structsim.cli import main
+result, model = sys.argv[1], ["--preset", "forward", "--lambda-m", "7e6", "--delta", "0.01"]
+codes = [main(command + model) for command in
+         (["validate"], ["r0", "--method", "all"], ["report"], ["growth-rate"])]
+loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+codes.append(main(["simulate", *sys.argv[2:], *model]))
+with open(result, "w") as fh:
+    json.dump({"codes": codes, "loaded": loaded}, fh)
+"""
+
+
+def test_query_commands_load_no_hashlib(tmp_path, capsys):
+    # hashlib loads OpenSSL's libcrypto: a command that writes no digest
+    # never imports it, and a simulate in the same interpreter afterwards
+    # records the same digests as one run where hashlib was loaded first
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ss.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    digests = []
+    for side in ("fresh", "here"):
+        out, snap = str(tmp_path / f"{side}.csv"), str(tmp_path / f"{side}.bin")
+        simulate = ["--t-end", "0.5", "--seed-fraction", "0.01", "--out", out,
+                    "--snapshot", snap, "--quiet"]
+        if side == "fresh":
+            result = tmp_path / "result.json"
+            subprocess.run([sys.executable, "-c", _QUERIES_THEN_SIMULATE, str(result),
+                            *simulate], env=env, capture_output=True, check=True)
+            ran = json.loads(result.read_text())
+            assert ran["codes"] == [0] * 5 and ran["loaded"] == []
+        else:
+            assert main(["simulate", *simulate, "--preset", "forward", "--lambda-m", "7e6",
+                         "--delta", "0.01"]) == 0
+        with open(out + ".manifest.json") as fh:
+            outputs = json.load(fh)["outputs"]
+        for path, digest in outputs.items():
+            with open(path, "rb") as fh:
+                assert digest == hashlib.sha256(fh.read()).hexdigest(), path
+        digests.append((outputs[out], outputs[snap]))
+    assert digests[0] == digests[1]
 
 
 def test_manifest_records_peak_rss_outside_the_input_digest():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -79,6 +80,9 @@ def test_cross_method_agreement(forward, backward):
 # the benchmark's age-dependent config: forward rates, mu_h steps at a_star
 _AGE_GRID = ss.Grid(delta=0.005, a_max_h=250.0, a_max_m=1.5, tau_max_h=0.6,
                     tau_max_m=1.5, eta_max=1.0)
+_AGE_CASE = (dataclasses.replace(ss.preset("forward", 8e6),
+                                   mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE)),
+               _AGE_GRID)
 
 
 @given(case=st.one_of(
@@ -215,6 +219,67 @@ def test_age_free_routines_hold_no_human_age_vector(routine):
     assert peak <= 6 * 2 ** 20, f"{routine} peaked at {peak / 2 ** 20:.1f} MiB"
 
 
+@pytest.mark.parametrize("routine, bound_mib", [("validate", 1.5), ("power_iteration_r0", 3.5)])
+def test_backward_queries_peak_below_their_bounds(routine, bound_mib):
+    # with cold caches on the backward preset: validate scans the rates in
+    # row blocks, and power_iteration_r0's peak is the mosquito kernel build
+    # (300 x 300 cells, 0.7 MB a table)
+    params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
+    run = {"validate": ss.validate, "power_iteration_r0": power_iteration_r0}[routine]
+    spectral_kernels.cache_clear()
+    tracemalloc.start()
+    try:
+        run(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20, f"{routine} peaked at {peak / 2 ** 20:.2f} MiB"
+
+
+_BLOCK_SIZES = (1 << 20, 1 << 18, 8 * 120 * 37 + 5)   # the last ragged on every axis
+
+
+def _under_row_blocks(block, tmp_path):
+    """What the blocked routines give with ``grids.ROW_BLOCK_BYTES`` at
+    ``block``, from cold caches: the eligible and the general power
+    iteration, the general path's contractions, the validation reports and
+    the bytes and digest of a full-mode run's streamed snapshot."""
+    backward = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
+    params, grid = fast_params(), fast_grid(0.005)
+    init = ss.default_initial(params, grid, 0.01, mode="full", infected_fraction_m=0.01)
+    path = str(tmp_path / f"{block}.bin")
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", block):
+        spectral_kernels.cache_clear()
+        out = {"r0": [power_iteration_r0(*case) for case in (backward, _AGE_CASE)],
+               "kernels": spectral_kernels(*_AGE_CASE),
+               "validate": [str(ss.validate(*case)) for case in (backward, _AGE_CASE)],
+               "digest": ss.simulate(params, grid, init, t_end=3 * grid.delta,
+                                     snapshot=path)[1]}
+    spectral_kernels.cache_clear()
+    with open(path, "rb") as fh:
+        out["bytes"] = fh.read()
+    return out
+
+
+def test_row_block_size_moves_rounding_only(tmp_path):
+    # the block size changes the order of the blocked sums, nothing else: the
+    # row sums and the snapshot bytes are exact, the tau-profile and the
+    # eigenvalue move by rounding
+    want = _under_row_blocks(_BLOCK_SIZES[0], tmp_path)
+    for block in _BLOCK_SIZES[1:]:
+        got = _under_row_blocks(block, tmp_path)
+        for a, b in zip(got["r0"], want["r0"]):
+            assert a.iterations == b.iterations
+            for field in ("r0_squared_power_iter", "r0_squared_closed_form"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-13, abs=0.0)
+        assert np.array_equal(got["kernels"].human_rows, want["kernels"].human_rows)
+        np.testing.assert_allclose(got["kernels"].human_tau, want["kernels"].human_tau,
+                                   rtol=1e-13, atol=0.0)
+        assert got["validate"] == want["validate"]
+        assert got["bytes"] == want["bytes"] and got["digest"] == want["digest"]
+        assert got["digest"] == hashlib.sha256(got["bytes"]).hexdigest()
+
+
 def test_eligible_kernels_keep_no_human_age_vector():
     params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
     sk = spectral_kernels(params, grid)
@@ -328,18 +393,50 @@ def test_general_path_builds_no_age_table_for_age_free_transmission():
     assert max(live) < 1.5 * table, f"{max(live) / table:.2f} tables"
     assert all(isinstance(a, float) for a in ages)
     # the contractions of the explicit age table
-    d, d_m = grid.delta, (grid.ages_m, grid.taus_m)
-    cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h, d)
+    cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h,
+                                    grid.delta)
     expect = np.exp(-cum) * eval_rate(params.beta_h, grid.ages_h[:, None] + grid.taus_h[None, :],
                                       grid.taus_h[None, :])
     assert np.array_equal(sk.human_rows, np.sum(expect, axis=1))
     np.testing.assert_allclose(sk.human_tau, sk.pi_h @ expect, rtol=1e-13, atol=0.0)
-    pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, d_m[0]), d))
-    mosq = (eval_rate(params.beta_m, d_m[0][:, None] + d_m[1][None, :], d_m[1][None, :])
-            * np.exp(-characteristic_cumulative(params.removal_rate("i_m"), *d_m, d))
+    assert np.array_equal(sk.mosq_kernel, _where_mosquito_kernel(params, grid))
+
+
+def _where_mosquito_kernel(params, grid):
+    """The mosquito kernel beta_m exp(-removal) pi_m on (xi, tau) as whole
+    temporaries, with the cells past the age span (xi + tau beyond a_max_m)
+    zeroed by ``np.where`` over an index table: the reference the kernel
+    formed in place must equal bit for bit."""
+    d, xis, taus = grid.delta, grid.ages_m, grid.taus_m
+    pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, xis), d))
+    mosq = (eval_rate(params.beta_m, xis[:, None] + taus[None, :], taus[None, :])
+            * np.exp(-characteristic_cumulative(params.removal_rate("i_m"), xis, taus, d))
             * pi_m[:, None])
     live_cells = np.add.outer(np.arange(grid.n_am), np.arange(grid.n_tm)) + 1 <= grid.n_am
-    assert np.array_equal(sk.mosq_kernel, np.where(live_cells, mosq, 0.0))
+    return np.where(live_cells, mosq, 0.0)
+
+
+@given(n_am=st.integers(1, 30), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mosquito_kernel_is_the_where_rule(n_am, data):
+    # the presets, the benchmark's age config and random small mosquito axes
+    # with every infection-age extent up to the age extent
+    n_tm = data.draw(st.integers(1, n_am))
+    delta = data.draw(st.sampled_from([0.05, 0.1]))
+    grid = ss.Grid(delta=delta, a_max_h=delta, a_max_m=n_am * delta, tau_max_h=delta,
+                   tau_max_m=n_tm * delta, eta_max=delta)
+    beta_m = data.draw(st.sampled_from([RateSpec.gauss_exp(0.3, 0.4, 0.5, 0.8),
+                                        RateSpec.gauss(0.2, 0.6, 0.3, Arity.TAU_ONLY)]))
+    params = fast_params(beta_m=beta_m)
+    sk = spectral_kernels.__wrapped__(params, grid)
+    assert np.array_equal(sk.mosq_kernel, _where_mosquito_kernel(params, grid))
+
+
+@pytest.mark.parametrize("name", ["forward", "backward", "age"])
+def test_preset_mosquito_kernels_are_the_where_rule(name):
+    params, grid = _AGE_CASE if name == "age" else (ss.preset(name), ss.preset_grid(name))
+    sk = spectral_kernels(params, grid)
+    assert np.array_equal(sk.mosq_kernel, _where_mosquito_kernel(params, grid))
 
 
 def _explicit_human_kernel(params, grid):

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +49,21 @@ def test_every_name_the_tracer_lists_resolves():
         assert callable(_resolve(*name.split(".", 1))), name
     for layer, attr in spans.CACHES.values():
         _resolve(layer, attr).cache_info()
+
+
+@pytest.mark.skipif(not os.path.exists(SPANS), reason="no benchmark tracer beside the tests")
+def test_importing_the_cli_loads_every_traced_layer():
+    # the tracer reads sys.modules["structsim.<layer>"] for every layer right
+    # after importing structsim.cli, so no layer may be loaded lazily
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ss.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = ("import sys, structsim.cli\n"
+              f"print(*sorted(set({spans.LAYERS!r}) - "
+              "{m.split('.', 1)[1] for m in sys.modules if m.startswith('structsim.')}))")
+    missing = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+    assert spans.LAYERS and missing == []
