@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import offset_cumulative
-from .grids import Grid, cumulative_to_centers
+from .grids import Grid, cumulative_to_centers, row_blocks
 from .kernels import spectral_kernels
 from .params import ModelParams
 from .r0 import lambda_m_slope
@@ -45,7 +45,6 @@ from .rates import rate_table
 from .solver import StateFields
 
 SCAN_POINTS = 2048
-SCAN_CHUNK = 128      # K points per h_value call while filling h_scan
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,10 @@ class ReducedKernels:
     def __post_init__(self) -> None:
         k_scan = np.linspace(0.0, k_bar(self), SCAN_POINTS + 1)
         object.__setattr__(self, "k_scan", k_scan)
-        # a chunk of K at a time: each value is its row's own sum, so the
-        # scan is the whole-table h_value(k_scan) bit for bit
+        # a row block of the (K, xi) table at a time: each value is its row's
+        # own sum, so the scan is the whole-table h_value(k_scan) bit for bit
         object.__setattr__(self, "h_scan", np.concatenate(
-            [h_value(k_scan[i:i + SCAN_CHUNK], self)
-             for i in range(0, len(k_scan), SCAN_CHUNK)]))
+            [h_value(k_scan[rows], self) for rows in row_blocks(len(k_scan), len(self.xis_m))]))
 
 
 @functools.lru_cache(maxsize=8)

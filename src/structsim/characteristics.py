@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, characteristic_cumulative, cumulative_to_centers
+from .grids import (Grid, characteristic_cumulative, cumulative_to_centers, entry_factors,
+                    step_factors)
 from .kernels import spectral_kernels
 from .params import ModelParams, estimate_mu0
-from .r0 import _prefactor
 from .rates import eval_rate, rate_table
-from .solver import StateFields, _entry, _moves
+from .solver import StateFields
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,8 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
         rates = (rate_table(params.removal_rate(pool), grid.ages_h, column),
                  rate_table(part, grid.ages_h, column))
         diagonal = (slice(None, -1),) * 2, (slice(1, None),) * 2
-        return _moves(rates, rates, d, *diagonal)[1].T, _entry(rates[0][0], rates[1][0], d)[1]
+        return (step_factors(rates, rates, d, *diagonal)[1].T,
+                entry_factors(rates[0][0], rates[1][0], d)[1])
 
     ih_out, _ = outflow_weights(params.gamma_h, "i_h", grid.taus_h)
     rh_out, rh_out0 = outflow_weights(params.k_h, "r_h", grid.etas)
@@ -171,8 +172,7 @@ def _g_above(params: ModelParams, grid: Grid, lam: float, mu0: float) -> float:
     ``(params, grid)``."""
     if lam <= -mu0:
         raise ValueError(f"lambda must exceed -mu_0 = {-mu0:g}")
-    sk = spectral_kernels(params, grid)
-    return _prefactor(params, sk) * sk.human_factor(lam) * sk.mosquito_factor(lam)
+    return spectral_kernels(params, grid).generation(lam)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ manifest beside it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -24,7 +25,7 @@ from .characteristics import dominant_growth_rate, g_of_lambda
 from .config import ConfigError, load_config
 from .grids import Grid, default_grid
 from .manifest import RunManifest
-from .params import PRESET_NAMES, ModelParams, preset, preset_grid, validate
+from .params import PRESET_NAMES, ModelParams, preset, validate
 from .plots import render_svg
 from .r0 import power_iteration_r0, r0_closed_form, r0_reduced
 from .solver import Observables, default_initial, simulate
@@ -74,12 +75,14 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
+    """Model, grid and preset name.  A preset, like a config without [grid],
+    gets the default grid of its mu_h; the grid options override any extent.
+    The grid is built once, so every grid error exits 2."""
     if bool(args.preset) == bool(args.config):
         raise SystemExit2("exactly one of --preset or --config is required")
+    name = args.preset
     if args.preset:
-        params = preset(args.preset, 1e7 if args.lambda_m is None else args.lambda_m)
-        grid = preset_grid(args.preset, 0.005 if args.delta is None else args.delta)
-        name = args.preset
+        params, grid = preset(args.preset), None
     else:
         try:
             with open(args.config) as fh:
@@ -87,32 +90,24 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
         except OSError as exc:
             raise SystemExit2(f"cannot read config: {exc}")
         params, grid = load_config(text, base_dir=os.path.dirname(args.config) or ".")
-        if args.lambda_m is not None:
-            params = params.with_lambda_m(args.lambda_m)
-        if grid is None:
-            delta = 0.005 if args.delta is None else args.delta
-            mu0 = float(np.min(np.asarray(
-                params.mu_h(np.linspace(0.0, 10.0, 64)), dtype=float)))
-            cells = 5.0 / mu0 / delta if mu0 > 0 else math.inf
-            if cells > MAX_DEFAULT_AGE_CELLS and args.a_max_h is None:
-                extent = f"{cells:.3g} cells" if math.isfinite(cells) else "unbounded"
-                raise SystemExit2(f"mu_h reaches {mu0:g} on ages [0, 10], so the default "
-                                  f"human age extent 5 / mu_h is {extent}: give the config "
-                                  "a [grid] section or pass --a-max-h")
-            grid = default_grid(max(mu0, 1e-6), delta)
-        name = None
-    overrides = {"delta": args.delta, "a_max_h": args.a_max_h, "a_max_m": args.a_max_m,
-                 "tau_max_h": args.tau_max_h, "tau_max_m": args.tau_max_m,
-                 "eta_max": args.eta_max}
-    changed = {k: v for k, v in overrides.items() if v is not None}
-    if changed:
-        fields = {k: getattr(grid, k) for k in
-                  ("delta", "a_max_h", "a_max_m", "tau_max_h", "tau_max_m", "eta_max")}
-        fields.update(changed)
-        try:
-            grid = Grid(**fields)
-        except ValueError as exc:
-            raise SystemExit2(f"grid override: {exc}")
+    if args.lambda_m is not None:
+        params = params.with_lambda_m(args.lambda_m)
+    changed = {k: v for k in ("delta", "a_max_h", "a_max_m", "tau_max_h", "tau_max_m", "eta_max")
+               if (v := getattr(args, k)) is not None}
+    if grid is None:
+        delta = changed.setdefault("delta", 0.005)
+        mu0 = float(np.min(np.asarray(params.mu_h(np.linspace(0.0, 10.0, 64)), dtype=float)))
+        cells = 5.0 / mu0 / delta if mu0 > 0 else math.inf
+        if cells > MAX_DEFAULT_AGE_CELLS and args.a_max_h is None:
+            extent = f"{cells:.3g} cells" if math.isfinite(cells) else "unbounded"
+            raise SystemExit2(f"mu_h reaches {mu0:g} on ages [0, 10], so the default "
+                              f"human age extent 5 / mu_h is {extent}: pass --a-max-h "
+                              "or give the config a [grid] section")
+    try:
+        grid = (default_grid(max(mu0, 1e-6), **changed) if grid is None
+                else dataclasses.replace(grid, **changed))
+    except ValueError as exc:
+        raise SystemExit2(f"grid: {exc}")
     return params, grid, name
 
 

@@ -1,4 +1,4 @@
-"""Truncated uniform grids, midpoint quadrature, and the one survival rule.
+"""Truncated uniform grids, midpoint quadrature, and the rules layers share.
 
 All structural variables (chronological age, infection age, recovery age)
 and time share one step ``delta`` so that transport characteristics, which
@@ -12,11 +12,13 @@ half cell at the local value.  This is exact for constant rates and for
 piecewise-constant rates whose jumps sit on cell edges, which keeps the
 disease-free profile an exact fixed point of the transport step.
 
-Survival along any characteristic (chronological, infection or recovery
-age) follows this one rule: ``exp(-cumulative_to_centers(rate))`` up to a
-center, or its per-step form ``decay_factors``.  No survival table is kept;
-each consumer builds the factors it reads from a rate table
-(``rates.rate_table``).
+Each of these rules is defined here only: survival along a characteristic,
+``exp(-cumulative_to_centers(rate))`` up to a center or, per step, the
+trapezoid factors and channel outflow weights of ``step_factors`` and
+``entry_factors`` (``decay_factors`` pads them into one table); the
+transmission sample ``lag_sample`` at the age-lag midpoint of a diagonal
+cell; and the block rule ``row_blocks``.  No survival table is kept; each
+consumer builds the factors it reads from a rate table (``rate_table``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import rate_table
+from .rates import eval_rate, rate_table
 
 
 def _check_multiple(name: str, extent: float, delta: float) -> int:
@@ -89,15 +91,16 @@ class Grid:
         return self.centers(self.n_eta)
 
 
-def default_grid(mu_h_value: float, delta: float = 0.005) -> Grid:
-    """Desk-scale grid: mosquito axes sized by survival decay, human age by 5/mu_h.
+def default_grid(mu_h_value: float, delta: float = 0.005, **extents: float) -> Grid:
+    """Desk-scale grid: mosquito axes sized by survival decay, human age by
+    5/mu_h; ``extents`` replace any of these.
 
     Mosquito survival at 1.5 time units is ~9e-14 for mortality 20/Tu, and the
     transmission kernels are negligible beyond these ranges.
     """
-    a_max_h = round(5.0 / mu_h_value / delta) * delta
-    return Grid(delta=delta, a_max_h=a_max_h, a_max_m=1.5,
-                tau_max_h=0.6, tau_max_m=1.5, eta_max=1.0)
+    shape = dict(a_max_h=round(5.0 / mu_h_value / delta) * delta, a_max_m=1.5,
+                 tau_max_h=0.6, tau_max_m=1.5, eta_max=1.0)
+    return Grid(delta=delta, **{**shape, **extents})
 
 
 # a table on a long age axis is built in blocks of about this size, small
@@ -144,6 +147,48 @@ def cumulative_to_centers(rate_at_centers: np.ndarray, delta: float) -> np.ndarr
     return out
 
 
+def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
+    """Fraction of a cell-to-cell removal belonging to one removal channel,
+    using the same rate trapezoid as the step factor (0 where nothing is
+    removed: the channel's rate is one of the removal's rates, all >= 0).
+    The numerator is formed in ``out`` and divided there."""
+    np.add(part_prev, part_cur, out=out)
+    den = total_prev + total_cur
+    return np.divide(out, den, out=out, where=den > 0)
+
+
+def step_factors(prev, cur, delta: float, before=slice(None, -1), after=slice(1, None),
+                 out: np.ndarray | None = None):
+    """Step factors ``exp(-delta/2 (r_before + r_after))`` of the cells
+    ``before`` of one rate sample moving one cell along the diagonal to the
+    cells ``after`` of the next (formed in ``out`` when given), and the
+    removal channel's outflow weights: its share of the removal times the
+    fraction the cell loses.  ``prev`` and ``cur`` are (removal rate,
+    channel rate) pairs; with no channel, its rate and weights are None."""
+    (total_prev, part_prev), (total_cur, part_cur) = prev, cur
+    total_prev, total_cur = total_prev[before], total_cur[after]
+    step = np.add(total_prev, total_cur, out=out)
+    step *= -0.5 * delta
+    np.exp(step, out=step)
+    if part_prev is None:
+        return step, None
+    weight = _share(part_prev[before], part_cur[after], total_prev, total_cur,
+                    np.empty(step.shape))
+    weight *= 1.0 - step
+    return step, weight
+
+
+def entry_factors(total0, part0, delta: float):
+    """Entry factors ``exp(-delta/2 total0)`` from the boundary to the first
+    center, for the removal rate ``total0`` at structure age 0, and the entry
+    cell's outflow weights for a channel of rate ``part0`` (else None): its
+    share times the fraction lost on the way."""
+    entry = np.exp(-0.5 * delta * total0)
+    if part0 is None:
+        return entry, None
+    return entry, _share(part0, part0, total0, total0, np.zeros(np.shape(total0))) * (1.0 - entry)
+
+
 def decay_factors(rate_at_centers: np.ndarray,
                   delta: float) -> tuple[np.ndarray | float, np.ndarray]:
     """Per-cell survival factors of a field transported along the diagonal.
@@ -151,22 +196,29 @@ def decay_factors(rate_at_centers: np.ndarray,
     ``rate_at_centers`` samples the removal rate on the cell centers of one
     or more axes; the first axis is the one whose origin is the entry
     boundary (structure age, for a structured field).  Returns
-    ``(entry, step)``: ``entry = exp(-delta/2 * r[0])`` carries a cohort
-    from the boundary to the first center, and
-    ``step[i, ..., j] = exp(-delta/2 * (r[i-1, ..., j-1] + r[i, ..., j]))``
-    carries it one cell along every axis at once.  Cells with a zero index
-    are unused padding, set to 1.
+    ``(entry, step)``: the :func:`entry_factors` of ``r[0]``, and the
+    :func:`step_factors` ``step[i, ..., j]`` that carry a cohort from cell
+    ``(i-1, ..., j-1)`` one cell along every axis at once.  Cells with a
+    zero index are unused padding, set to 1.
     """
     r = np.asarray(rate_at_centers, dtype=float)
     cur, prev = (slice(1, None),) * r.ndim, (slice(None, -1),) * r.ndim
     step = np.empty(r.shape)
     for axis in range(r.ndim):
         step[(slice(None),) * axis + (0,)] = 1.0
-    cells = step[cur]                    # the exponential is formed in place
-    np.add(r[prev], r[cur], out=cells)
-    cells *= -0.5 * delta
-    np.exp(cells, out=cells)
-    return np.exp(-0.5 * delta * r[0]), step
+    step_factors((r, None), (r, None), delta, prev, cur, out=step[cur])
+    return entry_factors(r[0], None, delta)[0], step
+
+
+def lag_sample(rate, offsets, taus) -> np.ndarray:
+    """A transmission probability at ``(offset + tau, tau)``, the age-lag
+    midpoint of a diagonal cell (the unit-CFL dynamics pins age minus
+    infection age to whole cells), on the table of the compact axes
+    ``offsets`` and ``taus``: evaluated on the axes it reads, like
+    ``rate_table``, and broadcast read-only to the table."""
+    lag = offsets + taus if rate.reads[0] else 0.0
+    return np.broadcast_to(eval_rate(rate, lag, taus),
+                           np.broadcast_shapes(np.shape(offsets), np.shape(taus)))
 
 
 def characteristic_cumulative(rate_fn, offsets: np.ndarray, taus: np.ndarray,

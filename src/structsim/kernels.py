@@ -38,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, characteristic_cumulative, cumulative_to_centers, row_blocks
+from .grids import (Grid, characteristic_cumulative, cumulative_to_centers, lag_sample,
+                    row_blocks)
 from .params import ModelParams
-from .rates import eval_rate, rate_table
+from .rates import rate_table
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class SpectralKernels:
     pi_m: np.ndarray
     int_pi_m: float
     mosq_kernel: np.ndarray       # [n_xi_m, n_tm], pi_m(xi) included
+    prefactor: float              # lambda_m theta^2 / (lambda_h (int pi_h)^2)
 
     @property
     def ages_h(self) -> np.ndarray:
@@ -86,11 +88,9 @@ class SpectralKernels:
         w = np.exp(-lam * self.taus_m)
         return float(np.sum(self.mosq_kernel * w[None, :])) * self.delta ** 2
 
-
-def _age_lag(rate, offsets: np.ndarray, taus: np.ndarray):
-    """The ages ``offset + tau`` of a (offset, structure-age) table, built
-    only for a rate that reads age."""
-    return offsets[:, None] + taus[None, :] if rate.reads[0] else 0.0
+    def generation(self, lam: float = 0.0) -> float:
+        """prefactor * human * mosquito factor: g(lam), and lambda0 at 0."""
+        return self.prefactor * self.human_factor(lam) * self.mosquito_factor(lam)
 
 
 def _human_contractions(params: ModelParams, ages: np.ndarray, taus: np.ndarray,
@@ -105,8 +105,7 @@ def _human_contractions(params: ModelParams, ages: np.ndarray, taus: np.ndarray,
         # exp(-cum) in the cumulative's buffer, times beta_h on its read axes
         k = characteristic_cumulative(removal, ages[block], taus, d)
         np.exp(np.negative(k, out=k), out=k)
-        k *= eval_rate(params.beta_h, _age_lag(params.beta_h, ages[block], taus),
-                       taus[None, :])
+        k *= lag_sample(params.beta_h, ages[block, None], taus[None, :])
         np.sum(k, axis=1, out=rows[block])
         tau_profile += pi_h[block] @ k
     return rows, tau_profile
@@ -142,8 +141,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     # beta_m exp(-cum) pi_m, formed in the cumulative's buffer
     mosq_kernel = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
     np.exp(np.negative(mosq_kernel, out=mosq_kernel), out=mosq_kernel)
-    mosq_kernel *= eval_rate(params.beta_m, _age_lag(params.beta_m, xis_m, taus_m),
-                             taus_m[None, :])
+    mosq_kernel *= lag_sample(params.beta_m, xis_m[:, None], taus_m[None, :])
     mosq_kernel *= pi_m[:, None]
     # keep age + infection age within the truncated mosquito age span: row
     # xi holds infection ages below n_am - xi
@@ -155,4 +153,6 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
                            int_pi_h=int_pi_h, taus_h=taus_h, c1=c1,
                            beta_h_tau=beta_h_tau, human_rows=human_rows, human_tau=human_tau,
                            xis_m=xis_m, taus_m=taus_m, pi_m=pi_m,
-                           int_pi_m=int_pi_m, mosq_kernel=mosq_kernel)
+                           int_pi_m=int_pi_m, mosq_kernel=mosq_kernel,
+                           prefactor=params.lambda_m * params.theta ** 2
+                           / (params.lambda_h * int_pi_h ** 2))

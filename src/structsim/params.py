@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, center_blocks, default_grid
-from .rates import Arity, RateSpec, eval_rate, rate_table
+from .grids import Grid, center_blocks, default_grid, lag_sample
+from .rates import Arity, RateSpec, eval_rate
 
 PRESET_NAMES = ("forward", "backward")
 
@@ -113,16 +113,20 @@ def _rate_range(spec: RateSpec, n_ages: int, delta: float,
     return float(np.min(lo)), float(np.max(hi))
 
 
-def _reachable_mass(spec: RateSpec, n_ages: int, delta: float, taus: np.ndarray) -> float:
-    """Grid sum of a transmission probability over the reachable set
-    {(offset + tau, tau)}, offsets on ``n_ages`` age centers, times delta^2.
-    A rate that does not read age takes the same value at every offset; one
-    that does is summed a block of offsets at a time, never on the whole
-    table."""
-    if not spec.reads[0]:
-        return n_ages * float(np.sum(rate_table(spec, 0.0, taus))) * delta ** 2
-    return sum(float(np.sum(eval_rate(spec, ages[:, None] + taus[None, :], taus[None, :])))
-               for ages in center_blocks(n_ages, delta, len(taus))) * delta ** 2
+def _lag_stats(spec: RateSpec, n_ages: int, delta: float,
+               taus: np.ndarray) -> tuple[float, float, float]:
+    """(min, max, grid sum times delta^2) of a transmission probability on the
+    samples the model reads: :func:`grids.lag_sample` at offsets on ``n_ages``
+    age centers (step ``delta``) and infection ages ``taus``.  A rate that
+    reads no age is sampled once for every offset; one that does is scanned
+    a block of offsets at a time, never on the whole table."""
+    if spec.reads[0]:
+        samples, copies = (lag_sample(spec, ages[:, None], taus[None, :])
+                           for ages in center_blocks(n_ages, delta, len(taus))), 1
+    else:
+        samples, copies = [lag_sample(spec, 0.0, taus)], n_ages
+    lo, hi, sums = zip(*((np.min(v), np.max(v), float(np.sum(v))) for v in samples))
+    return float(np.min(lo)), float(np.max(hi)), copies * sum(sums) * delta ** 2
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:
@@ -145,8 +149,7 @@ def preset(name: str, lambda_m: float = 1e7) -> ModelParams:
 
 
 def preset_grid(name: str, delta: float = 0.005) -> Grid:
-    mu_h = 0.022 if name == "forward" else 0.002
-    return default_grid(mu_h, delta)
+    return default_grid(preset(name).mu_h_value(), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +186,9 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
 
     Failures are report entries, never exceptions: positivity of the scalar
     constants, a strictly positive mortality floor mu_0, boundedness of all
-    rates, transmission probabilities within [0, 1], kernels not identically
-    zero on the reachable set {age >= infection age}, and consistency of the
-    reduced-mode eligibility flag.
+    rates, transmission probabilities within [0, 1] and not identically zero
+    on the age-lag samples the kernels and the solver read, and consistency
+    of the reduced-mode eligibility flag.
     """
     checks: list[ValidationCheck] = []
 
@@ -215,21 +218,15 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
     add("rates_bounded", bounded, "all rates finite and >= 0 on the grid" if bounded
         else f"{worst} is unbounded or negative on the grid")
 
-    betas = (("beta_h", params.beta_h, grid.n_ah, grid.taus_h),
-             ("beta_m", params.beta_m, grid.n_am, grid.taus_m))
-    in_unit = True
-    for name, spec, n_ages, taus in betas:
-        lo_v, hi_v = _rate_range(spec, n_ages, grid.delta, taus)
-        if not (0 <= lo_v and hi_v <= 1):
-            in_unit, worst = False, name
-    add("beta_in_unit_interval", in_unit, "beta_h, beta_m within [0, 1]" if in_unit
-        else f"{worst} leaves [0, 1] on the grid")
-
-    # transmissibility on the reachable set {(s + tau, tau)}
-    for name, spec, n_ages, taus in betas:
-        mass = _reachable_mass(spec, n_ages, grid.delta, taus)
-        add(f"{name}_not_identically_zero", mass > 0.0,
-            f"triangular grid sum = {mass:g}")
+    # transmissibility on the samples the model reads, {(offset + tau, tau)}
+    stats = {name: _lag_stats(spec, n_ages, grid.delta, taus) for name, spec, n_ages, taus in
+             (("beta_h", params.beta_h, grid.n_ah, grid.taus_h),
+              ("beta_m", params.beta_m, grid.n_am, grid.taus_m))}
+    outside = [name for name, (lo_v, hi_v, _) in stats.items() if not 0 <= lo_v <= hi_v <= 1]
+    add("beta_in_unit_interval", not outside, "beta_h, beta_m within [0, 1]" if not outside
+        else f"{outside[-1]} leaves [0, 1] on the grid")
+    for name, (_, _, mass) in stats.items():
+        add(f"{name}_not_identically_zero", mass > 0.0, f"triangular grid sum = {mass:g}")
 
     eligible_actual = params.reduced_mode_eligible
     # numerical cross-check of age independence for the human rates
@@ -243,7 +240,9 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
         vals = np.asarray(eval_rate(spec, probe_ages[:, None], second[None, :]))
         if vals.ndim == 2 and np.any(np.abs(vals - vals[0]) > 1e-12 * (1 + np.abs(vals[0]))):
             age_free = False
-    add("reduced_mode_flag_consistent", eligible_actual == age_free,
+    # a rate declared age-free (RateSpec.reads) that varies on the probe is the
+    # one unsafe case; an age-reading rate may be flat on three probe ages
+    add("reduced_mode_flag_consistent", age_free or not eligible_actual,
         f"declared {eligible_actual}, grid probe says {age_free}")
 
     return ValidationReport(tuple(checks))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import Grid, center_blocks
-from .kernels import SpectralKernels, spectral_kernels
+from .kernels import spectral_kernels
 from .params import ModelParams
 
 
@@ -58,13 +58,8 @@ class R0Report:
         return "\n".join(lines)
 
 
-def _prefactor(params: ModelParams, sk: SpectralKernels) -> float:
-    return params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2)
-
-
 def lambda0_closed_form(params: ModelParams, grid: Grid) -> float:
-    sk = spectral_kernels(params, grid)
-    return _prefactor(params, sk) * sk.human_factor(0.0) * sk.mosquito_factor(0.0)
+    return spectral_kernels(params, grid).generation(0.0)
 
 
 def r0_closed_form(params: ModelParams, grid: Grid) -> R0Report:
@@ -153,7 +148,7 @@ def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
         pi_h, w = sk.pi_h, sk.human_rows * sk.delta ** 2
         s1, s2 = float(np.sum(pi_h)), float(np.sum(pi_h * pi_h))
         w0, w1 = float(np.sum(w)), float(np.sum(w * pi_h))
-    coef = _prefactor(params, sk) * sk.mosquito_factor(0.0)
+    coef = sk.prefactor * sk.mosquito_factor(0.0)
 
     def apply_h(p: float, q: float) -> float:
         """The pi_h coefficient of the image of p + q pi_h."""

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, decay_factors, row_blocks
+from .grids import Grid, decay_factors, entry_factors, lag_sample, row_blocks, step_factors
 from .params import ModelParams
 from .rates import eval_rate, rate_table
 
@@ -131,47 +131,6 @@ class Observables:
 # precomputed step kernel
 
 
-def _share(part_prev, part_cur, total_prev, total_cur, out) -> np.ndarray:
-    """Fraction of a cell-to-cell removal belonging to one removal channel,
-    using the same rate trapezoid as the decay factor (0 where nothing is
-    removed: the channel's rate is one of the removal's rates, all >= 0).
-    The numerator is formed in ``out`` and divided there."""
-    np.add(part_prev, part_cur, out=out)
-    den = total_prev + total_cur
-    return np.divide(out, den, out=out, where=den > 0)
-
-
-def _moves(prev, cur, delta: float, before=slice(None, -1), after=slice(1, None)):
-    """Step factors of the cells ``before`` of one rate sample moving one
-    cell along the diagonal to the cells ``after`` of the next (as
-    :func:`decay_factors` forms them), and the outflow weights of the
-    removal channel: its share of the removal times the fraction the cell
-    loses.  ``prev`` and ``cur`` are (removal rate, channel rate) pairs; a
-    field with no channel has channel rate None, and no weights."""
-    (total_prev, part_prev), (total_cur, part_cur) = prev, cur
-    total_prev, total_cur = total_prev[before], total_cur[after]
-    step = np.add(total_prev, total_cur)
-    step *= -0.5 * delta
-    np.exp(step, out=step)
-    if part_prev is None:
-        return step, None
-    weight = _share(part_prev[before], part_cur[after], total_prev, total_cur,
-                    np.empty(step.shape))
-    weight *= 1.0 - step
-    return step, weight
-
-
-def _entry(total0, part0, delta: float):
-    """Entry factors from the removal rate at structure age 0 and, for a
-    field with a channel (rate ``part0``, else None), the entry cell's
-    outflow weights: the channel's share times the fraction lost on the way
-    to the first center."""
-    entry = np.exp(-0.5 * delta * total0)
-    if part0 is None:
-        return entry, None
-    return entry, _share(part0, part0, total0, total0, np.zeros(np.shape(total0))) * (1.0 - entry)
-
-
 def _rate_row(samples: list, t, n: int) -> np.ndarray:
     """Row ``t`` of the sum of rate samples on (structure age, age), added
     in their order as ``ModelParams.removal_rate`` adds them, on ``n``
@@ -210,13 +169,15 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
         """Row ``t`` of the removal rate and of the channel's rate."""
         return tuple(None if s is None else _rate_row(s, t, n) for s in samples)
 
-    betas = None if beta is None else _beta_table(beta, ages, taus[:m], delta)
+    # beta at the age-lag midpoint of each cell, in cohort coordinates [tau, x]
+    betas = None if beta is None else lag_sample(beta, ages, taus[:m])
     k = {}
     if not full:
         # one cohort: C is the product of the step factors along the axis
         total, part = rates(slice(None))
-        k[key + "_entry"], out0 = _entry(total[0], None if part is None else part[0], delta)
-        step, weight = _moves((total, part), (total, part), delta)
+        k[key + "_entry"], out0 = entry_factors(total[0], None if part is None else part[0],
+                                                delta)
+        step, weight = step_factors((total, part), (total, part), delta)
         k[key + "_c"] = c = np.cumprod(np.concatenate(([1.0], step[:m - 1])))
         if weight is not None:
             live = min(m, n_t - 1)
@@ -227,7 +188,7 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
         return k
 
     prev = rates(0)
-    k[key + "_entry"], out0 = _entry(*prev, delta)
+    k[key + "_entry"], out0 = entry_factors(*prev, delta)
     k[key + "_c"] = c = np.zeros((m, n))
     c[0] = 1.0
     if part is not None:
@@ -241,13 +202,13 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
     for t in range(1, min(n_t, n)):
         # the cells of row t - 1 that move to row t: cohort offsets x < n - t
         cur, live = rates(t), n - t
-        step, weight = _moves(prev, cur, delta, slice(t - 1, -1), slice(t, None))
+        step, weight = step_factors(prev, cur, delta, slice(t - 1, -1), slice(t, None))
         if weight is not None:
             np.multiply(weight, c[t - 1, :live], out=k[key + "_out_c"][t - 1, :live])
         if t < m:
             np.multiply(c[t - 1, :live], step, out=c[t, :live])
             if beta_c is not None:
-                np.multiply(betas[t, t:], c[t, :live], out=beta_c[t, :live])
+                np.multiply(betas[t, :live], c[t, :live], out=beta_c[t, :live])
         prev = cur
     return k
 
@@ -256,13 +217,6 @@ def _check_reduced(mode: str, params: ModelParams) -> None:
     """A reduced state has no age axis, so its human rates must not read age."""
     if mode == "reduced" and not params.reduced_mode_eligible:
         raise ValueError("reduced mode requires age-independent human rates")
-
-
-def _beta_table(rate, ages, taus, delta: float) -> np.ndarray:
-    """A transmission probability sampled half a cell up in age: the unit-CFL
-    dynamics pins (age - infection age) to whole cells, so the representative
-    age lag of a diagonal cell is its midpoint."""
-    return rate_table(rate, ages + 0.5 * delta, taus)
 
 
 def _susceptible_factors(params: ModelParams, grid: Grid, mode: str) -> dict:
@@ -310,9 +264,10 @@ def _kernel(params: ModelParams, grid: Grid, mode: str,
 
 def _field_pressure(rate, field: np.ndarray, ages, taus: np.ndarray, theta: float,
                     d: float) -> float:
-    """theta * integral of beta * field over the field's axes, with beta
-    sampled as the kernel samples it."""
-    beta = _beta_table(rate, ages, taus, d)           # a read-only broadcast
+    """theta * integral of beta * field over the field's axes, with beta at
+    each cell's age-lag midpoint in field coordinates, ``a + delta/2``: the
+    independent reference of the rings' :func:`grids.lag_sample`."""
+    beta = rate_table(rate, ages + 0.5 * d, taus)     # a read-only broadcast
     cells = "ij"[-field.ndim:]
     return theta * float(np.einsum(f"{cells},{cells}->", beta, field)) * d ** field.ndim
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structsim as ss
-from structsim import bifurcation
+from structsim import bifurcation, grids
 from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
                                    dk_f, f_value, h_value, k_bar,
                                    reconstruct_equilibrium, solve_endemic, trace_branch)
@@ -45,10 +45,20 @@ def kern_backward(backward):
 
 @pytest.mark.parametrize("name", ["forward", "backward"])
 def test_chunked_h_scan_is_the_whole_table_scan(name, request):
-    # h_scan is filled a chunk of K points at a time; every value is the sum
-    # over its own row, so it is h on the whole scan bit for bit
+    # h_scan is filled a row block of K points at a time; every value is the
+    # sum over its own row, so it is h on the whole scan bit for bit
     kern = request.getfixturevalue(f"kern_{name}")
-    assert len(kern.k_scan) > bifurcation.SCAN_CHUNK
+    assert len(grids.row_blocks(len(kern.k_scan), len(kern.xis_m))) > 1
+    assert np.array_equal(kern.h_scan, h_value(kern.k_scan, kern))
+
+
+@pytest.mark.parametrize("rows", [7, 1000])
+def test_h_scan_is_the_whole_table_scan_for_any_row_block(rows, kern_backward):
+    # rebuilt with blocks of 7 and of 1000 K points (the last one ragged):
+    # h_scan does not depend on the block size, bit for bit
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", rows * 8 * len(kern_backward.xis_m)):
+        kern = dataclasses.replace(kern_backward)
+        assert len(grids.row_blocks(len(kern.k_scan), len(kern.xis_m))) > 1
     assert np.array_equal(kern.h_scan, h_value(kern.k_scan, kern))
 
 

@@ -154,6 +154,55 @@ def test_tiny_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):
     assert cli._resolve(args)[1].n_ah == 500000
 
 
+@pytest.mark.parametrize("source", ["preset", "config without [grid]", "config with [grid]"])
+def test_a_grid_error_exits_2_from_every_source(tmp_path, capsys, source):
+    # delta = 0.04 does not divide a_max_m = 1.5, whether the extent comes
+    # from the default grid of a preset or of a config, or from its [grid]
+    path = tmp_path / "model.cfg"
+    path.write_text(GOOD_CONFIG if source.endswith("with [grid]")
+                    else GOOD_CONFIG.split("[grid]")[0])
+    model = ["--preset", "forward"] if source == "preset" else ["--config", str(path)]
+    for command in (["validate"], ["r0", "--method", "closed"]):
+        assert main(command + model + ["--delta", "0.04"]) == 2, command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "a_max_m=1.5 is not a positive integer multiple" in err[0]
+        assert err[0].startswith("error: grid: ")
+
+
+def test_a_preset_is_capped_like_a_config_without_a_grid(capsys):
+    # the backward preset at delta = 1e-5 would size 2.5e8 human age cells:
+    # it stops before sizing a grid, and --a-max-h still gives the extent
+    with mock.patch.object(cli, "default_grid", side_effect=AssertionError("grid sized")):
+        assert main(["validate", "--preset", "backward", "--delta", "1e-5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: mu_h reaches 0.002")
+    assert "2.5e+08 cells" in err[0] and "--a-max-h" in err[0]
+    args = cli.build_parser().parse_args(["validate", "--preset", "backward", "--delta",
+                                          "1e-5", "--a-max-h", "1"])
+    params, grid, name = cli._resolve(args)
+    assert name == "backward" and grid.n_ah == 100000 and grid.n_am == 150000
+
+
+def test_a_preset_takes_the_default_grid_of_its_mortality():
+    for name in ("forward", "backward"):
+        args = cli.build_parser().parse_args(["r0", "--preset", name, "--lambda-m", "3e7",
+                                              "--delta", "0.01"])
+        assert cli._resolve(args) == (ss.preset(name, 3e7), ss.preset_grid(name, 0.01), name)
+
+
+def test_validate_checks_beta_on_the_samples_the_model_reads(tmp_path, capsys):
+    # a peak of 2.516 / sqrt(2 pi) = 1.0037 at infection age 0.2: on the
+    # cells (age, tau) it stays below 1 (age - tau >= delta), but the R0
+    # kernels and the solver sample it at the age-lag midpoint, where it
+    # reaches 1.0012 at delta = 0.005
+    path = tmp_path / "hot.cfg"
+    path.write_text(GOOD_CONFIG.replace("gauss_exp(0.05, 0.2, 0.2, 1.0)",
+                                        "gauss_exp(2.516, 0.2, 0.2, 1.0)"))
+    assert main(["validate", "--config", str(path), "--delta", "0.005"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  beta_in_unit_interval" in out and "beta_m leaves [0, 1]" in out
+
+
 def test_r0_and_growth_rate_run(capsys):
     assert main(["r0", "--preset", "backward", "--lambda-m", "7.4e7",
                  "--method", "all", "--delta", "0.01"]) == 0

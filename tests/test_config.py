@@ -185,6 +185,26 @@ def test_validate_accepts_scalar_rates_on_a_pair():
     assert rep.all_passed, str(rep)
 
 
+def test_an_age_reading_rate_flat_on_the_grid_passes_the_flag_check():
+    # mu_h reads age but jumps only at 300, past a_max_h = 100: declared not
+    # eligible, flat on the probe ages, which is safe (the general path runs)
+    params = make_params(mu_h=RateSpec.piecewise(300.0, 0.022, 0.03, Arity.AGE))
+    grid = ss.Grid(delta=0.01, a_max_h=100.0, a_max_m=1.5, tau_max_h=0.6, tau_max_m=1.5,
+                   eta_max=1.0)
+    check = {c.name: c for c in validate(params, grid).checks}["reduced_mode_flag_consistent"]
+    assert check.passed and check.detail == "declared False, grid probe says True"
+
+
+def test_an_eligible_flag_on_an_age_varying_rate_fails_the_flag_check():
+    # forced eligible while mu_h varies on the probe ages: the reduced path
+    # would drop the age axis a rate reads
+    params = make_params(mu_h=RateSpec.piecewise(40.0, 0.02, 0.024, Arity.AGE))
+    object.__setattr__(params, "reduced_mode_eligible", True)
+    report = validate(params, preset_grid("forward", 0.01))
+    assert [c.name for c in report.failed()] == ["reduced_mode_flag_consistent"]
+    assert report.failed()[0].detail == "declared True, grid probe says False"
+
+
 def test_validate_and_floor_memory_on_backward_preset():
     # age-free rates are scanned on the axes they read, never on the
     # 500 000-cell human age axis crossed with infection age

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import structsim as ss
 from structsim.bifurcation import build_reduced_kernels
 from structsim.characteristics import dominant_growth_rate, g_of_lambda
-from structsim import grids, kernels
+from structsim import grids
 from structsim.grids import characteristic_cumulative, cumulative_to_centers
 from structsim.kernels import spectral_kernels
 from structsim.r0 import (lambda0_closed_form, lambda_m_for_target_r0,
@@ -383,7 +383,7 @@ def test_general_path_builds_no_age_table_for_age_free_transmission():
     spectral_kernels.cache_clear()
     tracemalloc.start()
     try:
-        with mock.patch.object(kernels, "eval_rate", traced):
+        with mock.patch.object(grids, "eval_rate", traced):
             sk = spectral_kernels(params, grid)
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim import grids
-from structsim.params import _rate_range, _reachable_mass
+from structsim.params import _lag_stats, _rate_range
 from structsim.rates import Arity, RateKind, RateSpec, eval_rate, rate_table
 
 from conftest import make_params
@@ -123,8 +123,9 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta, rows):
     # the scans run over blocks of ``rows`` age centers, the last one ragged
     with mock.patch.object(grids, "ROW_BLOCK_BYTES", rows * 8 * n_s):
         assert _rate_range(spec, n_a, delta, seconds) == (full.min(), full.max())
-        assert _reachable_mass(spec, n_a, delta, seconds) == pytest.approx(
-            float(np.sum(reach)) * delta ** 2, rel=1e-12)
+        lo, hi, mass = _lag_stats(spec, n_a, delta, seconds)
+        assert (lo, hi) == (reach.min(), reach.max())
+        assert mass == pytest.approx(float(np.sum(reach)) * delta ** 2, rel=1e-12)
 
 
 @given(a=st.floats(0, 50), second=st.floats(0, 50),

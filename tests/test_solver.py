@@ -626,8 +626,10 @@ def _reference_ring_tables(params, grid, mode, rows):
         if part is not None:
             k.update({key + "_out0": out0, key + "_out_c": _along_cohorts(out, c, 1)})
         if beta is not None:
-            k[key + "_beta_c"] = _along_cohorts(
-                rate_table(beta, np.add(ages, 0.5 * d), column[:m]), c, 0)
+            # beta at each cohort's age-lag midpoint (offset + tau, tau), on
+            # the cohort layout [tau, x] of c
+            lag = np.add(ages, column[:m])
+            k[key + "_beta_c"] = rate_table(beta, lag, column[:m]) * c
     return k
 
 
