@@ -100,9 +100,9 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
         cells = 5.0 / mu0 / delta if mu0 > 0 else math.inf
         if cells > MAX_DEFAULT_AGE_CELLS and args.a_max_h is None:
             extent = f"{cells:.3g} cells" if math.isfinite(cells) else "unbounded"
+            fix = "" if args.preset else " or give the config a [grid] section"
             raise SystemExit2(f"mu_h reaches {mu0:g} on ages [0, 10], so the default "
-                              f"human age extent 5 / mu_h is {extent}: pass --a-max-h "
-                              "or give the config a [grid] section")
+                              f"human age extent 5 / mu_h is {extent}: pass --a-max-h{fix}")
     try:
         grid = (default_grid(max(mu0, 1e-6), **changed) if grid is None
                 else dataclasses.replace(grid, **changed))

@@ -188,6 +188,12 @@ def test_a_preset_takes_the_default_grid_of_its_mortality():
         args = cli.build_parser().parse_args(["r0", "--preset", name, "--lambda-m", "3e7",
                                               "--delta", "0.01"])
         assert cli._resolve(args) == (ss.preset(name, 3e7), ss.preset_grid(name, 0.01), name)
+    # the options replace default extents before the grid is built, so they
+    # can mend one that the step does not divide
+    args = cli.build_parser().parse_args(["r0", "--preset", "forward", "--delta", "0.04",
+                                          "--a-max-m", "1.6", "--tau-max-m", "1.6"])
+    grid = cli._resolve(args)[1]
+    assert (grid.n_am, grid.n_tm) == (40, 40)
 
 
 def test_validate_checks_beta_on_the_samples_the_model_reads(tmp_path, capsys):
