@@ -52,6 +52,12 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.lambda_h > 0 and self.lambda_m > 0 and self.theta > 0):
             raise ValueError("lambda_h, lambda_m and theta must be positive")
+        # survival along a characteristic factors into an age part and a
+        # structure-age part only if no removal rate reads both
+        for name in dict.fromkeys(n for terms in _REMOVAL_TERMS.values() for n in terms):
+            if all(getattr(self, name).reads):
+                raise ValueError(f"removal rate {name} reads both age and its second "
+                                 "variable; a removal rate may read at most one")
         eligible = (not self.mu_h.depends_on_age
                     and not self.nu_h.depends_on_age
                     and not self.gamma_h.depends_on_age

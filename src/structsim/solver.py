@@ -34,37 +34,48 @@ No structured field is moved.  Under the shift the cell (a, tau) after t
 steps is B_{t-tau}(x) * C[tau, x], with x = a - tau the cohort offset: B_s
 is the entry row written at step s (the step's inflow by age times the
 entry factor) and C[tau, x] the product of the step factors along the
-diagonal from (x, 0) to (x + tau, tau), zero past the age axis.  C does not
-depend on time, so a run holds i_h, r_h and i_m as cohort rings of entry
-rows, with one row written per step.  A ring holds the rows its run
+diagonal from (x, 0) to (x + tau, tau), zero past the age axis.  Each
+removal rate reads at most one axis (``ModelParams`` refuses one that
+reads both), so C factors exactly: C[tau, x] = G[tau] * e[x + 1] * ... *
+e[x + tau], with G the survival product of the terms that read no age
+along the structure axis and e[y] the step factor of the terms that read
+age from age cell y - 1 to y, 0 from the end of the age axis on.  A run
+holds i_h, r_h and i_m as cohort rings, one row per structure age, each row
+the cells divided by G[tau]: a step writes one entry row and, where a
+removal term reads age, scales every other row by its window of e (row tau
+by e[x + tau + 1], a strided view of one vector), so a cell that leaves the
+age axis becomes 0; where none does, it sets that one cell of each row to
+0.  Nothing is divided by an age factor.  A ring holds the rows its run
 reaches: m = min(n, j + 1 + steps) with j the last structure-age column of
 the initial field holding mass and n the length of the structure axis, so
 the row a step drops is always empty.  A REDUCED human field has one
-cohort, so its rows are numbers and C[tau] the product along its axis.  The
-kernel samples every structured table structure age first, so each
-diagonal is a contiguous run of a row, and keeps C with the weights a step
-contracts against it: (outflow weight) * C for a removal channel, and for a
-pressure beta * C, or beta alone on the structure axis when the field has
-an age axis and beta reads no age.  It builds the tables of an age axis
-one structure-age row at a time, each row of C and of the weights from the
-row before, so no other table of a ring's size is formed.  A table of m
-rows is the leading m rows of the table of the whole axis, so each run
-builds its kernel once, for exactly the rows it reaches, and keeps it no
-longer than the run.  Ring rows head, head + 1, ... (mod m) hold
-structure ages 0, 1, ..., so a sum over the cells is two contiguous dot
-products, one on each side of the wrap, and the outflow into each age row
-sums a skewed diagonal of the same pieces through a strided view.  A ring
-that keeps beta on the structure axis dots each row with its row of C once
-per state; the cell sum is the sum of those row sums and the pressure
-their dot product with beta.  Initial data enters a ring divided by C, read
-one structure-age column with mass at a time.  The seed of
-:func:`default_initial` is column-major (structure age major), so each
-such column is contiguous, its band is the leading cells of the buffer and
-the cells past the band are zero pages a run never touches; the band is
-formed as whole rows a block of age rows (``grids.row_blocks``) at a time,
-so it is bit for bit the row-major seed.  A field is rebuilt from its ring
-into one array when a run returns its state, and straight into the file,
-in the same row blocks, when a run writes its final state as a snapshot.
+cohort, so its rows are numbers, there are no age factors and G is C.
+
+The kernel keeps G, the entry factors, e where age is read, and the weights
+a step contracts against the rows, each sampled on the axes it reads:
+(outflow weight) * G for a removal channel and beta * G for a pressure, as
+an m-vector, or as an (m, n_a) table when the weight reads age (a channel
+whose pool has a term that reads age; a beta that reads age).  It builds a
+weight table one structure-age row at a time, so no other table of a
+ring's size is formed.  A table of m rows is the leading m rows of the
+table of the whole axis, so each run builds its kernel once, for exactly
+the rows it reaches, and keeps it no longer than the run.  Ring rows head,
+head + 1, ... (mod m) hold structure ages 0, 1, ..., so a contraction
+with a table is two contiguous dot products, one on each side of the wrap,
+and the outflow into each age row sums a skewed diagonal of the same
+pieces through a strided view.  With an age axis, each ring row is summed
+once per state; the cell sum is the dot product of those row sums with G,
+and a pressure whose beta reads no age their dot product with beta * G.
+Initial data enters a ring divided by G, read one structure-age
+column with mass at a time.  The seed of :func:`default_initial` is
+column-major (structure age major), so each such column is contiguous, its
+band is the leading cells of the buffer and the cells past the band are
+zero pages a run never touches; the band is formed as whole rows a block
+of age rows (``grids.row_blocks``) at a time, so it is bit for bit the
+row-major seed.  A field is rebuilt from its ring into one array when a
+run returns its state, and straight into the file, in the same row blocks,
+when a run writes its final state as a snapshot; the run drops its weight
+tables before that write.
 
 A run computes N_h, the two pressures and the infected-human total of each
 state once; the step that leaves the state and the observables sampled at
@@ -135,80 +146,85 @@ def _rate_row(samples: list, t, n: int) -> np.ndarray:
     """Row ``t`` of the sum of rate samples on (structure age, age), added
     in their order as ``ModelParams.removal_rate`` adds them, on ``n``
     ages; a sample that reads no structure age is the same in every row.
-    Samples on a structure axis alone are one row: ``t`` is then
-    ``slice(None)``."""
+    Samples on one axis alone are one row: ``t`` is then ``slice(None)``.
+    No samples sum to 0."""
     return np.broadcast_to(functools.reduce(
-        operator.add, (s[t] if np.ndim(s) == 2 else s for s in samples)), (n,))
+        operator.add, (s[t] if np.ndim(s) == 2 else s for s in samples), 0.0), (n,))
 
 
 def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal,
                  part=None, beta=None) -> dict:
-    """The tables a cohort ring of ``m`` rows reads: entry factors, C and,
-    with a removal channel of rate ``part``, the outflow weights times C
-    (the weight of the cell that moves from ``(tau, x)``) and the entry
-    cell's weights; with a transmission probability ``beta``, beta * C, or
-    ``beta`` on the structure axis alone when the field has an age axis and
-    ``beta`` reads no age.  ``removal`` are the rates whose sum is the
-    field's removal rate, ``ages`` its age axis (0.0 for a field without
-    one, which has one cohort).
+    """The tables a cohort ring of ``m`` rows reads (see the module
+    docstring): the entry factors; G, the survival product of the removal
+    terms that read no age along the structure axis; where a term reads
+    age, the age factors ``e``; with a removal channel of rate ``part``, the
+    outflow weights times G (the weight of the cell that moves from
+    ``(tau, x)``) and the entry cell's weights; with a transmission
+    probability ``beta``, beta * G.  A weight or beta is an m-vector where
+    it reads no age and an ``(m, n_a)`` table where it does.  ``removal``
+    are the rates whose sum is the field's removal rate, each reading at
+    most one axis; ``ages`` is the field's age axis (0.0 for a field
+    without one, which has one cohort).
 
     Each rate is sampled once, on the axes it reads: on the first ``m``
     structure ages, or ``m + 1`` with a channel (the weight of row
     ``m - 1`` reads step row ``m``), or the whole axis when it is shorter.
-    With an age axis the tables are built one structure-age row at a time,
-    each row of C and of the weights from the row before, so the only
+    A weight table is built one structure-age row at a time, so the only
     ``(m, n_a)`` arrays are the tables kept."""
     n_t = min(m + (part is not None), len(axis))
-    full = np.ndim(ages) == 1
-    taus = axis[:n_t, None] if full else axis[:n_t]
-    n = len(ages) if full else n_t
-    samples = ([eval_rate(spec, ages, taus) for spec in removal],
-               None if part is None else [eval_rate(part, ages, taus)])
+    taus = axis[:n_t]
+    aged = np.ndim(ages) == 1 and any(spec.reads[0] for spec in removal)
+    # the terms that read no age, on the structure axis: G and its step
+    # factors, and the channel's weights when they read no age either
+    total = _rate_row([eval_rate(spec, 0.0, taus) for spec in removal if not spec.reads[0]],
+                      slice(None), n_t)
+    channel = (None if part is None or aged
+               else _rate_row([eval_rate(part, 0.0, taus)], slice(None), n_t))
+    step, weight = step_factors((total, channel), (total, channel), delta)
+    k = {key + "_g": np.cumprod(np.concatenate(([1.0], step[:m - 1])))}
+    g = k[key + "_g"]
+    if beta is not None:
+        # beta at the age-lag midpoint of each cell, in cohort coordinates [tau, x]
+        if beta.reads[0]:
+            k[key + "_beta_g"] = lag_sample(beta, ages, taus[:m, None]) * g[:, None]
+        else:
+            k[key + "_beta_g"] = lag_sample(beta, 0.0, taus[:m]) * g
+    if not aged:
+        k[key + "_entry"], out0 = entry_factors(total[0], None if part is None else channel[0],
+                                                delta)
+        if part is not None:
+            live = min(m, n_t - 1)
+            k[key + "_out0"], k[key + "_out_g"] = out0, np.zeros(m)
+            k[key + "_out_g"][:live] = weight[:live] * g[:live]
+        return k
+
+    # the terms that read age: e[y] carries a cohort from age cell y - 1 to
+    # y, and is 0 from y = n_a on, where a cohort leaves the age axis
+    n = len(ages)
+    by_age = _rate_row([eval_rate(spec, ages, 0.0) for spec in removal if spec.reads[0]],
+                       slice(None), n)
+    k[key + "_e"] = np.zeros(n + m)
+    step_factors((by_age, None), (by_age, None), delta, out=k[key + "_e"][1:n])
+    # the entry factors and the outflow weights read the whole removal rate
+    columns = taus[:, None]
+    samples = ([eval_rate(spec, ages, columns) for spec in removal],
+               None if part is None else [eval_rate(part, ages, columns)])
 
     def rates(t):
         """Row ``t`` of the removal rate and of the channel's rate."""
         return tuple(None if s is None else _rate_row(s, t, n) for s in samples)
 
-    # beta at the age-lag midpoint of each cell, in cohort coordinates [tau, x]
-    betas = None if beta is None else lag_sample(beta, ages, taus[:m])
-    k = {}
-    if not full:
-        # one cohort: C is the product of the step factors along the axis
-        total, part = rates(slice(None))
-        k[key + "_entry"], out0 = entry_factors(total[0], None if part is None else part[0],
-                                                delta)
-        step, weight = step_factors((total, part), (total, part), delta)
-        k[key + "_c"] = c = np.cumprod(np.concatenate(([1.0], step[:m - 1])))
-        if weight is not None:
-            live = min(m, n_t - 1)
-            k[key + "_out0"], k[key + "_out_c"] = out0, np.zeros(m)
-            k[key + "_out_c"][:live] = weight[:live] * c[:live]
-        if beta is not None:
-            k[key + "_beta_c"] = betas * c
-        return k
-
     prev = rates(0)
     k[key + "_entry"], out0 = entry_factors(*prev, delta)
-    k[key + "_c"] = c = np.zeros((m, n))
-    c[0] = 1.0
-    if part is not None:
-        k[key + "_out0"], k[key + "_out_c"] = out0, np.zeros((m, n))
-    beta_c = None
-    if beta is not None and beta.reads[0]:
-        beta_c = k[key + "_beta_c"] = np.zeros((m, n))
-        np.multiply(betas[0], c[0], out=beta_c[0])
-    elif beta is not None:
-        k[key + "_beta"] = np.ascontiguousarray(betas[:, 0])    # the same in every age column
+    if part is None:
+        return k
+    k[key + "_out0"], out = out0, np.zeros((m, n))
+    k[key + "_out_g"] = out
     for t in range(1, min(n_t, n)):
         # the cells of row t - 1 that move to row t: cohort offsets x < n - t
-        cur, live = rates(t), n - t
-        step, weight = step_factors(prev, cur, delta, slice(t - 1, -1), slice(t, None))
-        if weight is not None:
-            np.multiply(weight, c[t - 1, :live], out=k[key + "_out_c"][t - 1, :live])
-        if t < m:
-            np.multiply(c[t - 1, :live], step, out=c[t, :live])
-            if beta_c is not None:
-                np.multiply(betas[t, :live], c[t, :live], out=beta_c[t, :live])
+        cur = rates(t)
+        weight = step_factors(prev, cur, delta, slice(t - 1, -1), slice(t, None))[1]
+        np.multiply(weight, g[t - 1], out=out[t - 1, :n - t])
         prev = cur
     return k
 
@@ -425,39 +441,40 @@ def _reach(columns: np.ndarray, n: int, n_steps: int) -> int:
 
 
 class _CohortRing:
-    """A structured field held as the last ``m`` entry rows of a run, indexed
-    by the cohort offset ``x = a - tau``: ring row ``(head + tau) mod m``
-    holds structure age ``tau`` (see the module docstring).  ``m`` is the
-    number of rows the run reaches, the rows of the kernel's tables, so the
-    oldest row is empty whenever a step drops it.  A field with no age axis
-    (the REDUCED human fields) has one cohort, so a row is one number.
+    """A structured field held as the cohorts of the last ``m`` entry rows of
+    a run, indexed by the cohort offset ``x = a - tau``: ring row ``(head +
+    tau) mod m`` holds the cells of structure age ``tau`` divided by
+    ``G[tau]`` (see the module docstring), and is 0 past the age axis.
+    ``m`` is the number of rows the run reaches, the rows of the kernel's
+    tables, so the oldest row is empty whenever a step drops it.  A field
+    with no age axis (the REDUCED human fields) has one cohort, so a row is
+    one number.
     ``pool`` names the field; the kernel keys of its tables drop the
     underscore.  ``columns`` are the structure-age columns of ``field``
     holding mass, all below ``m``; ``shape`` is the field's."""
 
     def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray):
         key = pool.replace("_", "")
-        self.c, self.beta, self.beta_c, self.out_c = (
-            k.get(key + name) for name in ("_c", "_beta", "_beta_c", "_out_c"))
+        self.g, self.e, self.beta, self.out = (
+            k.get(key + name) for name in ("_g", "_e", "_beta_g", "_out_g"))
         self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
-        self.rows = np.zeros(self.c.shape)
-        m = len(self.c)
-        self.dots = np.zeros(m)
+        m = len(self.g)
+        self.rows = np.zeros((m, *field.shape[:-1]))
+        self.dots, self.ones = None, np.ones(field.shape[0]) if field.ndim == 2 else None
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
-                np.divide(field[:m], self.c, out=self.rows, where=field[:m] != 0.0)
+                np.divide(field[:m], self.g, out=self.rows, where=field[:m] != 0.0)
             else:
                 # read only the columns with mass: each one contiguous run in a
                 # column-major seed, a strided pass in a row-major field
                 n_a = field.shape[0]
                 for tau in columns:
                     cells = field[tau:, tau]
-                    np.divide(cells, self.c[tau, :n_a - tau], out=self.rows[tau, :n_a - tau],
+                    np.divide(cells, self.g[tau], out=self.rows[tau, :n_a - tau],
                               where=cells != 0.0)
         if not np.isfinite(np.max(self.rows)):
             raise ValueError(f"initial {pool} is nonzero where its survival product "
                              "underflows; the cohort ring cannot hold it")
-        self._row_sums()
 
     def _pieces(self, table: np.ndarray):
         """``(table rows, ring rows)`` for structure ages ``0 .. m - head - 1``
@@ -469,65 +486,96 @@ class _CohortRing:
         (t0, r0), (t1, r1) = self._pieces(table)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 
-    def _row_sums(self) -> None:
-        """In a ring that keeps beta on the structure axis, set ``dots[tau]``
-        to the sum of the cells of structure age ``tau``: each ring row
-        dotted with its row of C, once per state."""
-        if self.beta is None:
-            return
-        m, h = len(self.rows), self.head
-        for (c, rows), d in zip(self._pieces(self.c), (self.dots[:m - h], self.dots[m - h:])):
-            np.matmul(rows[:, None, :], c[:, :, None], out=d[:, None, None])
+    def _row_sums(self) -> np.ndarray:
+        """``dots[tau]``, the sum of ring row ``tau`` (the cells of structure
+        age ``tau`` divided by ``G[tau]``), formed once per state as a
+        product with a vector of ones (one BLAS pass over the rows)."""
+        if self.dots is None:
+            m, h = len(self.rows), self.head
+            self.dots = np.empty(m)
+            np.matmul(self.rows[h:], self.ones, out=self.dots[:m - h])
+            np.matmul(self.rows[:h], self.ones, out=self.dots[m - h:])
+        return self.dots
 
     def push(self, inflow) -> None:
-        """One step: the oldest cohort row becomes the newest entry row."""
-        self.head = (self.head - 1) % len(self.rows)
+        """One step: every held cohort moves one cell, and the oldest cohort
+        row becomes the newest entry row.  With an age axis each cell of a
+        row takes the age factor of the cell it moves to, and a cell that
+        leaves the age axis becomes 0."""
+        m = len(self.rows)
+        if self.rows.ndim == 2 and self.e is None:
+            tau = np.arange(min(m, self.rows.shape[1]))
+            self.rows[(self.head + tau) % m, self.rows.shape[1] - 1 - tau] = 0.0
+        elif self.rows.ndim == 2:
+            # row tau takes e[x + tau + 1] at cohort offset x
+            windows = np.lib.stride_tricks.sliding_window_view(self.e, self.rows.shape[1])
+            for e, rows in self._pieces(windows[1:]):
+                rows *= e
+        self.head = (self.head - 1) % m
         self.rows[self.head] = inflow * self.entry
-        self._row_sums()
+        self.dots = None
 
     def sum(self) -> float:
         """Sum of the field's cells."""
-        if self.beta is None:
-            return self._dot(self.c)
-        return float(np.sum(self.dots))
+        if self.rows.ndim == 1:
+            return self._dot(self.g)
+        return float(np.dot(self.g, self._row_sums()))
 
     def sum_beta(self) -> float:
         """Sum of beta * cells."""
-        if self.beta is None:
-            return self._dot(self.beta_c)
-        return float(np.dot(self.beta, self.dots))
+        if self.beta.ndim == self.rows.ndim:
+            return self._dot(self.beta)
+        return float(np.dot(self.beta, self._row_sums()))
 
     def outflow(self):
         """Mass the removal channel takes during a step from the cohorts that
         move one cell (the entering cohort's share is the caller's).  With an
         age axis it is counted by the age row the cohorts arrive in: a sum
-        along each skewed diagonal of the weighted ring."""
+        along each skewed diagonal of the weighted ring.  A weight table is 0
+        at a cell that leaves the age axis; weights on the structure axis
+        alone skip that cell, which a skewed diagonal of the first piece
+        reaches into age row 1 only.  Cells past the axis are 0."""
         if self.rows.ndim == 1:
-            return self._dot(self.out_c)
+            return self._dot(self.out)
         m, n_a = self.rows.shape
         mass = np.zeros(n_a)
-        for tau0, (w, rows) in zip((0, m - self.head), self._pieces(self.out_c)):
+        for tau0, (w, rows) in zip((0, m - self.head), self._pieces(self.out)):
             width = n_a - 1 - tau0         # arrivals in age rows 1 + tau0 .. n_a - 1
-            if len(w) and width > 0:
+            if not len(w) or width <= 0:
+                continue
+            if w.ndim == 2:
                 mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
+            elif tau0:
+                mass[1 + tau0:] += np.einsum("i,ij->j", w, _skew(rows, width))
+            else:
+                mass[1] += w[0] * rows[0, 0]
+                mass[2:] += np.einsum("i,ij->j", w, _skew(rows[:, 1:], width - 1))
         return mass
 
     def fill(self, out: np.ndarray, start: int = 0) -> np.ndarray:
         """Write age rows ``start .. start + len(out) - 1`` of the field into
         ``out``, row-major on the whole structure axis; a ring with no age
-        axis writes its one row, the whole field.  The cells of structure
-        age ``tau`` in those rows are one contiguous run of ring row ``tau``
-        times C, from cohort offset ``start - tau`` on."""
+        axis writes its one row, the whole field.  The cell at age ``a`` and
+        structure age ``tau`` is ``G[tau]`` times ring row ``tau`` at cohort
+        offset ``a - tau``: in the age rows that every row of a piece
+        reaches, one product through a skewed view of the piece; row by row
+        only in the triangle at the start of the age axis."""
         out[...] = 0.0
         m = len(self.rows)
         if self.rows.ndim == 1:
-            np.multiply(np.roll(self.rows, -self.head), self.c, out=out[:m])
+            np.multiply(np.roll(self.rows, -self.head), self.g, out=out[:m])
             return out
         stop = start + len(out)
-        for tau in range(min(m, stop)):
-            x0 = max(start - tau, 0)
-            np.multiply(self.rows[(self.head + tau) % m, x0:stop - tau],
-                        self.c[tau, x0:stop - tau], out=out[x0 + tau - start:, tau])
+        for tau0, (g, rows) in zip((0, m - self.head), self._pieces(self.g)):
+            k = len(rows)
+            a0 = min(max(start, tau0 + k - 1), stop)    # rows from a0 on reach every row
+            for i in range(min(k, a0 - tau0) if start < a0 else 0):
+                lo = max(start, tau0 + i)
+                np.multiply(rows[i, lo - tau0 - i:a0 - tau0 - i], g[i],
+                            out=out[lo - start:a0 - start, tau0 + i])
+            if k and a0 < stop:
+                np.multiply(_skew(rows[:, a0 - tau0:], stop - a0).T, g,
+                            out=out[a0 - start:, tau0:tau0 + k])
         return out
 
     def field(self) -> np.ndarray:
@@ -808,7 +856,10 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
         if n % output_every == 0 or n == n_steps:
             rows.append(observe(state, params, grid, (*buf["sums"], buf["i_m"].sum())))
     if snapshot is not None:
+        # the write reads each ring's rows and G: the weight tables go first
+        k.clear()
         for name in _STRUCTURED:
+            buf[name].out = None
             setattr(state, name, buf[name])
         return rows, save_snapshot(state, grid, snapshot)
     if return_final:

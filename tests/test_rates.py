@@ -73,6 +73,18 @@ def test_parameter_validation():
         RateSpec.table([0.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("name", ["mu_h", "mu_m", "nu_h", "nu_m", "gamma_h", "k_h"])
+def test_a_removal_rate_reads_at_most_one_axis(name):
+    # the rule the config parser keeps for gauss_exp holds in the library: a
+    # removal rate that reads both axes is refused by name, so survival always
+    # factors into an age part and a structure-age part
+    both = RateSpec.gauss_exp(0.3, 0.4, 0.5, 0.8)
+    with pytest.raises(ValueError, match=f"removal rate {name} reads both"):
+        make_params(**{name: both})
+    # transmission probabilities are not removal rates
+    assert make_params(beta_h=both, beta_m=both).beta_h is both
+
+
 def test_age_dependence_flags():
     assert not RateSpec.constant(1.0).depends_on_age
     assert not RateSpec.piecewise(0.1, 0, 50, Arity.TAU_ONLY).depends_on_age

@@ -410,8 +410,10 @@ def _small_case(draw, spans_age=None):
     """Random small grid, age-free human rates and a random triangular state
     in the drawn layout; ``first`` nonzero gives removal in the entry cell.
     In the full layout about half the cases take a transmission probability
-    ``beta_h`` that reads age alone, so the kernel keeps ``beta_h * C``;
-    otherwise it keeps ``beta_h`` on the infection-age axis.
+    ``beta_h`` that reads age alone, so the kernel keeps a table of
+    ``beta_h * G``; otherwise it keeps ``beta_h * G`` on the infection-age
+    axis.  Independently, about half of them take a mortality ``mu_h`` that
+    reads age, so the human rings take age factors at each step.
     ``spans_age`` True gives structure axes as long as their age axes
     (``n_th == n_eta == n_ah``, ``n_tm == n_am``); False gives shorter
     infection-age axes and a recovery-age axis of any length.  About half
@@ -457,6 +459,12 @@ def _small_case(draw, spans_age=None):
         beta = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
         params = dataclasses.replace(params, beta_h=RateSpec.piecewise(
             draw(st.floats(0.0, n_ah * delta)), draw(beta), draw(beta), Arity.AGE))
+    if mode == "full" and draw(st.booleans()):
+        # a mortality that reads age: the human rings scale their rows by the
+        # age factors; at least 0.6 keeps the state above the population floor
+        mortality = st.floats(0.6, 3.0)
+        params = dataclasses.replace(params, mu_h=RateSpec.piecewise(
+            draw(st.floats(0.0, n_ah * delta)), draw(mortality), draw(mortality), Arity.AGE))
     return params, grid, state
 
 
@@ -633,18 +641,64 @@ def _reference_ring_tables(params, grid, mode, rows):
     return k
 
 
-def _assert_streamed_tables(params, grid, mode, rows):
-    """Every ring table of the build for ``rows`` is the whole-table rule's,
-    bit for bit; a transmission probability kept on the structure axis
-    alone is compared through its product with C."""
+def _age_products(k, key, m, n_a):
+    """``E[tau, x]``, the product of a ring's age factors ``e[x + 1 .. x +
+    tau]`` (1 where no removal rate reads age), zero past the age axis."""
+    e = k.get(key + "_e", np.append(np.ones(n_a), np.zeros(m)))
+    assert e.shape == (n_a + m,)
+    prod = np.zeros((m, n_a))
+    prod[0] = 1.0
+    for tau in range(1, m):
+        prod[tau] = prod[tau - 1] * e[tau:tau + n_a]
+    return prod
+
+
+def _factored_tables(k, key, m, ages):
+    """C, beta * C and the outflow weights times C of a ring, formed from
+    its factored tables: G, the age factors and the weights and beta times
+    G.  A weight on the structure axis alone applies to no cell that leaves
+    the age axis."""
+    tables = {"_c": k[key + "_g"], "_beta_c": k.get(key + "_beta_g"),
+              "_out_c": k.get(key + "_out_g")}
+    if np.ndim(ages) == 0:
+        return {key + name: t for name, t in tables.items() if t is not None}
+    n_a = len(ages)
+    prod = _age_products(k, key, m, n_a)
+    stays = np.arange(n_a)[None, :] < n_a - 1 - np.arange(m)[:, None]
+    out = {}
+    for name, t in tables.items():
+        if t is None:
+            continue
+        assert t.shape in ((m,), (m, n_a)), (key, name)
+        if name == "_out_c" and t.ndim == 1:
+            t = np.where(stays, t[:, None], 0.0)
+        out[key + name] = (t if t.ndim == 2 else t[:, None]) * prod
+    return out
+
+
+def _assert_streamed_tables(params, grid, mode, rows, rtol=0.0):
+    """Every ring table of the build for ``rows``, formed from its factors,
+    is the whole-table rule's: bit for bit with ``rtol`` 0, else to
+    ``rtol`` and exactly 0 where the rule's table is."""
     k = solver._kernel(params, grid, mode, rows)
+    human = grid.ages_h if mode == "full" else 0.0
+    got = {}
+    for key, ages, m in (("ih", human, rows[0]), ("rh", human, rows[1]),
+                         ("im", grid.ages_m, rows[2])):
+        got.update(_factored_tables(k, key, m, ages))
     for key, want in _reference_ring_tables(params, grid, mode, rows).items():
-        got = k.get(key)
-        if key.endswith("_beta_c") and key not in k:
-            beta, c = k[key[:2] + "_beta"], k[key[:2] + "_c"]
-            assert beta.shape == (len(c),) and c.ndim == 2, (key, rows)
-            got = beta[:, None] * c
-        assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (key, rows)
+        if key.endswith(("_c", "_out_c", "_beta_c")):
+            assert np.shape(got[key]) == np.shape(want), (key, rows)
+            if rtol:
+                np.testing.assert_allclose(got[key], want, rtol=rtol, atol=0.0,
+                                           err_msg=f"{key} {rows}")
+                assert np.array_equal(got[key] == 0.0, want == 0.0), (key, rows)
+                continue
+            got_key = got[key]
+        else:
+            # an entry factor that reads no age is one number for every age
+            got_key = np.broadcast_to(k[key], np.shape(want))
+        assert np.array_equal(got_key, want), (key, rows)
 
 
 _AGE_BETA = {"beta_h": RateSpec.piecewise(2.0, 0.1, 0.4, Arity.AGE),
@@ -654,13 +708,16 @@ _AGE_BETA = {"beta_h": RateSpec.piecewise(2.0, 0.1, 0.4, Arity.AGE),
 @pytest.mark.parametrize("over, mode", [(over, mode) for over in RATE_SETS
                                         for mode in ("full", "reduced")] + [(_AGE_BETA, "full")])
 def test_streamed_ring_tables_are_the_whole_table_rule(over, mode):
+    # G is C bit for bit where no removal rate reads age; G times the products
+    # of the age factors is C to rounding where one does
     params, grid = fast_params(**over), fast_grid(0.05)
     n = (grid.n_th, grid.n_eta, grid.n_tm)
+    rtol = 1e-12 if over is _AGE_BETA else 0.0
     for rows in [(1, 1, 1), (2, 5, 3), (n[0] - 1, n[1] - 1, n[2] - 1), (n[0], 1, n[2] // 2), n]:
-        _assert_streamed_tables(params, grid, mode, rows)
+        _assert_streamed_tables(params, grid, mode, rows, rtol)
     # a transmission probability that reads no age leaves no (m, n_a) table
     k = solver._kernel(params, grid, mode, n)
-    assert ("ih_beta_c" in k) == (mode == "reduced" or params.beta_h.reads[0])
+    assert k["ih_beta_g"].ndim == (2 if params.beta_h.reads[0] else 1)
 
 
 def _age_config():
@@ -674,7 +731,22 @@ def _age_config():
 def test_streamed_ring_tables_are_the_whole_table_rule_on_an_age_dependent_grid():
     params, grid = _age_config()
     for rows in [(31, 10, 10), (1, 1, 1)]:
-        _assert_streamed_tables(params, grid, "full", rows)
+        _assert_streamed_tables(params, grid, "full", rows, rtol=1e-12)
+
+
+def test_only_a_channel_of_an_age_reading_pool_keeps_an_age_table():
+    # on the benchmark's age grid the two outflow-weight tables are the only
+    # (m, n_a) tables; on a preset no removal rate reads age and full mode
+    # keeps none
+    params, grid = _age_config()
+    k = solver._kernel(params, grid, "full", (30, 10, 10))
+    wide = {key: v.shape for key, v in k.items() if np.ndim(v) == 2 and grid.n_ah in v.shape}
+    assert wide == {"ih_out_g": (30, grid.n_ah), "rh_out_g": (10, grid.n_ah)}
+    assert sorted(key for key in k if key.endswith("_e")) == ["ih_e", "rh_e"]
+    params, grid = ss.preset("backward"), ss.preset_grid("backward")
+    k = solver._kernel(params, grid, "full", (30, 10, 10))
+    assert not [key for key, v in k.items() if np.ndim(v) == 2 and grid.n_ah in v.shape]
+    assert not [key for key in k if key.endswith("_e")]
 
 
 def test_full_kernel_build_peaks_at_its_tables():
@@ -695,7 +767,7 @@ def test_full_kernel_build_peaks_at_its_tables():
 @pytest.mark.parametrize("over", RATE_SETS)
 def test_outflow_weights_hand_value(over):
     # channel share of the trapezoid removal times the fraction removed; the
-    # kernel keeps the weights times the survival product C
+    # kernel keeps the weights times the survival product G
     params = fast_params(**over)
     grid = fast_grid(0.05)
     k = _kernel(params, grid, "reduced")
@@ -709,45 +781,42 @@ def test_outflow_weights_hand_value(over):
         pair = part[:-1] + part[1:]
         expect = pair / (2 * other + pair) * -np.expm1(-0.5 * d * (2 * other + pair))
         assert np.allclose(out[1:], expect, rtol=1e-13, atol=0.0), key
-        assert np.array_equal(k[key + "_out_c"], np.append(out[1:], 0.0) * k[key + "_c"]), key
+        assert np.array_equal(k[key + "_out_g"], np.append(out[1:], 0.0) * k[key + "_g"]), key
         expect0 = part[0] / (other + part[0]) * -math.expm1(-0.5 * d * (other + part[0]))
         assert k[key + "_out0"] == out0 == pytest.approx(expect0, rel=1e-13, abs=0.0), key
 
 
 @pytest.mark.parametrize("over", RATE_SETS)
 def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
-    # with age-free human rates every cohort column of the full layout's ring
-    # tables is the reduced layout's table, cut where the cohort leaves the
-    # age axis, and the per-age entry tables repeat the reduced values
-    # (beta_h reads no age, so the full layout keeps it on the infection-age
-    # axis alone and beta_h * C is formed here)
+    # with age-free human rates the full layout's human ring tables are the
+    # reduced layout's, bit for bit: G, beta_h * G and the outflow weights
+    # times G on the structure axis alone, no age factors, and the same entry
+    # factors for every age
     params = fast_params(**over)
     grid = fast_grid(0.05)
     full, red = _kernel(params, grid, "full"), _kernel(params, grid, "reduced")
-    assert "ih_beta_c" not in full and full["ih_beta"].shape == (len(red["ih_c"]),)
-    full = {**full, "ih_beta_c": full["ih_beta"][:, None] * full["ih_c"]}
-    for key, lag in (("ih_c", 0), ("rh_c", 0), ("ih_beta_c", 0), ("ih_out_c", 1), ("rh_out_c", 1)):
-        assert full[key].shape == (len(red[key]), grid.n_ah), key
-        for tau, value in enumerate(red[key]):
-            live = grid.n_ah - tau - lag
-            assert np.all(full[key][tau, :live] == value), (key, tau)
-            assert np.all(full[key][tau, live:] == 0.0), (key, tau)
+    for key in ("ih_g", "rh_g", "ih_beta_g", "ih_out_g", "rh_out_g"):
+        assert full[key].shape == red[key].shape == (len(red[key[:2] + "_g"]),), key
+        assert np.array_equal(full[key], red[key]), key
+    assert "ih_e" not in full and "rh_e" not in full
     for key in ("ih_entry", "rh_entry", "ih_out0", "rh_out0"):
         assert np.all(full[key] == red[key]), key
 
 
-_RING_KEYS = {"ih": ("ih_c", "ih_beta", "ih_beta_c", "ih_out_c"), "rh": ("rh_c", "rh_out_c"),
-              "im": ("im_c", "im_beta", "im_beta_c")}
+_RING_KEYS = {"ih": ("ih_g", "ih_beta_g", "ih_out_g"), "rh": ("rh_g", "rh_out_g"),
+              "im": ("im_g", "im_beta_g")}
 
 
 def _assert_prefix_tables(params, grid, mode, rows):
     """A kernel built for ``rows`` structure ages of (i_h, r_h, i_m) holds
-    the leading rows of every ring table of the whole-axis build, and the
-    same other tables."""
+    the leading rows of every ring table of the whole-axis build, the
+    leading ``n_a + m`` age factors, and the same other tables."""
     full = solver._kernel(params, grid, mode)
     part = solver._kernel(params, grid, mode, rows)
     assert part.keys() == full.keys()
     ring = {key: m for keys, m in zip(_RING_KEYS.values(), rows) for key in keys}
+    ring.update({key + "_e": n_a + m for key, n_a, m in
+                 zip(_RING_KEYS, (grid.n_ah, grid.n_ah, grid.n_am), rows)})
     for key, table in full.items():
         want = table[:ring[key]] if key in ring else table
         assert np.array_equal(part[key], want), (key, rows)
@@ -946,7 +1015,7 @@ def test_cohort_ring_matches_the_shift(spans_age, data):
     # layout holds no (m, n_a) table of it
     k = solver._kernel(params, grid, state.mode)
     if state.mode == "full":
-        assert ("ih_beta_c" in k) == params.beta_h.reads[0] != ("ih_beta" in k)
+        assert k["ih_beta_g"].ndim == (2 if params.beta_h.reads[0] else 1)
 
 
 def test_cohort_ring_rejects_underflowed_survival():
@@ -975,6 +1044,25 @@ def test_cohort_ring_rejects_underflowed_survival():
             ss.simulate(params, grid, state, t_end=0.3)
         with pytest.raises(ValueError, match="underflows"):
             ss.step(state, params, grid)
+
+
+def test_an_underflowed_age_factor_zeroes_cells():
+    # mortality 1e5 from age 0.3 on: the age factor into the fourth age row is
+    # exp(-5000) = 0.  Nothing is divided by an age factor, so a run carries
+    # its cohorts across the jump and every cell past it is exactly 0.
+    params = fast_params(mu_h=RateSpec.piecewise(0.3, 0.8, 1e5, Arity.AGE))
+    grid = fast_grid(0.1)
+    state = ss.default_initial(params, grid, 0.05, mode="full", infected_fraction_m=0.1)
+    state.i_h[1:3, :2] = 1.0                # cohorts that reach the jump within the run
+    state.r_h[2, :3] = 1.0
+    with np.errstate(divide="raise", invalid="raise"):     # no 0/0, no inf * 0
+        rows, fin = ss.simulate(params, grid, state, t_end=0.5, return_final=True)
+    assert all(np.isfinite(list(vars(row).values())).all() for row in rows)
+    assert rows[-1].total_i_h > 0.0
+    for name in ("s_h", "i_h", "r_h"):
+        field = getattr(fin, name)
+        assert np.all(np.isfinite(field)) and np.all(field[3:] == 0.0), name
+    assert np.any(fin.s_h[:3] > 0.0) and np.any(fin.i_h[:3] > 0.0)
 
 
 @given(_small_case(), st.integers(0, 4))
