@@ -181,8 +181,8 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
     channel = (None if part is None or aged
                else _rate_row([eval_rate(part, 0.0, taus)], slice(None), n_t))
     step, weight = step_factors((total, channel), (total, channel), delta)
-    k = {key + "_g": np.cumprod(np.concatenate(([1.0], step[:m - 1])))}
-    g = k[key + "_g"]
+    g = np.cumprod(np.concatenate(([1.0], step[:m - 1])))
+    k = {key + "_g": g}
     if beta is not None:
         # beta at the age-lag midpoint of each cell, in cohort coordinates [tau, x]
         if beta.reads[0]:
@@ -504,8 +504,14 @@ class _CohortRing:
         leaves the age axis becomes 0."""
         m = len(self.rows)
         if self.rows.ndim == 2 and self.e is None:
-            tau = np.arange(min(m, self.rows.shape[1]))
-            self.rows[(self.head + tau) % m, self.rows.shape[1] - 1 - tau] = 0.0
+            # the cell at offset n - 1 - tau of row tau, in each piece one
+            # strided run of the buffer: from row head for structure ages
+            # 0 .. m - head - 1, from row 0 for m - head .. m - 1
+            n, h = self.rows.shape[1], self.head
+            cells, step = self.rows.reshape(-1), max(n - 1, 1)
+            cells[h * n + n - 1::step][:min(m - h, n)] = 0.0
+            if h and m - h < n:
+                cells[n - 1 - (m - h)::step][:min(h, n - (m - h))] = 0.0
         elif self.rows.ndim == 2:
             # row tau takes e[x + tau + 1] at cohort offset x
             windows = np.lib.stride_tricks.sliding_window_view(self.e, self.rows.shape[1])
