@@ -175,12 +175,12 @@ def cmd_simulate(args, initial=None) -> int:
     disease-free state with ``--seed-fraction`` of the humans infected."""
     params, grid, name = _resolve(args)
     if initial is None:
-        init = default_initial(params, grid, args.seed_fraction, mode=args.mode)
-    else:
-        init = initial(params, grid)
+        def initial(params, grid):
+            return default_initial(params, grid, args.seed_fraction, mode=args.mode)
     manifest = RunManifest(sys.argv[1:], name, params, grid)
-    run = simulate(params, grid, init, args.t_end, output_every=args.output_every,
-                   snapshot=args.snapshot)
+    # the start state is not named here, so the run frees it once its rings hold it
+    run = simulate(params, grid, initial(params, grid), args.t_end,
+                   output_every=args.output_every, snapshot=args.snapshot)
     rows, digest = run if args.snapshot else (run, None)
     _write_rows_csv(args.out, rows)
     manifest.add_output(args.out)

@@ -138,10 +138,12 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
     pi_m = np.exp(-cumulative_to_centers(rate_table(params.mu_m, xis_m), d))
-    # beta_m exp(-cum) pi_m, formed in the cumulative's buffer
+    # beta_m exp(-cum) pi_m, formed in the cumulative's buffer; beta_m is
+    # sampled a block of offsets at a time, so its temporaries stay a block
     mosq_kernel = characteristic_cumulative(params.removal_rate("i_m"), xis_m, taus_m, d)
     np.exp(np.negative(mosq_kernel, out=mosq_kernel), out=mosq_kernel)
-    mosq_kernel *= lag_sample(params.beta_m, xis_m[:, None], taus_m[None, :])
+    for block in row_blocks(len(xis_m), len(taus_m)):
+        mosq_kernel[block] *= lag_sample(params.beta_m, xis_m[block, None], taus_m[None, :])
     mosq_kernel *= pi_m[:, None]
     # keep age + infection age within the truncated mosquito age span: row
     # xi holds infection ages below n_am - xi

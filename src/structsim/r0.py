@@ -99,6 +99,20 @@ def _survival_blocks(params: ModelParams, grid: Grid) -> Iterator[np.ndarray]:
         yield pi_h
 
 
+def _survival_sums(params: ModelParams, grid: Grid) -> tuple[float, float]:
+    """sum pi_h and sum pi_h^2 of :func:`_survival_blocks`, the squares of
+    every block formed in the first block's buffer; the blocks are dropped
+    on return."""
+    s1 = s2 = 0.0
+    squares = None
+    for pi_h in _survival_blocks(params, grid):
+        if squares is None:
+            squares = np.empty(len(pi_h))
+        s1 += float(np.sum(pi_h))
+        s2 += float(np.sum(np.multiply(pi_h, pi_h, out=squares[:len(pi_h)])))
+    return s1, s2
+
+
 def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
     """Human survival profile on the grid's age cells.  With constant mu_h it
     is exp(-mu_h a) on cell centers, and the last cell is an open age class
@@ -135,13 +149,7 @@ def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     sk = spectral_kernels(params, grid)
     n = float(grid.n_ah)
     if sk.eligible:
-        s1 = s2 = 0.0
-        squares = None        # pi_h^2 of every block in the first block's buffer
-        for pi_h in _survival_blocks(params, grid):
-            if squares is None:
-                squares = np.empty(len(pi_h))
-            s1 += float(np.sum(pi_h))
-            s2 += float(np.sum(np.multiply(pi_h, pi_h, out=squares[:len(pi_h)])))
+        s1, s2 = _survival_sums(params, grid)
         w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
         w0, w1 = w * n, w * s1
     else:

@@ -42,40 +42,51 @@ along the structure axis and e[y] the step factor of the terms that read
 age from age cell y - 1 to y, 0 from the end of the age axis on.  A run
 holds i_h, r_h and i_m as cohort rings, one row per structure age, each row
 the cells divided by G[tau]: a step writes one entry row and, where a
-removal term reads age, scales every other row by its window of e (row tau
-by e[x + tau + 1], a strided view of one vector), so a cell that leaves the
-age axis becomes 0; where none does, it sets that one cell of each row to
-0.  Nothing is divided by an age factor.  A ring holds the rows its run
+removal term reads age, scales every other row that can hold mass by its
+window of e (row tau by e[x + tau + 1], a strided view of one vector), so a
+cell that leaves the age axis becomes 0; where none does, it sets that one
+cell of each row to 0.  Nothing is divided by an age factor.  A ring holds the rows its run
 reaches: m = min(n, j + 1 + steps) with j the last structure-age column of
 the initial field holding mass and n the length of the structure axis, so
-the row a step drops is always empty.  A REDUCED human field has one
-cohort, so its rows are numbers, there are no age factors and G is C.
+the row a step drops is always empty; of those, rows below j + 1 + (steps
+so far) can hold mass, and no other row is scaled.  A REDUCED human field
+has one cohort, so its rows are numbers, there are no age factors and G is
+C.
 
 The kernel keeps G, the entry factors, e where age is read, and the weights
 a step contracts against the rows, each sampled on the axes it reads:
 (outflow weight) * G for a removal channel and beta * G for a pressure, as
 an m-vector, or as an (m, n_a) table when the weight reads age (a channel
-whose pool has a term that reads age; a beta that reads age).  It builds a
-weight table one structure-age row at a time, so no other table of a
-ring's size is formed.  A table of m rows is the leading m rows of the
-table of the whole axis, so each run builds its kernel once, for exactly
-the rows it reaches, and keeps it no longer than the run.  Ring rows head,
-head + 1, ... (mod m) hold structure ages 0, 1, ..., so a contraction
-with a table is two contiguous dot products, one on each side of the wrap,
-and the outflow into each age row sums a skewed diagonal of the same
-pieces through a strided view.  With an age axis, each ring row is summed
+whose pool has a term that reads age; a beta that reads age).  A weight
+table keeps only its rows from lo on, the first structure age whose move
+has a nonzero channel rate at either end (the rows before are exactly 0),
+so a channel that starts to remove at some infection or recovery age
+keeps no rows before it.  It builds a weight table one structure-age row
+at a time, so no other table of a ring's size is formed.  A table of m
+rows is the leading m rows of the table of the whole axis (a weight
+table's kept rows from lo on), so each run builds its kernel once, for
+exactly the rows it reaches, and keeps it no longer than the run.  Ring
+rows head, head + 1, ... (mod m) hold structure ages 0, 1, ..., so a
+contraction with a table is two contiguous dot products, one on each side
+of the wrap.  The outflow into each age row sums a skewed diagonal of the
+same pieces through a strided view, for weights on the structure axis; a
+weight table's kept rows are walked one at a time, each added at the age
+rows its cells arrive in.  With an age axis, each ring row is summed
 once per state; the cell sum is the dot product of those row sums with G,
 and a pressure whose beta reads no age their dot product with beta * G.
 Initial data enters a ring divided by G, read one structure-age
 column with mass at a time.  The seed of :func:`default_initial` is
 column-major (structure age major), so each such column is contiguous, its
 band is the leading cells of the buffer and the cells past the band are
-zero pages a run never touches; the band is formed as whole rows a block
-of age rows (``grids.row_blocks``) at a time, so it is bit for bit the
-row-major seed.  A field is rebuilt from its ring into one array when a
-run returns its state, and straight into the file, in the same row blocks,
-when a run writes its final state as a snapshot; the run drops its weight
-tables before that write.
+zero pages a run never touches; the band, its factors included, is formed
+as whole rows a block of age rows (``grids.row_blocks``) at a time, so it
+is bit for bit the row-major seed and no table of the band's size is
+built.  Once the rings hold the initial state, a run drops its own
+reference to it, so a seed that no caller keeps (the CLI's) is freed
+before the first step.  A field is rebuilt from its ring into one array
+when a run returns its state, and straight into the file, in the same row
+blocks, when a run writes its final state as a snapshot; the run drops its
+weight tables before that write.
 
 A run computes N_h, the two pressures and the infected-human total of each
 state once; the step that leaves the state and the observables sampled at
@@ -161,7 +172,12 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
     outflow weights times G (the weight of the cell that moves from
     ``(tau, x)``) and the entry cell's weights; with a transmission
     probability ``beta``, beta * G.  A weight or beta is an m-vector where
-    it reads no age and an ``(m, n_a)`` table where it does.  ``removal``
+    it reads no age and a table on ``(structure age, n_a)`` where it does.
+    A weight table keeps its rows from ``lo`` on (``<key>_out_lo``), the
+    first structure age whose move has a nonzero channel rate at either end:
+    the rows before are exactly 0, the channel's share of a removal it takes
+    no part in.  It has ``m - lo`` rows, none when the channel removes
+    nowhere in the ring's reach.  ``removal``
     are the rates whose sum is the field's removal rate, each reading at
     most one axis; ``ages`` is the field's age axis (0.0 for a field
     without one, which has one cohort).
@@ -170,7 +186,7 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
     structure ages, or ``m + 1`` with a channel (the weight of row
     ``m - 1`` reads step row ``m``), or the whole axis when it is shorter.
     A weight table is built one structure-age row at a time, so the only
-    ``(m, n_a)`` arrays are the tables kept."""
+    arrays on the age axis of a ring's size are the tables kept."""
     n_t = min(m + (part is not None), len(axis))
     taus = axis[:n_t]
     aged = np.ndim(ages) == 1 and any(spec.reads[0] for spec in removal)
@@ -214,18 +230,22 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
         """Row ``t`` of the removal rate and of the channel's rate."""
         return tuple(None if s is None else _rate_row(s, t, n) for s in samples)
 
-    prev = rates(0)
-    k[key + "_entry"], out0 = entry_factors(*prev, delta)
+    k[key + "_entry"], out0 = entry_factors(*rates(0), delta)
     if part is None:
         return k
-    k[key + "_out0"], out = out0, np.zeros((m, n))
-    k[key + "_out_g"] = out
-    for t in range(1, min(n_t, n)):
+    # a move's weights are 0 where the channel's rate is 0 at both of its
+    # ends: lo is the first move the channel takes from, m when none is
+    first = next((t for t in range(min(n_t, n)) if np.any(rates(t)[1])), m + 1)
+    lo = max(first - 1, 0)
+    k[key + "_out0"], k[key + "_out_lo"] = out0, lo
+    k[key + "_out_g"] = out = np.zeros((m - lo, n))
+    moves = range(lo + 1, min(n_t, n))
+    cur = rates(lo) if moves else None
+    for t in moves:
         # the cells of row t - 1 that move to row t: cohort offsets x < n - t
-        cur = rates(t)
+        prev, cur = cur, rates(t)
         weight = step_factors(prev, cur, delta, slice(t - 1, -1), slice(t, None))[1]
-        np.multiply(weight, g[t - 1], out=out[t - 1, :n - t])
-        prev = cur
+        np.multiply(weight, g[t - 1], out=out[t - 1 - lo, :n - t])
     return k
 
 
@@ -347,19 +367,23 @@ def _band_profile(removal, ages: np.ndarray, taus: np.ndarray, d: float,
     the process never touches.  Each block of age rows (``row_blocks``) is
     formed as whole rows in one zeroed row-major buffer, so its row norms
     are the sums of the rows of a row-major seed; only the scaled band is
-    copied into the profile."""
+    copied into the profile.  The factors are sampled a block at a time,
+    on the block's ages and the age row before it (a step factor carries a
+    cohort from ``(tau - 1, a - 1)``), so they are the whole band's bit for
+    bit and no table of the band's size is formed."""
     nb = int(np.count_nonzero(taus <= SEED_TAU_BAND + 1e-12))    # taus increase
     prof = np.zeros((len(ages), len(taus)), order="F")
     if nb == 0:
         return prof
-    entry, step = decay_factors(rate_table(removal, ages, taus[:nb, None]), d)
-    survival = np.cumprod(step, axis=0).T
     blocks = row_blocks(len(ages), len(taus))
     buffer = np.zeros((blocks[0].stop, len(taus)))
     for rows in blocks:
         block = buffer[:rows.stop - rows.start]
         band = block[:, :nb]
-        np.multiply(entry[rows, None], survival[rows], out=band)
+        lead = min(rows.start, 1)       # the age row before the block, if any
+        entry, step = decay_factors(
+            rate_table(removal, ages[rows.start - lead:rows.stop], taus[:nb, None]), d)
+        np.multiply(entry[lead:, None], np.cumprod(step, axis=0)[:, lead:].T, out=band)
         band *= taus[None, :nb] <= ages[rows, None] + 1e-12
         norms = np.sum(block, axis=1) * d
         np.divide(band, norms[:, None], out=band, where=norms[:, None] > 0)
@@ -446,7 +470,8 @@ class _CohortRing:
     tau) mod m`` holds the cells of structure age ``tau`` divided by
     ``G[tau]`` (see the module docstring), and is 0 past the age axis.
     ``m`` is the number of rows the run reaches, the rows of the kernel's
-    tables, so the oldest row is empty whenever a step drops it.  A field
+    tables, so the oldest row is empty whenever a step drops it; only the
+    ``filled`` rows of the lowest structure ages can hold mass.  A field
     with no age axis (the REDUCED human fields) has one cohort, so a row is
     one number.
     ``pool`` names the field; the kernel keys of its tables drop the
@@ -458,6 +483,10 @@ class _CohortRing:
         self.g, self.e, self.beta, self.out = (
             k.get(key + name) for name in ("_g", "_e", "_beta_g", "_out_g"))
         self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
+        self.lo = k.get(key + "_out_lo", 0)
+        # the structure ages that can hold mass: below the last column with
+        # mass, plus one, plus the steps so far
+        self.filled = int(columns[-1]) + 1 if len(columns) else 0
         m = len(self.g)
         self.rows = np.zeros((m, *field.shape[:-1]))
         self.dots, self.ones = None, np.ones(field.shape[0]) if field.ndim == 2 else None
@@ -476,11 +505,14 @@ class _CohortRing:
             raise ValueError(f"initial {pool} is nonzero where its survival product "
                              "underflows; the cohort ring cannot hold it")
 
-    def _pieces(self, table: np.ndarray):
+    def _pieces(self, table: np.ndarray, stop: int | None = None):
         """``(table rows, ring rows)`` for structure ages ``0 .. m - head - 1``
-        and ``m - head .. m - 1``: each pair contiguous and aligned."""
+        and ``m - head .. m - 1``, each below ``stop`` (default ``m``): each
+        pair contiguous and aligned."""
         m, h = len(self.rows), self.head
-        return (table[:m - h], self.rows[h:]), (table[m - h:], self.rows[:h])
+        stop = m if stop is None else stop
+        return ((table[:min(m - h, stop)], self.rows[h:h + stop]),
+                (table[m - h:stop], self.rows[:max(stop - (m - h), 0)]))
 
     def _dot(self, table: np.ndarray) -> float:
         (t0, r0), (t1, r1) = self._pieces(table)
@@ -500,8 +532,8 @@ class _CohortRing:
     def push(self, inflow) -> None:
         """One step: every held cohort moves one cell, and the oldest cohort
         row becomes the newest entry row.  With an age axis each cell of a
-        row takes the age factor of the cell it moves to, and a cell that
-        leaves the age axis becomes 0."""
+        row that can hold mass takes the age factor of the cell it moves
+        to, and a cell that leaves the age axis becomes 0."""
         m = len(self.rows)
         if self.rows.ndim == 2 and self.e is None:
             # the cell at offset n - 1 - tau of row tau, in each piece one
@@ -513,12 +545,14 @@ class _CohortRing:
             if h and m - h < n:
                 cells[n - 1 - (m - h)::step][:min(h, n - (m - h))] = 0.0
         elif self.rows.ndim == 2:
-            # row tau takes e[x + tau + 1] at cohort offset x
+            # row tau takes e[x + tau + 1] at cohort offset x; the rows past
+            # the filled ones hold no mass
             windows = np.lib.stride_tricks.sliding_window_view(self.e, self.rows.shape[1])
-            for e, rows in self._pieces(windows[1:]):
+            for e, rows in self._pieces(windows[1:], self.filled):
                 rows *= e
         self.head = (self.head - 1) % m
         self.rows[self.head] = inflow * self.entry
+        self.filled = min(self.filled + 1, m)
         self.dots = None
 
     def sum(self) -> float:
@@ -537,21 +571,34 @@ class _CohortRing:
         """Mass the removal channel takes during a step from the cohorts that
         move one cell (the entering cohort's share is the caller's).  With an
         age axis it is counted by the age row the cohorts arrive in: a sum
-        along each skewed diagonal of the weighted ring.  A weight table is 0
-        at a cell that leaves the age axis; weights on the structure axis
-        alone skip that cell, which a skewed diagonal of the first piece
-        reaches into age row 1 only.  Cells past the axis are 0."""
+        along each skewed diagonal of the weighted ring.  A weight table
+        holds the rows of structure ages ``lo .. m - 1``, each walked on its
+        own: the cells of row tau that stay on the age axis arrive in age
+        rows ``tau + 1 ..``, and each ring piece is summed apart before it
+        joins the mass, in the order of a sum along its skewed diagonals.
+        Weights on the structure axis alone skip the cell that leaves the
+        age axis, which a skewed diagonal of the first piece reaches into
+        age row 1 only.  Cells past the axis are 0."""
         if self.rows.ndim == 1:
             return self._dot(self.out)
         m, n_a = self.rows.shape
         mass = np.zeros(n_a)
+        if self.out.ndim == 2:
+            piece, cells = np.empty(n_a), np.empty(n_a)
+            for start, stop in ((0, m - self.head), (m - self.head, m)):
+                piece[:] = 0.0
+                for tau in range(max(start, self.lo), min(stop, self.filled, n_a - 1)):
+                    live = n_a - 1 - tau
+                    np.multiply(self.out[tau - self.lo, :live],
+                                self.rows[(self.head + tau) % m, :live], out=cells[:live])
+                    piece[tau + 1:] += cells[:live]
+                mass += piece
+            return mass
         for tau0, (w, rows) in zip((0, m - self.head), self._pieces(self.out)):
             width = n_a - 1 - tau0         # arrivals in age rows 1 + tau0 .. n_a - 1
             if not len(w) or width <= 0:
                 continue
-            if w.ndim == 2:
-                mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
-            elif tau0:
+            if tau0:
                 mass[1 + tau0:] += np.einsum("i,ij->j", w, _skew(rows, width))
             else:
                 mass[1] += w[0] * rows[0, 0]
@@ -847,18 +894,23 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
 
     ``init`` must have the grid's shapes, finite values >= 0 and zeros where
     structure age exceeds age; ValueError otherwise, and also when an
-    observable is not finite.  Deterministic for fixed inputs.
+    observable is not finite.  It is left as it is; the run drops its own
+    reference once its rings hold the start state, so a start state that
+    no caller keeps is freed before the first step.  Deterministic for
+    fixed inputs.
     """
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     if return_final and snapshot is not None:
         raise ValueError("a run returns its final state or writes it to a snapshot, not both")
     n_steps = int(round(t_end / grid.delta))
+    t0 = init.t
     state, k, buf = _start(init, params, grid, n_steps)
+    del init        # the rings hold it: a start state no caller keeps is freed here
     rows = [observe(state, params, grid, (*buf["sums"], buf["i_m"].sum()))]
     for n in range(1, n_steps + 1):
         _step_inplace(state, params, grid, k, buf)
-        state.t = n * grid.delta + init.t   # avoid accumulated float drift
+        state.t = n * grid.delta + t0       # avoid accumulated float drift
         if n % output_every == 0 or n == n_steps:
             rows.append(observe(state, params, grid, (*buf["sums"], buf["i_m"].sum())))
     if snapshot is not None:

@@ -4,13 +4,14 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import structsim as ss
-from structsim import bifurcation, cli
+from structsim import bifurcation, cli, solver
 from structsim.cli import main
 from structsim.manifest import RunManifest
 
@@ -262,6 +263,31 @@ def test_simulate_csv_and_manifest(tmp_path):
     args2[args2.index(snap)] = str(tmp_path / "final2.bin")
     assert main(args2) == 0
     assert open(out, "rb").read() == open(out2, "rb").read()
+
+
+def test_simulate_frees_its_seed_before_the_first_step(tmp_path):
+    # the command hands the seed to the run without keeping it, so a
+    # full-mode seed is gone once the rings hold it
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(GOOD_CONFIG)
+    refs, freed = [], []
+    seed, step = cli.default_initial, solver._step_inplace
+
+    def kept_seed(*args, **kwargs):
+        init = seed(*args, **kwargs)
+        refs.append(weakref.ref(init.i_h))
+        return init
+
+    def checked(*args):
+        freed.append(refs[0]() is None)
+        step(*args)
+
+    with mock.patch.object(cli, "default_initial", kept_seed), \
+            mock.patch.object(solver, "_step_inplace", checked):
+        assert main(["simulate", "--config", str(cfg), "--a-max-h", "2", "--mode", "full",
+                     "--t-end", "0.02", "--out", str(tmp_path / "run.csv"),
+                     "--snapshot", str(tmp_path / "final.bin"), "--quiet"]) == 0
+    assert freed and all(freed)
 
 
 @pytest.mark.parametrize("mode", ["full", "reduced"])

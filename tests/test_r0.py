@@ -236,6 +236,34 @@ def test_backward_queries_peak_below_their_bounds(routine, bound_mib):
     assert peak <= bound_mib * 2 ** 20, f"{routine} peaked at {peak / 2 ** 20:.2f} MiB"
 
 
+@pytest.mark.parametrize("routine", ["power_iteration_r0", "build_reduced_kernels",
+                                     "dominant_growth_rate"])
+def test_eligible_routines_sample_beta_m_in_row_blocks(routine):
+    # on the backward preset the mosquito kernel (300 x 300 cells, 0.69 MiB)
+    # is the largest table of these routines.  Its removal cumulative needs
+    # one more table while it is formed (1.39 MiB); beta_m (gauss_exp) is
+    # sampled a block of offsets at a time, so it adds a few block-sized
+    # temporaries, not the 2.2 MiB of whole-table ones
+    params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
+    run = {"power_iteration_r0": power_iteration_r0,
+           "build_reduced_kernels": build_reduced_kernels,
+           "dominant_growth_rate": dominant_growth_rate}[routine]
+    spectral_kernels.cache_clear()
+    build_reduced_kernels.cache_clear()
+    tracemalloc.start()
+    try:
+        run(params, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * 2 ** 20, f"{routine} peaked at {peak / 2 ** 20:.2f} MiB"
+    spectral_kernels.cache_clear()
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", 8 * 300 * 7 + 5):   # ragged blocks
+        sk = spectral_kernels(params, grid)
+    spectral_kernels.cache_clear()
+    assert np.array_equal(sk.mosq_kernel, _where_mosquito_kernel(params, grid))
+
+
 _BLOCK_SIZES = (1 << 20, 1 << 18, 8 * 120 * 37 + 5)   # the last ragged on every axis
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -233,6 +234,26 @@ def test_full_mode_seed_touches_only_its_band():
     grown, field_bytes = map(int, out.split())
     assert field_bytes == 50_000 * 400 * 8
     assert grown < field_bytes / 4, f"seeding grew the resident set by {grown / 1e6:.1f} MB"
+
+
+@given(case=st.deferred(lambda: _small_case()), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_seed_band_in_row_blocks_is_the_whole_band_rule(case, data):
+    # the seed's factors sampled a few age rows at a time, each block with the
+    # age row before it, give the whole band's profile bit for bit: with a
+    # mortality that reads age, with block edges inside the seed triangle and
+    # with bands from one column to the whole structure axis
+    params, grid, _ = case
+    d, removal = grid.delta, params.removal_rate("i_h")
+    band = data.draw(st.integers(1, grid.n_th)) * d
+    mass = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        0.0, 2.0, grid.n_ah)
+    block = 8 * grid.n_th * data.draw(st.integers(1, 3))      # 1 to 3 age rows
+    with mock.patch.object(solver, "SEED_TAU_BAND", band), \
+            mock.patch.object(grids, "ROW_BLOCK_BYTES", block):
+        got = solver._band_profile(removal, grid.ages_h, grid.taus_h, d, mass)
+        want = _row_major_band(removal, grid.ages_h, grid.taus_h, d, mass)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -654,15 +675,25 @@ def _age_products(k, key, m, n_a):
     return prod
 
 
+def _padded_weights(k, key, m):
+    """A ring's ``(m, n_a)`` outflow-weight table: the rows it keeps, from
+    structure age ``lo`` on, after the ``lo`` zero rows it does not keep."""
+    kept, lo = k[key + "_out_g"], k[key + "_out_lo"]
+    assert kept.shape[0] == max(m - lo, 0), (key, kept.shape, lo)
+    return np.concatenate((np.zeros((min(lo, m), kept.shape[1])), kept))
+
+
 def _factored_tables(k, key, m, ages):
     """C, beta * C and the outflow weights times C of a ring, formed from
     its factored tables: G, the age factors and the weights and beta times
     G.  A weight on the structure axis alone applies to no cell that leaves
-    the age axis."""
+    the age axis; a weight table keeps its rows from ``lo`` on."""
     tables = {"_c": k[key + "_g"], "_beta_c": k.get(key + "_beta_g"),
               "_out_c": k.get(key + "_out_g")}
     if np.ndim(ages) == 0:
         return {key + name: t for name, t in tables.items() if t is not None}
+    if np.ndim(tables["_out_c"]) == 2:
+        tables["_out_c"] = _padded_weights(k, key, m)
     n_a = len(ages)
     prod = _age_products(k, key, m, n_a)
     stays = np.arange(n_a)[None, :] < n_a - 1 - np.arange(m)[:, None]
@@ -742,12 +773,37 @@ def test_only_a_channel_of_an_age_reading_pool_keeps_an_age_table():
     params, grid = _age_config()
     k = solver._kernel(params, grid, "full", (30, 10, 10))
     wide = {key: v.shape for key, v in k.items() if np.ndim(v) == 2 and grid.n_ah in v.shape}
-    assert wide == {"ih_out_g": (30, grid.n_ah), "rh_out_g": (10, grid.n_ah)}
+    # kept from structure age lo = 19 on, where the channels start to remove
+    assert wide == {"ih_out_g": (30 - 19, grid.n_ah), "rh_out_g": (0, grid.n_ah)}
+    assert (k["ih_out_lo"], k["rh_out_lo"]) == (19, 10)
     assert sorted(key for key in k if key.endswith("_e")) == ["ih_e", "rh_e"]
     params, grid = ss.preset("backward"), ss.preset_grid("backward")
     k = solver._kernel(params, grid, "full", (30, 10, 10))
     assert not [key for key, v in k.items() if np.ndim(v) == 2 and grid.n_ah in v.shape]
     assert not [key for key in k if key.endswith("_e")]
+
+
+def test_a_weight_table_keeps_its_rows_from_the_first_move_its_channel_takes():
+    # on the benchmark's age config recovery and immunity loss start at
+    # structure age 0.1: of the 31 rows a run reaches, ih_out_g keeps rows
+    # 19 .. 30, and r_h, whose run reaches 10 rows, keeps none
+    params, grid = _age_config()
+    k = solver._kernel(params, grid, "full", (31, 10, 10))
+    assert (k["ih_out_lo"], k["ih_out_g"].shape) == (19, (12, grid.n_ah))
+    assert (k["rh_out_lo"], k["rh_out_g"].shape) == (10, (0, grid.n_ah))
+    assert np.any(k["ih_out_g"][0] > 0.0)
+    # a channel that removes from tau = 0 keeps its whole table, one that
+    # removes nowhere on the reach keeps none; the kept rows after the
+    # dropped zero rows are the whole-table rule's
+    params = fast_params(**_AGE_BETA, gamma_h=RateSpec.constant(2.0, Arity.TAU_ONLY),
+                         k_h=RateSpec.piecewise(5.0, 0.0, 1.5, Arity.ETA_ONLY))
+    grid = fast_grid(0.05)
+    n = (grid.n_th, grid.n_eta, grid.n_tm)
+    for rows in [(1, 1, 1), (2, 5, 3), n]:
+        k = solver._kernel(params, grid, "full", rows)
+        assert (k["ih_out_lo"], k["ih_out_g"].shape) == (0, (rows[0], grid.n_ah))
+        assert (k["rh_out_lo"], k["rh_out_g"].shape) == (rows[1], (0, grid.n_ah))
+        _assert_streamed_tables(params, grid, "full", rows, rtol=1e-12)
 
 
 def test_full_kernel_build_peaks_at_its_tables():
@@ -818,7 +874,17 @@ def _assert_prefix_tables(params, grid, mode, rows):
     ring = {key: m for keys, m in zip(_RING_KEYS.values(), rows) for key in keys}
     ring.update({key + "_e": n_a + m for key, n_a, m in
                  zip(_RING_KEYS, (grid.n_ah, grid.n_ah, grid.n_am), rows)})
+    whole = {"ih": grid.n_th, "rh": grid.n_eta}
     for key, table in full.items():
+        if key.endswith("_out_g") and table.ndim == 2:
+            # a weight table keeps its rows from lo on: compare them in place
+            m, pool = ring[key], key[:2]
+            assert part[pool + "_out_lo"] == min(full[pool + "_out_lo"], m), (key, rows)
+            table, got = _padded_weights(full, pool, whole[pool])[:m], _padded_weights(part, pool, m)
+            assert np.array_equal(got, table), (key, rows)
+            continue
+        if key.endswith("_out_lo"):
+            continue                # compared with its table
         want = table[:ring[key]] if key in ring else table
         assert np.array_equal(part[key], want), (key, rows)
 
@@ -868,6 +934,35 @@ def test_a_finished_run_holds_no_kernel():
     finally:
         tracemalloc.stop()
     assert held < 64e3, f"a finished run left {held / 1e3:.0f} KB allocated"
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_a_run_frees_a_start_state_only_it_holds(mode):
+    # once the rings hold the start state the run drops it: a seed handed
+    # over unnamed is freed before the first step, and a start state the
+    # caller keeps comes back as it was
+    params, grid = fast_params(), fast_grid(0.05)
+    refs, freed = [], []
+    step = solver._step_inplace
+
+    def seed():
+        init = ss.default_initial(params, grid, 0.01, mode=mode, infected_fraction_m=0.1)
+        refs.append(weakref.ref(init.i_h))
+        return init
+
+    def checked(*args):
+        freed.append(refs[0]() is None)
+        step(*args)
+
+    with mock.patch.object(solver, "_step_inplace", checked):
+        ss.simulate(params, grid, seed(), t_end=3 * grid.delta)
+    assert freed == [True] * 3
+    init = seed()
+    kept = init.copy()
+    ss.simulate(params, grid, init, t_end=3 * grid.delta, return_final=True)
+    assert init.t == kept.t
+    for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+        assert np.array_equal(getattr(init, name), getattr(kept, name)), name
 
 
 def test_reduced_kernel_builds_no_human_age_table():
@@ -1017,6 +1112,46 @@ def test_cohort_ring_matches_the_shift(spans_age, data):
     k = solver._kernel(params, grid, state.mode)
     if state.mode == "full":
         assert k["ih_beta_g"].ndim == (2 if params.beta_h.reads[0] else 1)
+
+
+def _skewed(rows, width):
+    """The view ``v[i, j] = rows[i, j - i]`` of a C-contiguous block of rows."""
+    step_i, step_j = rows.strides
+    return np.lib.stride_tricks.as_strided(rows, (len(rows), width), (step_i - step_j, step_j),
+                                           writeable=False)
+
+
+def _einsum_outflow(ring, weights):
+    """A ring's outflow by its whole ``(m, n_a)`` weight table, summed along
+    the skewed diagonals of each ring piece: the rule the walk over the kept
+    rows replaced."""
+    m, n_a = ring.rows.shape
+    h = ring.head
+    mass = np.zeros(n_a)
+    for tau0, w, rows in ((0, weights[:m - h], ring.rows[h:]),
+                          (m - h, weights[m - h:], ring.rows[:h])):
+        width = n_a - 1 - tau0
+        if len(w) and width > 0:
+            mass[1 + tau0:] += np.einsum("ij,ij->j", _skewed(w, width), _skewed(rows, width))
+    return mass
+
+
+@given(case=_small_case(), n_steps=st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_outflow_walks_the_kept_weight_rows(case, n_steps):
+    # a weight table keeps its rows from lo on and outflow walks them one at
+    # a time: bit for bit the skewed-diagonal sums of the whole table, at
+    # every state of a run, as the ring's head wraps and its rows fill
+    params, grid, state = case
+    assume(state.mode == "full" and params.mu_h.reads[0])
+    run, k, buf = solver._start(state, params, grid, n_steps)
+    for n in range(n_steps + 1):
+        for pool in ("i_h", "r_h"):
+            ring, key = buf[pool], pool.replace("_", "")
+            weights = _padded_weights(k, key, len(ring.rows))
+            assert np.array_equal(ring.outflow(), _einsum_outflow(ring, weights)), (pool, n)
+        if n < n_steps:
+            solver._step_inplace(run, params, grid, k, buf)
 
 
 def test_cohort_ring_rejects_underflowed_survival():
