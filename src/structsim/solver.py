@@ -45,13 +45,13 @@ the cells divided by G[tau]: a step writes one entry row and, where a
 removal term reads age, scales every other row that can hold mass by its
 window of e (row tau by e[x + tau + 1], a strided view of one vector), so a
 cell that leaves the age axis becomes 0; where none does, it sets that one
-cell of each row to 0.  Nothing is divided by an age factor.  A ring holds the rows its run
-reaches: m = min(n, j + 1 + steps) with j the last structure-age column of
-the initial field holding mass and n the length of the structure axis, so
-the row a step drops is always empty; of those, rows below j + 1 + (steps
-so far) can hold mass, and no other row is scaled.  A REDUCED human field
-has one cohort, so its rows are numbers, there are no age factors and G is
-C.
+cell of each row to 0.  Nothing is divided by an age factor.  A ring holds
+the rows its run reaches: m = min(n, j + 1 + steps) with j the last
+structure-age column of the initial field holding mass and n the length of
+the structure axis, so the row a step drops is always empty; of those, the
+rows below j + 1 + (steps so far) can hold mass, and no other row is
+scaled.  A REDUCED human field has one cohort, so its rows are numbers,
+there are no age factors and G is C.
 
 The kernel keeps G, the entry factors, e where age is read, and the weights
 a step contracts against the rows, each sampled on the axes it reads:

@@ -866,8 +866,9 @@ _RING_KEYS = {"ih": ("ih_g", "ih_beta_g", "ih_out_g"), "rh": ("rh_g", "rh_out_g"
 
 def _assert_prefix_tables(params, grid, mode, rows):
     """A kernel built for ``rows`` structure ages of (i_h, r_h, i_m) holds
-    the leading rows of every ring table of the whole-axis build, the
-    leading ``n_a + m`` age factors, and the same other tables."""
+    the leading rows of every ring table of the whole-axis build (of a
+    weight table, after the zero rows it does not keep), the leading
+    ``n_a + m`` age factors, and the same other tables."""
     full = solver._kernel(params, grid, mode)
     part = solver._kernel(params, grid, mode, rows)
     assert part.keys() == full.keys()
@@ -880,8 +881,8 @@ def _assert_prefix_tables(params, grid, mode, rows):
             # a weight table keeps its rows from lo on: compare them in place
             m, pool = ring[key], key[:2]
             assert part[pool + "_out_lo"] == min(full[pool + "_out_lo"], m), (key, rows)
-            table, got = _padded_weights(full, pool, whole[pool])[:m], _padded_weights(part, pool, m)
-            assert np.array_equal(got, table), (key, rows)
+            want = _padded_weights(full, pool, whole[pool])[:m]
+            assert np.array_equal(_padded_weights(part, pool, m), want), (key, rows)
             continue
         if key.endswith("_out_lo"):
             continue                # compared with its table
