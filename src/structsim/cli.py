@@ -23,7 +23,7 @@ from .bifurcation import (bifurcation_constant, build_reduced_kernels, direction
                           trace_branch)
 from .characteristics import dominant_growth_rate, g_of_lambda
 from .config import ConfigError, load_config
-from .grids import Grid, default_grid
+from .grids import Grid, default_grid, whole_steps
 from .manifest import RunManifest
 from .params import PRESET_NAMES, ModelParams, preset, validate
 from .plots import render_svg
@@ -143,11 +143,9 @@ def cmd_validate(args) -> int:
 def cmd_r0(args) -> int:
     params, grid, _ = _resolve(args)
     method = args.method
-    rep = r0_closed_form(params, grid)
-    lines = [rep.format_text()] if method in ("closed", "all") else []
-    if method in ("power", "all"):
-        rep = power_iteration_r0(params, grid)
-        lines = [rep.format_text()]
+    # the power-iteration report carries the closed form too
+    rep = (power_iteration_r0 if method in ("power", "all") else r0_closed_form)(params, grid)
+    lines = [] if method == "reduced" else [rep.format_text()]
     if method in ("reduced", "all") and params.reduced_mode_eligible:
         red = r0_reduced(params, grid)
         lines.append(f"r0 squared (reduced)        {red!r}")
@@ -172,8 +170,12 @@ def cmd_growth_rate(args) -> int:
 
 def cmd_simulate(args, initial=None) -> int:
     """``initial(params, grid)`` prepares the start state; by default the
-    disease-free state with ``--seed-fraction`` of the humans infected."""
+    disease-free state with ``--seed-fraction`` of the humans infected.
+    ``--t-end`` must be a whole number of grid steps."""
     params, grid, name = _resolve(args)
+    if whole_steps(args.t_end, grid.delta) is None:
+        raise SystemExit2(f"--t-end {args.t_end:g} is not a whole number of grid steps "
+                          f"(delta = {grid.delta:g})")
     if initial is None:
         def initial(params, grid):
             return default_initial(params, grid, args.seed_fraction, mode=args.mode)

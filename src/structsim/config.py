@@ -54,6 +54,17 @@ _SCALAR_ARITY = {
     "k_h": Arity.ETA_ONLY,
 }
 
+# each rate kind: its constructor and the names of its arguments, as the
+# argument-count error names them
+_RATE_FORMS = {
+    "constant": (RateSpec.constant, "c"),
+    "piecewise": (RateSpec.piecewise, "threshold", "low", "high"),
+    "gauss": (RateSpec.gauss, "amplitude", "center", "width"),
+    "gauss_exp": (RateSpec.gauss_exp, "amplitude", "center", "width", "decay"),
+    "table": (RateSpec.table, "path"),
+}
+_COUNTS = {1: "one argument", 3: "three arguments", 4: "four arguments"}
+
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*\(\s*(.*?)\s*\)\s*$")
 
 
@@ -100,38 +111,25 @@ def _parse_rate(name: str, value: str, line: int, base_dir: str) -> RateSpec:
         raise ConfigError(f"rate {name} must look like kind(args), got {value!r}", line)
     kind, argstr = m.group(1), m.group(2)
     args = [a.strip() for a in argstr.split(",")] if argstr else []
+    if kind not in _RATE_FORMS:
+        raise ConfigError(f"unknown rate kind {kind!r}", line)
+    build, *names = _RATE_FORMS[kind]
+    if len(args) != len(names):
+        raise ConfigError(f"{kind}({', '.join(names)}) takes {_COUNTS[len(names)]}", line)
+    if kind == "gauss_exp" and name != "beta_m":
+        raise ConfigError("gauss_exp is only supported for beta_m", line)
     try:
-        if kind == "constant":
-            if len(args) != 1:
-                raise ConfigError("constant(c) takes one argument", line)
-            return RateSpec.constant(_parse_number(args[0], line), _SCALAR_ARITY[name])
-        if kind == "piecewise":
-            if len(args) != 3:
-                raise ConfigError("piecewise(threshold, low, high) takes three arguments", line)
-            return RateSpec.piecewise(*(_parse_number(a, line) for a in args),
-                                      arity=_SCALAR_ARITY[name])
-        if kind == "gauss":
-            if len(args) != 3:
-                raise ConfigError("gauss(amplitude, center, width) takes three arguments", line)
-            return RateSpec.gauss(*(_parse_number(a, line) for a in args),
-                                  arity=_SCALAR_ARITY[name])
-        if kind == "gauss_exp":
-            if len(args) != 4:
-                raise ConfigError(
-                    "gauss_exp(amplitude, center, width, decay) takes four arguments", line)
-            if name != "beta_m":
-                raise ConfigError("gauss_exp is only supported for beta_m", line)
-            return RateSpec.gauss_exp(*(_parse_number(a, line) for a in args))
         if kind == "table":
-            if len(args) != 1:
-                raise ConfigError("table(path) takes one argument", line)
             xs, ys = _read_table(os.path.join(base_dir, args[0]), line)
-            return RateSpec.table(xs, ys, _SCALAR_ARITY[name])
+            return build(xs, ys, _SCALAR_ARITY[name])
+        numbers = [_parse_number(a, line) for a in args]
+        if kind == "gauss_exp":     # reads both of its variables
+            return build(*numbers)
+        return build(*numbers, arity=_SCALAR_ARITY[name])
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc), line) from None
-    raise ConfigError(f"unknown rate kind {kind!r}", line)
 
 
 def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | None]:

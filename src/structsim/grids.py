@@ -17,7 +17,8 @@ Each of these rules is defined here only: survival along a characteristic,
 trapezoid factors and channel outflow weights of ``step_factors`` and
 ``entry_factors`` (``decay_factors`` pads them into one table); the
 transmission sample ``lag_sample`` at the age-lag midpoint of a diagonal
-cell; and the block rule ``row_blocks``.  No survival table is kept; each
+cell; the block rule ``row_blocks``; and ``whole_steps``, the rule that an
+extent is a whole number of steps.  No survival table is kept; each
 consumer builds the factors it reads from a rate table (``rate_table``).
 """
 
@@ -32,12 +33,20 @@ import numpy as np
 from .rates import eval_rate, rate_table
 
 
-def _check_multiple(name: str, extent: float, delta: float) -> int:
+def whole_steps(extent: float, delta: float) -> int | None:
+    """``extent / delta`` rounded to a whole number of steps, or None when it
+    is more than 1e-9 relative from one or is not finite."""
     n = extent / delta
-    n_round = round(n) if math.isfinite(n) else 0
-    if n_round < 1 or abs(n - n_round) > 1e-9 * max(1.0, n):
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        return None
+    return int(round(n))
+
+
+def _check_multiple(name: str, extent: float, delta: float) -> int:
+    n = whole_steps(extent, delta)
+    if n is None or n < 1:
         raise ValueError(f"{name}={extent} is not a positive integer multiple of delta={delta}")
-    return int(n_round)
+    return n
 
 
 @dataclass(frozen=True)

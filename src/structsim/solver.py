@@ -69,9 +69,9 @@ exactly the rows it reaches, and keeps it no longer than the run.  Ring
 rows head, head + 1, ... (mod m) hold structure ages 0, 1, ..., so a
 contraction with a table is two contiguous dot products, one on each side
 of the wrap.  The outflow into each age row sums a skewed diagonal of the
-same pieces through a strided view, for weights on the structure axis; a
-weight table's kept rows are walked one at a time, each added at the age
-rows its cells arrive in.  With an age axis, each ring row is summed
+same pieces, weights and rows both through strided views, with one rule
+for both shapes of weights: a table's kept rows, or a vector broadcast
+along the age axis.  With an age axis, each ring row is summed
 once per state; the cell sum is the dot product of those row sums with G,
 and a pressure whose beta reads no age their dot product with beta * G.
 Initial data enters a ring divided by G, read one structure-age
@@ -505,17 +505,21 @@ class _CohortRing:
             raise ValueError(f"initial {pool} is nonzero where its survival product "
                              "underflows; the cohort ring cannot hold it")
 
-    def _pieces(self, table: np.ndarray, stop: int | None = None):
-        """``(table rows, ring rows)`` for structure ages ``0 .. m - head - 1``
-        and ``m - head .. m - 1``, each below ``stop`` (default ``m``): each
-        pair contiguous and aligned."""
+    def _pieces(self, table: np.ndarray, stop: int | None = None, lo: int = 0):
+        """``(tau0, table rows, ring rows)`` for the structure ages from
+        ``lo`` below ``stop`` (default ``m``) in each ring piece, ``0 .. m -
+        head - 1`` and ``m - head .. m - 1``: ``tau0`` is the piece's first
+        structure age, and table row ``tau - lo`` is beside ring row ``tau``,
+        each run of rows contiguous."""
         m, h = len(self.rows), self.head
         stop = m if stop is None else stop
-        return ((table[:min(m - h, stop)], self.rows[h:h + stop]),
-                (table[m - h:stop], self.rows[:max(stop - (m - h), 0)]))
+        for first, last, row in ((0, m - h, h), (m - h, m, h - m)):
+            a = max(first, lo)
+            b = max(a, min(last, stop))
+            yield a, table[a - lo:b - lo], self.rows[row + a:row + b]
 
     def _dot(self, table: np.ndarray) -> float:
-        (t0, r0), (t1, r1) = self._pieces(table)
+        (_, t0, r0), (_, t1, r1) = self._pieces(table)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 
     def _row_sums(self) -> np.ndarray:
@@ -548,7 +552,7 @@ class _CohortRing:
             # row tau takes e[x + tau + 1] at cohort offset x; the rows past
             # the filled ones hold no mass
             windows = np.lib.stride_tricks.sliding_window_view(self.e, self.rows.shape[1])
-            for e, rows in self._pieces(windows[1:], self.filled):
+            for _, e, rows in self._pieces(windows[1:], self.filled):
                 rows *= e
         self.head = (self.head - 1) % m
         self.rows[self.head] = inflow * self.entry
@@ -570,39 +574,30 @@ class _CohortRing:
     def outflow(self):
         """Mass the removal channel takes during a step from the cohorts that
         move one cell (the entering cohort's share is the caller's).  With an
-        age axis it is counted by the age row the cohorts arrive in: a sum
-        along each skewed diagonal of the weighted ring.  A weight table
-        holds the rows of structure ages ``lo .. m - 1``, each walked on its
-        own: the cells of row tau that stay on the age axis arrive in age
-        rows ``tau + 1 ..``, and each ring piece is summed apart before it
-        joins the mass, in the order of a sum along its skewed diagonals.
-        Weights on the structure axis alone skip the cell that leaves the
-        age axis, which a skewed diagonal of the first piece reaches into
-        age row 1 only.  Cells past the axis are 0."""
+        age axis it is counted by the age row the cohorts arrive in: the
+        cell of structure age tau at cohort offset x arrives in age row x +
+        tau + 1, so each ring piece's weighted rows are summed along their
+        skewed diagonals, over the filled rows from ``lo`` on.  A weight
+        table holds the rows of structure ages ``lo .. m - 1``; weights on
+        the structure axis alone enter as a read-only broadcast along the
+        age axis.  Past the end of a row a skewed diagonal reads the row
+        before: cells past the axis, which are 0, but for diagonal 0 of a
+        piece from structure age 0, which reads the cells that leave the
+        axis; that diagonal's one cell on the axis is added on its own."""
         if self.rows.ndim == 1:
             return self._dot(self.out)
         m, n_a = self.rows.shape
+        weights = (self.out if self.out.ndim == 2
+                   else np.broadcast_to(self.out[:, None], (m, n_a)))
         mass = np.zeros(n_a)
-        if self.out.ndim == 2:
-            piece, cells = np.empty(n_a), np.empty(n_a)
-            for start, stop in ((0, m - self.head), (m - self.head, m)):
-                piece[:] = 0.0
-                for tau in range(max(start, self.lo), min(stop, self.filled, n_a - 1)):
-                    live = n_a - 1 - tau
-                    np.multiply(self.out[tau - self.lo, :live],
-                                self.rows[(self.head + tau) % m, :live], out=cells[:live])
-                    piece[tau + 1:] += cells[:live]
-                mass += piece
-            return mass
-        for tau0, (w, rows) in zip((0, m - self.head), self._pieces(self.out)):
+        for tau0, w, rows in self._pieces(weights, self.filled, self.lo):
             width = n_a - 1 - tau0         # arrivals in age rows 1 + tau0 .. n_a - 1
-            if not len(w) or width <= 0:
+            if not len(rows) or width <= 0:
                 continue
-            if tau0:
-                mass[1 + tau0:] += np.einsum("i,ij->j", w, _skew(rows, width))
-            else:
-                mass[1] += w[0] * rows[0, 0]
-                mass[2:] += np.einsum("i,ij->j", w, _skew(rows[:, 1:], width - 1))
+            if tau0 == 0:
+                mass[1] += w[0, 0] * rows[0, 0]
+                tau0, width, w, rows = 1, width - 1, w[:, 1:], rows[:, 1:]
+            mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
         return mass
 
     def fill(self, out: np.ndarray, start: int = 0) -> np.ndarray:
@@ -619,7 +614,7 @@ class _CohortRing:
             np.multiply(np.roll(self.rows, -self.head), self.g, out=out[:m])
             return out
         stop = start + len(out)
-        for tau0, (g, rows) in zip((0, m - self.head), self._pieces(self.g)):
+        for tau0, g, rows in self._pieces(self.g):
             k = len(rows)
             a0 = min(max(start, tau0 + k - 1), stop)    # rows from a0 on reach every row
             for i in range(min(k, a0 - tau0) if start < a0 else 0):
@@ -885,8 +880,9 @@ def load_snapshot(path: str) -> tuple[StateFields, Grid]:
 def simulate(params: ModelParams, grid: Grid, init: StateFields,
              t_end: float, output_every: int = 1,
              return_final: bool = False, snapshot: str | None = None):
-    """March the system to t_end, sampling observables every ``output_every``
-    steps (the initial and final instants are always included).  Returns
+    """March the system ``round(t_end / delta)`` steps, to t_end rounded to
+    the grid, sampling observables every ``output_every`` steps (the
+    initial and final instants are always included).  Returns
     the rows; with ``return_final``, ``(rows, final state)``; with a
     ``snapshot`` path, ``(rows, digest)``: the final state is written there
     by :func:`save_snapshot` straight from the run's cohort rings, and

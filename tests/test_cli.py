@@ -100,6 +100,25 @@ def test_simulate_usage_errors_exit_2(tmp_path, capsys, extra):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["0.074", "0.024"])
+def test_t_end_between_grid_steps_exits_2(tmp_path, capsys, t_end):
+    # a run takes whole steps: at delta = 0.01 these used to stop at t = 0.07
+    # and t = 0.02 without a word; simulate and reproduce refuse them
+    out_dir = tmp_path / "repro"
+    for command in (["simulate", "--preset", "forward", "--out", str(tmp_path / "run.csv")],
+                    ["reproduce", "--figure", "fig3-left", "--out-dir", str(out_dir)]):
+        assert main(command + ["--t-end", t_end, "--delta", "0.01", "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --t-end {t_end} is not a whole "
+                                                   "number of grid steps"), err
+    assert not (tmp_path / "run.csv").exists() and not (out_dir / "fig3-left.csv").exists()
+    # 0.07 / 0.01 is 7.000000000000001: a whole number of steps within 1e-9
+    out = tmp_path / "whole.csv"
+    assert main(["simulate", "--preset", "forward", "--out", str(out), "--t-end", "0.07",
+                 "--delta", "0.01", "--quiet"]) == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1)[-1, 0] == pytest.approx(0.07)
+
+
 def test_infinite_config_extent_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "inf.cfg"
     path.write_text(GOOD_CONFIG.replace("a_max_h   = 100.0", "a_max_h   = inf"))

@@ -1124,8 +1124,7 @@ def _skewed(rows, width):
 
 def _einsum_outflow(ring, weights):
     """A ring's outflow by its whole ``(m, n_a)`` weight table, summed along
-    the skewed diagonals of each ring piece: the rule the walk over the kept
-    rows replaced."""
+    the skewed diagonals of each ring piece, every row of the table read."""
     m, n_a = ring.rows.shape
     h = ring.head
     mass = np.zeros(n_a)
@@ -1137,19 +1136,33 @@ def _einsum_outflow(ring, weights):
     return mass
 
 
+def _weight_table(k, key, m, n_a):
+    """A ring's outflow weights as a whole ``(m, n_a)`` table: a weight table
+    with its ``lo`` zero rows put back, or a weight on the structure axis
+    alone spread along the age axis, 0 on the cell of each row that leaves
+    the axis (cohort offset ``n_a - 1 - tau``)."""
+    if k[key + "_out_g"].ndim == 2:
+        return _padded_weights(k, key, m)
+    table = np.repeat(k[key + "_out_g"][:, None], n_a, axis=1)
+    leaving = np.arange(min(m, n_a))
+    table[leaving, n_a - 1 - leaving] = 0.0
+    return table
+
+
 @given(case=_small_case(), n_steps=st.integers(0, 14))
 @settings(max_examples=60, deadline=None)
-def test_outflow_walks_the_kept_weight_rows(case, n_steps):
-    # a weight table keeps its rows from lo on and outflow walks them one at
-    # a time: bit for bit the skewed-diagonal sums of the whole table, at
-    # every state of a run, as the ring's head wraps and its rows fill
+def test_outflow_is_the_skewed_sum_of_the_whole_weight_table(case, n_steps):
+    # outflow reads a weight table from lo on, or a weight on the structure
+    # axis alone, and only the filled rows: bit for bit the skewed-diagonal
+    # sums of the whole table, at every state of a run, as the ring's head
+    # wraps and its rows fill
     params, grid, state = case
-    assume(state.mode == "full" and params.mu_h.reads[0])
+    assume(state.mode == "full")
     run, k, buf = solver._start(state, params, grid, n_steps)
     for n in range(n_steps + 1):
         for pool in ("i_h", "r_h"):
             ring, key = buf[pool], pool.replace("_", "")
-            weights = _padded_weights(k, key, len(ring.rows))
+            weights = _weight_table(k, key, *ring.rows.shape)
             assert np.array_equal(ring.outflow(), _einsum_outflow(ring, weights)), (pool, n)
         if n < n_steps:
             solver._step_inplace(run, params, grid, k, buf)
