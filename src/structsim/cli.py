@@ -115,6 +115,13 @@ class SystemExit2(Exception):
     """Usage or parse failure; maps to exit code 2."""
 
 
+def _make_out_dir(args) -> None:
+    """A ``reproduce`` recipe's output directory, made only once its grid
+    and run are accepted, so that a refused recipe leaves none."""
+    if getattr(args, "out_dir", None) is not None:
+        os.makedirs(args.out_dir, exist_ok=True)
+
+
 def _note_sign_disagreement(c_bif: float, dh0: float) -> None:
     """One stderr note when the printed constant and h'(0) differ in sign."""
     if np.sign(c_bif) != np.sign(dh0):
@@ -176,6 +183,7 @@ def cmd_simulate(args, initial=None) -> int:
     if whole_steps(args.t_end, grid.delta) is None:
         raise SystemExit2(f"--t-end {args.t_end:g} is not a whole number of grid steps "
                           f"(delta = {grid.delta:g})")
+    _make_out_dir(args)
     if initial is None:
         def initial(params, grid):
             return default_initial(params, grid, args.seed_fraction, mode=args.mode)
@@ -205,6 +213,7 @@ def cmd_simulate(args, initial=None) -> int:
 
 def cmd_bifurcate(args) -> int:
     params, grid, name = _resolve(args)
+    _make_out_dir(args)
     manifest = RunManifest(sys.argv[1:], name, params, grid)
     branch = trace_branch(params, grid, args.lambda_m_min, args.lambda_m_max, args.points)
     _note_sign_disagreement(branch.c_bif, branch.dh0)
@@ -278,7 +287,6 @@ def cmd_report(args) -> int:
 
 def cmd_reproduce(args) -> int:
     fig = args.figure
-    os.makedirs(args.out_dir, exist_ok=True)
 
     def out(suffix):
         return os.path.join(args.out_dir, f"{fig}.{suffix}")

@@ -66,9 +66,15 @@ at a time, so no other table of a ring's size is formed.  A table of m
 rows is the leading m rows of the table of the whole axis (a weight
 table's kept rows from lo on), so each run builds its kernel once, for
 exactly the rows it reaches, and keeps it no longer than the run.  Ring
-rows head, head + 1, ... (mod m) hold structure ages 0, 1, ..., so a
-contraction with a table is two contiguous dot products, one on each side
-of the wrap.  The outflow into each age row sums a skewed diagonal of the
+rows head, head + 1, ... (mod m) hold structure ages 0, 1, ..., so ring
+row j is beside table row (j - head) mod m.  A ring with no age axis
+stacks every table it is contracted with (G, beta * G, the outflow
+weights) into one block and doubles it along structure age: columns
+m - head .. 2m - head - 1 of the block line up with the unrotated rows,
+so all of a state's contractions are one matrix-vector product, made
+once per state.  With an age axis a contraction with a table is two
+contiguous dot products over the filled rows, one on each side of the
+wrap.  The outflow into each age row sums a skewed diagonal of the
 same pieces, weights and rows both through strided views, with one rule
 for both shapes of weights: a table's kept rows, or a vector broadcast
 along the age axis.  With an age axis, each ring row is summed
@@ -266,7 +272,8 @@ def _susceptible_factors(params: ModelParams, grid: Grid, mode: str) -> dict:
         k["sh_entry"], k["sh_step"] = decay_factors(rate_table(params.mu_h, grid.ages_h), delta)
     else:
         _check_reduced(mode, params)
-        if not params.mu_h_value() > 0:
+        k["mu_h"] = params.mu_h_value()
+        if not k["mu_h"] > 0:
             raise ValueError("reduced mode needs mu_h > 0: without human mortality "
                              "the susceptible humans have no balance")
     return k
@@ -426,7 +433,7 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
             prof[:nb] = np.cumprod(step)
             prof[0] = entry
         prof = prof / (np.sum(prof) * d) if prof.any() else prof
-        s_tot = params.lambda_h / params.mu_h_value()
+        s_tot = params.lambda_h / k["mu_h"]
         i_h0 = infected_fraction * s_tot * prof
         r_h0 = np.zeros(grid.n_eta)
         return StateFields("reduced", 0.0, (1.0 - infected_fraction) * s_tot,
@@ -490,6 +497,14 @@ class _CohortRing:
         m = len(self.g)
         self.rows = np.zeros((m, *field.shape[:-1]))
         self.dots, self.ones = None, np.ones(field.shape[0]) if field.ndim == 2 else None
+        if field.ndim == 1:
+            # every table a contraction reads, one row each (``slot``), twice
+            # along structure age: columns m - head .. 2m - head - 1 line up
+            # with the ring rows
+            tables = {"g": self.g, "beta": self.beta, "out": self.out}
+            tables = {name: t for name, t in tables.items() if t is not None}
+            self.slot = {name: i for i, name in enumerate(tables)}
+            self.block = np.tile(list(tables.values()), 2)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
                 np.divide(field[:m], self.g, out=self.rows, where=field[:m] != 0.0)
@@ -505,7 +520,7 @@ class _CohortRing:
             raise ValueError(f"initial {pool} is nonzero where its survival product "
                              "underflows; the cohort ring cannot hold it")
 
-    def _pieces(self, table: np.ndarray, stop: int | None = None, lo: int = 0):
+    def _pieces(self, table: np.ndarray, stop: int | None = None, lo: int = 0) -> tuple:
         """``(tau0, table rows, ring rows)`` for the structure ages from
         ``lo`` below ``stop`` (default ``m``) in each ring piece, ``0 .. m -
         head - 1`` and ``m - head .. m - 1``: ``tau0`` is the piece's first
@@ -513,13 +528,16 @@ class _CohortRing:
         each run of rows contiguous."""
         m, h = len(self.rows), self.head
         stop = m if stop is None else stop
-        for first, last, row in ((0, m - h, h), (m - h, m, h - m)):
-            a = max(first, lo)
-            b = max(a, min(last, stop))
-            yield a, table[a - lo:b - lo], self.rows[row + a:row + b]
+        b0 = max(lo, min(m - h, stop))
+        a1 = max(m - h, lo)
+        b1 = max(a1, min(m, stop))
+        return ((lo, table[:b0 - lo], self.rows[h + lo:h + b0]),
+                (a1, table[a1 - lo:b1 - lo], self.rows[h - m + a1:h - m + b1]))
 
     def _dot(self, table: np.ndarray) -> float:
-        (_, t0, r0), (_, t1, r1) = self._pieces(table)
+        """Sum of ``table * cells / G`` over the filled rows: the rows past
+        them are 0."""
+        (_, t0, r0), (_, t1, r1) = self._pieces(table, self.filled)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 
     def _row_sums(self) -> np.ndarray:
@@ -532,6 +550,16 @@ class _CohortRing:
             np.matmul(self.rows[h:], self.ones, out=self.dots[:m - h])
             np.matmul(self.rows[:h], self.ones, out=self.dots[m - h:])
         return self.dots
+
+    def _contracted(self, name: str) -> float:
+        """A ring with no age axis: the rows contracted with its table
+        ``name`` ("g", "beta" or "out").  Every table is contracted at once,
+        one product of the block's window with the rows per state, kept in
+        ``dots``."""
+        if self.dots is None:
+            m, h = len(self.rows), self.head
+            self.dots = (self.block[:, m - h:2 * m - h] @ self.rows).tolist()
+        return self.dots[self.slot[name]]
 
     def push(self, inflow) -> None:
         """One step: every held cohort moves one cell, and the oldest cohort
@@ -562,12 +590,14 @@ class _CohortRing:
     def sum(self) -> float:
         """Sum of the field's cells."""
         if self.rows.ndim == 1:
-            return self._dot(self.g)
+            return self._contracted("g")
         return float(np.dot(self.g, self._row_sums()))
 
     def sum_beta(self) -> float:
         """Sum of beta * cells."""
-        if self.beta.ndim == self.rows.ndim:
+        if self.rows.ndim == 1:
+            return self._contracted("beta")
+        if self.beta.ndim == 2:
             return self._dot(self.beta)
         return float(np.dot(self.beta, self._row_sums()))
 
@@ -585,7 +615,7 @@ class _CohortRing:
         piece from structure age 0, which reads the cells that leave the
         axis; that diagonal's one cell on the axis is added on its own."""
         if self.rows.ndim == 1:
-            return self._dot(self.out)
+            return self._contracted("out")
         m, n_a = self.rows.shape
         weights = (self.out if self.out.ndim == 2
                    else np.broadcast_to(self.out[:, None], (m, n_a)))
@@ -664,19 +694,20 @@ def _step_inplace(state: StateFields, params: ModelParams, grid: Grid, k: dict,
     if state.mode == "full":
         new_s = buf["s_h"]
         new_s[1:] = (state.s_h[:-1] + d * returned[1:]) * k["sh_step"][1:] \
-            * np.exp(-d * rate_mh)
+            * math.exp(-d * rate_mh)
         # births and the mass that returns within the entry cell
         new_s[0] = (params.lambda_h + d * returned[0]) * k["sh_entry"] \
-            * np.exp(-0.5 * d * rate_mh)
+            * math.exp(-0.5 * d * rate_mh)
         state.s_h, buf["s_h"] = new_s, state.s_h
     else:
-        r_tot = params.mu_h_value() + rate_mh
+        r_tot = k["mu_h"] + rate_mh
         s_inf = (params.lambda_h + returned) / r_tot
-        state.s_h = state.s_h + (1.0 - np.exp(-r_tot * d)) * (s_inf - state.s_h)
+        state.s_h = state.s_h + (1.0 - math.exp(-r_tot * d)) * (s_inf - state.s_h)
 
     new_sm = buf["s_m"]
-    new_sm[1:] = state.s_m[:-1] * k["sm_step"][1:] * np.exp(-d * rate_hm)
-    new_sm[0] = params.lambda_m * k["sm_entry"] * np.exp(-0.5 * d * rate_hm)
+    np.multiply(state.s_m[:-1], k["sm_step"][1:], out=new_sm[1:])
+    new_sm[1:] *= math.exp(-d * rate_hm)
+    new_sm[0] = params.lambda_m * k["sm_entry"] * math.exp(-0.5 * d * rate_hm)
     state.s_m, buf["s_m"] = new_sm, state.s_m
 
     i_h.push(infected_h)

@@ -517,6 +517,25 @@ def test_reproduce_rejects_model_options(tmp_path, capsys, extra):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("figure, refused", [
+    ("fig3-left", ["--t-end", "0.074"]),                # between grid steps
+    ("fig3-left", ["--t-end", "1", "--tau-max-h", "1e4"]),   # a grid error
+    ("fig2-forward", ["--tau-max-h", "1e4"]),
+])
+def test_a_refused_reproduce_leaves_no_out_dir(tmp_path, capsys, figure, refused):
+    # the directory used to be made before the recipe's grid and --t-end
+    # were checked, so a refused run left it behind, empty
+    out_dir = tmp_path / "repro"
+    assert main(["reproduce", "--figure", figure, "--out-dir", str(out_dir), "--delta", "0.01",
+                 "--quiet", *refused]) == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["reproduce", "--figure", "fig3-left", "--out-dir", str(out_dir),
+                 "--t-end", "0.07", "--delta", "0.01", "--quiet"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "fig3-left.csv", "fig3-left.csv.manifest.json", "fig3-left.svg"]
+
+
 def test_reproduce_recipes(tmp_path):
     out_dir = str(tmp_path / "repro")
     assert main(["reproduce", "--figure", "fig3-right", "--out-dir", out_dir,

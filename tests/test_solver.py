@@ -1168,6 +1168,35 @@ def test_outflow_is_the_skewed_sum_of_the_whole_weight_table(case, n_steps):
             solver._step_inplace(run, params, grid, k, buf)
 
 
+REDUCED_CONTRACTIONS = {"i_h": {"sum": "_g", "sum_beta": "_beta_g", "outflow": "_out_g"},
+                        "r_h": {"sum": "_g", "outflow": "_out_g"},
+                        "i_m": {"sum_beta": "_beta_g"}}
+
+
+@given(case=_small_case(), extra=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_reduced_ring_contractions_are_the_unrotated_dot(case, extra):
+    # a ring with no age axis answers sum, sum_beta and outflow from one
+    # product of a window of its doubled block with the rows, and the i_m
+    # pressure reads only the filled rows: at every state of a run whose
+    # head wraps at least once, each is the dot product of its kernel table
+    # with the rows in structure-age order
+    params, grid, state = case
+    assume(state.mode == "reduced")
+    n_steps = max(grid.n_th, grid.n_eta, grid.n_tm) + extra   # a ring has at most n rows
+    run, k, buf = solver._start(state, params, grid, n_steps)
+    for n in range(n_steps + 1):
+        for pool, contractions in REDUCED_CONTRACTIONS.items():
+            ring, key = buf[pool], pool.replace("_", "")
+            rows = np.roll(ring.rows, -ring.head, axis=0)
+            for method, table in contractions.items():
+                want = float(np.vdot(k[key + table], rows))
+                assert getattr(ring, method)() == pytest.approx(want, rel=1e-14, abs=0.0), \
+                    (pool, method, n)
+        if n < n_steps:
+            solver._step_inplace(run, params, grid, k, buf)
+
+
 def test_cohort_ring_rejects_underflowed_survival():
     # removal of 1e4 per year: one step factor is exp(-1000) = 0, so a cohort
     # past structure age 0 cannot be divided back to its entry row
