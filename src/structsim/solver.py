@@ -535,8 +535,8 @@ class _CohortRing:
                 (a1, table[a1 - lo:b1 - lo], self.rows[h - m + a1:h - m + b1]))
 
     def _dot(self, table: np.ndarray) -> float:
-        """Sum of ``table * cells / G`` over the filled rows: the rows past
-        them are 0."""
+        """Sum of ``table * rows`` over the filled rows; the rows past them
+        are 0."""
         (_, t0, r0), (_, t1, r1) = self._pieces(table, self.filled)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 

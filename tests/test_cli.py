@@ -523,8 +523,8 @@ def test_reproduce_rejects_model_options(tmp_path, capsys, extra):
     ("fig2-forward", ["--tau-max-h", "1e4"]),
 ])
 def test_a_refused_reproduce_leaves_no_out_dir(tmp_path, capsys, figure, refused):
-    # the directory used to be made before the recipe's grid and --t-end
-    # were checked, so a refused run left it behind, empty
+    # the directory is made only once the recipe's grid and --t-end are
+    # accepted, so a refused run leaves none behind
     out_dir = tmp_path / "repro"
     assert main(["reproduce", "--figure", figure, "--out-dir", str(out_dir), "--delta", "0.01",
                  "--quiet", *refused]) == 2
