@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (Grid, characteristic_cumulative, cumulative_to_centers, entry_factors,
-                    step_factors)
+                    step_factors, whole_steps)
 from .kernels import spectral_kernels
 from .params import ModelParams, estimate_mu0
 from .rates import eval_rate, rate_table
@@ -70,8 +70,8 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
 
     Requires both transmission probabilities to vanish on the grid (the
     forces of infection are then identically zero and no fixed point is
-    involved).  ``t`` must be a multiple of the grid step.  ``init`` must be
-    a full-mode state at t = 0.
+    involved).  ``t`` must be a whole number of grid steps, >= 0.  ``init``
+    must be a full-mode state at t = 0.
     """
     d = grid.delta
     bh = eval_rate(params.beta_h, grid.ages_h[:, None], grid.taus_h[None, :])
@@ -80,9 +80,9 @@ def volterra_decoupled(params: ModelParams, grid: Grid, init: StateFields,
         raise ValueError("decoupled evaluation requires beta_h = beta_m = 0 on the grid")
     if init.mode != "full" or init.t != 0.0:
         raise ValueError("init must be a full-mode state at t = 0")
-    n = round(t / d)
-    if abs(t - n * d) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError("t must be a multiple of the grid step")
+    n = whole_steps(t, d)
+    if n is None or n < 0:
+        raise ValueError(f"t must be a multiple of the grid step, >= 0 (got {t})")
 
     cum_h = cumulative_to_centers(rate_table(params.mu_h, grid.ages_h), d)
     cum_m = cumulative_to_centers(rate_table(params.mu_m, grid.ages_m), d)

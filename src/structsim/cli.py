@@ -187,7 +187,7 @@ def cmd_simulate(args, initial=None) -> int:
     if initial is None:
         def initial(params, grid):
             return default_initial(params, grid, args.seed_fraction, mode=args.mode)
-    manifest = RunManifest(sys.argv[1:], name, params, grid)
+    manifest = RunManifest(args.argv, name, params, grid)
     # the start state is not named here, so the run frees it once its rings hold it
     run = simulate(params, grid, initial(params, grid), args.t_end,
                    output_every=args.output_every, snapshot=args.snapshot)
@@ -214,7 +214,7 @@ def cmd_simulate(args, initial=None) -> int:
 def cmd_bifurcate(args) -> int:
     params, grid, name = _resolve(args)
     _make_out_dir(args)
-    manifest = RunManifest(sys.argv[1:], name, params, grid)
+    manifest = RunManifest(args.argv, name, params, grid)
     branch = trace_branch(params, grid, args.lambda_m_min, args.lambda_m_max, args.points)
     _note_sign_disagreement(branch.c_bif, branch.dh0)
     with open(args.out, "w") as fh:
@@ -386,11 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]`` and is the
+    command line a written manifest records."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.argv = argv
     try:
         return args.func(args)
     except SystemExit2 as exc:

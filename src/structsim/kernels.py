@@ -14,21 +14,26 @@ limited only by floating-point rounding).
 
 The human block of the next-generation operator has rank one, pi_h times
 one contraction, so every consumer reads the human kernel K[xi, tau]
-(pi_h left out) through two contractions only: its row sums over tau, the
-contraction weights of power iteration, and the pi_h-weighted profile
-pi_h @ K, which ``human_factor`` dots with exp(-lam tau).  On an
-age-dependent grid the kernel is built a block of about
-``grids.ROW_BLOCK_BYTES`` of age rows at a time, each block folded into
-both contractions and dropped, so no (age, infection age) table is held.
+(pi_h left out) in one form on every path: its tau-profile pi_h @ K, which
+``human_factor`` dots with exp(-lam tau), and the scalars power iteration
+needs, sum pi_h^2 and the total of the kernel's row sums, plain and
+weighted by pi_h (sum pi_h is int_pi_h / delta).  The pi_h-weighted row
+total is summed apart from the tau-profile, so power iteration re-sums the
+closed form in another order.  The mosquito kernel is read the same way,
+through its column sums.
 
-When every human rate is age-independent, the human kernel factorizes into
-(integral of pi_h) x (infection-age profile) and never reads the human age
-axis: with constant mortality mu the midpoint sum over all cell centers is
-the geometric series delta * exp(-mu delta/2) / (1 - exp(-mu delta)), which
-differs from the analytic 1/mu by a relative (mu delta)^2 / 24.  The kernels
-of that path hold no vector on the human age axis (500 000 cells on the
-backward preset); ``SpectralKernels.ages_h`` builds the axis on access, and
-only the general path builds it to sample pi_h and the contractions.
+On an age-dependent grid the human kernel is built a block of about
+``grids.ROW_BLOCK_BYTES`` of age rows at a time, each block folded into the
+tau-profile and the row totals and dropped, so no (age, infection age)
+table is held.  When every human rate is age-independent, K[xi, tau] does
+not depend on xi and the contractions come from closed forms without
+reading the human age axis: pi_h is the open-class profile exp(-mu a) on
+cell centers whose last cell holds the geometric tail past the grid, so
+sum pi_h is the geometric series exp(-mu delta/2) / (1 - exp(-mu delta))
+(delta times it differs from the analytic 1/mu by a relative
+(mu delta)^2 / 24) and sum pi_h^2 is a geometric series too.  No path keeps
+a vector on the human age axis (500 000 cells on the backward preset);
+``SpectralKernels.ages_h`` builds the axis on access.
 """
 
 from __future__ import annotations
@@ -49,24 +54,23 @@ class SpectralKernels:
     """Shared grids and kernel tables for reproduction-number work."""
 
     delta: float
-    eligible: bool
-    # human side
+    # human side: K[xi, tau] (pi_h left out) through its contractions only
     n_ah: int                     # cells of the human age axis
-    pi_h: np.ndarray | None       # survival on ages_h; general path only
-    int_pi_h: float               # closed-form geometric sum on the eligible path
+    int_pi_h: float               # delta * sum pi_h
+    sum_pi_h2: float              # sum pi_h^2
+    rows_total: float             # sum over xi of the row sums of K
+    rows_pi_h: float              # the row sums weighted by pi_h
+    human_tau: np.ndarray         # [n_th] pi_h @ K
     taus_h: np.ndarray
-    c1: np.ndarray | None         # exp(-int (mu_h+nu_h+gamma_h)) on taus_h, eligible only
+    c1: np.ndarray | None         # exp(-int (mu_h+nu_h+gamma_h)) on taus_h, age-free rates only
     beta_h_tau: np.ndarray | None
-    # general path only: the two contractions of K[xi, tau] (pi_h left out),
-    # never K itself
-    human_rows: np.ndarray | None  # [n_ah] row sums over tau
-    human_tau: np.ndarray | None   # [n_th] pi_h @ K
     # mosquito side
     xis_m: np.ndarray
     taus_m: np.ndarray
     pi_m: np.ndarray
     int_pi_m: float
     mosq_kernel: np.ndarray       # [n_xi_m, n_tm], pi_m(xi) included
+    mosq_tau: np.ndarray          # [n_tm] column sums of mosq_kernel
     prefactor: float              # lambda_m theta^2 / (lambda_h (int pi_h)^2)
 
     @property
@@ -78,15 +82,11 @@ class SpectralKernels:
 
     def human_factor(self, lam: float = 0.0) -> float:
         """iint beta_h e^{-removal} pi_h(xi) e^{-lam tau} dxi dtau."""
-        w = np.exp(-lam * self.taus_h)
-        if self.eligible:
-            return self.int_pi_h * float(np.sum(self.beta_h_tau * self.c1 * w)) * self.delta
-        return float(self.human_tau @ w) * self.delta ** 2
+        return float(self.human_tau @ np.exp(-lam * self.taus_h)) * self.delta ** 2
 
     def mosquito_factor(self, lam: float = 0.0) -> float:
         """iint beta_m e^{-removal} pi_m(xi) e^{-lam tau} dxi dtau."""
-        w = np.exp(-lam * self.taus_m)
-        return float(np.sum(self.mosq_kernel * w[None, :])) * self.delta ** 2
+        return float(self.mosq_tau @ np.exp(-lam * self.taus_m)) * self.delta ** 2
 
     def generation(self, lam: float = 0.0) -> float:
         """prefactor * human * mosquito factor: g(lam), and lambda0 at 0."""
@@ -94,21 +94,23 @@ class SpectralKernels:
 
 
 def _human_contractions(params: ModelParams, ages: np.ndarray, taus: np.ndarray,
-                        pi_h: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums and ``pi_h @ K`` of the human kernel ``K[xi, tau]`` =
-    beta_h(xi + tau, tau) exp(-int removal) on offsets ``ages``, built a
-    block of age rows at a time.  Every row of a block is the row of the
-    whole table bit for bit, so the row sums are too."""
+                        pi_h: np.ndarray, d: float) -> tuple[np.ndarray, float, float]:
+    """``pi_h @ K`` and the row sums' total, plain and weighted by ``pi_h``,
+    of the human kernel ``K[xi, tau]`` = beta_h(xi + tau, tau) exp(-int
+    removal) on offsets ``ages``, built a block of age rows at a time.  Every
+    row of a block is the row of the whole table bit for bit."""
     removal = params.removal_rate("i_h")
-    rows, tau_profile = np.empty(len(ages)), np.zeros(len(taus))
+    tau_profile, rows_total, rows_pi_h = np.zeros(len(taus)), 0.0, 0.0
     for block in row_blocks(len(ages), len(taus)):
         # exp(-cum) in the cumulative's buffer, times beta_h on its read axes
         k = characteristic_cumulative(removal, ages[block], taus, d)
         np.exp(np.negative(k, out=k), out=k)
         k *= lag_sample(params.beta_h, ages[block, None], taus[None, :])
-        np.sum(k, axis=1, out=rows[block])
+        rows = np.sum(k, axis=1)
+        rows_total += float(np.sum(rows))
+        rows_pi_h += float(pi_h[block] @ rows)
         tau_profile += pi_h[block] @ k
-    return rows, tau_profile
+    return tau_profile, rows_total, rows_pi_h
 
 
 @functools.lru_cache(maxsize=8)
@@ -117,23 +119,32 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     taus_h, taus_m = grid.taus_h, grid.taus_m
 
     # --- human side
-    eligible = params.reduced_mode_eligible
-    if eligible:
+    if params.reduced_mode_eligible:
         mu = params.mu_h_value()
         if mu <= 0:
             raise ValueError("the human survival integral needs mu_h > 0")
-        pi_h = None
+        # the open-class profile r^(i + 1/2), r = exp(-mu d), with the tail
+        # r^(n - 1/2) / (1 - r) in its last cell, summed as geometric series
+        n = grid.n_ah
         int_pi_h = float(d * np.exp(-0.5 * mu * d) / -np.expm1(-mu * d))
+        sum_pi_h2 = float(np.exp(-mu * d) * np.expm1(-2.0 * mu * d * (n - 1))
+                          / np.expm1(-2.0 * mu * d)
+                          + np.exp(-mu * d * (2 * n - 1)) / np.expm1(-mu * d) ** 2)
         c1 = np.exp(-cumulative_to_centers(
             rate_table(params.removal_rate("i_h"), 0.0, taus_h), d))
         beta_h_tau = rate_table(params.beta_h, 0.0, taus_h)
-        human_rows = human_tau = None
+        # every row of K is beta_h c1
+        human_tau = beta_h_tau * c1
+        row_sum = float(np.sum(human_tau))
+        human_tau *= int_pi_h / d
+        rows_total, rows_pi_h = n * row_sum, int_pi_h / d * row_sum
     else:
         ages_h = grid.ages_h
         pi_h = np.exp(-cumulative_to_centers(rate_table(params.mu_h, ages_h), d))
         int_pi_h = float(np.sum(pi_h)) * d
+        sum_pi_h2 = float(pi_h @ pi_h)
         c1 = beta_h_tau = None
-        human_rows, human_tau = _human_contractions(params, ages_h, taus_h, pi_h, d)
+        human_tau, rows_total, rows_pi_h = _human_contractions(params, ages_h, taus_h, pi_h, d)
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
     xis_m = grid.ages_m
@@ -151,10 +162,10 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
         mosq_kernel[xi, grid.n_am - xi:] = 0.0
     int_pi_m = float(np.sum(pi_m)) * d
 
-    return SpectralKernels(delta=d, eligible=eligible, n_ah=grid.n_ah, pi_h=pi_h,
-                           int_pi_h=int_pi_h, taus_h=taus_h, c1=c1,
-                           beta_h_tau=beta_h_tau, human_rows=human_rows, human_tau=human_tau,
-                           xis_m=xis_m, taus_m=taus_m, pi_m=pi_m,
-                           int_pi_m=int_pi_m, mosq_kernel=mosq_kernel,
+    return SpectralKernels(delta=d, n_ah=grid.n_ah, int_pi_h=int_pi_h, sum_pi_h2=sum_pi_h2,
+                           rows_total=rows_total, rows_pi_h=rows_pi_h, human_tau=human_tau,
+                           taus_h=taus_h, c1=c1, beta_h_tau=beta_h_tau,
+                           xis_m=xis_m, taus_m=taus_m, pi_m=pi_m, int_pi_m=int_pi_m,
+                           mosq_kernel=mosq_kernel, mosq_tau=np.sum(mosq_kernel, axis=0),
                            prefactor=params.lambda_m * params.theta ** 2
                            / (params.lambda_h * int_pi_h ** 2))

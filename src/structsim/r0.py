@@ -14,10 +14,12 @@ Routes:
                    contraction (rank one), so the iterates keep two
                    coefficients and the route re-sums the closed form in
                    another order, checking the contraction code, not the
-                   formula (``g(0)`` likewise)
+                   formula (``g(0)`` likewise); with age-free human rates
+                   both re-sum the same closed forms
   reduced formula  valid when no human rate depends on age; replaces the
                    survival-profile integral by 1/mu_h analytically, the
                    one route independent of the closed form's quadrature
+                   and the check of the geometric series there
 
 lambda0 is exactly linear in the mosquito recruitment rate, which the
 bifurcation sweep exploits.
@@ -25,12 +27,11 @@ bifurcation sweep exploits.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Grid, center_blocks
+from .grids import Grid
 from .kernels import spectral_kernels
 from .params import ModelParams
 
@@ -84,78 +85,30 @@ def r0_reduced(params: ModelParams, grid: Grid) -> float:
             * sk.mosquito_factor(0.0) * human_tau)
 
 
-def _survival_blocks(params: ModelParams, grid: Grid) -> Iterator[np.ndarray]:
-    """The eligible path's survival profile (:func:`survival_profile`) a
-    ``grids.row_blocks`` block of age cells at a time, each formed in its
-    block of centers."""
-    mu, d = params.mu_h_value(), grid.delta
-    done = 0
-    for pi_h in center_blocks(grid.n_ah, d):
-        pi_h *= -mu
-        np.exp(pi_h, out=pi_h)
-        done += len(pi_h)
-        if done == grid.n_ah:
-            pi_h[-1] /= -np.expm1(-mu * d)
-        yield pi_h
-
-
-def _survival_sums(params: ModelParams, grid: Grid) -> tuple[float, float]:
-    """sum pi_h and sum pi_h^2 of :func:`_survival_blocks`, the squares of
-    every block formed in the first block's buffer; the blocks are dropped
-    on return."""
-    s1 = s2 = 0.0
-    squares = None
-    for pi_h in _survival_blocks(params, grid):
-        if squares is None:
-            squares = np.empty(len(pi_h))
-        s1 += float(np.sum(pi_h))
-        s2 += float(np.sum(np.multiply(pi_h, pi_h, out=squares[:len(pi_h)])))
-    return s1, s2
-
-
-def survival_profile(params: ModelParams, grid: Grid) -> np.ndarray:
-    """Human survival profile on the grid's age cells.  With constant mu_h it
-    is exp(-mu_h a) on cell centers, and the last cell is an open age class
-    that holds the geometric tail past the grid, so its sum times delta is
-    the closed-form int pi_h up to rounding."""
-    sk = spectral_kernels(params, grid)
-    if not sk.eligible:
-        return sk.pi_h
-    return np.concatenate(list(_survival_blocks(params, grid)))
-
-
 def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:
     """Spectral radius of the discretized human next-generation block.
 
     The block sends an age density b to pi_h * (w . b), where w[xi] is the
-    contraction weight of age cell xi (``SpectralKernels.human_rows``, the
-    row sums of the pi_h-free human kernel; a constant on the eligible
-    path), so it has rank one.  The Rayleigh quotient is exact from the
-    image of the first iterate on, and the loop stops when the next one
-    agrees to 1e-12 relative.  The route re-sums the closed form in another
-    order: the closed form reads the kernel's other contraction, the
-    tau-profile ``pi_h @ K``, so this checks the contraction code, not the
-    formula.
+    contraction weight of age cell xi (the row sums of the pi_h-free human
+    kernel, a constant when no human rate reads age), so it has rank one.
+    The Rayleigh quotient is exact from the image of the first iterate on,
+    and the loop stops when the next one agrees to 1e-12 relative.  The
+    route re-sums the closed form in another order: the closed form reads
+    the kernel's tau-profile ``pi_h @ K``, this route the row sums weighted
+    by pi_h, so it checks the contraction code, not the formula.  Where the
+    rates are age-free both come from the same closed forms, and the
+    reduced formula is the independent check.
 
     Every iterate lies in span{1, pi_h} (the start is 1, every image a
     multiple of pi_h), so the loop runs on the two coefficients of
     b = p + q pi_h, and the quotient, the norm and the residual come from
-    five sums: n, sum pi_h, sum pi_h^2, sum w and sum w pi_h.  On the
-    eligible path the profile is summed a block of age cells at a time
-    (the sampled open-class profile, not its geometric closed form), so no
-    vector on the human age axis is held.
+    five sums that ``SpectralKernels`` holds: n, sum pi_h, sum pi_h^2,
+    sum w and sum w pi_h.  No vector on the human age axis is read.
     """
     tol, max_iter = 1e-12, 64
     sk = spectral_kernels(params, grid)
-    n = float(grid.n_ah)
-    if sk.eligible:
-        s1, s2 = _survival_sums(params, grid)
-        w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
-        w0, w1 = w * n, w * s1
-    else:
-        pi_h, w = sk.pi_h, sk.human_rows * sk.delta ** 2
-        s1, s2 = float(np.sum(pi_h)), float(np.sum(pi_h * pi_h))
-        w0, w1 = float(np.sum(w)), float(np.sum(w * pi_h))
+    n, s1, s2 = float(sk.n_ah), sk.int_pi_h / sk.delta, sk.sum_pi_h2
+    w0, w1 = sk.rows_total * sk.delta ** 2, sk.rows_pi_h * sk.delta ** 2
     coef = sk.prefactor * sk.mosquito_factor(0.0)
 
     def apply_h(p: float, q: float) -> float:

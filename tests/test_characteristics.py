@@ -82,6 +82,21 @@ def test_decoupled_requires_zero_transmission():
         volterra_decoupled(params, grid, init, 0.2)
 
 
+def test_decoupled_requires_a_whole_number_of_steps():
+    # the grid's whole-step rule: 0.15 / 0.05 is 2.9999999999999996, three
+    # steps; a time between steps, before the start or none at all is refused
+    params = no_transmission()
+    grid = fast_grid(0.05)
+    init = random_full_state(params, grid, seed=8)
+    three = volterra_decoupled(params, grid, init, 3 * grid.delta)
+    near = volterra_decoupled(params, grid, init, 0.15)
+    for name in ("s_h", "i_h", "r_h", "s_m", "i_m"):
+        assert np.array_equal(getattr(near, name), getattr(three, name)), name
+    for t in (0.17, 0.15 + 1e-6, -0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="t must be a multiple of the grid step"):
+            volterra_decoupled(params, grid, init, t)
+
+
 # ---------------------------------------------------------------------------
 # characteristic function
 

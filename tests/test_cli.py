@@ -388,6 +388,29 @@ def test_manifest_records_peak_rss_outside_the_input_digest():
     assert higher["input_digest"] == first["input_digest"]
 
 
+def test_manifest_records_the_argv_given_to_main(tmp_path):
+    # two runs from one process record their own command lines, not the
+    # host's, so their input digests differ; cli.main is the one reader of
+    # sys.argv, and only when it is given no argv
+    model = ["--preset", "forward", "--lambda-m", "7e6", "--delta", "0.01", "--quiet"]
+    commands = [["simulate", "--t-end", t_end, "--out", str(tmp_path / f"{t_end}.csv"), *model]
+                for t_end in ("0.1", "0.2")]
+    commands.append(["bifurcate", "--lambda-m-min", "1e6", "--lambda-m-max", "1e7",
+                     "--points", "3", "--out", str(tmp_path / "branch.csv"), *model])
+    manifests = []
+    with mock.patch.object(sys, "argv", ["host", "--not-a-structsim-option"]):
+        for argv in commands:
+            assert main(argv) == 0
+            with open(argv[argv.index("--out") + 1] + ".manifest.json") as fh:
+                manifests.append(json.load(fh))
+    assert [m["command"] for m in manifests] == commands
+    assert len({m["input_digest"] for m in manifests}) == len(commands)
+    src = os.path.dirname(ss.__file__)
+    readers = [name for name in sorted(os.listdir(src)) if name.endswith(".py")
+               and "sys.argv" in open(os.path.join(src, name)).read()]
+    assert readers == ["cli.py"]
+
+
 def test_svg_is_a_derived_view(tmp_path):
     base = ["simulate", "--preset", "forward", "--lambda-m", "7e6", "--t-end",
             "0.5", "--delta", "0.01", "--quiet"]

@@ -16,7 +16,7 @@ from structsim.grids import characteristic_cumulative, cumulative_to_centers
 from structsim.kernels import spectral_kernels
 from structsim.r0 import (lambda0_closed_form, lambda_m_for_target_r0,
                           lambda_m_slope, power_iteration_r0, r0_closed_form,
-                          r0_reduced, survival_profile)
+                          r0_reduced)
 from structsim.rates import Arity, RateSpec, eval_rate, rate_table
 
 from conftest import fast_grid, fast_params, make_params
@@ -107,19 +107,37 @@ def test_power_iteration_rank_one_converges_immediately(case):
         assert abs(v - base) <= 1e-8 * base
 
 
+def _survival(params, grid):
+    """The human survival profile on the grid's age cells as one vector: with
+    constant mu_h the open-class profile exp(-mu_h a) on cell centers, whose
+    last cell holds the geometric tail past the grid, otherwise the midpoint
+    rule of mu_h's cumulative."""
+    if params.reduced_mode_eligible:
+        mu = params.mu_h_value()
+        pi_h = np.exp(-mu * grid.ages_h)
+        pi_h[-1] /= -np.expm1(-mu * grid.delta)
+        return pi_h
+    return np.exp(-cumulative_to_centers(rate_table(params.mu_h, grid.ages_h), grid.delta))
+
+
+def _row_sums(params, grid):
+    """The row sums of the explicit human kernel; with age-free human rates
+    every row is the same, so one row is built and repeated."""
+    if params.reduced_mode_eligible:
+        return np.full(grid.n_ah, np.sum(_explicit_human_kernel(params, grid, grid.ages_h[:1])))
+    return np.sum(_explicit_human_kernel(params, grid), axis=1)
+
+
 def test_power_iteration_survival_start_is_eigenvector(forward):
     # the human block maps the survival profile to lambda0 times itself, on
     # the open-class profile (constant mu_h) and on the grid pi_h
     for params, grid in (forward, _age_dependent()):
         sk = spectral_kernels(params, grid)
-        pi_h = survival_profile(params, grid)
+        pi_h = _survival(params, grid)
         lam0 = lambda0_closed_form(params, grid)
         coef = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2) \
             * sk.mosquito_factor(0.0)
-        if sk.eligible:
-            weights = np.full(len(pi_h), float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta)
-        else:
-            weights = sk.human_rows * sk.delta
+        weights = _row_sums(params, grid) * sk.delta
         image = pi_h * (coef * float(np.sum(weights * pi_h)) * sk.delta)
         resid = np.sum(np.abs(image - lam0 * pi_h)) / np.sum(np.abs(pi_h))
         assert resid < 1e-10
@@ -131,15 +149,8 @@ def _vector_power_iteration(params, grid):
     reproduce.  Returns (lambda, iterations, residual)."""
     tol, max_iter = 1e-12, 64
     sk = spectral_kernels(params, grid)
-    if sk.eligible:
-        # the open-class profile on the whole axis, not in blocks
-        mu = params.mu_h_value()
-        pi_h = np.exp(-mu * grid.ages_h)
-        pi_h[-1] /= -np.expm1(-mu * grid.delta)
-        w = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta ** 2
-    else:
-        pi_h = sk.pi_h
-        w = sk.human_rows * sk.delta ** 2
+    pi_h = _survival(params, grid)
+    w = _row_sums(params, grid) * grid.delta ** 2
     coef = params.lambda_m * params.theta ** 2 / (params.lambda_h * sk.int_pi_h ** 2) \
         * sk.mosquito_factor(0.0)
 
@@ -169,8 +180,9 @@ def _vector_power_iteration(params, grid):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_coefficient_power_iteration_is_the_vector_iteration(data):
-    # random small grids, human rates age-free (eligible: the profile summed
-    # in blocks of age cells, the last one ragged) or reading age (general)
+    # random small grids, human rates age-free (eligible: the sums are closed
+    # forms) or reading age (general: the contractions are built in blocks
+    # of age rows, the last one ragged)
     delta = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
     n_ah = data.draw(st.integers(1, 60))
     n_th = data.draw(st.integers(1, n_ah))
@@ -291,8 +303,8 @@ def _under_row_blocks(block, tmp_path):
 
 def test_row_block_size_moves_rounding_only(tmp_path):
     # the block size changes the order of the blocked sums, nothing else: the
-    # row sums and the snapshot bytes are exact, the tau-profile and the
-    # eigenvalue move by rounding
+    # snapshot bytes are exact, the contractions and the eigenvalue move by
+    # rounding
     want = _under_row_blocks(_BLOCK_SIZES[0], tmp_path)
     for block in _BLOCK_SIZES[1:]:
         got = _under_row_blocks(block, tmp_path)
@@ -300,7 +312,9 @@ def test_row_block_size_moves_rounding_only(tmp_path):
             assert a.iterations == b.iterations
             for field in ("r0_squared_power_iter", "r0_squared_closed_form"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-13, abs=0.0)
-        assert np.array_equal(got["kernels"].human_rows, want["kernels"].human_rows)
+        for field in ("rows_total", "rows_pi_h"):
+            assert getattr(got["kernels"], field) == pytest.approx(
+                getattr(want["kernels"], field), rel=1e-13, abs=0.0)
         np.testing.assert_allclose(got["kernels"].human_tau, want["kernels"].human_tau,
                                    rtol=1e-13, atol=0.0)
         assert got["validate"] == want["validate"]
@@ -309,25 +323,29 @@ def test_row_block_size_moves_rounding_only(tmp_path):
 
 
 def test_eligible_kernels_keep_no_human_age_vector():
-    params, grid = ss.preset("backward", 7.4e7), ss.preset_grid("backward")
-    sk = spectral_kernels(params, grid)
-    arrays = [v for v in vars(sk).values() if isinstance(v, np.ndarray)]
-    assert arrays and all(grid.n_ah not in v.shape for v in arrays)
-    assert len(sk.ages_h) == grid.n_ah
+    # the backward preset and, on the general path, the benchmark's age config
+    for params, grid in ((ss.preset("backward", 7.4e7), ss.preset_grid("backward")),
+                         _AGE_CASE):
+        sk = spectral_kernels(params, grid)
+        arrays = [v for v in vars(sk).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(grid.n_ah not in v.shape for v in arrays)
+        assert len(sk.ages_h) == grid.n_ah
 
 
 @given(mu=st.floats(0.01, 2.0), delta=st.floats(0.002, 0.05), n_ah=st.integers(1, 5000))
 @settings(max_examples=40, deadline=None)
 def test_closed_form_survival_integral_matches_lattice_sum(mu, delta, n_ah):
-    # the geometric series against the grid profile power iteration runs on,
-    # whose last cell is an open age class holding the tail past the grid
+    # the geometric series of sum pi_h and sum pi_h^2 against the sums of the
+    # grid profile power iteration runs on, whose last cell is an open age
+    # class holding the tail past the grid
     params = fast_params(mu_h=RateSpec.constant(mu, Arity.AGE))
     grid = ss.Grid(delta=delta, a_max_h=n_ah * delta, a_max_m=delta, tau_max_h=delta,
                    tau_max_m=delta, eta_max=delta)
-    profile = survival_profile(params, grid)
+    profile = _survival(params, grid)
     assert len(profile) == n_ah
-    grid_sum = float(np.sum(profile)) * delta
-    assert spectral_kernels(params, grid).int_pi_h == pytest.approx(grid_sum, rel=1e-12)
+    sk = spectral_kernels(params, grid)
+    assert sk.int_pi_h == pytest.approx(float(np.sum(profile)) * delta, rel=1e-12)
+    assert sk.sum_pi_h2 == pytest.approx(float(np.sum(profile * profile)), rel=1e-12)
 
 
 def test_survival_integral_needs_positive_mortality():
@@ -421,12 +439,11 @@ def test_general_path_builds_no_age_table_for_age_free_transmission():
     assert max(live) < 1.5 * table, f"{max(live) / table:.2f} tables"
     assert all(isinstance(a, float) for a in ages)
     # the contractions of the explicit age table
-    cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h,
-                                    grid.delta)
-    expect = np.exp(-cum) * eval_rate(params.beta_h, grid.ages_h[:, None] + grid.taus_h[None, :],
-                                      grid.taus_h[None, :])
-    assert np.array_equal(sk.human_rows, np.sum(expect, axis=1))
-    np.testing.assert_allclose(sk.human_tau, sk.pi_h @ expect, rtol=1e-13, atol=0.0)
+    expect = _explicit_human_kernel(params, grid)
+    pi_h, rows = _survival(params, grid), np.sum(expect, axis=1)
+    assert sk.rows_total == pytest.approx(float(np.sum(rows)), rel=1e-13, abs=0.0)
+    assert sk.rows_pi_h == pytest.approx(float(pi_h @ rows), rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(sk.human_tau, pi_h @ expect, rtol=1e-13, atol=0.0)
     assert np.array_equal(sk.mosq_kernel, _where_mosquito_kernel(params, grid))
 
 
@@ -467,12 +484,13 @@ def test_preset_mosquito_kernels_are_the_where_rule(name):
     assert np.array_equal(sk.mosq_kernel, _where_mosquito_kernel(params, grid))
 
 
-def _explicit_human_kernel(params, grid):
-    """The general path's human kernel K[xi, tau] (pi_h left out) as one
-    table: the reference its blocked contractions must reproduce."""
-    cum = characteristic_cumulative(params.removal_rate("i_h"), grid.ages_h, grid.taus_h,
-                                    grid.delta)
-    return np.exp(-cum) * eval_rate(params.beta_h, grid.ages_h[:, None] + grid.taus_h[None, :],
+def _explicit_human_kernel(params, grid, ages=None):
+    """The human kernel K[xi, tau] (pi_h left out) as one table, on the rows
+    ``ages`` (the whole human age axis by default): the reference the
+    general path's blocked contractions must reproduce."""
+    ages = grid.ages_h if ages is None else ages
+    cum = characteristic_cumulative(params.removal_rate("i_h"), ages, grid.taus_h, grid.delta)
+    return np.exp(-cum) * eval_rate(params.beta_h, ages[:, None] + grid.taus_h[None, :],
                                     grid.taus_h[None, :])
 
 
@@ -480,8 +498,8 @@ def _explicit_human_kernel(params, grid):
 @settings(max_examples=60, deadline=None)
 def test_blocked_human_contractions_match_the_explicit_table(data):
     # random small age-dependent grids, blocks of one row up to the whole
-    # axis with a ragged last block: the row sums are those of the table bit
-    # for bit, and human_factor agrees to rounding for lambdas of both signs
+    # axis with a ragged last block: the row totals, plain and weighted by
+    # pi_h, and human_factor for lambdas of both signs agree to rounding
     delta = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
     n_ah = data.draw(st.integers(1, 40))
     n_th = data.draw(st.integers(1, n_ah))
@@ -502,9 +520,11 @@ def test_blocked_human_contractions_match_the_explicit_table(data):
         assert len(grids.row_blocks(n_ah, n_th)) == -(-n_ah // rows)
         sk = spectral_kernels.__wrapped__(params, grid)
     table = _explicit_human_kernel(params, grid)
-    assert np.array_equal(sk.human_rows, np.sum(table, axis=1))
+    pi_h, rows = _survival(params, grid), np.sum(table, axis=1)
+    assert sk.rows_total == pytest.approx(float(np.sum(rows)), rel=1e-13, abs=0.0)
+    assert sk.rows_pi_h == pytest.approx(float(pi_h @ rows), rel=1e-13, abs=0.0)
     for lam in (-1.5, -0.2, 0.0, 0.7, 6.0):
-        expect = float(sk.pi_h @ (table @ np.exp(-lam * grid.taus_h))) * delta ** 2
+        expect = float(pi_h @ (table @ np.exp(-lam * grid.taus_h))) * delta ** 2
         assert sk.human_factor(lam) == pytest.approx(expect, rel=1e-13, abs=0.0), lam
 
 
