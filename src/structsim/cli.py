@@ -77,7 +77,8 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
 def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
     """Model, grid and preset name.  A preset, like a config without [grid],
     gets the default grid of its mu_h; the grid options override any extent.
-    The grid is built once, so every grid error exits 2."""
+    The grid is built once, so every grid error exits 2; it is kept as
+    ``args.grid`` for the error of a grid too large to allocate."""
     if bool(args.preset) == bool(args.config):
         raise SystemExit2("exactly one of --preset or --config is required")
     name = args.preset
@@ -108,6 +109,7 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
                 else dataclasses.replace(grid, **changed))
     except ValueError as exc:
         raise SystemExit2(f"grid: {exc}")
+    args.grid = grid
     return params, grid, name
 
 
@@ -212,6 +214,9 @@ def cmd_simulate(args, initial=None) -> int:
 
 
 def cmd_bifurcate(args) -> int:
+    if not args.lambda_m_min < args.lambda_m_max:
+        raise SystemExit2(f"--lambda-m-min {args.lambda_m_min:g} must be below "
+                          f"--lambda-m-max {args.lambda_m_max:g}")
     params, grid, name = _resolve(args)
     _make_out_dir(args)
     manifest = RunManifest(args.argv, name, params, grid)
@@ -291,19 +296,20 @@ def cmd_reproduce(args) -> int:
     def out(suffix):
         return os.path.join(args.out_dir, f"{fig}.{suffix}")
 
-    # the recipe chooses the model: reproduce takes no --preset, --config or --lambda-m
-    ns = argparse.Namespace(**vars(args), config=None)
-    ns.out = out("csv")
-    ns.svg = out("svg")
-    ns.snapshot = None
-    ns.output_every = 40
-    ns.mode = "reduced"
+    # the recipe chooses the model: reproduce takes no --preset, --config or
+    # --lambda-m, and fills them in on its own namespace, where main finds the grid
+    args.config = None
+    args.out = out("csv")
+    args.svg = out("svg")
+    args.snapshot = None
+    args.output_every = 40
+    args.mode = "reduced"
     if fig in ("fig2-forward", "fig2-backward"):
-        ns.preset = "forward" if fig.endswith("forward") else "backward"
-        ns.lambda_m = None
-        ns.lambda_m_min, ns.lambda_m_max = 1e6, 1e8
-        ns.points = 200
-        return cmd_bifurcate(ns)
+        args.preset = "forward" if fig.endswith("forward") else "backward"
+        args.lambda_m = None
+        args.lambda_m_min, args.lambda_m_max = 1e6, 1e8
+        args.points = 200
+        return cmd_bifurcate(args)
     recipes = {
         "fig3-left": ("forward", 7e6, 1e-2),
         "fig3-right": ("forward", 5e6, 1e-2),
@@ -313,11 +319,11 @@ def cmd_reproduce(args) -> int:
         "fig4-br": ("backward", 2.5e7, SEED_SMALL),
     }
     name, lam, seed = recipes[fig]
-    ns.preset, ns.lambda_m = name, lam
+    args.preset, args.lambda_m = name, lam
     if seed == "endemic":
-        return cmd_simulate(ns, initial=_upper_endemic_start)
-    ns.seed_fraction = seed
-    return cmd_simulate(ns)
+        return cmd_simulate(args, initial=_upper_endemic_start)
+    args.seed_fraction = seed
+    return cmd_simulate(args)
 
 
 def _upper_endemic_start(params: ModelParams, grid: Grid):
@@ -402,6 +408,13 @@ def main(argv=None) -> int:
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an array larger than the machine before touching it
+        grid = getattr(args, "grid", None)
+        shape = "" if grid is None else (
+            f" delta={grid.delta:g} ({grid.n_ah} human and {grid.n_am} mosquito age cells)")
+        print(f"error: grid{shape} too large to allocate: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

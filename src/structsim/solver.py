@@ -62,7 +62,8 @@ table keeps only its rows from lo on, the first structure age whose move
 has a nonzero channel rate at either end (the rows before are exactly 0),
 so a channel that starts to remove at some infection or recovery age
 keeps no rows before it.  It builds a weight table one structure-age row
-at a time, so no other table of a ring's size is formed.  A table of m
+at a time and a beta table a block of rows (``grids.row_blocks``) at a
+time, so no other table of a ring's size is formed.  A table of m
 rows is the leading m rows of the table of the whole axis (a weight
 table's kept rows from lo on), so each run builds its kernel once, for
 exactly the rows it reaches, and keeps it no longer than the run.  Ring
@@ -110,6 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid, decay_factors, entry_factors, lag_sample, row_blocks, step_factors
+from .manifest import sha256
 from .params import ModelParams
 from .rates import eval_rate, rate_table
 
@@ -191,7 +193,8 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
     Each rate is sampled once, on the axes it reads: on the first ``m``
     structure ages, or ``m + 1`` with a channel (the weight of row
     ``m - 1`` reads step row ``m``), or the whole axis when it is shorter.
-    A weight table is built one structure-age row at a time, so the only
+    A weight table is built one structure-age row at a time and a beta
+    table a block of rows (``grids.row_blocks``) at a time, so the only
     arrays on the age axis of a ring's size are the tables kept."""
     n_t = min(m + (part is not None), len(axis))
     taus = axis[:n_t]
@@ -208,7 +211,12 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
     if beta is not None:
         # beta at the age-lag midpoint of each cell, in cohort coordinates [tau, x]
         if beta.reads[0]:
-            k[key + "_beta_g"] = lag_sample(beta, ages, taus[:m, None]) * g[:, None]
+            # a block of rows at a time: the lag and the sample's temporaries
+            # are one block's, not the table's
+            k[key + "_beta_g"] = beta_g = np.empty((m, np.size(ages)))
+            for rows in row_blocks(m, np.size(ages)):
+                np.multiply(lag_sample(beta, ages, taus[rows, None]), g[rows, None],
+                            out=beta_g[rows])
         else:
             k[key + "_beta_g"] = lag_sample(beta, 0.0, taus[:m]) * g
     if not aged:
@@ -843,8 +851,8 @@ def save_snapshot(state: StateFields, grid: Grid, path: str) -> str:
     field of ``state`` may be a run's cohort ring, which is written without
     building the field.  Returns the SHA-256 hex digest of the bytes
     written, taken as they are written."""
-    import hashlib      # loads OpenSSL: only where a digest is made
-    digest = hashlib.sha256()
+    fields = (np.atleast_1d(state.s_h), state.i_h, state.r_h, state.s_m, state.i_m)
+    digest = sha256(sum(8 * math.prod(field.shape) for field in fields))
     with open(path, "wb") as fh:
         def put(data) -> None:
             digest.update(data)
@@ -853,7 +861,7 @@ def save_snapshot(state: StateFields, grid: Grid, path: str) -> str:
         put(SNAPSHOT_MAGIC + struct.pack("<B", state.mode == "full")
             + struct.pack("<7d", grid.delta, grid.a_max_h, grid.a_max_m,
                           grid.tau_max_h, grid.tau_max_m, grid.eta_max, state.t))
-        for field in (np.atleast_1d(state.s_h), state.i_h, state.r_h, state.s_m, state.i_m):
+        for field in fields:
             if not isinstance(field, _CohortRing):
                 field = np.ascontiguousarray(field, dtype="<f8")
             ndim = len(field.shape)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import structsim as ss
-from structsim import bifurcation, cli, solver
+from structsim import bifurcation, cli, manifest, solver
 from structsim.cli import main
 from structsim.manifest import RunManifest
 
@@ -76,7 +76,8 @@ def test_nonpositive_overrides_exit_2(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("extra", [["--points", "0"], ["--points", "-3"],
                                    ["--threads", "2"], ["--lambda-m-max", "inf"],
                                    ["--lambda-m-max", "nan"], ["--lambda-m-min", "inf"],
-                                   ["--lambda-m-min", "nan"], ["--lambda-m-min", "0"]])
+                                   ["--lambda-m-min", "nan"], ["--lambda-m-min", "0"],
+                                   ["--lambda-m-max", "1e6"], ["--lambda-m-min", "1e7"]])
 def test_bifurcate_rejects_bad_arguments(tmp_path, extra):
     out = tmp_path / "branch.csv"
     assert main(["bifurcate", "--preset", "forward", "--lambda-m-min", "5e6",
@@ -203,6 +204,26 @@ def test_a_preset_is_capped_like_a_config_without_a_grid(capsys):
     assert name == "backward" and grid.n_ah == 100000 and grid.n_am == 150000
 
 
+@pytest.mark.parametrize("command", [["r0", "--preset", "forward"],
+                                     ["reproduce", "--figure", "fig2-forward"]])
+def test_a_grid_too_large_to_allocate_exits_2(tmp_path, command):
+    # the (1 500 000, 1 500 000) mosquito kernel of this grid is 16.4 TiB; the
+    # child's address-space limit makes numpy refuse it before it touches any
+    # memory, whatever the machine's overcommit policy
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(ss.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    limit = 4 << 30
+    ran = subprocess.run(
+        [sys.executable, "-m", "structsim.cli", *command, "--delta", "1e-6", "--a-max-h", "100"],
+        env=env, capture_output=True, text=True, cwd=tmp_path,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    err = ran.stderr.splitlines()
+    assert ran.returncode == 2 and len(err) == 1, ran.stderr
+    assert err[0].startswith("error: grid delta=1e-06 (100000000 human and 1500000 mosquito "
+                             "age cells) too large to allocate: "), err
+
+
 def test_a_preset_takes_the_default_grid_of_its_mortality():
     for name in ("forward", "backward"):
         args = cli.build_parser().parse_args(["r0", "--preset", name, "--lambda-m", "3e7",
@@ -309,41 +330,72 @@ def test_simulate_frees_its_seed_before_the_first_step(tmp_path):
     assert freed and all(freed)
 
 
-@pytest.mark.parametrize("mode", ["full", "reduced"])
+@pytest.mark.parametrize("mode", ["full", "reduced", "bifurcate"])
 def test_manifest_digests_are_the_outputs_sha256(tmp_path, mode):
     # the snapshot's digest is taken while it is written, the others from
     # their files: each is the SHA-256 of the file's bytes
     cfg = tmp_path / "model.cfg"
     cfg.write_text(GOOD_CONFIG)
-    out = str(tmp_path / "run.csv")
-    assert main(["simulate", "--config", str(cfg), "--a-max-h", "2", "--mode", mode,
-                 "--t-end", "0.05", "--out", out, "--snapshot", str(tmp_path / "final.bin"),
-                 "--svg", str(tmp_path / "run.svg"), "--quiet"]) == 0
+    out, svg = str(tmp_path / "run.csv"), str(tmp_path / "run.svg")
+    if mode == "bifurcate":
+        command = ["bifurcate", "--lambda-m-min", "1e6", "--lambda-m-max", "1e8",
+                   "--points", "5"]
+    else:
+        command = ["simulate", "--a-max-h", "2", "--mode", mode, "--t-end", "0.05",
+                   "--snapshot", str(tmp_path / "final.bin")]
+    assert main([*command, "--config", str(cfg), "--out", out, "--svg", svg, "--quiet"]) == 0
     with open(out + ".manifest.json") as fh:
         outputs = json.load(fh)["outputs"]
-    assert len(outputs) == 3
+    assert len(outputs) == (2 if mode == "bifurcate" else 3)
     for path, digest in outputs.items():
         with open(path, "rb") as fh:
             assert digest == hashlib.sha256(fh.read()).hexdigest(), path
 
 
-_QUERIES_THEN_SIMULATE = """\
+@pytest.mark.parametrize("nbytes", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+def test_digests_take_openssl_from_one_mib_with_the_same_value(nbytes):
+    # below 1 MiB CPython's built-in SHA-256 hashes and OpenSSL is not loaded
+    data = np.random.default_rng(nbytes).bytes(nbytes)
+    digest = manifest.sha256(nbytes)
+    digest.update(data)
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    openssl = type(hashlib.sha256())
+    assert isinstance(digest, openssl) == (nbytes >= manifest.BUILTIN_SHA256_MAX_BYTES)
+
+
+def test_digests_take_openssl_without_a_builtin_sha256():
+    with mock.patch.dict(sys.modules, {"_sha2": None, "_sha256": None}):
+        digest = manifest.sha256(1)
+    digest.update(b"x")
+    assert isinstance(digest, type(hashlib.sha256()))
+    assert digest.hexdigest() == hashlib.sha256(b"x").hexdigest()
+
+
+_QUERIES_THEN_MANIFESTS = """\
 import json, sys
 from structsim.cli import main
 result, model = sys.argv[1], ["--preset", "forward", "--lambda-m", "7e6", "--delta", "0.01"]
 codes = [main(command + model) for command in
          (["validate"], ["r0", "--method", "all"], ["report"], ["growth-rate"])]
-loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
-codes.append(main(["simulate", *sys.argv[2:], *model]))
+loaded = [sorted({"hashlib", "_hashlib"} & set(sys.modules))]
+out_dir = sys.argv[2]
+codes.append(main(["simulate", *sys.argv[3:], *model]))
+codes.append(main(["bifurcate", "--lambda-m-min", "1e6", "--lambda-m-max", "1e8",
+                   "--points", "3", "--out", out_dir + "/branch.csv", "--quiet", *model]))
+codes.append(main(["reproduce", "--figure", "fig4-bl", "--t-end", "1", "--delta", "0.01",
+                   "--out-dir", out_dir, "--quiet"]))
+loaded.append(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
 with open(result, "w") as fh:
     json.dump({"codes": codes, "loaded": loaded}, fh)
 """
 
 
 def test_query_commands_load_no_hashlib(tmp_path, capsys):
-    # hashlib loads OpenSSL's libcrypto: a command that writes no digest
-    # never imports it, and a simulate in the same interpreter afterwards
-    # records the same digests as one run where hashlib was loaded first
+    # hashlib loads OpenSSL's libcrypto, which sets the peak RSS of a small
+    # command: a command that writes no digest never imports it, and nor do
+    # a reduced simulate with an SVG and a snapshot, bifurcate and reproduce,
+    # whose files are all below the size from which digests use OpenSSL; the
+    # simulate records the same digests as one run where hashlib was loaded
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(ss.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -351,13 +403,15 @@ def test_query_commands_load_no_hashlib(tmp_path, capsys):
     for side in ("fresh", "here"):
         out, snap = str(tmp_path / f"{side}.csv"), str(tmp_path / f"{side}.bin")
         simulate = ["--t-end", "0.5", "--seed-fraction", "0.01", "--out", out,
-                    "--snapshot", snap, "--quiet"]
+                    "--snapshot", snap, "--svg", str(tmp_path / f"{side}.svg"), "--quiet"]
         if side == "fresh":
             result = tmp_path / "result.json"
-            subprocess.run([sys.executable, "-c", _QUERIES_THEN_SIMULATE, str(result),
-                            *simulate], env=env, capture_output=True, check=True)
+            subprocess.run([sys.executable, "-c", _QUERIES_THEN_MANIFESTS, str(result),
+                            str(tmp_path), *simulate], env=env, capture_output=True, check=True)
             ran = json.loads(result.read_text())
-            assert ran["codes"] == [0] * 5 and ran["loaded"] == []
+            assert ran["codes"] == [0] * 7 and ran["loaded"] == [[], []]
+            for manifest in ("fresh.csv", "branch.csv", "fig4-bl.csv"):
+                assert (tmp_path / f"{manifest}.manifest.json").exists(), manifest
         else:
             assert main(["simulate", *simulate, "--preset", "forward", "--lambda-m", "7e6",
                          "--delta", "0.01"]) == 0

@@ -980,6 +980,49 @@ def test_reduced_kernel_builds_no_human_age_table():
     assert all(grid.n_ah not in np.shape(v) for v in k.values())
 
 
+def test_reduced_kernel_samples_beta_tables_in_row_blocks():
+    # the i_m ring's beta * G table, 300 x 300 on the forward preset, is
+    # sampled a row block at a time: the build peaks at its kept tables plus
+    # one block's lag and gauss_exp temporaries (~3.4 blocks), where the
+    # whole-table sample held the lag, the temporaries and the product at
+    # once (~6.1 blocks above the kept tables)
+    params, grid = ss.preset("forward"), ss.preset_grid("forward")
+    tracemalloc.start()
+    try:
+        k = _kernel(params, grid, "reduced")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(np.asarray(table).nbytes for table in k.values())
+    block = grids.row_blocks(grid.n_tm, grid.n_am)[0]
+    block_bytes = 8 * grid.n_am * (block.stop - block.start)
+    assert k["im_beta_g"].shape == (grid.n_tm, grid.n_am) and block.stop < grid.n_tm
+    assert peak < kept + 4 * block_bytes, \
+        f"build peaked {(peak - kept) / block_bytes:.1f} blocks above its tables"
+
+
+@given(case=st.deferred(lambda: _small_case()), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_beta_tables_in_row_blocks_are_the_whole_table_sample(case, data):
+    # a beta that reads age is sampled into its (m, n_a) table a few rows at
+    # a time, bit for bit the whole table's sample times G: i_m's always,
+    # i_h's under an age-reading beta_h, with block edges anywhere
+    params, grid, state = case
+    rows = tuple(data.draw(st.integers(1, n)) for n in (grid.n_th, grid.n_eta, grid.n_tm))
+    block = data.draw(st.integers(1, 24 * max(grid.n_ah, grid.n_am)))   # 1 to 3 rows
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", block):
+        k = _kernel(params, grid, state.mode, rows)
+    human = grid.ages_h if state.mode == "full" else 0.0
+    checked = 0
+    for key, beta, ages, axis, m in (("ih", params.beta_h, human, grid.taus_h, rows[0]),
+                                     ("im", params.beta_m, grid.ages_m, grid.taus_m, rows[2])):
+        if beta.reads[0]:
+            want = grids.lag_sample(beta, ages, axis[:m, None]) * k[key + "_g"][:, None]
+            assert np.array_equal(k[key + "_beta_g"], want), key
+            checked += 1
+    assert checked >= 1
+
+
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 def test_entry_cell_recovery_hand_value(mode):
     # with no infected or recovered humans, the recovered entry column after a
