@@ -412,9 +412,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # numpy refuses an array larger than the machine before touching it
         grid = getattr(args, "grid", None)
-        shape = "" if grid is None else (
+        named = "" if grid is None else (
             f" delta={grid.delta:g} ({grid.n_ah} human and {grid.n_am} mosquito age cells)")
-        print(f"error: grid{shape} too large to allocate: {exc}", file=sys.stderr)
+        print(f"error: grid{named} too large to allocate: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -410,8 +410,8 @@ def test_query_commands_load_no_hashlib(tmp_path, capsys):
                             str(tmp_path), *simulate], env=env, capture_output=True, check=True)
             ran = json.loads(result.read_text())
             assert ran["codes"] == [0] * 7 and ran["loaded"] == [[], []]
-            for manifest in ("fresh.csv", "branch.csv", "fig4-bl.csv"):
-                assert (tmp_path / f"{manifest}.manifest.json").exists(), manifest
+            for csv in ("fresh.csv", "branch.csv", "fig4-bl.csv"):
+                assert (tmp_path / f"{csv}.manifest.json").exists(), csv
         else:
             assert main(["simulate", *simulate, "--preset", "forward", "--lambda-m", "7e6",
                          "--delta", "0.01"]) == 0
