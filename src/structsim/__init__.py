@@ -4,8 +4,8 @@ reproduction numbers, and endemic-equilibrium bifurcation analysis."""
 __version__ = "0.1.0"
 
 from .bifurcation import (BifurcationBranch, ReducedKernels, bifurcation_constant,
-                          build_reduced_kernels, direction, dk_f, f_value, k_bar,
-                          reconstruct_equilibrium, solve_endemic, trace_branch)
+                          build_reduced_kernels, direction, dk_f, endemic_roots, f_value,
+                          k_bar, reconstruct_equilibrium, solve_endemic, trace_branch)
 from .characteristics import (GrowthRateResult, dominant_growth_rate, g_of_lambda,
                               volterra_decoupled)
 from .config import ConfigError, load_config

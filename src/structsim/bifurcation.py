@@ -14,8 +14,10 @@ h(0) = 1 holds identically and h vanishes at the admissible upper bound
 K_bar.  Each kernel build tabulates h once on a uniform scan of
 [0, K_bar]; the roots for any R0 are the sign changes of R0 * h - 1 on
 that table, each bisected on f (the scan is dense enough to separate the
-two roots near the fold).  dk_f = R0 * h' is the exact analytic
-K-derivative of that same expression.
+two roots near the fold).  The brackets of many R0 values are bisected
+together, one lane each, so a sweep evaluates h once per halving.
+dk_f = R0 * h' is the exact analytic K-derivative of that same
+expression.
 
 Every question about the branch is answered from h: it is backward iff
 h'(0) = dk_f(1, 0) > 0, i.e. iff it leaves K = 0 below R0 = 1
@@ -74,10 +76,7 @@ class ReducedKernels:
     def __post_init__(self) -> None:
         k_scan = np.linspace(0.0, k_bar(self), SCAN_POINTS + 1)
         object.__setattr__(self, "k_scan", k_scan)
-        # a row block of the (K, xi) table at a time: each value is its row's
-        # own sum, so the scan is the whole-table h_value(k_scan) bit for bit
-        object.__setattr__(self, "h_scan", np.concatenate(
-            [h_value(k_scan[rows], self) for rows in row_blocks(len(k_scan), len(self.xis_m))]))
+        object.__setattr__(self, "h_scan", _h_in_row_blocks(k_scan, self))
 
 
 @functools.lru_cache(maxsize=8)
@@ -144,10 +143,18 @@ def h_value(k, kernels: ReducedKernels):
     """
     k = _admissible(k, kernels)
     growth = 1.0 + k * kernels.int_nu_c1 / kernels.mu_h
-    w = np.exp(np.multiply.outer(-kernels.c2 * k, kernels.xis_m))  # (len(K), n_xi)
-    damped = np.sum(np.multiply(w, kernels.mosq_row_mass, out=w), axis=-1)
+    w = np.multiply.outer(-kernels.c2 * k, kernels.xis_m)           # (len(K), n_xi)
+    damped = np.sum(np.multiply(np.exp(w, out=w), kernels.mosq_row_mass, out=w), axis=-1)
     depletion = 1.0 - k * kernels.recovered_weight
     return growth * (damped / kernels.mosquito_kernel_mass) * depletion
+
+
+def _h_in_row_blocks(k: np.ndarray, kernels: ReducedKernels) -> np.ndarray:
+    """:func:`h_value` on a 1-d ``k``, a row block of the (K, xi) table at a
+    time: each value is its row's own sum, so the result is the whole-table
+    ``h_value(k)`` bit for bit, and the table is never built whole."""
+    blocks = row_blocks(len(k), len(kernels.xis_m))
+    return np.concatenate([h_value(k[rows], kernels) for rows in blocks])
 
 
 def f_value(r0: float, k, kernels: ReducedKernels):
@@ -191,32 +198,68 @@ def direction(dh0: float) -> str:
     return "backward" if dh0 > 0 else "forward"
 
 
-def solve_endemic(r0: float, kernels: ReducedKernels) -> list[float]:
-    """All strictly positive roots of f(r0, K) = 1 on [0, K_bar].
+def endemic_roots(r0s, kernels: ReducedKernels) -> list[list[float]]:
+    """All strictly positive roots of f(r0, K) = 1 on [0, K_bar], for each
+    finite r0 >= 0 of the 1-d ``r0s``, in its order.
 
     The sign changes of r0 * h - 1 on the kernels' scan table bracket the
-    roots, and each bracket is bisected on f to 1e-12 K_bar; the scan is
-    dense enough to separate the two roots near the fold.
+    roots (a row block of r0 values at a time, so the (r0, scan) table is
+    never built whole).  Every bracket of every r0 is then a lane of one
+    bisection on f to 1e-12 K_bar: each halving evaluates h once on the
+    midpoints of the live lanes, in row blocks, and a lane stops on its
+    own when f vanishes at its midpoint or its bracket is narrow enough.
+    The midpoint, the sign rule and the stop are those of a bisection of
+    one bracket at a time, so every root is that bisection's root bit for
+    bit.  Signs are compared, never multiplied, so no r0 overflows them.
+    The scan is dense enough to separate the two roots near the fold.
     """
-    if r0 < 0:
+    r0s = np.asarray(r0s, dtype=float)
+    if r0s.ndim != 1:
+        raise ValueError("r0 values must form a 1-d sequence")
+    if not np.all(np.isfinite(r0s)):
+        raise ValueError(f"r0 must be finite, got {float(r0s[~np.isfinite(r0s)][0])}")
+    if np.any(r0s < 0):
         raise ValueError("r0 must be >= 0")
-    kb = k_bar(kernels)
-    ks = kernels.k_scan
-    vals = r0 * kernels.h_scan - 1.0
-    roots = [float(k) for k in ks[vals == 0.0]]
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        a, b, fa = ks[i], ks[i + 1], vals[i]
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = f_value(r0, m, kernels) - 1.0
-            if fm == 0.0 or (b - a) < 1e-12 * kb:
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(float(0.5 * (a + b)))
-    return sorted(r for r in roots if r > 1e-12 * kb)
+    tol = 1e-12 * k_bar(kernels)
+    ks, hs = kernels.k_scan, kernels.h_scan
+    roots: list[list[float]] = [[] for _ in r0s]
+    brackets = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))]
+    for rows in row_blocks(len(r0s), len(ks)):
+        signs = np.multiply.outer(r0s[rows], hs)
+        signs -= 1.0
+        np.sign(signs, out=signs)               # of r0 * h - 1 on the scan
+        for p, i in zip(*np.nonzero(signs == 0.0)):
+            roots[rows.start + p].append(float(ks[i]))
+        p, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+        brackets.append((rows.start + p, i, signs[p, i] < 0.0))
+
+    # one lane per bracket [a, b] of point ``lane``; f keeps at a the sign
+    # it has at the bracket's left scan point, so b moves iff f(m) has the other
+    lane, i, negative = (np.concatenate(column) for column in zip(*brackets))
+    a, b, r0 = ks[i], ks[i + 1], r0s[lane]
+    for _ in range(200):
+        narrow = (b - a) < tol
+        for p, k in zip(lane[narrow], 0.5 * (a[narrow] + b[narrow])):
+            roots[p].append(float(k))
+        lane, a, b, r0, negative = (v[~narrow] for v in (lane, a, b, r0, negative))
+        if not lane.size:
+            break
+        m = 0.5 * (a + b)
+        fm = r0 * _h_in_row_blocks(m, kernels) - 1.0
+        for p, k in zip(lane[fm == 0.0], m[fm == 0.0]):
+            roots[p].append(float(k))
+        moves_b = (fm < 0.0) != negative
+        a, b = np.where(moves_b, a, m), np.where(moves_b, m, b)
+        lane, a, b, r0, negative = (v[fm != 0.0] for v in (lane, a, b, r0, negative))
+    for p, k in zip(lane, 0.5 * (a + b)):        # none unless 200 halvings ran
+        roots[p].append(float(k))
+    return [sorted(r for r in found if r > tol) for found in roots]
+
+
+def solve_endemic(r0: float, kernels: ReducedKernels) -> list[float]:
+    """All strictly positive roots of f(r0, K) = 1 on [0, K_bar]: the one
+    lane-wise bisection of :func:`endemic_roots` on the single value r0."""
+    return endemic_roots([r0], kernels)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +287,9 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     """Endemic roots across a mosquito-recruitment sweep.
 
     The threshold value is exactly linear in the recruitment rate, so every
-    sweep point solves on the one scan table of h built with the kernels.
+    sweep point solves on the one scan table of h built with the kernels,
+    all in one :func:`endemic_roots` call: the roots of the whole sweep are
+    the lanes of one bisection.
     When the first sweep point carrying a root lies below R0 = 1, the fold
     is the smallest threshold value still carrying a root: the bracket from
     the sweep point before it (from 0 when it is the first sweep point) is
@@ -259,8 +304,9 @@ def trace_branch(params: ModelParams, grid: Grid, lambda_m_min: float,
     kernels = build_reduced_kernels(params, grid)
     slope = lambda_m_slope(params, grid)
     lams = np.linspace(lambda_m_min, lambda_m_max, n_points)
-    points = [BranchPoint(float(lm), float(slope * lm),
-                          tuple(solve_endemic(slope * lm, kernels))) for lm in lams]
+    r0s = slope * lams
+    points = [BranchPoint(float(lm), float(r0), tuple(roots))
+              for lm, r0, roots in zip(lams, r0s, endemic_roots(r0s, kernels))]
 
     fold = None
     first = next((i for i, p in enumerate(points) if p.roots), None)

@@ -118,8 +118,9 @@ class SystemExit2(Exception):
 
 
 def _make_out_dir(args) -> None:
-    """A ``reproduce`` recipe's output directory, made only once its grid
-    and run are accepted, so that a refused recipe leaves none."""
+    """A ``reproduce`` recipe's output directory, made only once its run
+    has been computed, just before its first write, so that a recipe
+    refused by its grid or by an allocation leaves none."""
     if getattr(args, "out_dir", None) is not None:
         os.makedirs(args.out_dir, exist_ok=True)
 
@@ -185,7 +186,6 @@ def cmd_simulate(args, initial=None) -> int:
     if whole_steps(args.t_end, grid.delta) is None:
         raise SystemExit2(f"--t-end {args.t_end:g} is not a whole number of grid steps "
                           f"(delta = {grid.delta:g})")
-    _make_out_dir(args)
     if initial is None:
         def initial(params, grid):
             return default_initial(params, grid, args.seed_fraction, mode=args.mode)
@@ -194,6 +194,7 @@ def cmd_simulate(args, initial=None) -> int:
     run = simulate(params, grid, initial(params, grid), args.t_end,
                    output_every=args.output_every, snapshot=args.snapshot)
     rows, digest = run if args.snapshot else (run, None)
+    _make_out_dir(args)
     _write_rows_csv(args.out, rows)
     manifest.add_output(args.out)
     if args.snapshot:
@@ -218,10 +219,10 @@ def cmd_bifurcate(args) -> int:
         raise SystemExit2(f"--lambda-m-min {args.lambda_m_min:g} must be below "
                           f"--lambda-m-max {args.lambda_m_max:g}")
     params, grid, name = _resolve(args)
-    _make_out_dir(args)
     manifest = RunManifest(args.argv, name, params, grid)
     branch = trace_branch(params, grid, args.lambda_m_min, args.lambda_m_max, args.points)
     _note_sign_disagreement(branch.c_bif, branch.dh0)
+    _make_out_dir(args)
     with open(args.out, "w") as fh:
         fh.write(f"# classification={branch.classification}\n")
         fh.write(f"# c_bif={branch.c_bif!r}\n")

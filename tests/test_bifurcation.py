@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import structsim as ss
 from structsim import bifurcation, grids
 from structsim.bifurcation import (bifurcation_constant, build_reduced_kernels,
-                                   dk_f, f_value, h_value, k_bar,
+                                   dk_f, endemic_roots, f_value, h_value, k_bar,
                                    reconstruct_equilibrium, solve_endemic, trace_branch)
 from structsim.cli import main
 from structsim.config import GRID_KEYS, POPULATION_KEYS, RATE_KEYS
@@ -263,11 +264,114 @@ def test_fold_below_a_sweep_that_starts_inside_the_bistable_window():
 
 
 def test_trace_branch_solves_each_sweep_point_once(backward):
+    # one endemic_roots call carries the sweep's 80 threshold values, each once
     params, grid = backward
-    with mock.patch.object(bifurcation, "solve_endemic", wraps=solve_endemic) as solve:
+    with mock.patch.object(bifurcation, "endemic_roots", wraps=endemic_roots) as roots, \
+            mock.patch.object(bifurcation, "solve_endemic", wraps=solve_endemic) as solve:
         br = trace_branch(params, grid, 1e6, 1e8, 80)
     assert br.fold_r0_star is not None
-    assert solve.call_count == 80
+    assert roots.call_count == 1 and solve.call_count == 0
+    assert list(roots.call_args.args[0]) == [pt.r0 for pt in br.points]
+
+
+def test_trace_branch_forms_no_sweep_sized_table(backward):
+    # a (points x scan) table of r0 * h - 1 at 2 000 points would be 31 MiB;
+    # the sweep peaks below 1 MiB beyond the points it returns
+    params, grid = backward
+    build_reduced_kernels(params, grid)
+    lambda_m_slope(params, grid)
+    tracemalloc.start()
+    try:
+        br = trace_branch(params, grid, 1e6, 1e8, 2000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(br.points) == 2000 and br.fold_r0_star is not None
+    assert peak - held < 1 << 20
+
+
+def _scalar_roots(r0, kernels):
+    """The roots of f(r0, K) = 1 as a bisection of one bracket at a time
+    finds them: the sign changes of r0 * h - 1 on the scan table, each
+    halved on f until f vanishes or the bracket is below 1e-12 K_bar."""
+    kb = k_bar(kernels)
+    ks = kernels.k_scan
+    with np.errstate(over="ignore"):                # products of large r0 * h - 1
+        vals = r0 * kernels.h_scan - 1.0
+        roots = [float(k) for k in ks[vals == 0.0]]
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            a, b, fa = ks[i], ks[i + 1], vals[i]
+            for _ in range(200):
+                m = 0.5 * (a + b)
+                fm = f_value(r0, m, kernels) - 1.0
+                if fm == 0.0 or (b - a) < 1e-12 * kb:
+                    break
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(float(0.5 * (a + b)))
+    return sorted(r for r in roots if r > 1e-12 * kb)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_kernels(which):
+    """The reduced kernels of a preset, or of criterion 10's disagreeing draws."""
+    if which in ("forward", "backward"):
+        return build_reduced_kernels(ss.preset(which, 7e6), ss.preset_grid(which))
+    grid, draws = _disagreeing_draws()
+    return build_reduced_kernels(draws[int(which[-1])], grid)
+
+
+def _threshold_values(kern):
+    """r0 draws: 0, a spread, exact scan hits 1/h_scan[i], the fold 1/max h
+    and its neighbours, and 1e290."""
+    positive = kern.h_scan[kern.h_scan > 0.0]
+    fold = 1.0 / float(np.max(kern.h_scan))
+    return st.one_of(
+        st.just(0.0), st.just(1e290), st.floats(0.0, 6.0),
+        st.sampled_from(positive).map(lambda h: 1.0 / float(h)),
+        st.floats(fold * (1 - 1e-3), fold * (1 + 1e-3)),
+        st.sampled_from([np.nextafter(fold, 0.0), fold, np.nextafter(fold, 2.0)]))
+
+
+@given(which=st.sampled_from(["forward", "backward", *(f"draw{i}" for i in range(5))]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lane_roots_are_the_one_bracket_bisection_roots(which, data):
+    kern = _oracle_kernels(which)
+    r0s = data.draw(st.lists(_threshold_values(kern), max_size=12))
+    got = endemic_roots(np.array(r0s, dtype=float), kern)
+    assert got == [_scalar_roots(r0, kern) for r0 in r0s]     # bit for bit
+    for r0, roots in zip(r0s, got):
+        # f moves by r0 * |h'| * 1e-12 K_bar across the last bracket, so a
+        # root resolves f to 1e-9 only for bounded r0
+        if r0 <= 100.0:
+            assert all(abs(f_value(r0, k, kern) - 1.0) <= 1e-9 for k in roots)
+
+
+@pytest.mark.parametrize("which", ["forward", "backward"])
+def test_lane_roots_at_every_exact_scan_hit(which):
+    # r0 = 1/h_scan[i] makes r0 * h - 1 vanish on the scan for most i: the
+    # scan point is a root, next to bisected brackets of the other r0s
+    kern = _oracle_kernels(which)
+    hs = kern.h_scan[1:-1:16]
+    r0s = 1.0 / hs[hs > 0.0]
+    hits = np.count_nonzero(r0s * hs[hs > 0.0] - 1.0 == 0.0)
+    assert hits > len(r0s) // 2
+    assert endemic_roots(r0s, kern) == [_scalar_roots(r0, kern) for r0 in r0s]
+    assert endemic_roots([], kern) == [] and endemic_roots(np.zeros(0), kern) == []
+    assert endemic_roots([0.0, 0.0], kern) == [[], []]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lane_roots_refuse_a_threshold_that_is_not_finite(bad, kern_backward):
+    with pytest.raises(ValueError, match="r0 must be finite"):
+        endemic_roots([1.0, bad], kern_backward)
+    with pytest.raises(ValueError, match="r0 must be finite"):
+        solve_endemic(bad, kern_backward)
+    with pytest.raises(ValueError, match="r0 must be >= 0"):
+        endemic_roots([1.0, -0.5], kern_backward)
 
 
 @functools.lru_cache(maxsize=1)

@@ -204,24 +204,44 @@ def test_a_preset_is_capped_like_a_config_without_a_grid(capsys):
     assert name == "backward" and grid.n_ah == 100000 and grid.n_am == 150000
 
 
-@pytest.mark.parametrize("command", [["r0", "--preset", "forward"],
-                                     ["reproduce", "--figure", "fig2-forward"]])
-def test_a_grid_too_large_to_allocate_exits_2(tmp_path, command):
-    # the (1 500 000, 1 500 000) mosquito kernel of this grid is 16.4 TiB; the
-    # child's address-space limit makes numpy refuse it before it touches any
-    # memory, whatever the machine's overcommit policy
+def _cli_child(argv, cwd, *flags, limit=None):
+    """The CLI on ``argv`` in a child interpreter started with ``flags``,
+    under an address-space ``limit`` in bytes if one is given: numpy then
+    refuses a larger array before it touches any memory, whatever the
+    machine's overcommit policy."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = os.path.dirname(os.path.dirname(ss.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    limit = 4 << 30
-    ran = subprocess.run(
-        [sys.executable, "-m", "structsim.cli", *command, "--delta", "1e-6", "--a-max-h", "100"],
-        env=env, capture_output=True, text=True, cwd=tmp_path,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    limited = None if limit is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return subprocess.run([sys.executable, *flags, "-m", "structsim.cli", *argv], env=env,
+                          capture_output=True, text=True, cwd=cwd, preexec_fn=limited)
+
+
+@pytest.mark.parametrize("command", [["r0", "--preset", "forward"],
+                                     ["reproduce", "--figure", "fig2-forward"]])
+def test_a_grid_too_large_to_allocate_exits_2(tmp_path, command):
+    # the (1 500 000, 1 500 000) mosquito kernel of this grid is 16.4 TiB,
+    # refused under the child's 4 GiB address space
+    ran = _cli_child([*command, "--delta", "1e-6", "--a-max-h", "100"], tmp_path,
+                     limit=4 << 30)
     err = ran.stderr.splitlines()
     assert ran.returncode == 2 and len(err) == 1, ran.stderr
     assert err[0].startswith("error: grid delta=1e-06 (100000000 human and 1500000 mosquito "
                              "age cells) too large to allocate: "), err
+
+
+@pytest.mark.parametrize("figure", ["fig2-forward", "fig3-left"])
+def test_a_reproduce_refused_by_an_allocation_leaves_no_out_dir(tmp_path, figure):
+    # the 168 GiB mosquito kernel of this grid is refused under the child's
+    # 4 GiB address space after the grid is accepted; the recipe's directory
+    # is made only before its first write, so none is left behind
+    ran = _cli_child(["reproduce", "--figure", figure, "--delta", "1e-5", "--a-max-h", "100",
+                      "--out-dir", "od"], tmp_path, limit=4 << 30)
+    err = ran.stderr.splitlines()
+    assert ran.returncode == 2 and len(err) == 1, ran.stderr
+    assert "too large to allocate" in err[0]
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_preset_takes_the_default_grid_of_its_mortality():
@@ -475,6 +495,19 @@ def test_svg_is_a_derived_view(tmp_path):
     assert main(base + ["--out", with_svg, "--svg", svg]) == 0
     assert open(plain, "rb").read() == open(with_svg, "rb").read()
     assert open(svg).read().startswith("<svg")
+
+
+def test_bifurcate_sweeps_to_huge_recruitment_without_overflow(tmp_path):
+    # r0 reaches 1.8e293: roots are bracketed and bisected on signs, whose
+    # products cannot overflow, so no RuntimeWarning is raised as an error
+    ran = _cli_child(["bifurcate", "--preset", "forward", "--lambda-m-min", "1e6",
+                      "--lambda-m-max", "1e300", "--points", "5", "--out", "b.csv"],
+                     tmp_path, "-W", "error::RuntimeWarning")
+    assert ran.returncode == 0 and ran.stderr == "", ran.stderr
+    rows = [ln.split(",") for ln in (tmp_path / "b.csv").read_text().splitlines()[4:]]
+    values = [float(v) for row in rows for v in row if v]
+    assert len(rows) == 5 and float(rows[-1][1]) > 1e292
+    assert np.all(np.isfinite(values))
 
 
 def test_bifurcate_csv_headers(tmp_path):
