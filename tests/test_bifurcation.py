@@ -323,14 +323,21 @@ def _oracle_kernels(which):
     return build_reduced_kernels(draws[int(which[-1])], grid)
 
 
+def _first_midpoints(kern):
+    """The first bisection midpoint of every scan cell."""
+    return 0.5 * (kern.k_scan[:-1] + kern.k_scan[1:])
+
+
 def _threshold_values(kern):
-    """r0 draws: 0, a spread, exact scan hits 1/h_scan[i], the fold 1/max h
-    and its neighbours, and 1e290."""
+    """r0 draws: 0, a spread, exact scan hits 1/h_scan[i], hits at a first
+    midpoint 1/h(m), the fold 1/max h and its neighbours, and 1e290."""
     positive = kern.h_scan[kern.h_scan > 0.0]
+    h_mid = h_value(_first_midpoints(kern), kern)
     fold = 1.0 / float(np.max(kern.h_scan))
     return st.one_of(
         st.just(0.0), st.just(1e290), st.floats(0.0, 6.0),
         st.sampled_from(positive).map(lambda h: 1.0 / float(h)),
+        st.sampled_from(h_mid[h_mid > 0.0]).map(lambda h: 1.0 / float(h)),
         st.floats(fold * (1 - 1e-3), fold * (1 + 1e-3)),
         st.sampled_from([np.nextafter(fold, 0.0), fold, np.nextafter(fold, 2.0)]))
 
@@ -351,15 +358,19 @@ def test_lane_roots_are_the_one_bracket_bisection_roots(which, data):
 
 
 @pytest.mark.parametrize("which", ["forward", "backward"])
-def test_lane_roots_at_every_exact_scan_hit(which):
-    # r0 = 1/h_scan[i] makes r0 * h - 1 vanish on the scan for most i: the
-    # scan point is a root, next to bisected brackets of the other r0s
+def test_lane_roots_at_exact_scan_and_midpoint_hits(which):
+    # r0 = 1/h_scan[i] makes r0 * h - 1 vanish on the scan, and r0 = 1/h(m)
+    # makes f - 1 vanish at the first midpoint m of a bracket, for most
+    # cells: that scan point or midpoint is the root, while other lanes of
+    # the same call still bisect
     kern = _oracle_kernels(which)
-    hs = kern.h_scan[1:-1:16]
-    r0s = 1.0 / hs[hs > 0.0]
-    hits = np.count_nonzero(r0s * hs[hs > 0.0] - 1.0 == 0.0)
-    assert hits > len(r0s) // 2
-    assert endemic_roots(r0s, kern) == [_scalar_roots(r0, kern) for r0 in r0s]
+    for ks, hs in ((kern.k_scan, kern.h_scan), (_first_midpoints(kern), None)):
+        ks = ks[1:-1:16]
+        hs = h_value(ks, kern) if hs is None else hs[1:-1:16]
+        ks, r0s = ks[hs > 0.0], 1.0 / hs[hs > 0.0]
+        got = endemic_roots(r0s, kern)
+        assert got == [_scalar_roots(r0, kern) for r0 in r0s]
+        assert sum(float(k) in roots for k, roots in zip(ks, got)) > len(r0s) // 2
     assert endemic_roots([], kern) == [] and endemic_roots(np.zeros(0), kern) == []
     assert endemic_roots([0.0, 0.0], kern) == [[], []]
 
