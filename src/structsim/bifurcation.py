@@ -10,25 +10,32 @@ in R0, f(R0, K) = R0 * h(K), with the R0-free factor
            * (damped mosquito kernel mass at damping c2*K, normalized)
            * (1 - K * [int c1 + int(gamma_h c1) * immunity integral])
 
-h(0) = 1 holds identically and h vanishes at the admissible upper bound
-K_bar.  Each kernel build tabulates h once on a uniform scan of
-[0, K_bar]; the roots for any R0 are the sign changes of R0 * h - 1 on
-that table, each bisected on f (the scan is dense enough to separate the
-two roots near the fold).  The brackets of many R0 values are bisected
+where the bracket of the last factor is the recovered weight W.  h(0) = 1
+holds identically, and h is exactly 0 at the admissible upper bound
+K_bar = 1/W and beyond.  Each kernel build tabulates h once on a uniform
+scan of [0, K_bar]; the roots for any R0 are the sign changes of
+R0 * h - 1 on that table, each bisected on f (the scan is dense enough to
+separate the two roots near the fold).  The brackets of many R0 values are bisected
 together, one lane each, so a sweep evaluates h once per halving.
 dk_f = R0 * h' is the exact analytic K-derivative of that same
 expression.
 
-Every question about the branch is answered from h: it is backward iff
-h'(0) = dk_f(1, 0) > 0, i.e. iff it leaves K = 0 below R0 = 1
-(``direction``), and a sweep reports a fold when it finds roots below
-R0 = 1.  ``bifurcation_constant`` evaluates the paper's printed
-three-term threshold constant.  It is not algebraically identical to
-dk_f at (R0=1, K=0): its recovered-pool term is a single integral of
-gamma_h against the immunity survival, whereas the derivative carries
-the product of int(gamma_h c1) with the immunity integral, and on some
-parameter sets the two differ in sign.  It is reported, not used to
-classify.
+h, h', the paper's constant c_bif and the reconstructed equilibrium all
+read one set of integrals, summed once per kernel build in
+``ReducedKernels``: int c1, int(nu_h c1), int(gamma_h c1), W and the
+mosquito kernel masses.  Every question about the branch is answered from
+h: it is backward iff h'(0) = dk_f(1, 0) > 0, i.e. iff it leaves K = 0
+below R0 = 1 (``direction``), and a sweep reports a fold when it finds
+roots below R0 = 1.  ``bifurcation_constant`` evaluates the paper's
+printed three-term threshold constant.  It shares the kernel-lag term and
+int(nu_h c1)/mu_h - int c1 with h'(0) and differs only in the recovered
+pool:
+
+    c_bif - h'(0) = int(gamma_h c1) * immunity integral - int_gamma_imm,
+
+where int_gamma_imm is the single integral of gamma_h against the
+immunity survival.  On some parameter sets that gap flips the sign, so
+c_bif is reported, not used to classify.
 """
 
 from __future__ import annotations
@@ -51,13 +58,11 @@ SCAN_POINTS = 2048
 
 @dataclass(frozen=True)
 class ReducedKernels:
-    """Precomputed pieces of f(R0, K) for one parameter set and grid."""
+    """Precomputed pieces of f(R0, K) for one parameter set and grid: the
+    one source of the integrals that h, h', c_bif and the equilibrium read."""
 
-    delta: float
     mu_h: float
     c1: np.ndarray                  # exp(-int_0^tau (mu_h + nu_h + gamma_h))
-    gamma_tau: np.ndarray
-    nu_tau: np.ndarray
     immunity_decay: np.ndarray      # exp(-int_0^eta (mu_h + k_h))
     c2: float                       # theta * int beta_h c1
     immunity_integral: float        # int immunity_decay d eta
@@ -99,7 +104,7 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
     int_c1 = float(np.sum(c1)) * d
     int_gamma_c1 = float(np.sum(gamma_tau * c1)) * d
     int_nu_c1 = float(np.sum(nu_tau * c1)) * d
-    c2 = params.theta * float(np.sum(sk.beta_h_tau * c1)) * d
+    c2 = params.theta * sk.sum_beta_c1 * d
     recovered_weight = int_c1 + int_gamma_c1 * immunity_integral
     # recovery outflow against the immunity survival, sampled in infection age
     int_gamma_imm = float(np.sum(gamma_tau * np.exp(-cumulative_to_centers(
@@ -111,8 +116,7 @@ def build_reduced_kernels(params: ModelParams, grid: Grid) -> ReducedKernels:
         raise ValueError("the mosquito->human kernel vanishes on the grid (beta_m is 0 "
                          "wherever age exceeds infection age): no endemic branch exists")
     age_lag = float(np.sum(row_mass * sk.xis_m))
-    return ReducedKernels(delta=d, mu_h=mu_h, c1=c1, gamma_tau=gamma_tau, nu_tau=nu_tau,
-                          immunity_decay=immunity_decay, c2=c2,
+    return ReducedKernels(mu_h=mu_h, c1=c1, immunity_decay=immunity_decay, c2=c2,
                           immunity_integral=immunity_integral, int_c1=int_c1,
                           int_gamma_c1=int_gamma_c1, int_nu_c1=int_nu_c1,
                           int_gamma_imm=int_gamma_imm,
@@ -145,7 +149,8 @@ def h_value(k, kernels: ReducedKernels):
     growth = 1.0 + k * kernels.int_nu_c1 / kernels.mu_h
     w = np.multiply.outer(-kernels.c2 * k, kernels.xis_m)           # (len(K), n_xi)
     damped = np.sum(np.multiply(np.exp(w, out=w), kernels.mosq_row_mass, out=w), axis=-1)
-    depletion = 1.0 - k * kernels.recovered_weight
+    # exactly 0 from K_bar on, where 1 - K_bar * W may round to an ulp
+    depletion = np.where(k < k_bar(kernels), 1.0 - k * kernels.recovered_weight, 0.0)
     return growth * (damped / kernels.mosquito_kernel_mass) * depletion
 
 
@@ -163,19 +168,19 @@ def f_value(r0: float, k, kernels: ReducedKernels):
 
 
 def dk_f(r0: float, k, kernels: ReducedKernels):
-    """Exact partial derivative of f with respect to K: r0 * h'(K)."""
+    """Exact partial derivative of f with respect to K: r0 * h'(K), the
+    product rule over the three factors of :func:`h_value`, whose
+    K-derivatives are int(nu_h c1)/mu_h, -c2 times the lag-weighted damped
+    mass, and -recovered_weight."""
     k = _admissible(k, kernels)
     w = np.exp(np.multiply.outer(-kernels.c2 * k, kernels.xis_m)) * kernels.mosq_row_mass
-    damped = np.sum(w, axis=-1)
-    lag_damped = np.sum(w * kernels.xis_m, axis=-1)
     mass = kernels.mosquito_kernel_mass
-    vm = kernels.int_nu_c1 / kernels.mu_h
-    g = kernels.int_gamma_c1 * kernels.immunity_integral
-    part1 = (damped / mass) * (vm * (1.0 - 2.0 * k * kernels.int_c1 - 2.0 * k * g)
-                               - (kernels.int_c1 + g))
-    part2 = (1.0 + k * vm) * (kernels.c2 * lag_damped / mass) \
-        * (1.0 - k * kernels.int_c1 - k * g)
-    return r0 * (part1 - part2)
+    vm, weight = kernels.int_nu_c1 / kernels.mu_h, kernels.recovered_weight
+    growth, depletion = 1.0 + k * vm, 1.0 - k * weight
+    damped = np.sum(w, axis=-1) / mass
+    d_damped = -kernels.c2 * np.sum(w * kernels.xis_m, axis=-1) / mass
+    return r0 * (vm * damped * depletion + growth * d_damped * depletion
+                 - growth * damped * weight)
 
 
 def bifurcation_constant(kernels: ReducedKernels) -> float:
@@ -188,7 +193,7 @@ def bifurcation_constant(kernels: ReducedKernels) -> float:
     """
     term1 = -kernels.c2 * kernels.age_lag_mass / kernels.mosquito_kernel_mass
     term2 = -kernels.int_gamma_imm
-    term3 = float(np.sum(kernels.c1 * (kernels.nu_tau / kernels.mu_h - 1.0))) * kernels.delta
+    term3 = kernels.int_nu_c1 / kernels.mu_h - kernels.int_c1
     return term1 + term2 + term3
 
 
@@ -345,11 +350,10 @@ def reconstruct_equilibrium(k_root: float, params: ModelParams,
     kb = k_bar(kernels)
     if not (0.0 < k_root <= kb * (1 + 1e-12)):
         raise ValueError(f"K = {k_root:g} outside (0, K_bar]")
-    d = grid.delta
     i_norm = k_root * kernels.c1                       # per-capita infected density
-    n_star = params.lambda_h / (kernels.mu_h + float(np.sum(kernels.nu_tau * i_norm)) * d)
-    r_norm = float(np.sum(kernels.gamma_tau * i_norm)) * d * kernels.immunity_decay
-    s_norm = 1.0 - float(np.sum(i_norm)) * d - float(np.sum(r_norm)) * d
+    n_star = params.lambda_h / (kernels.mu_h + k_root * kernels.int_nu_c1)
+    r_norm = k_root * kernels.int_gamma_c1 * kernels.immunity_decay
+    s_norm = 1.0 - k_root * kernels.recovered_weight   # the depletion factor of h
     if s_norm <= 0.0:
         raise ValueError(f"invalid root: susceptible share {s_norm:g} <= 0")
 

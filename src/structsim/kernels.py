@@ -63,7 +63,7 @@ class SpectralKernels:
     human_tau: np.ndarray         # [n_th] pi_h @ K
     taus_h: np.ndarray
     c1: np.ndarray | None         # exp(-int (mu_h+nu_h+gamma_h)) on taus_h, age-free rates only
-    beta_h_tau: np.ndarray | None
+    sum_beta_c1: float | None     # sum beta_h c1 on taus_h, age-free rates only
     # mosquito side
     xis_m: np.ndarray
     taus_m: np.ndarray
@@ -132,18 +132,17 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
                           + np.exp(-mu * d * (2 * n - 1)) / np.expm1(-mu * d) ** 2)
         c1 = np.exp(-cumulative_to_centers(
             rate_table(params.removal_rate("i_h"), 0.0, taus_h), d))
-        beta_h_tau = rate_table(params.beta_h, 0.0, taus_h)
         # every row of K is beta_h c1
-        human_tau = beta_h_tau * c1
-        row_sum = float(np.sum(human_tau))
+        human_tau = rate_table(params.beta_h, 0.0, taus_h) * c1
+        sum_beta_c1 = float(np.sum(human_tau))
         human_tau *= int_pi_h / d
-        rows_total, rows_pi_h = n * row_sum, int_pi_h / d * row_sum
+        rows_total, rows_pi_h = n * sum_beta_c1, int_pi_h / d * sum_beta_c1
     else:
         ages_h = grid.ages_h
         pi_h = np.exp(-cumulative_to_centers(rate_table(params.mu_h, ages_h), d))
         int_pi_h = float(np.sum(pi_h)) * d
         sum_pi_h2 = float(pi_h @ pi_h)
-        c1 = beta_h_tau = None
+        c1 = sum_beta_c1 = None
         human_tau, rows_total, rows_pi_h = _human_contractions(params, ages_h, taus_h, pi_h, d)
 
     # --- mosquito side: kernel on (xi, tau) with the age extent of the grid
@@ -164,7 +163,7 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
 
     return SpectralKernels(delta=d, n_ah=grid.n_ah, int_pi_h=int_pi_h, sum_pi_h2=sum_pi_h2,
                            rows_total=rows_total, rows_pi_h=rows_pi_h, human_tau=human_tau,
-                           taus_h=taus_h, c1=c1, beta_h_tau=beta_h_tau,
+                           taus_h=taus_h, c1=c1, sum_beta_c1=sum_beta_c1,
                            xis_m=xis_m, taus_m=taus_m, pi_m=pi_m, int_pi_m=int_pi_m,
                            mosq_kernel=mosq_kernel, mosq_tau=np.sum(mosq_kernel, axis=0),
                            prefactor=params.lambda_m * params.theta ** 2

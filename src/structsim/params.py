@@ -100,39 +100,27 @@ class ModelParams:
         limit, when no human is ever removed."""
         rates = ((self.mu_h, np.zeros(1)), (self.nu_h, grid.taus_h),
                  (self.gamma_h, grid.taus_h), (self.k_h, grid.etas))
-        sup = sum(_rate_range(spec, grid.n_ah, grid.delta, seconds)[1]
-                  for spec, seconds in rates)
+        sup = sum(_scan(spec, grid.n_ah, grid.delta, seconds)[1] for spec, seconds in rates)
         if sup == 0.0:
             return self.lambda_h * grid.a_max_h
         return self.lambda_h * float(-np.expm1(-sup * grid.a_max_h)) / sup
 
 
-def _rate_range(spec: RateSpec, n_ages: int, delta: float,
-                seconds: np.ndarray) -> tuple[float, float]:
-    """(min, max) of a rate on the grid of ``n_ages`` age centers (step
-    ``delta``) times ``seconds``, scanning only the axes it reads, a block of
-    ages at a time; a NaN anywhere makes both NaN."""
-    n_ages = n_ages if spec.reads[0] else 1
-    samples = (eval_rate(spec, ages[:, None], seconds[None, :])
-               for ages in center_blocks(n_ages, delta, len(seconds)))
-    lo, hi = np.array([(np.min(v), np.max(v)) for v in samples]).T
-    return float(np.min(lo)), float(np.max(hi))
-
-
-def _lag_stats(spec: RateSpec, n_ages: int, delta: float,
-               taus: np.ndarray) -> tuple[float, float, float]:
-    """(min, max, grid sum times delta^2) of a transmission probability on the
-    samples the model reads: :func:`grids.lag_sample` at offsets on ``n_ages``
-    age centers (step ``delta``) and infection ages ``taus``.  A rate that
-    reads no age is sampled once for every offset; one that does is scanned
-    a block of offsets at a time, never on the whole table."""
-    if spec.reads[0]:
-        samples, copies = (lag_sample(spec, ages[:, None], taus[None, :])
-                           for ages in center_blocks(n_ages, delta, len(taus))), 1
-    else:
-        samples, copies = [lag_sample(spec, 0.0, taus)], n_ages
+def _scan(spec: RateSpec, n_ages: int, delta: float, seconds: np.ndarray,
+          sample=eval_rate) -> tuple[float, float, float]:
+    """(min, max, sum) of ``sample(spec, ages, seconds)`` (:func:`eval_rate`,
+    or :func:`grids.lag_sample` for the samples the model reads of a
+    transmission probability) on the grid of ``n_ages`` age centers (step
+    ``delta``) times ``seconds``, broadcast to the grid.  A rate that reads
+    no age is sampled on one age center and its sum counted ``n_ages``
+    times; one that does is scanned a block of ages at a time, never on the
+    whole table.  A NaN anywhere makes all three NaN."""
+    copies = 1 if spec.reads[0] else n_ages
+    samples = (np.broadcast_to(sample(spec, ages[:, None], seconds[None, :]),
+                               (len(ages), len(seconds)))
+               for ages in center_blocks(n_ages // copies, delta, len(seconds)))
     lo, hi, sums = zip(*((np.min(v), np.max(v), float(np.sum(v))) for v in samples))
-    return float(np.min(lo)), float(np.max(hi)), copies * sum(sums) * delta ** 2
+    return float(np.min(lo)), float(np.max(hi)), copies * sum(sums)
 
 
 def preset(name: str, lambda_m: float = 1e7) -> ModelParams:
@@ -218,20 +206,21 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
             ("nu_m", params.nu_m, grid.n_am, grid.taus_m),
             ("gamma_h", params.gamma_h, grid.n_ah, grid.taus_h),
             ("k_h", params.k_h, grid.n_ah, grid.etas)):
-        lo_v, hi_v = _rate_range(spec, n_ages, grid.delta, seconds)
+        lo_v, hi_v, _ = _scan(spec, n_ages, grid.delta, seconds)
         if not (lo_v >= 0 and np.isfinite(hi_v)):
             bounded, worst = False, name
     add("rates_bounded", bounded, "all rates finite and >= 0 on the grid" if bounded
         else f"{worst} is unbounded or negative on the grid")
 
     # transmissibility on the samples the model reads, {(offset + tau, tau)}
-    stats = {name: _lag_stats(spec, n_ages, grid.delta, taus) for name, spec, n_ages, taus in
-             (("beta_h", params.beta_h, grid.n_ah, grid.taus_h),
-              ("beta_m", params.beta_m, grid.n_am, grid.taus_m))}
+    stats = {name: _scan(spec, n_ages, grid.delta, taus, lag_sample)
+             for name, spec, n_ages, taus in (("beta_h", params.beta_h, grid.n_ah, grid.taus_h),
+                                              ("beta_m", params.beta_m, grid.n_am, grid.taus_m))}
     outside = [name for name, (lo_v, hi_v, _) in stats.items() if not 0 <= lo_v <= hi_v <= 1]
     add("beta_in_unit_interval", not outside, "beta_h, beta_m within [0, 1]" if not outside
         else f"{outside[-1]} leaves [0, 1] on the grid")
-    for name, (_, _, mass) in stats.items():
+    for name, (_, _, total) in stats.items():
+        mass = total * grid.delta ** 2
         add(f"{name}_not_identically_zero", mass > 0.0, f"triangular grid sum = {mass:g}")
 
     eligible_actual = params.reduced_mode_eligible
@@ -256,5 +245,5 @@ def validate(params: ModelParams, grid: Grid) -> ValidationReport:
 
 def estimate_mu0(params: ModelParams, grid: Grid) -> float:
     no_second = np.zeros(1)
-    return min(_rate_range(params.mu_h, grid.n_ah, grid.delta, no_second)[0],
-               _rate_range(params.mu_m, grid.n_am, grid.delta, no_second)[0])
+    return min(_scan(params.mu_h, grid.n_ah, grid.delta, no_second)[0],
+               _scan(params.mu_m, grid.n_am, grid.delta, no_second)[0])

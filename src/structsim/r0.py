@@ -80,9 +80,8 @@ def r0_reduced(params: ModelParams, grid: Grid) -> float:
         raise ValueError("reduced formula requires age-independent human rates")
     sk = spectral_kernels(params, grid)
     mu_h = params.mu_h_value()
-    human_tau = float(np.sum(sk.beta_h_tau * sk.c1)) * sk.delta
     return (params.lambda_m * mu_h * params.theta ** 2 / params.lambda_h
-            * sk.mosquito_factor(0.0) * human_tau)
+            * sk.mosquito_factor(0.0) * (sk.sum_beta_c1 * sk.delta))
 
 
 def power_iteration_r0(params: ModelParams, grid: Grid) -> R0Report:

@@ -17,7 +17,7 @@ from structsim.cli import main
 from structsim.config import GRID_KEYS, POPULATION_KEYS, RATE_KEYS
 from structsim.kernels import spectral_kernels
 from structsim.r0 import lambda0_closed_form, lambda_m_for_target_r0, lambda_m_slope
-from structsim.rates import Arity, RateSpec
+from structsim.rates import Arity, RateSpec, rate_table
 from structsim.solver import _kernel, observe
 
 from conftest import fast_grid, fast_params, make_params
@@ -375,6 +375,38 @@ def test_lane_roots_at_exact_scan_and_midpoint_hits(which):
     assert endemic_roots([0.0, 0.0], kern) == [[], []]
 
 
+@pytest.mark.parametrize("which", ["forward", "backward"])
+def test_h_vanishes_exactly_at_k_bar(which):
+    # 1 - K_bar * recovered_weight rounds to an ulp above 0 on backward; h is
+    # exactly 0 from K_bar on, so r0 * h - 1 ends the scan negative for any
+    # r0 and a huge r0 still finds its root next to K_bar
+    kern = _oracle_kernels(which)
+    kb = k_bar(kern)
+    assert kern.k_scan[-1] == kb and kern.h_scan[-1] == 0.0
+    assert h_value(kb, kern) == 0.0 and h_value(0.0, kern) == 1.0
+    for roots in endemic_roots([1e15, 1e16, 1e290], kern):
+        assert len(roots) == 1 and kb - roots[0] <= 1e-12 * kb
+
+
+# c_bif - h'(0) on the presets at lambda_m = 7e6
+RECOVERED_POOL_GAP = {"forward": -1.12184, "backward": -1.12451}
+
+
+@pytest.mark.parametrize("which", ["forward", "backward", *(f"draw{i}" for i in range(5))])
+def test_c_bif_and_h_prime_differ_only_in_the_recovered_pool_term(which):
+    # both read the reduced kernels' integrals and share the kernel-lag term
+    # and int(nu_h c1)/mu_h - int c1; h'(0) carries the recovered pool as
+    # int(gamma_h c1) times the immunity integral, c_bif as the one integral
+    # of gamma_h against the immunity survival, and on the five disagreeing
+    # draws of criterion 10 that gap outweighs h'(0)
+    kern = _oracle_kernels(which)
+    gap = bifurcation_constant(kern) - float(dk_f(1.0, 0.0, kern))
+    assert gap == pytest.approx(kern.int_gamma_c1 * kern.immunity_integral
+                                - kern.int_gamma_imm, rel=1e-12)
+    if which in RECOVERED_POOL_GAP:
+        assert gap == pytest.approx(RECOVERED_POOL_GAP[which], abs=5e-6)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_lane_roots_refuse_a_threshold_that_is_not_finite(bad, kern_backward):
     with pytest.raises(ValueError, match="r0 must be finite"):
@@ -483,6 +515,71 @@ def test_reconstructed_equilibrium_is_nearly_stationary(forward):
     for r in rows:
         assert abs(r.total_i_h / ref.total_i_h - 1) < 0.01
         assert abs(r.n_h / ref.n_h - 1) < 0.01
+
+
+def _resummed_c_bif(kern, params, grid) -> tuple[float, float]:
+    """The threshold constant with its third term re-summed from the sampled
+    profile c1 * (nu_h / mu_h - 1), and the summed magnitudes of its terms."""
+    nu_tau = rate_table(params.nu_h, 0.0, grid.taus_h)
+    term1 = -kern.c2 * kern.age_lag_mass / kern.mosquito_kernel_mass
+    term2 = -kern.int_gamma_imm
+    term3 = float(np.sum(kern.c1 * (nu_tau / kern.mu_h - 1.0))) * grid.delta
+    scale = abs(term1) + abs(term2) + kern.int_nu_c1 / kern.mu_h + kern.int_c1
+    return term1 + term2 + term3, scale
+
+
+def _resummed_human_fields(k_root, kern, params, grid):
+    """The human fields of the equilibrium at K = ``k_root`` and N_h*,
+    re-summed from the sampled profiles nu_h c1, gamma_h c1, c1 and the
+    recovered density."""
+    d = grid.delta
+    gamma_tau = rate_table(params.gamma_h, 0.0, grid.taus_h)
+    nu_tau = rate_table(params.nu_h, 0.0, grid.taus_h)
+    i_norm = k_root * kern.c1
+    n_star = params.lambda_h / (kern.mu_h + float(np.sum(nu_tau * i_norm)) * d)
+    r_norm = float(np.sum(gamma_tau * i_norm)) * d * kern.immunity_decay
+    s_norm = 1.0 - float(np.sum(i_norm)) * d - float(np.sum(r_norm)) * d
+    return s_norm * n_star, i_norm * n_star, r_norm * n_star, n_star
+
+
+def _assert_scalars_are_the_resummed_profiles(params, grid, fractions):
+    kern = build_reduced_kernels(params, grid)
+    want, scale = _resummed_c_bif(kern, params, grid)
+    assert abs(bifurcation_constant(kern) - want) <= 1e-13 * scale
+    for fraction in fractions:
+        k = fraction * k_bar(kern)
+        state, n_star = reconstruct_equilibrium(k, params, grid)
+        s_h, i_h, r_h, n_want = _resummed_human_fields(k, kern, params, grid)
+        assert n_star == pytest.approx(n_want, rel=1e-13, abs=0.0)
+        assert state.s_h == pytest.approx(s_h, rel=1e-13, abs=0.0)
+        np.testing.assert_allclose(state.i_h, i_h, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(state.r_h, r_h, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("which", ["forward", "backward", *(f"draw{i}" for i in range(5))])
+def test_scalars_are_the_resummed_profiles(which):
+    # c_bif and the equilibrium read int(nu_h c1), int(gamma_h c1) and the
+    # recovered weight; they equal the sums over the sampled profiles
+    if which in ("forward", "backward"):
+        params, grid = ss.preset(which, 7e6), ss.preset_grid(which)
+    else:
+        grid, draws = _disagreeing_draws()
+        params = draws[int(which[-1])]
+    _assert_scalars_are_the_resummed_profiles(params, grid, (1e-9, 0.05, 0.3, 0.6, 0.9))
+
+
+@given(mu_h=st.floats(0.1, 2.0), nu_h=st.floats(0.0, 1.5), gamma_h=st.floats(0.0, 5.0),
+       gamma_start=st.floats(0.0, 1.5), k_h=st.floats(0.0, 4.0),
+       beta_center=st.floats(0.0, 2.0), fraction=st.floats(0.001, 0.95))
+@settings(max_examples=30, deadline=None)
+def test_scalars_are_the_resummed_profiles_on_small_grids(mu_h, nu_h, gamma_h, gamma_start,
+                                                          k_h, beta_center, fraction):
+    params = fast_params(mu_h=RateSpec.constant(mu_h, Arity.AGE),
+                         nu_h=RateSpec.constant(nu_h, Arity.AGE_TAU),
+                         gamma_h=RateSpec.piecewise(gamma_start, 0.0, gamma_h, Arity.TAU_ONLY),
+                         k_h=RateSpec.piecewise(0.5, 0.0, k_h, Arity.ETA_ONLY),
+                         beta_h=RateSpec.gauss(0.2, beta_center, 0.3, Arity.TAU_ONLY))
+    _assert_scalars_are_the_resummed_profiles(params, fast_grid(0.05), (fraction,))
 
 
 # ---------------------------------------------------------------------------

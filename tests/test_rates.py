@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import structsim as ss
 from structsim import grids
-from structsim.params import _lag_stats, _rate_range
+from structsim.params import _scan
 from structsim.rates import Arity, RateKind, RateSpec, eval_rate, rate_table
 
 from conftest import make_params
@@ -134,10 +134,12 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta, rows):
     reach = rate_table(spec, ages[:, None] + seconds[None, :], seconds[None, :])
     # the scans run over blocks of ``rows`` age centers, the last one ragged
     with mock.patch.object(grids, "ROW_BLOCK_BYTES", rows * 8 * n_s):
-        assert _rate_range(spec, n_a, delta, seconds) == (full.min(), full.max())
-        lo, hi, mass = _lag_stats(spec, n_a, delta, seconds)
+        lo, hi, total = _scan(spec, n_a, delta, seconds)
+        assert (lo, hi) == (full.min(), full.max())
+        assert total == pytest.approx(float(np.sum(full)), rel=1e-12)
+        lo, hi, total = _scan(spec, n_a, delta, seconds, grids.lag_sample)
         assert (lo, hi) == (reach.min(), reach.max())
-        assert mass == pytest.approx(float(np.sum(reach)) * delta ** 2, rel=1e-12)
+        assert total * delta ** 2 == pytest.approx(float(np.sum(reach)) * delta ** 2, rel=1e-12)
 
 
 @given(a=st.floats(0, 50), second=st.floats(0, 50),
