@@ -139,7 +139,7 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta, rows):
         assert total == pytest.approx(float(np.sum(full)), rel=1e-12)
         lo, hi, total = _scan(spec, n_a, delta, seconds, grids.lag_sample)
         assert (lo, hi) == (reach.min(), reach.max())
-        assert total * delta ** 2 == pytest.approx(float(np.sum(reach)) * delta ** 2, rel=1e-12)
+        assert total == pytest.approx(float(np.sum(reach)), rel=1e-12)
 
 
 @given(a=st.floats(0, 50), second=st.floats(0, 50),
