@@ -22,7 +22,7 @@ from .bifurcation import (bifurcation_constant, build_reduced_kernels, direction
                           endemic_seed, k_bar, reconstruct_equilibrium, solve_endemic,
                           trace_branch)
 from .characteristics import dominant_growth_rate, g_of_lambda
-from .config import ConfigError, load_config
+from .config import GRID_KEYS, ConfigError, load_config
 from .grids import Grid, default_grid, whole_steps
 from .manifest import RunManifest
 from .params import PRESET_NAMES, ModelParams, preset, validate
@@ -68,9 +68,9 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
     """The grid overrides and --quiet, which every subcommand takes."""
     p.add_argument("--delta", type=_positive_float, default=None, help="grid step override")
-    for name in ("a-max-h", "a-max-m", "tau-max-h", "tau-max-m", "eta-max"):
-        p.add_argument(f"--{name}", type=float, default=None,
-                       help=f"grid extent override: {name.replace('-', '_')}")
+    for name in GRID_KEYS[1:]:        # the extents, after delta
+        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
+                       help=f"grid extent override: {name}")
     p.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
@@ -93,8 +93,7 @@ def _resolve(args) -> tuple[ModelParams, Grid, str | None]:
         params, grid = load_config(text, base_dir=os.path.dirname(args.config) or ".")
     if args.lambda_m is not None:
         params = params.with_lambda_m(args.lambda_m)
-    changed = {k: v for k in ("delta", "a_max_h", "a_max_m", "tau_max_h", "tau_max_m", "eta_max")
-               if (v := getattr(args, k)) is not None}
+    changed = {k: v for k in GRID_KEYS if (v := getattr(args, k)) is not None}
     if grid is None:
         delta = changed.setdefault("delta", 0.005)
         mu0 = float(np.min(np.asarray(params.mu_h(np.linspace(0.0, 10.0, 64)), dtype=float)))

@@ -36,6 +36,7 @@ and interpolates linearly.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -135,15 +136,16 @@ def _parse_rate(name: str, value: str, line: int, base_dir: str) -> RateSpec:
 def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | None]:
     """Parse a config document into parameters and an optional grid."""
     section = None
-    seen: dict[str, dict[str, object]] = {"population": {}, "rates": {}, "grid": {}}
-    lines: dict[str, dict[str, int]] = {"population": {}, "rates": {}, "grid": {}}
+    # each section's keys, and each key's (value, line) once it is read
+    keys = {"population": POPULATION_KEYS, "rates": RATE_KEYS, "grid": GRID_KEYS}
+    seen: dict[str, dict[str, tuple[object, int]]] = {name: {} for name in keys}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in seen:
+            if section not in keys:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -151,39 +153,29 @@ def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | Non
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key in lines[section]:
+        if key in seen[section]:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        if section == "population":
-            if key not in POPULATION_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [population]", lineno)
-            seen[section][key] = _parse_number(value, lineno)
-        elif section == "rates":
-            if key not in RATE_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [rates]", lineno)
-            seen[section][key] = _parse_rate(key, value, lineno, base_dir)
-        else:
-            if key not in GRID_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [grid]", lineno)
-            seen[section][key] = _parse_number(value, lineno)
-        lines[section][key] = lineno
+        if key not in keys[section]:
+            raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
+        seen[section][key] = (_parse_rate(key, value, lineno, base_dir) if section == "rates"
+                              else _parse_number(value, lineno), lineno)
 
+    values = {name: {key: value for key, (value, _) in found.items()}
+              for name, found in seen.items()}
     for key in POPULATION_KEYS:
         if key not in seen["population"]:
             raise ConfigError(f"missing [population] key {key!r}")
-        if seen["population"][key] <= 0:
-            raise ConfigError(f"negative parameter: {key} must be positive",
-                              lines["population"][key])
+        value, lineno = seen["population"][key]
+        if value <= 0:
+            raise ConfigError(f"negative parameter: {key} must be positive", lineno)
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite parameter: {key} must be finite", lineno)
     for key in RATE_KEYS:
         if key not in seen["rates"]:
             raise ConfigError(f"missing [rates] key {key!r}")
 
     try:
-        params = ModelParams(
-            lambda_h=seen["population"]["lambda_h"],
-            lambda_m=seen["population"]["lambda_m"],
-            theta=seen["population"]["theta"],
-            **{k: seen["rates"][k] for k in RATE_KEYS},
-        )
+        params = ModelParams(**values["population"], **values["rates"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -193,8 +185,7 @@ def load_config(text: str, base_dir: str = ".") -> tuple[ModelParams, Grid | Non
         if missing:
             raise ConfigError(f"[grid] section incomplete, missing {missing}")
         try:
-            grid = Grid(**{k: seen["grid"][k] for k in GRID_KEYS})
+            grid = Grid(**values["grid"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return params, grid
-

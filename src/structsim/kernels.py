@@ -39,6 +39,7 @@ a vector on the human age axis (500 000 cells on the backward preset);
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,5 +167,18 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
                            taus_h=taus_h, c1=c1, sum_beta_c1=sum_beta_c1,
                            xis_m=xis_m, taus_m=taus_m, pi_m=pi_m, int_pi_m=int_pi_m,
                            mosq_kernel=mosq_kernel, mosq_tau=np.sum(mosq_kernel, axis=0),
-                           prefactor=params.lambda_m * params.theta ** 2
-                           / (params.lambda_h * int_pi_h ** 2))
+                           prefactor=_prefactor(params, int_pi_h))
+
+
+def _prefactor(params: ModelParams, int_pi_h: float) -> float:
+    """lambda_m theta^2 / (lambda_h (int pi_h)^2); ValueError where it
+    leaves the float range, so no R0 route reads an infinite kernel."""
+    try:
+        value = params.lambda_m * params.theta ** 2 / (params.lambda_h * int_pi_h ** 2)
+    except ArithmeticError:         # theta^2 overflows, or (int pi_h)^2 underflows
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the generation prefactor lambda_m theta^2 / (lambda_h (int pi_h)^2) "
+                         f"overflows: lambda_m = {params.lambda_m:g}, theta = {params.theta:g}, "
+                         f"int pi_h = {int_pi_h:g}")
+    return value

@@ -20,8 +20,9 @@ factor that vanishes for a <= tau).
 from __future__ import annotations
 
 import functools
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,8 +51,8 @@ class ModelParams:
     reduced_mode_eligible: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.lambda_h > 0 and self.lambda_m > 0 and self.theta > 0):
-            raise ValueError("lambda_h, lambda_m and theta must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.lambda_h, self.lambda_m, self.theta)):
+            raise ValueError("lambda_h, lambda_m and theta must be positive and finite")
         # survival along a characteristic factors into an age part and a
         # structure-age part only if no removal rate reads both
         for name in dict.fromkeys(n for terms in _REMOVAL_TERMS.values() for n in terms):
@@ -66,9 +67,7 @@ class ModelParams:
         object.__setattr__(self, "reduced_mode_eligible", eligible)
 
     def with_lambda_m(self, lambda_m: float) -> "ModelParams":
-        return ModelParams(self.lambda_h, float(lambda_m), self.theta,
-                           self.mu_h, self.mu_m, self.nu_h, self.nu_m,
-                           self.gamma_h, self.k_h, self.beta_h, self.beta_m)
+        return replace(self, lambda_m=float(lambda_m))
 
     def mu_h_value(self) -> float:
         """Constant human mortality; only defined in reduced-eligible mode."""

@@ -45,22 +45,12 @@ def render_svg(series: list[tuple[str, list[float], list[float]]],
     Log-scaled axes transform the data to log10; non-positive points are
     dropped from log-scaled series.
     """
-    def tx(x):
-        return math.log10(x) if logx else x
-
-    def ty(y):
-        return math.log10(y) if logy else y
-
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            pts.append((tx(x), ty(y)))
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
+    # each series' drawn points, on the plotted axes
+    shown = [[(math.log10(x) if logx else x, math.log10(y) if logy else y)
+              for x, y in zip(xs, ys) if not ((logx and x <= 0) or (logy and y <= 0))]
+             for _, xs, ys in series]
+    pts = [p for points in shown for p in points] or [(0.0, 0.0), (1.0, 1.0)]
+    xs_all, ys_all = zip(*pts)
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -109,10 +99,9 @@ def render_svg(series: list[tuple[str, list[float], list[float]]],
         parts.append(f'<text x="{MARGIN_L + plot_w / 2}" y="18" font-size="14" '
                      f'text-anchor="middle" font-family="sans-serif">{title}</text>')
 
-    for idx, (name, xs, ys) in enumerate(series):
+    for idx, ((name, _, _), points) in enumerate(zip(series, shown)):
         color = _COLORS[idx % len(_COLORS)]
-        coords = [(px(tx(x)), py(ty(y))) for x, y in zip(xs, ys)
-                  if not ((logx and x <= 0) or (logy and y <= 0))]
+        coords = [(px(x), py(y)) for x, y in points]
         if not coords:
             continue
         if markers or len(coords) == 1:

@@ -72,15 +72,14 @@ row j is beside table row (j - head) mod m.  A ring with no age axis
 stacks every table it is contracted with (G, beta * G, the outflow
 weights) into one block and doubles it along structure age: columns
 m - head .. 2m - head - 1 of the block line up with the unrotated rows,
-so all of a state's contractions are one matrix-vector product, made
-once per state.  With an age axis a contraction with a table is two
-contiguous dot products over the filled rows, one on each side of the
-wrap.  The outflow into each age row sums a skewed diagonal of the
-same pieces, weights and rows both through strided views, with one rule
-for both shapes of weights: a table's kept rows, or a vector broadcast
-along the age axis.  With an age axis, each ring row is summed
-once per state; the cell sum is the dot product of those row sums with G,
-and a pressure whose beta reads no age their dot product with beta * G.
+so all of a state's contractions are one matrix-vector product.  With an
+age axis the cell sum and a pressure whose beta reads no age are the row
+sums dotted with G and beta * G.  Both ring shapes keep these in one
+cache, made once per state.  A beta that reads age is two contiguous dot
+products over the filled rows, one on each side of the wrap.  The outflow
+into each age row sums a skewed diagonal of the same pieces, weights and
+rows both through strided views, with one rule for both shapes of
+weights: a table's kept rows, or a vector broadcast along the age axis.
 Initial data enters a ring divided by G, read one structure-age
 column with mass at a time.  The seed of :func:`default_initial` is
 column-major (structure age major), so each such column is contiguous, its
@@ -505,14 +504,15 @@ class _CohortRing:
         m = len(self.g)
         self.rows = np.zeros((m, *field.shape[:-1]))
         self.dots, self.ones = None, np.ones(field.shape[0]) if field.ndim == 2 else None
+        # the tables contracted once per state, one row each (``slot``): with
+        # no age axis all, twice along structure age (columns m - head .. 2m -
+        # head - 1 line up with the ring rows); with one, the structure-axis ones
+        tables = {"g": self.g, "beta": self.beta, "out": self.out if field.ndim == 1 else None}
+        tables = {name: t for name, t in tables.items() if t is not None and t.ndim == 1}
+        self.slot = {name: i for i, name in enumerate(tables)}
+        self.block = list(tables.values())
         if field.ndim == 1:
-            # every table a contraction reads, one row each (``slot``), twice
-            # along structure age: columns m - head .. 2m - head - 1 line up
-            # with the ring rows
-            tables = {"g": self.g, "beta": self.beta, "out": self.out}
-            tables = {name: t for name, t in tables.items() if t is not None}
-            self.slot = {name: i for i, name in enumerate(tables)}
-            self.block = np.tile(list(tables.values()), 2)
+            self.block = np.tile(self.block, 2)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
                 np.divide(field[:m], self.g, out=self.rows, where=field[:m] != 0.0)
@@ -548,25 +548,20 @@ class _CohortRing:
         (_, t0, r0), (_, t1, r1) = self._pieces(table, self.filled)
         return float(np.vdot(t0, r0)) + float(np.vdot(t1, r1))
 
-    def _row_sums(self) -> np.ndarray:
-        """``dots[tau]``, the sum of ring row ``tau`` (the cells of structure
-        age ``tau`` divided by ``G[tau]``), formed once per state as a
-        product with a vector of ones (one BLAS pass over the rows)."""
-        if self.dots is None:
-            m, h = len(self.rows), self.head
-            self.dots = np.empty(m)
-            np.matmul(self.rows[h:], self.ones, out=self.dots[:m - h])
-            np.matmul(self.rows[:h], self.ones, out=self.dots[m - h:])
-        return self.dots
-
     def _contracted(self, name: str) -> float:
-        """A ring with no age axis: the rows contracted with its table
-        ``name`` ("g", "beta" or "out").  Every table is contracted at once,
-        one product of the block's window with the rows per state, kept in
-        ``dots``."""
+        """The rows contracted with the table ``name`` ("g", "beta" or
+        "out"), kept in ``dots`` with every table of ``block``, made once per
+        state: with no age axis one product of the block's window with the
+        rows; with one, each table dotted with the row sums (one BLAS pass)."""
         if self.dots is None:
             m, h = len(self.rows), self.head
-            self.dots = (self.block[:, m - h:2 * m - h] @ self.rows).tolist()
+            if self.rows.ndim == 1:
+                self.dots = (self.block[:, m - h:2 * m - h] @ self.rows).tolist()
+            else:
+                sums = np.empty(m)
+                np.matmul(self.rows[h:], self.ones, out=sums[:m - h])
+                np.matmul(self.rows[:h], self.ones, out=sums[m - h:])
+                self.dots = [float(np.dot(table, sums)) for table in self.block]
         return self.dots[self.slot[name]]
 
     def push(self, inflow) -> None:
@@ -597,17 +592,13 @@ class _CohortRing:
 
     def sum(self) -> float:
         """Sum of the field's cells."""
-        if self.rows.ndim == 1:
-            return self._contracted("g")
-        return float(np.dot(self.g, self._row_sums()))
+        return self._contracted("g")
 
     def sum_beta(self) -> float:
         """Sum of beta * cells."""
-        if self.rows.ndim == 1:
-            return self._contracted("beta")
         if self.beta.ndim == 2:
             return self._dot(self.beta)
-        return float(np.dot(self.beta, self._row_sums()))
+        return self._contracted("beta")
 
     def outflow(self):
         """Mass the removal channel takes during a step from the cohorts that

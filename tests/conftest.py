@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import structsim as ss
 from structsim.rates import Arity, RateSpec
+
+# every run and every checkout draws the same examples: a property test
+# fails for a drawn example in each run or in none
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 def make_params(mu_h=0.022, lambda_m=7e6, **over):

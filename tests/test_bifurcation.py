@@ -568,9 +568,13 @@ def test_scalars_are_the_resummed_profiles(which):
     _assert_scalars_are_the_resummed_profiles(params, grid, (1e-9, 0.05, 0.3, 0.6, 0.9))
 
 
-@given(mu_h=st.floats(0.1, 2.0), nu_h=st.floats(0.0, 1.5), gamma_h=st.floats(0.0, 5.0),
-       gamma_start=st.floats(0.0, 1.5), k_h=st.floats(0.0, 4.0),
-       beta_center=st.floats(0.0, 2.0), fraction=st.floats(0.001, 0.95))
+# no subnormal draw: two summation orders of a subnormal profile differ far
+# above the relative tolerance of the comparison
+@given(mu_h=st.floats(0.1, 2.0), nu_h=st.floats(0.0, 1.5, allow_subnormal=False),
+       gamma_h=st.floats(0.0, 5.0, allow_subnormal=False),
+       gamma_start=st.floats(0.0, 1.5, allow_subnormal=False),
+       k_h=st.floats(0.0, 4.0, allow_subnormal=False),
+       beta_center=st.floats(0.0, 2.0, allow_subnormal=False), fraction=st.floats(0.001, 0.95))
 @settings(max_examples=30, deadline=None)
 def test_scalars_are_the_resummed_profiles_on_small_grids(mu_h, nu_h, gamma_h, gamma_start,
                                                           k_h, beta_center, fraction):

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -129,6 +131,55 @@ def test_infinite_config_extent_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: a_max_h=inf")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["r0"], ["report"], ["growth-rate"],
+                                     ["bifurcate", "--lambda-m-min", "1e6", "--lambda-m-max",
+                                      "1e8", "--points", "5", "--out", "b.csv"]])
+@pytest.mark.parametrize("theta", ["1e400", "nan"])
+def test_a_non_finite_constant_is_a_config_error(tmp_path, capsys, theta, command):
+    # 1e400 parses as inf: no command may pass its checks or print g(0) = inf
+    path = tmp_path / "theta.cfg"
+    path.write_text(GOOD_CONFIG.replace("theta    = 3.65e4", f"theta    = {theta}"))
+    argv = [command[0], "--config", str(path), "--delta", "0.05", *command[1:]]
+    assert main([a.replace("b.csv", str(tmp_path / "b.csv")) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "config error: line 5: non-finite parameter: theta must be finite"]
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["r0"], ["report"], ["growth-rate"],
+                                     ["bifurcate", "--lambda-m-min", "1e6", "--lambda-m-max",
+                                      "1e8", "--points", "5", "--out", "b.csv"]])
+@pytest.mark.parametrize("old, new, values", [
+    # theta^2 = 1e400 overflows a float
+    ("theta    = 3.65e4", "theta    = 1e200", "theta = 1e+200, int pi_h = 45.4545"),
+    # exp(-mu_h delta / 2) underflows to 0, so int pi_h is 0
+    ("mu_h    = constant(0.022)", "mu_h    = constant(1e6)", "theta = 36500, int pi_h = 0"),
+], ids=["theta", "mu_h"])
+def test_an_overflowing_kernel_prefactor_is_one_error_line(tmp_path, capsys, command, old, new,
+                                                           values):
+    # each R0 route refuses the kernel with one line and no traceback
+    path = tmp_path / "prefactor.cfg"
+    path.write_text(GOOD_CONFIG.replace(old, new))
+    argv = [command[0], "--config", str(path), "--delta", "0.05", *command[1:]]
+    assert main([a.replace("b.csv", str(tmp_path / "b.csv")) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: the generation prefactor lambda_m theta^2 / (lambda_h (int pi_h)^2) overflows: "
+        f"lambda_m = 7e+06, {values}"]
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("name", ["lambda_h", "lambda_m", "theta"])
+def test_model_params_refuse_a_non_finite_or_non_positive_constant(name, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        dataclasses.replace(ss.preset("forward"), **{name: value})
+    if name == "lambda_m":
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ss.preset("forward").with_lambda_m(value)
 
 
 def test_zero_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):

@@ -126,6 +126,43 @@ def test_rate_argument_errors_name_their_line(tmp_path, capsys, old, new, messag
     assert capsys.readouterr().err.splitlines() == [f"config error: line {line}: {message}"]
 
 
+@pytest.mark.parametrize("old, new, at, message", [
+    ("theta    = 3.65e4\n", "theta    = 3.65e4\nbites = 3\n", "bites = 3",
+     "unknown key 'bites' in [population]"),
+    ("mu_m    = constant(20)\n", "mu_m    = constant(20)\nmu_x = constant(1)\n",
+     "mu_x = constant(1)", "unknown key 'mu_x' in [rates]"),
+    ("eta_max   = 1.0\n", "eta_max   = 1.0\nzeta = 1\n", "zeta = 1",
+     "unknown key 'zeta' in [grid]"),
+    ("theta    = 3.65e4\n", "theta    = 3.65e4\nlambda_h = 9\n", "lambda_h = 9",
+     "duplicate key 'lambda_h'"),
+    ("k_h     = piecewise(0.1, 0, 40)\n", "k_h     = piecewise(0.1, 0, 40)\nk_h = constant(1)\n",
+     "k_h = constant(1)", "duplicate key 'k_h'"),
+    ("eta_max   = 1.0\n", "eta_max   = 1.0\ndelta = 0.02\n", "delta = 0.02",
+     "duplicate key 'delta'"),
+    ("\n[population]\n", "\ntheta = 1\n[population]\n", "theta = 1",
+     "key outside of any [section]"),
+    ("theta    = 3.65e4\n", "", None, "missing [population] key 'theta'"),
+    ("beta_m  = gauss_exp(0.05, 0.2, 0.2, 1.0)\n", "", None, "missing [rates] key 'beta_m'"),
+    ("a_max_m   = 1.5\n", "", None, "[grid] section incomplete, missing ['a_max_m']"),
+], ids=["unknown-population", "unknown-rates", "unknown-grid", "duplicate-population",
+        "duplicate-rates", "duplicate-grid", "outside-section", "missing-population",
+        "missing-rates", "incomplete-grid"])
+def test_key_errors_are_one_line_with_their_line_number(tmp_path, capsys, old, new, at,
+                                                        message):
+    # every section checks its keys by one rule: the exact message, and the
+    # line of the offending key where there is one
+    doc = GOOD.replace(old, new, 1)
+    if at is not None:
+        message = f"line {_error_line(doc, at)}: {message}"
+    with pytest.raises(ConfigError) as err:
+        load_config(doc)
+    assert str(err.value) == message
+    config = tmp_path / "keys.cfg"
+    config.write_text(doc)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
 def test_missing_rate_is_an_error():
     lines = [ln for ln in GOOD.splitlines() if not ln.startswith("k_h")]
     with pytest.raises(ConfigError, match="missing .rates. key 'k_h'"):
