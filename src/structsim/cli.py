@@ -10,7 +10,10 @@ manifest beside it.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import functools
+import gc
 import math
 import os
 import sys
@@ -391,9 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Once per process: freeze every object at exit, so that interpreter
+    shutdown skips its full collections over the objects the imports left
+    (~22 000, ~5 ms a pass); nothing changes while the process runs."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]`` and is the
     command line a written manifest records."""
+    _freeze_at_exit()
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:

@@ -17,9 +17,11 @@ Each of these rules is defined here only: survival along a characteristic,
 trapezoid factors and channel outflow weights of ``step_factors`` and
 ``entry_factors`` (``decay_factors`` pads them into one table); the
 transmission sample ``lag_sample`` at the age-lag midpoint of a diagonal
-cell; the block rule ``row_blocks``; and ``whole_steps``, the rule that an
-extent is a whole number of steps.  No survival table is kept; each
-consumer builds the factors it reads from a rate table (``rate_table``).
+cell, and ``lag_factors``, its factors on the infection-age and offset axes
+where it has them; the block rule ``row_blocks``; and ``whole_steps``, the
+rule that an extent is a whole number of steps.  No survival table is kept;
+each consumer builds the factors it reads from a rate table
+(``rate_table``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import eval_rate, rate_table
+from .rates import RateKind, RateSpec, eval_rate, rate_table
 
 
 def whole_steps(extent: float, delta: float) -> int | None:
@@ -228,6 +230,27 @@ def lag_sample(rate, offsets, taus) -> np.ndarray:
     lag = offsets + taus if rate.reads[0] else 0.0
     return np.broadcast_to(eval_rate(rate, lag, taus),
                            np.broadcast_shapes(np.shape(offsets), np.shape(taus)))
+
+
+def lag_factors(rate, offsets, taus) -> tuple[np.ndarray, np.ndarray] | None:
+    """The factors ``(f, h)`` of the :func:`lag_sample` of ``rate``, ``f``
+    on the shape of ``taus`` and ``h`` on that of ``offsets``, so that ``f *
+    h`` broadcasts to the sample, taken from the rate's definition: a rate
+    that reads no age is ``f`` with ``h = 1``; ``gauss_exp`` at ``a - tau =
+    offset`` is ``gauss(tau)`` times ``exp(-decay * offset)``, 0 where
+    ``offset <= 0``.  None for a rate that reads age alone: it reads ``offset
+    + tau``.  The product is the sample up to the rounding of ``(offset + tau)
+    - tau``, a relative ``decay * (offset + tau)`` units in the last place."""
+    if rate.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
+        amplitude, center, width, decay = rate.params
+        f = eval_rate(RateSpec.gauss(amplitude, center, width), 0.0, taus)
+        offsets = np.asarray(offsets, dtype=float)
+        h = np.where(offsets > 0, np.exp(-decay * np.maximum(offsets, 0.0)), 0.0)
+    elif rate.reads[0]:
+        return None
+    else:
+        f, h = eval_rate(rate, 0.0, taus), 1.0
+    return np.broadcast_to(f, np.shape(taus)), np.broadcast_to(h, np.shape(offsets))
 
 
 def characteristic_cumulative(rate_fn, offsets: np.ndarray, taus: np.ndarray,

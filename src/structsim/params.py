@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import Grid, center_blocks, default_grid, lag_sample
+from .grids import Grid, center_blocks, default_grid, lag_factors, lag_sample
 from .rates import Arity, RateSpec, eval_rate
 
 PRESET_NAMES = ("forward", "backward")
@@ -105,6 +105,10 @@ class ModelParams:
         return self.lambda_h * float(-np.expm1(-sup * grid.a_max_h)) / sup
 
 
+def _range(values) -> tuple[float, float, float]:
+    return np.min(values), np.max(values), float(np.sum(values))
+
+
 def _scan(spec: RateSpec, n_ages: int, delta: float, seconds: np.ndarray,
           sample=eval_rate) -> tuple[float, float, float]:
     """(min, max, sum) of ``sample(spec, ages, seconds)`` (:func:`eval_rate`,
@@ -112,13 +116,24 @@ def _scan(spec: RateSpec, n_ages: int, delta: float, seconds: np.ndarray,
     transmission probability) on the grid of ``n_ages`` age centers (step
     ``delta``) times ``seconds``, broadcast to the grid.  A rate that reads
     no age is sampled on one age center and its sum counted ``n_ages``
-    times; one that does is scanned a block of ages at a time, never on the
-    whole table.  A NaN anywhere makes all three NaN."""
+    times.  A lag sample that reads age and factors as ``f(second) *
+    h(offset)`` (:func:`grids.lag_factors`) is scanned on its factors, ``h``
+    a block of ages at a time: its extremes are among the four products of
+    the factors' extremes and its sum is ``sum(f) * sum(h)``.  Any other rate
+    that reads age is scanned a block of ages at a time, never on the whole
+    table.  A NaN anywhere makes all three NaN."""
     copies = 1 if spec.reads[0] else n_ages
+    factors = lag_factors(spec, 0.0, seconds) if sample is lag_sample and copies == 1 else None
+    if factors is not None:
+        f_lo, f_hi, f_sum = _range(factors[0])
+        lo, hi, sums = zip(*(_range(lag_factors(spec, ages, 0.0)[1])
+                             for ages in center_blocks(n_ages, delta)))
+        corners = np.outer((f_lo, f_hi), (np.min(lo), np.max(hi)))
+        return float(np.min(corners)), float(np.max(corners)), f_sum * sum(sums)
     samples = (np.broadcast_to(sample(spec, ages[:, None], seconds[None, :]),
                                (len(ages), len(seconds)))
                for ages in center_blocks(n_ages // copies, delta, len(seconds)))
-    lo, hi, sums = zip(*((np.min(v), np.max(v), float(np.sum(v))) for v in samples))
+    lo, hi, sums = zip(*(_range(v) for v in samples))
     return float(np.min(lo)), float(np.max(hi)), copies * sum(sums)
 
 

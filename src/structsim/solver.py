@@ -57,7 +57,10 @@ The kernel keeps G, the entry factors, e where age is read, and the weights
 a step contracts against the rows, each sampled on the axes it reads:
 (outflow weight) * G for a removal channel and beta * G for a pressure, as
 an m-vector, or as an (m, n_a) table when the weight reads age (a channel
-whose pool has a term that reads age; a beta that reads age).  A weight
+whose pool has a term that reads age; a beta that reads age).  Beside the
+table of a beta whose lag samples factor as f[tau] * h[x]
+(``grids.lag_factors``: gauss_exp), on rows no age factor rescales, it
+keeps the vectors f * G and h.  A weight
 table keeps only its rows from lo on, the first structure age whose move
 has a nonzero channel rate at either end (the rows before are exactly 0),
 so a channel that starts to remove at some infection or recovery age
@@ -75,8 +78,16 @@ m - head .. 2m - head - 1 of the block line up with the unrotated rows,
 so all of a state's contractions are one matrix-vector product.  With an
 age axis the cell sum and a pressure whose beta reads no age are the row
 sums dotted with G and beta * G.  Both ring shapes keep these in one
-cache, made once per state.  A beta that reads age is two contiguous dot
-products over the filled rows, one on each side of the wrap.  The outflow
+cache, made once per state.  A rank-one beta f[tau] * h[x] is read from
+prefix sums: a step changes a held row only at the cell that leaves the age
+axis, so from its first step the ring keeps P[p] = cumsum(h * rows[p]) for
+each row p, formed once as the row enters, and the pressure is f * G dotted
+with P[(head + tau) mod m, n - 1 - tau], two strided runs of P.  P takes
+the place of the (m, n) beta * G table: the start state is read from the
+table, and the run drops it before its first step.  Any other beta that
+reads age (one that reads age alone, or one on rows an age factor
+rescales) is two contiguous dot products over the filled rows, one on each
+side of the wrap.  The outflow
 into each age row sums a skewed diagonal of the same pieces, weights and
 rows both through strided views, with one rule for both shapes of
 weights: a table's kept rows, or a vector broadcast along the age axis.
@@ -109,7 +120,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, decay_factors, entry_factors, lag_sample, row_blocks, step_factors
+from .grids import (Grid, decay_factors, entry_factors, lag_factors, lag_sample, row_blocks,
+                    step_factors)
 from .manifest import sha256
 from .params import ModelParams
 from .rates import eval_rate, rate_table
@@ -216,14 +228,19 @@ def _ring_tables(key: str, delta: float, ages, axis: np.ndarray, m: int, removal
             for rows in row_blocks(m, np.size(ages)):
                 np.multiply(lag_sample(beta, ages, taus[rows, None]), g[rows, None],
                             out=beta_g[rows])
+            # its factors f * G and h, where it has them and no age factor
+            # rescales the rows
+            factors = None if aged else lag_factors(beta, ages, taus[:m])
+            if factors is not None:
+                k[key + "_beta_fg"], k[key + "_beta_h"] = factors[0] * g, factors[1]
         else:
             k[key + "_beta_g"] = lag_sample(beta, 0.0, taus[:m]) * g
     if not aged:
-        k[key + "_entry"], out0 = entry_factors(total[0], None if part is None else channel[0],
-                                                delta)
+        entry, out0 = entry_factors(total[0], None if part is None else channel[0], delta)
+        k[key + "_entry"] = float(entry)
         if part is not None:
             live = min(m, n_t - 1)
-            k[key + "_out0"], k[key + "_out_g"] = out0, np.zeros(m)
+            k[key + "_out0"], k[key + "_out_g"] = float(out0), np.zeros(m)
             k[key + "_out_g"][:live] = weight[:live] * g[:live]
         return k
 
@@ -487,15 +504,18 @@ class _CohortRing:
     tables, so the oldest row is empty whenever a step drops it; only the
     ``filled`` rows of the lowest structure ages can hold mass.  A field
     with no age axis (the REDUCED human fields) has one cohort, so a row is
-    one number.
+    one number.  A ring with a rank-one beta keeps, from its first step on,
+    the prefix sums of ``h * rows`` per row (``prefix``) in the place of its
+    beta table.
     ``pool`` names the field; the kernel keys of its tables drop the
     underscore.  ``columns`` are the structure-age columns of ``field``
     holding mass, all below ``m``; ``shape`` is the field's."""
 
     def __init__(self, k: dict, pool: str, field: np.ndarray, columns: np.ndarray):
         key = pool.replace("_", "")
-        self.g, self.e, self.beta, self.out = (
-            k.get(key + name) for name in ("_g", "_e", "_beta_g", "_out_g"))
+        self.g, self.e, self.beta, self.out, self.fg, self.h = (
+            k.get(key + name) for name in ("_g", "_e", "_beta_g", "_out_g", "_beta_fg", "_beta_h"))
+        self.prefix = None      # of a rank-one beta, from the first step on
         self.entry, self.head, self.shape = k[key + "_entry"], 0, field.shape
         self.lo = k.get(key + "_out_lo", 0)
         # the structure ages that can hold mass: below the last column with
@@ -542,6 +562,32 @@ class _CohortRing:
         return ((lo, table[:b0 - lo], self.rows[h + lo:h + b0]),
                 (a1, table[a1 - lo:b1 - lo], self.rows[h - m + a1:h - m + b1]))
 
+    def _leaving(self, array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cells of ``array``, shaped like the rows, at cohort offset ``n
+        - 1 - tau`` of the ring row of each structure age ``tau < n``, one
+        strided run of the buffer per ring piece: from row head for structure
+        ages 0 .. m - head - 1, from row 0 for m - head .. m - 1.  Of the rows
+        it is the cell a step moves past the age axis; of the prefix sums, the
+        sum of the row's cells on the axis."""
+        (m, n), h = array.shape, self.head
+        cells, step = array.reshape(-1), max(n - 1, 1)
+        return (cells[h * n + n - 1::step][:min(m - h, n)],
+                cells[n - 1 - (m - h)::step][:min(h, n - (m - h))] if m - h < n else cells[:0])
+
+    def _prefix_sums(self) -> None:
+        """Keep ``prefix[p] = cumsum(h * rows[p])`` for each ring row ``p``:
+        at the first step for every row, in the place of the beta table, which
+        the ring drops first; after that for the entry row alone, because a
+        step changes no other row below its cell that leaves the axis."""
+        if self.prefix is None:
+            self.beta = None
+            self.prefix = np.multiply(self.rows, self.h)
+            np.add.accumulate(self.prefix, axis=1, out=self.prefix)
+        else:
+            row = self.prefix[self.head]
+            np.multiply(self.rows[self.head], self.h, out=row)
+            np.add.accumulate(row, out=row)
+
     def _dot(self, table: np.ndarray) -> float:
         """Sum of ``table * rows`` over the filled rows; the rows past them
         are 0."""
@@ -571,14 +617,8 @@ class _CohortRing:
         to, and a cell that leaves the age axis becomes 0."""
         m = len(self.rows)
         if self.rows.ndim == 2 and self.e is None:
-            # the cell at offset n - 1 - tau of row tau, in each piece one
-            # strided run of the buffer: from row head for structure ages
-            # 0 .. m - head - 1, from row 0 for m - head .. m - 1
-            n, h = self.rows.shape[1], self.head
-            cells, step = self.rows.reshape(-1), max(n - 1, 1)
-            cells[h * n + n - 1::step][:min(m - h, n)] = 0.0
-            if h and m - h < n:
-                cells[n - 1 - (m - h)::step][:min(h, n - (m - h))] = 0.0
+            for cells in self._leaving(self.rows):
+                cells[...] = 0.0
         elif self.rows.ndim == 2:
             # row tau takes e[x + tau + 1] at cohort offset x; the rows past
             # the filled ones hold no mass
@@ -589,13 +629,22 @@ class _CohortRing:
         self.rows[self.head] = inflow * self.entry
         self.filled = min(self.filled + 1, m)
         self.dots = None
+        if self.h is not None:
+            self._prefix_sums()
 
     def sum(self) -> float:
         """Sum of the field's cells."""
         return self._contracted("g")
 
     def sum_beta(self) -> float:
-        """Sum of beta * cells."""
+        """Sum of beta * cells.  A rank-one beta, ``f[tau] * h[x]``, reads
+        from the first step on one prefix sum per row: row ``tau``'s cells on
+        the axis, ``x < n - tau``, weighted by ``h``; the rows past the filled
+        ones are 0."""
+        if self.prefix is not None:
+            (m, h), (first, second) = (len(self.rows), self.head), self._leaving(self.prefix)
+            return (float(np.dot(self.fg[:len(first)], first))
+                    + float(np.dot(self.fg[m - h:m - h + len(second)], second)))
         if self.beta.ndim == 2:
             return self._dot(self.beta)
         return self._contracted("beta")
@@ -764,9 +813,9 @@ def _start(init: StateFields, params: ModelParams, grid: Grid, n_steps: int):
     k = _kernel(params, grid, init.mode, tuple(rows.values()))
     buf = {name: _CohortRing(k, name, f, columns[name]) for name, f in fields.items()}
     buf["s_m"] = np.zeros_like(init.s_m)
-    s_h = init.s_h
+    s_h = float(init.s_h) if init.mode == "reduced" else init.s_h.copy()
     if init.mode == "full":
-        s_h, buf["s_h"] = s_h.copy(), np.zeros_like(s_h)
+        buf["s_h"] = np.zeros_like(s_h)
     state = StateFields(init.mode, init.t, s_h, None, None, init.s_m.copy(), None)
     buf["sums"] = _sums(state, params, grid, buf)
     return state, k, buf
@@ -933,6 +982,11 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
     t0 = init.t
     state, k, buf = _start(init, params, grid, n_steps)
     del init        # the rings hold it: a start state no caller keeps is freed here
+    # a ring with a rank-one beta forms its prefix sums at the first step, in
+    # the place of its beta table, which it reads until then
+    for key in ("ih", "im"):
+        if key + "_beta_h" in k:
+            del k[key + "_beta_g"]
     rows = [observe(state, params, grid, (*buf["sums"], buf["i_m"].sum()))]
     for n in range(1, n_steps + 1):
         _step_inplace(state, params, grid, k, buf)

@@ -255,18 +255,20 @@ def test_a_preset_is_capped_like_a_config_without_a_grid(capsys):
     assert name == "backward" and grid.n_ah == 100000 and grid.n_am == 150000
 
 
-def _cli_child(argv, cwd, *flags, limit=None):
+def _cli_child(argv, cwd, *flags, limit=None, timeout=None):
     """The CLI on ``argv`` in a child interpreter started with ``flags``,
     under an address-space ``limit`` in bytes if one is given: numpy then
     refuses a larger array before it touches any memory, whatever the
-    machine's overcommit policy."""
+    machine's overcommit policy.  A child still running after ``timeout``
+    seconds is killed, and the call raises ``subprocess.TimeoutExpired``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = os.path.dirname(os.path.dirname(ss.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     limited = None if limit is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     return subprocess.run([sys.executable, *flags, "-m", "structsim.cli", *argv], env=env,
-                          capture_output=True, text=True, cwd=cwd, preexec_fn=limited)
+                          capture_output=True, text=True, cwd=cwd, preexec_fn=limited,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("command", [["r0", "--preset", "forward"],
@@ -280,6 +282,38 @@ def test_a_grid_too_large_to_allocate_exits_2(tmp_path, command):
     assert ran.returncode == 2 and len(err) == 1, ran.stderr
     assert err[0].startswith("error: grid delta=1e-06 (100000000 human and 1500000 mosquito "
                              "age cells) too large to allocate: "), err
+
+
+def test_validate_ends_on_a_fine_grid(tmp_path):
+    # 1.5e6 x 1.5e6 lag samples of beta_m: scanned on its factors, O(n + m),
+    # where a block-by-block scan of the table did not end in 25 s
+    ran = _cli_child(["validate", "--preset", "forward", "--delta", "1e-6", "--a-max-h", "100"],
+                     tmp_path, limit=4 << 30, timeout=60)
+    assert ran.returncode in (0, 1), ran.stderr
+    assert "Traceback" not in ran.stdout + ran.stderr
+
+
+def test_the_cli_freezes_the_objects_only_at_exit(tmp_path):
+    # main registers gc.freeze with atexit once per process, so shutdown skips
+    # its full collections; while the process runs nothing is frozen.  A hook
+    # registered before main runs after it (atexit is last in, first out).
+    script = ("import atexit, gc\n"
+              "import structsim.cli as cli\n"
+              "atexit.register(lambda: print('at exit', gc.get_freeze_count()))\n"
+              "hooks = atexit._ncallbacks()\n"
+              "for argv in (['validate', '--preset', 'forward'], ['--version'], ['nope']):\n"
+              "    cli.main(argv)\n"
+              "    print('running', gc.get_freeze_count(), atexit._ncallbacks() - hooks)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(ss.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    ran = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, cwd=tmp_path, timeout=120)
+    assert ran.returncode == 0, ran.stderr
+    marks = [line.split() for line in ran.stdout.splitlines()
+             if line.startswith(("running", "at exit"))]
+    assert marks[:3] == [["running", "0", "1"]] * 3
+    assert len(marks) == 4 and marks[3][:2] == ["at", "exit"] and int(marks[3][2]) > 0
 
 
 @pytest.mark.parametrize("figure", ["fig2-forward", "fig3-left"])

@@ -127,3 +127,45 @@ def test_default_grid_shape():
     assert g.delta == 0.005
     assert g.a_max_m == 1.5 and g.tau_max_h == 0.6 and g.eta_max == 1.0
     assert abs(g.a_max_h - 5.0 / 0.022) < g.delta
+
+
+@given(n_off=st.integers(1, 40), n_tau=st.integers(1, 40),
+       delta=st.sampled_from([0.005, 0.05, 0.25]),
+       p=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(0.05, 1.0),
+                   st.floats(0.0, 50.0)))
+@settings(max_examples=100, deadline=None)
+def test_lag_factors_are_the_lag_sample(n_off, n_tau, delta, p):
+    # the outer product of the factors is the lag sample: exactly for a rate
+    # that reads no age (h = 1), and for gauss_exp up to the rounding of
+    # (offset + tau) - tau in its exponent; a rate that reads age alone does
+    # not factor
+    offsets, taus = (np.arange(n_off) + 0.5) * delta, (np.arange(n_tau) + 0.5) * delta
+    amplitude, center, width, decay = p
+    rate = RateSpec.gauss_exp(amplitude, center, width, decay)
+    f, h = grids.lag_factors(rate, offsets, taus)
+    assert f.shape == (n_tau,) and h.shape == (n_off,)
+    sample = grids.lag_sample(rate, offsets[None, :], taus[:, None])
+    ulps = 4 * (1 + decay * (offsets[-1] + taus[-1]))
+    np.testing.assert_allclose(np.outer(f, h), sample, rtol=ulps * np.finfo(float).eps,
+                               atol=np.finfo(float).tiny)
+    # the factors broadcast as the sample's axes do
+    assert np.array_equal(f[:, None] * h[None, :], np.outer(f, h))
+    for tau_only in (RateSpec.gauss(amplitude, center, width, Arity.TAU_ONLY),
+                     RateSpec.piecewise(center, amplitude, decay, Arity.AGE_TAU),
+                     RateSpec.constant(amplitude, Arity.AGE_TAU)):
+        f, h = grids.lag_factors(tau_only, offsets, taus)
+        assert np.array_equal(h, np.ones(n_off))
+        assert np.array_equal(np.outer(f, h), grids.lag_sample(tau_only, offsets[None, :],
+                                                                taus[:, None]))
+    for age_only in (RateSpec.gauss(amplitude, center, width, Arity.AGE),
+                     RateSpec.piecewise(center, amplitude, decay, Arity.AGE)):
+        assert grids.lag_factors(age_only, offsets, taus) is None
+
+
+def test_gauss_exp_factor_vanishes_where_the_rate_does():
+    # the indicator of gauss_exp (0 for a <= tau) is h = 0 for offset <= 0
+    rate = RateSpec.gauss_exp(0.05, 0.2, 0.2, 1.0)
+    offsets = np.array([-0.5, 0.0, 0.25])
+    f, h = grids.lag_factors(rate, offsets, np.array([0.2]))
+    assert np.array_equal(h, [0.0, 0.0, math.exp(-0.25)])
+    assert np.array_equal(np.outer(f, h)[0, :2], grids.lag_sample(rate, offsets[:2], 0.2))

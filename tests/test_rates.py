@@ -138,8 +138,29 @@ def test_read_axes_scans_match_full_grid(kind_arity, p, n_a, n_s, delta, rows):
         assert (lo, hi) == (full.min(), full.max())
         assert total == pytest.approx(float(np.sum(full)), rel=1e-12)
         lo, hi, total = _scan(spec, n_a, delta, seconds, grids.lag_sample)
-        assert (lo, hi) == (reach.min(), reach.max())
+        if spec.kind is RateKind.GAUSSIAN_EXP_INDICATOR:
+            # scanned on its factors, whose product is the sample up to the
+            # rounding of (offset + tau) - tau (see grids.lag_factors)
+            ulps = 4 * (1 + spec.params[3] * (ages[-1] + seconds[-1]))
+            np.testing.assert_allclose((lo, hi), (reach.min(), reach.max()),
+                                       rtol=ulps * np.finfo(float).eps, atol=np.finfo(float).tiny)
+        else:
+            assert (lo, hi) == (reach.min(), reach.max())
         assert total == pytest.approx(float(np.sum(reach)), rel=1e-12)
+
+
+@pytest.mark.parametrize("block_ages", [1, 7, 50])
+def test_a_factored_lag_scan_reads_its_age_factor_in_blocks(block_ages):
+    # gauss_exp on the lag samples is scanned on its factors, h a block of
+    # ages at a time: the extremes and the sum of every block count
+    spec = RateSpec.gauss_exp(0.3, 0.2, 0.2, 4.0)
+    n_a, delta = 50, 0.03
+    ages, taus = (np.arange(n_a) + 0.5) * delta, (np.arange(30) + 0.5) * delta
+    reach = rate_table(spec, ages[:, None] + taus[None, :], taus[None, :])
+    with mock.patch.object(grids, "ROW_BLOCK_BYTES", 8 * block_ages):
+        lo, hi, total = _scan(spec, n_a, delta, taus, grids.lag_sample)
+    np.testing.assert_allclose((lo, hi), (reach.min(), reach.max()), rtol=1e-14)
+    assert total == pytest.approx(float(np.sum(reach)), rel=1e-13)
 
 
 @given(a=st.floats(0, 50), second=st.floats(0, 50),

@@ -289,6 +289,20 @@ def test_positivity_and_step_equals_simulate(forward):
     assert one.s_h >= 0 and np.all(one.i_h >= 0) and np.all(one.i_m >= 0)
 
 
+def test_reduced_susceptibles_stay_a_python_float(forward):
+    # the reduced step's scalars (the entry factors and the entry cells'
+    # outflow weights) are Python floats, so s_h is one after any run, also
+    # from a numpy scalar
+    params, grid = forward
+    k = _kernel(params, grid, "reduced", (3, 3, 3))
+    assert all(type(k[key]) is float for key in ("ih_entry", "rh_entry", "im_entry",
+                                                 "ih_out0", "rh_out0"))
+    st = ss.default_initial(params, grid, 0.05, mode="reduced")
+    st.s_h = np.float64(st.s_h)
+    _, fin = ss.simulate(params, grid, st, t_end=5 * grid.delta, return_final=True)
+    assert type(fin.s_h) is float
+
+
 def test_t_end_zero_returns_initial_row(forward):
     params, grid = forward
     st = ss.default_initial(params, grid, 0.02, mode="reduced")
@@ -860,8 +874,8 @@ def test_full_tables_repeat_reduced_tables_when_rates_are_age_free(over):
         assert np.all(full[key] == red[key]), key
 
 
-_RING_KEYS = {"ih": ("ih_g", "ih_beta_g", "ih_out_g"), "rh": ("rh_g", "rh_out_g"),
-              "im": ("im_g", "im_beta_g")}
+_RING_KEYS = {"ih": ("ih_g", "ih_beta_g", "ih_beta_fg", "ih_out_g"), "rh": ("rh_g", "rh_out_g"),
+              "im": ("im_g", "im_beta_g", "im_beta_fg")}
 
 
 def _assert_prefix_tables(params, grid, mode, rows):
@@ -1238,6 +1252,71 @@ def test_reduced_ring_contractions_are_the_unrotated_dot(case, extra):
                     (pool, method, n)
         if n < n_steps:
             solver._step_inplace(run, params, grid, k, buf)
+
+
+@given(case=_small_case(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_one_pressure_is_the_dot_with_the_beta_table(case, data):
+    # a ring whose beta is f[tau] * h[x] on rows no age factor rescales reads
+    # sum_beta from its prefix sums from the first step on: at every state of
+    # a run of up to 2m steps (the head wraps), in both layouts, from full or
+    # sparse starts, it is the dot of the whole (m, n) beta * G table with the
+    # filled rows, for random gauss_exp parameters (an i_h ring in the full
+    # layout takes one too, unless its mortality reads age)
+    params, grid, state = case
+    draw = lambda: RateSpec.gauss_exp(*(data.draw(st.floats(lo, hi)) for lo, hi in
+                                        ((0.01, 1.0), (0.0, 1.0), (0.05, 1.0), (0.0, 20.0))))
+    params = dataclasses.replace(params, beta_m=draw())
+    if state.mode == "full":
+        params = dataclasses.replace(params, beta_h=draw())
+    n_steps = data.draw(st.integers(0, 2 * grid.n_tm))
+    run, k, buf = solver._start(state, params, grid, n_steps)
+    rank_one = [pool for pool in ("i_h", "i_m") if buf[pool].h is not None]
+    assert "i_m" in rank_one
+    assert ("i_h" in rank_one) == (state.mode == "full" and not params.mu_h.reads[0])
+    for n in range(n_steps + 1):
+        for pool in rank_one:
+            ring, table = buf[pool], k[pool.replace("_", "") + "_beta_g"]
+            assert (ring.prefix is None) == (n == 0)
+            assert ring.sum_beta() == pytest.approx(ring._dot(table), rel=1e-13, abs=0.0), \
+                (pool, n)
+        if n < n_steps:
+            solver._step_inplace(run, params, grid, k, buf)
+
+
+def test_a_run_holds_prefix_sums_in_the_place_of_the_beta_table():
+    # _start peaks where the kernel build does, below its kept tables plus
+    # four row blocks (the rule of the kernel's own guard): no prefix sums
+    # beside the (m, n) beta table and the ring rows, which would reach ~5.5
+    # blocks on the forward preset.  The run drops the table before its
+    # first step, where the i_m ring forms its prefix sums.
+    params, grid = ss.preset("forward"), ss.preset_grid("forward")
+    init = ss.default_initial(params, grid, 0.005)
+    tracemalloc.start()
+    try:
+        _, k, buf = solver._start(init, params, grid, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(np.asarray(table).nbytes for table in k.values())
+    block = grids.row_blocks(grid.n_tm, grid.n_am)[0]
+    block_bytes = 8 * grid.n_am * (block.stop - block.start)
+    assert k["im_beta_g"].shape == buf["i_m"].rows.shape and buf["i_m"].prefix is None
+    assert peak < kept + 4 * block_bytes, \
+        f"_start peaked {(peak - kept) / block_bytes:.1f} blocks above its tables"
+    held = []
+    step = solver._step_inplace
+
+    def checked(state, params, grid, k, buf):
+        ring = buf["i_m"]
+        held.append(sorted(key for key, v in k.items() if np.shape(v) == ring.rows.shape)
+                    + ["beta"] * (ring.beta is not None))
+        step(state, params, grid, k, buf)
+        assert ring.prefix.shape == ring.rows.shape
+
+    with mock.patch.object(solver, "_step_inplace", checked):
+        ss.simulate(params, grid, init, t_end=3 * grid.delta)
+    assert held == [["beta"], [], []]
 
 
 def test_cohort_ring_rejects_underflowed_survival():
