@@ -475,15 +475,20 @@ def default_initial(params: ModelParams, grid: Grid, infected_fraction: float = 
 # stepping
 
 
-def _skew(rows: np.ndarray, width: int) -> np.ndarray:
-    """The view ``v[i, j] = rows[i, j - i]`` of a C-contiguous block of rows:
-    column ``j`` runs along a skewed diagonal.  For ``j < i`` it reads the
-    end of row ``i - 1``; with ``width`` below the row length it stays
-    inside ``rows``."""
-    step_i, step_j = rows.strides
-    return np.lib.stride_tricks.as_strided(rows, shape=(len(rows), width),
-                                           strides=(step_i - step_j, step_j),
-                                           writeable=False)
+def _skew(rows: np.ndarray, width: int, col: int = 0) -> np.ndarray:
+    """The read-only view ``v[i, j] = rows[i, col + j - i]`` of a
+    C-contiguous block of rows: column ``j`` runs along a skewed diagonal.
+    For ``col + j < i`` it reads the end of row ``i - 1``; numpy refuses a
+    view past the block, ``col + width > len(rows) + n - 1``.  It is built
+    on the block's buffer, not through ``as_strided``, whose
+    ``__array_interface__`` round trip interns and frees a string each call
+    and so makes the interpreter rebuild its table of interned strings
+    every few thousand steps."""
+    size = rows.itemsize
+    view = np.ndarray((len(rows), width), rows.dtype, rows, col * size,
+                      ((rows.shape[1] - 1) * size, size))
+    view.flags.writeable = False
+    return view
 
 
 def _reach(columns: np.ndarray, n: int, n_steps: int) -> int:
@@ -524,6 +529,9 @@ class _CohortRing:
         m = len(self.g)
         self.rows = np.zeros((m, *field.shape[:-1]))
         self.dots, self.ones = None, np.ones(field.shape[0]) if field.ndim == 2 else None
+        # row tau of the age factors a step applies: e[x + tau + 1] at cohort offset x
+        self.windows = (None if self.e is None
+                        else np.lib.stride_tricks.sliding_window_view(self.e, field.shape[0])[1:])
         # the tables contracted once per state, one row each (``slot``): with
         # no age axis all, twice along structure age (columns m - head .. 2m -
         # head - 1 line up with the ring rows); with one, the structure-axis ones
@@ -620,10 +628,8 @@ class _CohortRing:
             for cells in self._leaving(self.rows):
                 cells[...] = 0.0
         elif self.rows.ndim == 2:
-            # row tau takes e[x + tau + 1] at cohort offset x; the rows past
-            # the filled ones hold no mass
-            windows = np.lib.stride_tricks.sliding_window_view(self.e, self.rows.shape[1])
-            for _, e, rows in self._pieces(windows[1:], self.filled):
+            # the rows past the filled ones hold no mass
+            for _, e, rows in self._pieces(self.windows, self.filled):
                 rows *= e
         self.head = (self.head - 1) % m
         self.rows[self.head] = inflow * self.entry
@@ -665,17 +671,19 @@ class _CohortRing:
         if self.rows.ndim == 1:
             return self._contracted("out")
         m, n_a = self.rows.shape
-        weights = (self.out if self.out.ndim == 2
-                   else np.broadcast_to(self.out[:, None], (m, n_a)))
+        table = self.out.ndim == 2
         mass = np.zeros(n_a)
-        for tau0, w, rows in self._pieces(weights, self.filled, self.lo):
+        for tau0, w, rows in self._pieces(self.out if table else self.out[:, None],
+                                          self.filled, self.lo):
             width = n_a - 1 - tau0         # arrivals in age rows 1 + tau0 .. n_a - 1
             if not len(rows) or width <= 0:
                 continue
+            col = 0
             if tau0 == 0:
                 mass[1] += w[0, 0] * rows[0, 0]
-                tau0, width, w, rows = 1, width - 1, w[:, 1:], rows[:, 1:]
-            mass[1 + tau0:] += np.einsum("ij,ij->j", _skew(w, width), _skew(rows, width))
+                tau0, width, col = 1, width - 1, 1
+            w = _skew(w, width, col) if table else np.broadcast_to(w, (len(w), width))
+            mass[1 + tau0:] += np.einsum("ij,ij->j", w, _skew(rows, width, col))
         return mass
 
     def fill(self, out: np.ndarray, start: int = 0) -> np.ndarray:
@@ -700,7 +708,7 @@ class _CohortRing:
                 np.multiply(rows[i, lo - tau0 - i:a0 - tau0 - i], g[i],
                             out=out[lo - start:a0 - start, tau0 + i])
             if k and a0 < stop:
-                np.multiply(_skew(rows[:, a0 - tau0:], stop - a0).T, g,
+                np.multiply(_skew(rows, stop - a0, a0 - tau0).T, g,
                             out=out[a0 - start:, tau0:tau0 + k])
         return out
 

@@ -1225,6 +1225,47 @@ def test_outflow_is_the_skewed_sum_of_the_whole_weight_table(case, n_steps):
             solver._step_inplace(run, params, grid, k, buf)
 
 
+@given(n_rows=st.integers(1, 6), n=st.integers(1, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_skew_is_the_strided_view_of_the_block(n_rows, n, data):
+    # the skewed view of a block's columns from col on is the as_strided one,
+    # read-only, up to the end of the block's buffer, and refused past it
+    block = np.arange(n_rows * n, dtype=float).reshape(n_rows, n)
+    col = data.draw(st.integers(0, n - 1))
+    width = data.draw(st.integers(0, n_rows + n - 1 - col))
+    view = solver._skew(block, width, col)
+    assert np.array_equal(view, _skewed(block[:, col:], width))
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        solver._skew(block, n_rows + n - col, col)
+
+
+@pytest.mark.parametrize("aged", [False, True])
+def test_a_full_step_builds_no_view_through_as_strided(aged):
+    # a step, the outflow and the field read each ring through views of its
+    # own buffers, with weight tables (a mortality that reads age) or weights
+    # on the structure axis alone: no as_strided call, whose
+    # __array_interface__ round trip interns and frees a string each time,
+    # so that the interpreter rebuilds its table of interned strings every
+    # few thousand calls
+    mu_h = RateSpec.piecewise(2.0, 0.02, 0.05, Arity.AGE) if aged else RateSpec.constant(0.02)
+    params = fast_params(mu_h=mu_h, gamma_h=RateSpec.piecewise(0.5, 0.0, 2.0, Arity.TAU_ONLY))
+    grid = fast_grid(0.05)
+    init = ss.default_initial(params, grid, 0.01, mode="full", infected_fraction_m=0.1)
+    run, k, buf = solver._start(init, params, grid, 4)
+    assert [buf[pool].out.ndim for pool in ("i_h", "r_h")] == [1 + aged] * 2
+    assert (buf["i_h"].windows is not None) == aged
+    refuse = AssertionError("a strided view through as_strided")
+    with mock.patch.object(np.lib.stride_tricks, "as_strided", side_effect=refuse), \
+            mock.patch.object(np.lib.stride_tricks, "sliding_window_view", side_effect=refuse):
+        for _ in range(4):
+            solver._step_inplace(run, params, grid, k, buf)
+        for pool in solver._STRUCTURED:
+            buf[pool].field()
+            if buf[pool].out is not None:
+                buf[pool].outflow()
+
+
 REDUCED_CONTRACTIONS = {"i_h": {"sum": "_g", "sum_beta": "_beta_g", "outflow": "_out_g"},
                         "r_h": {"sum": "_g", "outflow": "_out_g"},
                         "i_m": {"sum_beta": "_beta_g"}}
