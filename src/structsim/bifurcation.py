@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characteristics import offset_cumulative
-from .grids import Grid, cumulative_to_centers, row_blocks
+from .grids import Grid, cumulative_to_centers, on_axis, row_blocks
 from .kernels import spectral_kernels
 from .params import ModelParams
 from .r0 import lambda_m_slope
@@ -360,11 +360,14 @@ def reconstruct_equilibrium(k_root: float, params: ModelParams,
     lam_hm_rate = kernels.c2 * k_root                  # per-mosquito infection rate
     s_m = params.lambda_m * spectral_kernels(params, grid).pi_m \
         * np.exp(-lam_hm_rate * grid.ages_m)
-    d_im = offset_cumulative(params, grid, "i_m")
+    # the cells on (cohort offset x, infection age j), in the buffer of the
+    # cumulative removal, written at age x + j where it lies on the age axis
+    cells = offset_cumulative(params, grid, "i_m")
+    np.exp(np.negative(cells, out=cells), out=cells)
+    cells *= (lam_hm_rate * s_m)[:, None]
     i_m = np.zeros((grid.n_am, grid.n_tm))
-    for j in range(grid.n_tm):
-        rows = np.arange(j, grid.n_am)
-        i_m[rows, j] = lam_hm_rate * s_m[rows - j] * np.exp(-d_im[rows - j, j])
+    x, j = np.nonzero(on_axis(grid.n_am, grid.n_tm))
+    i_m[x + j, j] = cells[x, j]
 
     state = StateFields("reduced", 0.0, s_norm * n_star, i_norm * n_star,
                         r_norm * n_star, s_m, i_m)

@@ -168,8 +168,11 @@ def g_of_lambda(params: ModelParams, grid: Grid, lam: float) -> float:
 
 
 def _g_above(params: ModelParams, grid: Grid, lam: float, mu0: float) -> float:
-    """g(lam), after checking lam > -mu0 for the mortality floor mu0 of
-    ``(params, grid)``."""
+    """g(lam), after checking that the mortality floor mu0 of ``(params,
+    grid)`` is positive and lam > -mu0."""
+    if not mu0 > 0:         # rates are >= 0, so the floor is 0
+        raise ValueError("the mortality floor mu_0 (the least of mu_h and mu_m) is 0 on "
+                         "this grid; g(lambda) needs it positive")
     if lam <= -mu0:
         raise ValueError(f"lambda must exceed -mu_0 = {-mu0:g}")
     return spectral_kernels(params, grid).generation(lam)

@@ -18,8 +18,9 @@ trapezoid factors and channel outflow weights of ``step_factors`` and
 ``entry_factors`` (``decay_factors`` pads them into one table); the
 transmission sample ``lag_sample`` at the age-lag midpoint of a diagonal
 cell, and ``lag_factors``, its factors on the infection-age and offset axes
-where it has them; the block rule ``row_blocks``; and ``whole_steps``, the
-rule that an extent is a whole number of steps.  No survival table is kept;
+where it has them; ``on_axis``, the cells of a cohort table that lie on the
+age axis; the block rule ``row_blocks``; and ``whole_steps``, the rule that
+an extent is a whole number of steps.  No survival table is kept;
 each consumer builds the factors it reads from a rate table
 (``rate_table``).
 """
@@ -251,6 +252,13 @@ def lag_factors(rate, offsets, taus) -> tuple[np.ndarray, np.ndarray] | None:
     else:
         f, h = eval_rate(rate, 0.0, taus), 1.0
     return np.broadcast_to(f, np.shape(taus)), np.broadcast_to(h, np.shape(offsets))
+
+
+def on_axis(n_offsets: int, n_taus: int) -> np.ndarray:
+    """The cells of an ``(n_offsets, n_taus)`` table on (cohort offset,
+    structure age) that lie on an age axis of ``n_offsets`` cells: offset +
+    structure age < ``n_offsets``, as a boolean table."""
+    return np.arange(n_taus) < np.arange(n_offsets, 0, -1)[:, None]
 
 
 def characteristic_cumulative(rate_fn, offsets: np.ndarray, taus: np.ndarray,

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (Grid, characteristic_cumulative, cumulative_to_centers, lag_sample,
-                    row_blocks)
+                    on_axis, row_blocks)
 from .params import ModelParams
 from .rates import rate_table
 
@@ -156,10 +156,8 @@ def spectral_kernels(params: ModelParams, grid: Grid) -> SpectralKernels:
     for block in row_blocks(len(xis_m), len(taus_m)):
         mosq_kernel[block] *= lag_sample(params.beta_m, xis_m[block, None], taus_m[None, :])
     mosq_kernel *= pi_m[:, None]
-    # keep age + infection age within the truncated mosquito age span: row
-    # xi holds infection ages below n_am - xi
-    for xi in range(max(0, grid.n_am - grid.n_tm + 1), grid.n_am):
-        mosq_kernel[xi, grid.n_am - xi:] = 0.0
+    # keep age + infection age within the truncated mosquito age span
+    mosq_kernel *= on_axis(grid.n_am, grid.n_tm)
     int_pi_m = float(np.sum(pi_m)) * d
 
     return SpectralKernels(delta=d, n_ah=grid.n_ah, int_pi_h=int_pi_h, sum_pi_h2=sum_pi_h2,

@@ -71,14 +71,13 @@ rows is the leading m rows of the table of the whole axis (a weight
 table's kept rows from lo on), so each run builds its kernel once, for
 exactly the rows it reaches, and keeps it no longer than the run.  Ring
 rows head, head + 1, ... (mod m) hold structure ages 0, 1, ..., so ring
-row j is beside table row (j - head) mod m.  A ring with no age axis
-stacks every table it is contracted with (G, beta * G, the outflow
-weights) into one block and doubles it along structure age: columns
-m - head .. 2m - head - 1 of the block line up with the unrotated rows,
-so all of a state's contractions are one matrix-vector product.  With an
-age axis the cell sum and a pressure whose beta reads no age are the row
-sums dotted with G and beta * G.  Both ring shapes keep these in one
-cache, made once per state.  A rank-one beta f[tau] * h[x] is read from
+row j is beside table row (j - head) mod m.  A ring stacks the
+structure-axis tables it is contracted with (G, a beta * G that reads no
+age, and with no age axis the outflow weights) into one block and doubles
+it along structure age: columns m - head .. 2m - head - 1 of the block
+line up with the unrotated rows, so all of a state's contractions are one
+matrix-vector product with the rows, or with their sums on an age axis,
+kept in one cache per state.  A rank-one beta f[tau] * h[x] is read from
 prefix sums: a step changes a held row only at the cell that leaves the age
 axis, so from its first step the ring keeps P[p] = cumsum(h * rows[p]) for
 each row p, formed once as the row enters, and the pressure is f * G dotted
@@ -90,7 +89,8 @@ rescales) is two contiguous dot products over the filled rows, one on each
 side of the wrap.  The outflow
 into each age row sums a skewed diagonal of the same pieces, weights and
 rows both through strided views, with one rule for both shapes of
-weights: a table's kept rows, or a vector broadcast along the age axis.
+weights: a table's kept rows, or a vector broadcast along the age axis; a
+field is written from its ring through the same skewed view of each piece.
 Initial data enters a ring divided by G, read one structure-age
 column with mass at a time.  The seed of :func:`default_initial` is
 column-major (structure age major), so each such column is contiguous, its
@@ -511,7 +511,9 @@ class _CohortRing:
     with no age axis (the REDUCED human fields) has one cohort, so a row is
     one number.  A ring with a rank-one beta keeps, from its first step on,
     the prefix sums of ``h * rows`` per row (``prefix``) in the place of its
-    beta table.
+    beta table.  Both shapes contract their structure-axis tables in one
+    product per state, and ``fill`` and ``outflow`` read the triangle
+    through one skewed view per piece, with age row 0's one cell on its own.
     ``pool`` names the field; the kernel keys of its tables drop the
     underscore.  ``columns`` are the structure-age columns of ``field``
     holding mass, all below ``m``; ``shape`` is the field's."""
@@ -532,15 +534,12 @@ class _CohortRing:
         # row tau of the age factors a step applies: e[x + tau + 1] at cohort offset x
         self.windows = (None if self.e is None
                         else np.lib.stride_tricks.sliding_window_view(self.e, field.shape[0])[1:])
-        # the tables contracted once per state, one row each (``slot``): with
-        # no age axis all, twice along structure age (columns m - head .. 2m -
-        # head - 1 line up with the ring rows); with one, the structure-axis ones
+        # the structure-axis tables, one row each (``slot``), twice along
+        # structure age: columns m - head .. 2m - head - 1 line up with the rows
         tables = {"g": self.g, "beta": self.beta, "out": self.out if field.ndim == 1 else None}
         tables = {name: t for name, t in tables.items() if t is not None and t.ndim == 1}
         self.slot = {name: i for i, name in enumerate(tables)}
-        self.block = list(tables.values())
-        if field.ndim == 1:
-            self.block = np.tile(self.block, 2)
+        self.block = np.tile(list(tables.values()), 2)
         with np.errstate(divide="ignore", over="ignore"):
             if field.ndim == 1:
                 np.divide(field[:m], self.g, out=self.rows, where=field[:m] != 0.0)
@@ -605,17 +604,12 @@ class _CohortRing:
     def _contracted(self, name: str) -> float:
         """The rows contracted with the table ``name`` ("g", "beta" or
         "out"), kept in ``dots`` with every table of ``block``, made once per
-        state: with no age axis one product of the block's window with the
-        rows; with one, each table dotted with the row sums (one BLAS pass)."""
+        state: one product of the block's window with the rows, or with an
+        age axis with the row sums."""
         if self.dots is None:
             m, h = len(self.rows), self.head
-            if self.rows.ndim == 1:
-                self.dots = (self.block[:, m - h:2 * m - h] @ self.rows).tolist()
-            else:
-                sums = np.empty(m)
-                np.matmul(self.rows[h:], self.ones, out=sums[:m - h])
-                np.matmul(self.rows[:h], self.ones, out=sums[m - h:])
-                self.dots = [float(np.dot(table, sums)) for table in self.block]
+            sums = self.rows if self.rows.ndim == 1 else self.rows @ self.ones
+            self.dots = (self.block[:, m - h:2 * m - h] @ sums).tolist()
         return self.dots[self.slot[name]]
 
     def push(self, inflow) -> None:
@@ -691,9 +685,11 @@ class _CohortRing:
         ``out``, row-major on the whole structure axis; a ring with no age
         axis writes its one row, the whole field.  The cell at age ``a`` and
         structure age ``tau`` is ``G[tau]`` times ring row ``tau`` at cohort
-        offset ``a - tau``: in the age rows that every row of a piece
-        reaches, one product through a skewed view of the piece; row by row
-        only in the triangle at the start of the age axis."""
+        offset ``a - tau``: one product through a skewed view of each piece
+        from age row ``max(start, tau0, 1)`` on.  Where ``tau > a`` the view
+        reads the end of the row before, cells past the age axis, which are
+        0, as in :meth:`outflow`; in age row 0 it would read cells on the
+        axis, so that row's one cell is written on its own."""
         out[...] = 0.0
         m = len(self.rows)
         if self.rows.ndim == 1:
@@ -701,15 +697,12 @@ class _CohortRing:
             return out
         stop = start + len(out)
         for tau0, g, rows in self._pieces(self.g):
-            k = len(rows)
-            a0 = min(max(start, tau0 + k - 1), stop)    # rows from a0 on reach every row
-            for i in range(min(k, a0 - tau0) if start < a0 else 0):
-                lo = max(start, tau0 + i)
-                np.multiply(rows[i, lo - tau0 - i:a0 - tau0 - i], g[i],
-                            out=out[lo - start:a0 - start, tau0 + i])
-            if k and a0 < stop:
+            if tau0 == start == 0:      # the first piece, never empty
+                out[0, 0] = rows[0, 0] * g[0]
+            a0 = max(start, tau0, 1)
+            if len(rows) and a0 < stop:
                 np.multiply(_skew(rows, stop - a0, a0 - tau0).T, g,
-                            out=out[a0 - start:, tau0:tau0 + k])
+                            out=out[a0 - start:, tau0:tau0 + len(rows)])
         return out
 
     def field(self) -> np.ndarray:
@@ -829,19 +822,9 @@ def _start(init: StateFields, params: ModelParams, grid: Grid, n_steps: int):
     return state, k, buf
 
 
-def _finish(state: StateFields, buf: dict) -> None:
-    """Give ``state`` its structured fields back, building one at a time
-    and dropping its ring before the next."""
-    for name in _STRUCTURED:
-        setattr(state, name, buf.pop(name).field())
-
-
 def step(state: StateFields, params: ModelParams, grid: Grid) -> StateFields:
-    """One unit-CFL step; returns a new state at t + delta."""
-    out, k, buf = _start(state, params, grid, 1)
-    _step_inplace(out, params, grid, k, buf)
-    _finish(out, buf)
-    return out
+    """One unit-CFL step, a run of one step; returns a new state at t + delta."""
+    return simulate(params, grid, state, grid.delta, return_final=True)[1]
 
 
 def observe(state: StateFields, params: ModelParams, grid: Grid,
@@ -1009,6 +992,8 @@ def simulate(params: ModelParams, grid: Grid, init: StateFields,
             setattr(state, name, buf[name])
         return rows, save_snapshot(state, grid, snapshot)
     if return_final:
-        _finish(state, buf)
+        # one field at a time, each ring dropped before the next is built
+        for name in _STRUCTURED:
+            setattr(state, name, buf.pop(name).field())
         return rows, state
     return rows

@@ -203,6 +203,21 @@ def test_zero_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):
     assert grid.a_max_h == 100.0 and grid.n_ah == 20000
 
 
+@pytest.mark.parametrize("command", ["report", "growth-rate"])
+def test_a_zero_mortality_floor_is_one_error_line(tmp_path, capsys, command):
+    # mu_h is 0 below age 40 on a grid the config gives: validate fails
+    # mortality_floor, and the commands that read g(lambda) name the floor
+    # instead of a lambda the user never gave
+    path = tmp_path / "zero.cfg"
+    path.write_text(GOOD_CONFIG.replace("mu_h    = constant(0.022)",
+                                        "mu_h    = piecewise(40, 0, 0.02)"))
+    assert main([command, "--config", str(path), "--delta", "0.05"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and err.splitlines() == [
+        "error: the mortality floor mu_0 (the least of mu_h and mu_m) is 0 on this grid; "
+        "g(lambda) needs it positive"]
+
+
 def test_tiny_mortality_without_a_grid_needs_an_age_extent(tmp_path, capsys):
     # mu_h 1e-7 below age 40 is positive, but 5 / mu_h sizes ~10^10 cells
     # (10^9 behind the old 1e-6 clamp), past cli.MAX_DEFAULT_AGE_CELLS: the

@@ -129,6 +129,14 @@ def test_default_grid_shape():
     assert abs(g.a_max_h - 5.0 / 0.022) < g.delta
 
 
+@pytest.mark.parametrize("n_offsets, n_taus", [(1, 1), (5, 3), (3, 5), (6, 6)])
+def test_on_axis_is_the_triangle_below_the_end_of_the_age_axis(n_offsets, n_taus):
+    # cell (x, j) lies at age x + j: on the axis below n_offsets
+    want = [[x + j < n_offsets for j in range(n_taus)] for x in range(n_offsets)]
+    mask = grids.on_axis(n_offsets, n_taus)
+    assert mask.dtype == bool and mask.tolist() == want
+
+
 @given(n_off=st.integers(1, 40), n_tau=st.integers(1, 40),
        delta=st.sampled_from([0.005, 0.05, 0.25]),
        p=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(0.05, 1.0),

@@ -1295,6 +1295,38 @@ def test_reduced_ring_contractions_are_the_unrotated_dot(case, extra):
             solver._step_inplace(run, params, grid, k, buf)
 
 
+@given(case=_small_case(), extra=st.integers(0, 12), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_age_axis_ring_contractions_are_the_dot_with_the_row_sums(case, extra, data):
+    # a ring with an age axis (the full-layout human rings, the i_m ring of
+    # both layouts) answers sum and a structure-axis sum_beta from one
+    # product of its doubled block with the row sums: at every state of a
+    # run whose head wraps at least once, each is the dot product of its
+    # kernel table with the row sums in structure-age order.  About half the
+    # cases take a beta_m that reads infection age alone, so i_m contracts one.
+    params, grid, state = case
+    if data.draw(st.booleans()):
+        params = dataclasses.replace(params, beta_m=RateSpec.gauss(
+            *(data.draw(st.floats(lo, hi)) for lo, hi in ((0.01, 1.0), (0.0, 1.0), (0.05, 1.0))),
+            Arity.TAU_ONLY))
+    pools = ("i_h", "r_h", "i_m") if state.mode == "full" else ("i_m",)
+    n_steps = max(grid.n_th, grid.n_eta, grid.n_tm) + extra   # a ring has at most n rows
+    run, k, buf = solver._start(state, params, grid, n_steps)
+    for n in range(n_steps + 1):
+        for pool in pools:
+            ring, key = buf[pool], pool.replace("_", "")
+            sums = np.roll(ring.rows.sum(axis=1), -ring.head)
+            tables = {"sum": k[key + "_g"], "sum_beta": k.get(key + "_beta_g")}
+            for method, table in tables.items():
+                if table is None or table.ndim != 1:
+                    continue
+                want = float(np.vdot(table, sums))
+                assert getattr(ring, method)() == pytest.approx(want, rel=1e-14, abs=0.0), \
+                    (pool, method, n)
+        if n < n_steps:
+            solver._step_inplace(run, params, grid, k, buf)
+
+
 @given(case=_small_case(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_rank_one_pressure_is_the_dot_with_the_beta_table(case, data):
